@@ -3,10 +3,10 @@
 
 A quaternion filter bank holds four real kernel banks W0..W3. At every
 tap of a valid cross-correlation the layer multiplies filter and input
-quaternions with the Hamilton product and sums. The same map can be
-written as one real convolution over the four stacked component planes
-with a sign-structured 4x4 block kernel; both routes are shown here
-against a literal per-pixel loop.
+quaternions with the Hamilton product and sums. The layer computes the
+same map as one real convolution over the four stacked component planes
+with a sign-structured 4x4 block kernel (``as_block_conv``); both routes
+are shown here against a literal per-pixel loop.
 """
 
 import numpy as np

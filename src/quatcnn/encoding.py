@@ -51,6 +51,8 @@ def _check_rgb(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise ValueError("RGB values must be finite")
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("RGB values must lie in [0, 1]")
     return img
@@ -60,6 +62,8 @@ def _check_hsv(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise ValueError("HSV values must be finite")
     h, s, v = img[..., 0], img[..., 1], img[..., 2]
     if h.min() < 0.0 or h.max() >= TWO_PI:
         raise ValueError("hue must lie in [0, 2pi)")

@@ -3,10 +3,13 @@ the two reference architectures.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core. The quaternion
-convolution combines sixteen real correlations between the four weight
-banks and the four input planes with the Hamilton sign pattern; see
-``_QCONV_TERMS``. Max pooling uses a (2, 2) window with stride 2 and
-drops trailing odd rows/columns, which is what makes a 100x100 input
+convolution runs on the same core as one real GEMM over the 4C stacked
+component planes, with the (4F, 4C, k, k) block kernel that
+``as_block_conv`` assembles from the four weight banks and the Hamilton
+sign pattern in ``_QCONV_TERMS``; its weight gradient folds back into
+the banks through the same table. Max pooling takes the maximum of the
+window's strided slices, uses a (2, 2) window with stride 2 and drops
+trailing odd rows/columns, which is what makes a 100x100 input
 flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
 exactly 12,800 values in both architectures.
 """
@@ -134,7 +137,7 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 # ---------------------------------------------------------------------------
-# real correlation core
+# correlation core, shared by the real and quaternion convolutions
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -171,15 +174,29 @@ def _check_conv_input(x_shape, w_shape):
         raise ValueError(f"spatial size {h}x{w} smaller than kernel {k}x{k}")
 
 
+def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
+    """Valid correlation (C, H, W) with (F, C, k, k) plus bias, as one
+    GEMM over the im2col patches. Returns the output and the patches."""
+    _check_conv_input(x.shape, w.shape)
+    f, _, k, _ = w.shape
+    cols = _im2col(x, k)
+    out = (w.reshape(f, -1) @ cols).reshape(f, x.shape[1] - k + 1, x.shape[2] - k + 1)
+    out += bias[:, None, None]
+    return out, cols
+
+
+def _correlate_backward(g: np.ndarray, w: np.ndarray, cols: np.ndarray, x_shape):
+    """Gradients of _correlate: (weight, bias, input)."""
+    f, _, k, _ = w.shape
+    gmat = g.reshape(f, -1)
+    gw = (gmat @ cols.T).reshape(w.shape)
+    gx = _col2im(w.reshape(f, -1).T @ gmat, x_shape, k)
+    return gw, g.sum(axis=(1, 2)), gx
+
+
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Valid cross-correlation plus bias: (C, H, W) -> (F, H-k+1, W-k+1)."""
-    _check_conv_input(x.shape, params.w.shape)
-    f, c, k, _ = params.w.shape
-    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
-    cols = _im2col(x, k)
-    out = params.w.reshape(f, -1) @ cols
-    out = out.reshape(f, oh, ow) + params.bias[:, None, None]
-    return out
+    return _correlate(x, params.w, params.bias)[0]
 
 
 # Hamilton product sign structure, written as the four-term expansion of
@@ -192,30 +209,12 @@ _QCONV_TERMS = (
 )
 
 
-def _qconv_data_forward(x: np.ndarray, params: QConvParams):
-    """Forward on raw (4, C, H, W) data; also returns the cached columns."""
-    banks = (params.w0, params.w1, params.w2, params.w3)
-    _check_conv_input(x.shape[1:], params.w0.shape)
-    f, c, k, _ = params.w0.shape
-    oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
-    cols = [_im2col(x[comp], k) for comp in range(4)]
-    wmats = [bank.reshape(f, -1) for bank in banks]
-    out = np.empty((4, f, oh, ow), dtype=x.dtype)
+def _block_terms(f: int, c: int):
+    """(bank, sign, rows, planes) of the 16 Hamilton terms: bank ``a``
+    times ``sign`` fills block[rows, planes] of the (4F, 4C, k, k) kernel."""
     for comp, terms in enumerate(_QCONV_TERMS):
-        acc = None
         for a, b, sign in terms:
-            prod = wmats[a] @ cols[b]
-            acc = sign * prod if acc is None else acc + sign * prod
-        out[comp] = acc.reshape(f, oh, ow) + params.bias[comp][:, None, None]
-    return out, cols
-
-
-def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
-    """Quaternion convolution: Hamilton product of filter and input at
-    every tap of a valid cross-correlation, plus the quaternion bias.
-    """
-    out, _ = _qconv_data_forward(x.data, params)
-    return QTensor(out)
+            yield a, sign, slice(comp * f, (comp + 1) * f), slice(b * c, (b + 1) * c)
 
 
 def as_block_conv(params: QConvParams) -> ConvParams:
@@ -223,47 +222,31 @@ def as_block_conv(params: QConvParams) -> ConvParams:
 
     The quaternion convolution of C quaternion channels equals one real
     convolution of 4C planes with a (4F, 4C, k, k) kernel whose 4x4
-    block structure carries the Hamilton signs. Useful as an
-    independent evaluation route and for exporting to real-conv
-    runtimes.
+    block structure carries the Hamilton signs. This is the form the
+    quaternion layers run in; it also exports to real-conv runtimes.
     """
     f, c, k, _ = params.w0.shape
     banks = (params.w0, params.w1, params.w2, params.w3)
-    block = np.zeros((4 * f, 4 * c, k, k), dtype=params.w0.dtype)
-    for comp, terms in enumerate(_QCONV_TERMS):
-        for a, b, sign in terms:
-            block[comp * f:(comp + 1) * f, b * c:(b + 1) * c] = sign * banks[a]
+    block = np.empty((4 * f, 4 * c, k, k), dtype=params.w0.dtype)
+    for a, sign, rows, planes in _block_terms(f, c):
+        block[rows, planes] = sign * banks[a]
     return ConvParams(w=block, bias=params.bias.reshape(-1).copy())
 
 
-def _pool_core(x: np.ndarray, window: int, stride: int):
-    """Max pool (P, H, W) -> pooled values plus argmax window offsets."""
-    p, h, w = x.shape
-    if h < window or w < window:
-        raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    s0, s1, s2 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(p, oh, ow, window, window),
-        strides=(s0, stride * s1, stride * s2, s1, s2),
-    ).reshape(p, oh, ow, window * window)
-    # argmax over the row-major flattened window: first index wins ties
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
-    return out, idx
+def _qconv_forward(x: np.ndarray, params: QConvParams):
+    """(4, C, H, W) -> (4, F, OH, OW) as one block correlation over the
+    4C stacked planes; also returns the block kernel and the patches."""
+    _check_conv_input(x.shape[1:], params.w0.shape)
+    block = as_block_conv(params)
+    out, cols = _correlate(x.reshape(-1, *x.shape[2:]), block.w, block.bias)
+    return out.reshape(4, -1, *out.shape[1:]), block.w, cols
 
 
-def _pool_backward(g: np.ndarray, idx: np.ndarray, in_shape, window: int,
-                   stride: int) -> np.ndarray:
-    p, oh, ow = g.shape
-    gx = np.zeros(in_shape, dtype=g.dtype)
-    pi, oi, oj = np.indices((p, oh, ow))
-    hi = oi * stride + idx // window
-    wj = oj * stride + idx % window
-    np.add.at(gx, (pi, hi, wj), g)
-    return gx
+def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
+    """Quaternion convolution: Hamilton product of filter and input at
+    every tap of a valid cross-correlation, plus the quaternion bias.
+    """
+    return QTensor(_qconv_forward(x.data, params)[0])
 
 
 def _window_size(window) -> int:
@@ -274,17 +257,49 @@ def _window_size(window) -> int:
     return int(window)
 
 
+def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
+    """The window**2 strided views of (..., H, W), one per window offset in
+    row-major order; view d holds element d of every pooling window."""
+    h, w = x.shape[-2:]
+    if h < window or w < window:
+        raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
+    rows = stride * ((h - window) // stride) + 1
+    cols = stride * ((w - window) // stride) + 1
+    return [x[..., di:di + rows:stride, dj:dj + cols:stride]
+            for di in range(window) for dj in range(window)]
+
+
+def _maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Per-plane max pooling over the last two axes."""
+    views = _pool_views(x, window, stride)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def _maxpool_backward(g: np.ndarray, x: np.ndarray, out: np.ndarray, window: int,
+                      stride: int) -> np.ndarray:
+    """Route each window's gradient to its first maximum in row-major
+    order; windows that overlap add their shares."""
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for view, gview in zip(_pool_views(x, window, stride),
+                           _pool_views(gx, window, stride)):
+        hit = view == out
+        hit &= free
+        free ^= hit
+        gview += g * hit
+    return gx
+
+
 def maxpool2d(x, window=2, stride: int = 2):
     """Per-plane max pooling; accepts a real (C, H, W) array or a QTensor.
     ``window`` may be an int or a square (w, w) tuple."""
     window = _window_size(window)
     if isinstance(x, QTensor):
-        d = x.data
-        flat = d.reshape(-1, d.shape[2], d.shape[3])
-        out, _ = _pool_core(flat, window, stride)
-        return QTensor(out.reshape(4, d.shape[1], *out.shape[1:]))
-    out, _ = _pool_core(np.asarray(x), window, stride)
-    return out
+        return QTensor(_maxpool(x.data, window, stride))
+    return _maxpool(np.asarray(x), window, stride)
 
 
 def relu(x):
@@ -345,23 +360,16 @@ class Conv2d:
         self.params.bias[...] = 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        _check_conv_input(x.shape, self.params.w.shape)
-        f, c, k, _ = self.params.w.shape
-        cols = _im2col(x, k)
-        oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
-        out = (self.params.w.reshape(f, -1) @ cols).reshape(f, oh, ow)
-        out += self.params.bias[:, None, None]
+        out, cols = _correlate(x, self.params.w, self.params.bias)
         self._cache = (cols, x.shape)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         cols, x_shape = self._cache
-        f, c, k, _ = self.params.w.shape
-        gmat = g.reshape(f, -1)
-        self.grads.w += (gmat @ cols.T).reshape(self.params.w.shape)
-        self.grads.bias += g.sum(axis=(1, 2))
-        colgrad = self.params.w.reshape(f, -1).T @ gmat
-        return _col2im(colgrad, x_shape, k)
+        gw, gbias, gx = _correlate_backward(g, self.params.w, cols, x_shape)
+        self.grads.w += gw
+        self.grads.bias += gbias
+        return gx
 
     def zero_grads(self):
         self.grads.w[...] = 0
@@ -402,28 +410,21 @@ class QConv2d:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x: (4, C, H, W) -> (4, F, OH, OW)."""
-        out, cols = _qconv_data_forward(x, self.params)
-        self._cache = (cols, x.shape)
+        out, block, cols = _qconv_forward(x, self.params)
+        self._cache = (block, cols, x.shape)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        cols, x_shape = self._cache
-        f, c, k, _ = self.params.w0.shape
-        wbanks = (self.params.w0, self.params.w1, self.params.w2, self.params.w3)
+        block, cols, x_shape = self._cache
+        f, c = self.out_channels, self.in_channels
+        gblock, gbias, gx = _correlate_backward(
+            g.reshape(4 * f, *g.shape[2:]), block, cols, (4 * c, *x_shape[2:])
+        )
         gbanks = (self.grads.w0, self.grads.w1, self.grads.w2, self.grads.w3)
-        gmats = [g[comp].reshape(f, -1) for comp in range(4)]
-        colgrads = [None] * 4
-        for comp, terms in enumerate(_QCONV_TERMS):
-            self.grads.bias[comp] += g[comp].sum(axis=(1, 2))
-            for a, b, sign in terms:
-                bank_grad = gbanks[a]
-                bank_grad += sign * (gmats[comp] @ cols[b].T).reshape(bank_grad.shape)
-                contrib = sign * (wbanks[a].reshape(f, -1).T @ gmats[comp])
-                colgrads[b] = contrib if colgrads[b] is None else colgrads[b] + contrib
-        gx = np.empty(x_shape, dtype=g.dtype)
-        for b in range(4):
-            gx[b] = _col2im(colgrads[b], x_shape[1:], k)
-        return gx
+        for a, sign, rows, planes in _block_terms(f, c):
+            gbanks[a][...] += sign * gblock[rows, planes]
+        self.grads.bias += gbias.reshape(4, f)
+        return gx.reshape(x_shape)
 
     def zero_grads(self):
         for arr in self.grads.arrays():
@@ -441,20 +442,13 @@ class MaxPool2d:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        lead = x.shape[:-2]
-        flat = x.reshape(-1, x.shape[-2], x.shape[-1])
-        out, idx = self._pool(flat)
-        self._cache = (idx, flat.shape, lead)
-        return out.reshape(*lead, *out.shape[1:])
-
-    def _pool(self, flat):
-        return _pool_core(flat, self.window, self.stride)
+        out = _maxpool(x, self.window, self.stride)
+        self._cache = (x, out)
+        return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        idx, flat_shape, lead = self._cache
-        gflat = g.reshape(-1, g.shape[-2], g.shape[-1])
-        gx = _pool_backward(gflat, idx, flat_shape, self.window, self.stride)
-        return gx.reshape(*lead, gx.shape[-2], gx.shape[-1])
+        x, out = self._cache
+        return _maxpool_backward(g, x, out, self.window, self.stride)
 
     param_count = 0
 
@@ -468,10 +462,10 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return np.maximum(x, 0)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, g, 0)
+        return g * self._mask
 
     param_count = 0
 

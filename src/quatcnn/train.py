@@ -8,6 +8,7 @@ to double first so central differences at h=1e-6 are meaningful.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -143,6 +144,7 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
     running accuracy, i.e. measured from the forward passes used for
     training with the parameters current at each batch. Metrics stream
     to ``metrics_path`` as CSV (epoch, loss, train_acc) when given.
+    A non-finite loss raises ValueError naming the epoch and batch.
     """
     samples = list(dataset)
     if not samples:
@@ -178,6 +180,11 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
                     x, label = samples[si]
                     logit = model.forward(x)
                     loss, dlogit = bce_with_logits(logit, label)
+                    if not math.isfinite(loss):
+                        raise ValueError(
+                            f"non-finite loss {loss} at epoch {epoch}, "
+                            f"batch {start // batch_size}"
+                        )
                     model.backward(dlogit / len(batch))
                     total_loss += loss
                     correct += int((logit > 0) == (label == 1))

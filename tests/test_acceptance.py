@@ -25,7 +25,7 @@ from quatcnn.harness import (
 )
 from testutil import (
     assert_close, norm_rel_err, random_quaternion,
-    qconv2d_oracle, layer_fd_check,
+    qconv2d_oracle, qconv2d_hamilton_sum_oracle, layer_fd_check,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -116,9 +116,13 @@ def test_criterion_3_qconv_oracle_equivalence():
             # the sign-structured 4x4 block kernel
             block = conv2d_forward(x.data.reshape(4 * c, h, w), as_block_conv(p))
             assert norm_rel_err(out.reshape(block.shape), block) < tol
+            # route (c): sixteen real correlations summed with a sign
+            # table of the test helpers' own, which the library's
+            # block-GEMM kernel does not share
+            assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, p)) < tol
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
-    report(3, f"{n_configs} configs match both oracles in both precisions ({elapsed:.1f}s)")
+    report(3, f"{n_configs} configs match all three oracles in both precisions ({elapsed:.1f}s)")
 
 
 def test_criterion_4_gradient_checks():

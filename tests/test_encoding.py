@@ -68,6 +68,12 @@ class TestRgbToHsv:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             rgb_to_hsv(np.full((1, 1, 3), 1.5))
 
+    def test_nan_pixel_rejected(self):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rgb_to_hsv(img)
+
 
 class TestRgbQuaternionEncoding:
     def test_red_pixel(self):
@@ -87,6 +93,12 @@ class TestRgbQuaternionEncoding:
     def test_range_error(self):
         with pytest.raises(ValueError):
             encode_rgb_quaternion(np.full((2, 2, 3), -0.1))
+
+    def test_nan_pixel_rejected(self):
+        img = np.full((2, 2, 3), 0.5)
+        img[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            encode_rgb_quaternion(img)
 
 
 class TestHsvQuaternionEncoding:
@@ -113,6 +125,13 @@ class TestHsvQuaternionEncoding:
     def test_hue_range_error(self):
         with pytest.raises(ValueError, match="hue"):
             encode_hsv_quaternion(np.array([[[TWO_PI, 0.5, 0.5]]]))
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_nan_pixel_rejected(self, channel):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 1, channel] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            encode_hsv_quaternion(img)
 
 
 class TestConcatChannels:

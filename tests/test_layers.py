@@ -6,10 +6,13 @@ from quatcnn.layers import (
     ConvParams, QConvParams, DenseParams,
     conv2d_forward, qconv2d_forward, maxpool2d, relu,
     flatten_to_real, unflatten_to_qtensor, dense_forward, as_block_conv,
-    LayerSpec, ModelConfig, rvcnn_config, qvcnn_config, config_from_name,
+    MaxPool2d, LayerSpec, ModelConfig, rvcnn_config, qvcnn_config, config_from_name,
     count_parameters, trace_shapes, Model, save_model, load_model,
 )
-from testutil import assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle
+from testutil import (
+    assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
+    qconv2d_hamilton_sum_oracle, maxpool_oracle,
+)
 
 
 def rand_qconv_params(rng, f, c, k, dtype=np.float64):
@@ -98,6 +101,17 @@ class TestQConv2d:
             assert norm_rel_err(qconv2d_forward(x, p).data, qconv2d_oracle(x, p)) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_hamilton_sum_oracle(self, dtype, tol):
+        rng = np.random.default_rng(35)
+        for _ in range(5):
+            c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+            x = QTensor(rng.uniform(-1, 1, (4, c, h, w)).astype(dtype))
+            p = rand_qconv_params(rng, f, c, 3, dtype)
+            out = qconv2d_forward(x, p).data
+            assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, p)) < tol
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_block_real_convolution(self, dtype, tol):
         rng = np.random.default_rng(24)
         for _ in range(5):
@@ -165,6 +179,33 @@ class TestMaxPool:
     def test_degenerate_size_error(self):
         with pytest.raises(ValueError, match="pool window"):
             maxpool2d(np.zeros((1, 1, 4)))
+
+    # (shape, window, stride): odd sizes drop their trailing row/column;
+    # window 3/stride 2 and window 2/stride 1 overlap; the last is a
+    # (4, C, H, W) quaternion input
+    @pytest.mark.parametrize("shape,window,stride", [
+        ((3, 7, 7), 2, 2), ((2, 49, 49), 2, 2), ((2, 9, 11), 3, 2),
+        ((2, 8, 7), 2, 1), ((4, 3, 10, 9), 2, 2),
+    ])
+    @pytest.mark.parametrize("values", ["uniform", "three-levels", "all-tie"])
+    def test_layer_matches_argmax_oracle(self, shape, window, stride, values):
+        rng = np.random.default_rng(36)
+        if values == "uniform":
+            x = rng.uniform(-1, 1, shape)
+        elif values == "three-levels":
+            x = rng.integers(0, 3, shape).astype(np.float64)
+        else:
+            x = np.full(shape, 0.5)
+        layer = MaxPool2d(window, stride)
+        out = layer.forward(x)
+        g = rng.uniform(-1, 1, out.shape)
+        expect_out, expect_gx = maxpool_oracle(x, g, window, stride)
+        assert np.array_equal(out, expect_out)
+        gx = layer.backward(g)
+        if window == stride:
+            assert np.array_equal(gx, expect_gx)
+        else:
+            assert_close(gx, expect_gx, 1e-12, "overlapping windows")
 
     def test_tuple_window_accepted(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])

@@ -277,6 +277,17 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="empty"):
             train_model(_tiny_config("real"), [], epochs=1)
 
+    @pytest.mark.parametrize("arithmetic", ["real", "quaternion"])
+    def test_nan_input_fails_with_epoch_and_batch(self, arithmetic):
+        rng = np.random.default_rng(58)
+        data = tiny_dataset(rng, quaternion=arithmetic == "quaternion")
+        x, label = data[5]
+        poisoned = np.array(x.data if arithmetic == "quaternion" else x)
+        poisoned[(0,) * poisoned.ndim] = np.nan
+        data[5] = (QTensor(poisoned) if arithmetic == "quaternion" else poisoned, label)
+        with pytest.raises(ValueError, match=r"non-finite loss .* epoch 0, batch \d"):
+            train_model(_tiny_config(arithmetic), data, epochs=1, batch_size=4, seed=6)
+
     def test_single_class(self):
         rng = np.random.default_rng(54)
         data = [(x, 1) for x, _ in tiny_dataset(rng)]

@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the library's code paths: the
 Hamilton oracle multiplies via the basis table derived from
-i^2 = j^2 = k^2 = ijk = -1, and the convolution oracles are plain
-python loops over output pixels, taps, and channels.
+i^2 = j^2 = k^2 = ijk = -1, the convolution oracles are plain
+python loops over output pixels, taps, and channels, and the pooling
+oracle picks each window's maximum by argmax and scatters gradients
+with np.add.at.
 """
 
 import numpy as np
@@ -153,3 +155,40 @@ def qconv2d_oracle(x, params) -> np.ndarray:
                             acc = add(acc, hamilton(wq, x.at(c, i + di, j + dj)))
                 out[:, f, i, j] = acc.components()
     return out
+
+
+def qconv2d_hamilton_sum_oracle(x, params) -> np.ndarray:
+    """Quaternion convolution as 16 real correlations, one per pair of
+    filter component a and input component b, each added into output
+    component e_a * e_b with its sign, both read from _UNIT_TABLE (not
+    from the library's sign table)."""
+    banks = (params.w0, params.w1, params.w2, params.w3)
+    f_out, _, k, _ = params.w0.shape
+    _, _, h, w = x.data.shape
+    out = np.zeros((4, f_out, h - k + 1, w - k + 1))
+    for (a, b), (sign, unit) in _UNIT_TABLE.items():
+        out[unit] += sign * conv2d_oracle(x.data[b], banks[a], np.zeros(f_out))
+    return out + np.asarray(params.bias, dtype=np.float64)[:, :, None, None]
+
+
+def maxpool_oracle(x: np.ndarray, g: np.ndarray, window: int, stride: int):
+    """Max pooling of (..., H, W) by argmax over each row-major flattened
+    window (first index wins ties). Returns the pooled values and the
+    input gradient for output gradient ``g``, scattered with np.add.at."""
+    lead = x.shape[:-2]
+    flat = x.reshape(-1, *x.shape[-2:])
+    p, h, w = flat.shape
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    s0, s1, s2 = flat.strides
+    win = np.lib.stride_tricks.as_strided(
+        flat, shape=(p, oh, ow, window, window),
+        strides=(s0, stride * s1, stride * s2, s1, s2),
+    ).reshape(p, oh, ow, window * window)
+    idx = win.argmax(axis=3)
+    out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+    gx = np.zeros(flat.shape, dtype=g.dtype)
+    pi, oi, oj = np.indices((p, oh, ow))
+    np.add.at(gx, (pi, oi * stride + idx // window, oj * stride + idx % window),
+              g.reshape(p, oh, ow))
+    return out.reshape(*lead, oh, ow), gx.reshape(x.shape)
