@@ -15,7 +15,6 @@ from .quat import (
     norm,
     split_complex,
     recompose,
-    qtensor_from_planes,
 )
 from .layers import (
     ConvParams,
@@ -24,11 +23,6 @@ from .layers import (
     glorot_uniform,
     conv2d_forward,
     qconv2d_forward,
-    maxpool2d,
-    relu,
-    flatten_to_real,
-    unflatten_to_qtensor,
-    dense_forward,
     as_block_conv,
     LayerSpec,
     ModelConfig,

@@ -106,12 +106,12 @@ def cmd_sweep(args) -> int:
 def cmd_count_params(args) -> int:
     for maker in (layers.rvcnn_config, layers.qvcnn_config):
         config = maker(input_size=args.input_size)
-        counts, total = layers.count_parameters(config)
-        names = [s.kind for s in config.layers if s.kind in ("conv", "qconv", "dense")]
+        model = layers.Model(config)
         print(f"{config.name} (input {args.input_size}x{args.input_size}):")
-        for name, count in zip(names, counts):
-            print(f"  {name:<8} {count:>10,}")
-        print(f"  {'total':<8} {total:>10,}")
+        for spec, layer in zip(config.layers, model.layers):
+            if layer.param_count:
+                print(f"  {spec.kind:<8} {layer.param_count:>10,}")
+        print(f"  {'total':<8} {model.param_count:>10,}")
     return 0
 
 

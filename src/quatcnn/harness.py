@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import encoding
 from .encoding import LabeledSample, augment_flips, load_image, resize
-from .layers import ModelConfig, config_from_name, CONFIG_NAMES
+from .layers import ModelConfig, atomic_write, config_from_name, trace_shapes, CONFIG_NAMES
 from .quat import QTensor
 from .train import train_model
 
@@ -71,16 +70,6 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
     checksum: str
 
-    def by_id(self, sample_id: str) -> ManifestEntry:
-        for entry in self.entries:
-            if entry.id == sample_id:
-                return entry
-        raise KeyError(sample_id)
-
-    @property
-    def labels(self) -> list[int]:
-        return [e.label for e in self.entries]
-
 
 def _finish_manifest(root: Path, entries: list[ManifestEntry]) -> DatasetManifest:
     if not entries:
@@ -90,6 +79,13 @@ def _finish_manifest(root: Path, entries: list[ManifestEntry]) -> DatasetManifes
         raise ValueError(
             f"{root}: dataset must contain both classes, found labels {sorted(labels)}"
         )
+    paths: dict[str, Path] = {}
+    for e in entries:
+        if e.id in paths:
+            raise ValueError(
+                f"{root}: duplicate sample id {e.id!r} for {paths[e.id]} and {e.path}"
+            )
+        paths[e.id] = e.path
     listing = "\n".join(f"{e.path.name},{e.label}" for e in entries)
     checksum = hashlib.sha256(listing.encode("utf-8")).hexdigest()
     return DatasetManifest(root=root, entries=tuple(entries), checksum=checksum)
@@ -201,6 +197,7 @@ class ExperimentPlan:
         for name in self.configs:
             if name not in CONFIG_NAMES:
                 raise ValueError(f"unknown config {name!r}")
+            trace_shapes(config_from_name(name, self.input_size))
         for f in self.fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"test fractions must be in (0, 1), got {f}")
@@ -472,9 +469,8 @@ def aggregate(results) -> tuple[AggregateStats, ...]:
 
 
 def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def emit_report(results, stats, out_dir) -> None:

@@ -1,5 +1,9 @@
-"""Network layers: forward passes, reverse-mode backward passes, and
-the two reference architectures.
+"""Network layers: forward passes, reverse-mode backward passes, the
+two reference architectures, and the model container.
+
+Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
+the one shape rule for a config, and ``Model`` builds each layer from
+one kind -> constructor table.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core. The quaternion
@@ -12,14 +16,20 @@ window's strided slices, uses a (2, 2) window with stride 2 and drops
 trailing odd rows/columns, which is what makes a 100x100 input
 flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
 exactly 12,800 values in both architectures.
+
+``write_container``/``read_container`` are the one writer and reader of
+the model container; checkpoints call them on the same file handle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,12 +42,8 @@ __all__ = [
     "glorot_uniform",
     "conv2d_forward",
     "qconv2d_forward",
-    "maxpool2d",
-    "relu",
-    "flatten_to_real",
-    "unflatten_to_qtensor",
-    "dense_forward",
     "as_block_conv",
+    "Layer",
     "Conv2d",
     "QConv2d",
     "MaxPool2d",
@@ -54,6 +60,12 @@ __all__ = [
     "count_parameters",
     "Model",
     "config_digest",
+    "atomic_write",
+    "write_blobs",
+    "read_exact",
+    "read_blobs",
+    "write_container",
+    "read_container",
     "save_model",
     "load_model",
 ]
@@ -72,10 +84,6 @@ class ConvParams:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w, self.bias]
-
-    @property
-    def count(self) -> int:
-        return self.w.size + self.bias.size
 
 
 @dataclass
@@ -107,10 +115,6 @@ class QConvParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.w0, self.w1, self.w2, self.w3, self.bias]
 
-    @property
-    def count(self) -> int:
-        return 4 * self.w0.size + self.bias.size
-
 
 @dataclass
 class DenseParams:
@@ -121,10 +125,6 @@ class DenseParams:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w, self.b]
-
-    @property
-    def count(self) -> int:
-        return self.w.size + 1
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -249,14 +249,6 @@ def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
     return QTensor(_qconv_forward(x.data, params)[0])
 
 
-def _window_size(window) -> int:
-    if isinstance(window, (tuple, list)):
-        if len(window) != 2 or window[0] != window[1]:
-            raise ValueError(f"only square pool windows are supported, got {window}")
-        return int(window[0])
-    return int(window)
-
-
 def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
     """The window**2 strided views of (..., H, W), one per window offset in
     row-major order; view d holds element d of every pooling window."""
@@ -269,95 +261,78 @@ def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
             for di in range(window) for dj in range(window)]
 
 
-def _maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Per-plane max pooling over the last two axes."""
-    views = _pool_views(x, window, stride)
-    out = views[0].copy()
-    for view in views[1:]:
-        np.maximum(out, view, out=out)
-    return out
-
-
-def _maxpool_backward(g: np.ndarray, x: np.ndarray, out: np.ndarray, window: int,
-                      stride: int) -> np.ndarray:
-    """Route each window's gradient to its first maximum in row-major
-    order; windows that overlap add their shares."""
-    gx = np.zeros(x.shape, dtype=g.dtype)
-    free = np.ones(out.shape, dtype=bool)
-    for view, gview in zip(_pool_views(x, window, stride),
-                           _pool_views(gx, window, stride)):
-        hit = view == out
-        hit &= free
-        free ^= hit
-        gview += g * hit
-    return gx
-
-
-def maxpool2d(x, window=2, stride: int = 2):
-    """Per-plane max pooling; accepts a real (C, H, W) array or a QTensor.
-    ``window`` may be an int or a square (w, w) tuple."""
-    window = _window_size(window)
-    if isinstance(x, QTensor):
-        return QTensor(_maxpool(x.data, window, stride))
-    return _maxpool(np.asarray(x), window, stride)
-
-
-def relu(x):
-    """Element-wise max(0, .); applied to every plane of a QTensor."""
-    if isinstance(x, QTensor):
-        return QTensor(np.maximum(x.data, 0))
-    return np.maximum(np.asarray(x), 0)
-
-
-def flatten_to_real(x: QTensor) -> np.ndarray:
-    """(C, H, W) quaternion tensor -> real vector of length 4*C*H*W.
-
-    Ordering is component-major, then channel, row, column, so index
-    ((comp*C + c)*H + h)*W + w holds plane comp of element (c, h, w).
-    """
-    return x.data.reshape(-1).copy()
-
-
-def unflatten_to_qtensor(v: np.ndarray, channels: int, height: int,
-                         width: int) -> QTensor:
-    """Inverse of flatten_to_real for the documented ordering."""
-    return QTensor(v.reshape(4, channels, height, width).copy())
-
-
-def dense_forward(v: np.ndarray, params: DenseParams) -> float:
-    """dot(w, v) + b for the single-logit output layer."""
-    if v.shape != params.w.shape:
-        raise ValueError(f"input length {v.shape} does not match weights {params.w.shape}")
-    return float(v @ params.w + params.b)
-
-
 # ---------------------------------------------------------------------------
 # layer objects (forward caching + reverse-mode backward)
 
 
-class Conv2d:
+class Layer:
+    """The interface every layer implements.
+
+    ``forward`` caches what ``backward`` needs; ``backward`` takes the
+    output gradient, accumulates into ``gradients`` and returns the input
+    gradient. The defaults here describe a parameter-free layer.
+    """
+
+    def initialize(self, rng: np.random.Generator):
+        """Draw initial parameter values from ``rng``."""
+
+    @property
+    def parameters(self) -> list[np.ndarray]:
+        """Trainable arrays in declaration order, updated in place."""
+        return []
+
+    @property
+    def gradients(self) -> list[np.ndarray]:
+        """Gradient accumulators, one per entry of ``parameters``."""
+        return []
+
+    @property
+    def param_count(self) -> int:
+        return sum(arr.size for arr in self.parameters)
+
+    def zero_grads(self):
+        for arr in self.gradients:
+            arr[...] = 0
+
+
+class _WeightedLayer(Layer):
+    """A layer whose arrays live in a ``params`` container (weight banks,
+    then the bias) with zeroed accumulators in a ``grads`` container of
+    the same type. Initialization is Glorot on the banks, zero bias."""
+
+    def __init__(self, params, fan_in: int, fan_out: int):
+        self.params = params
+        self.grads = type(params)(*(np.zeros_like(arr) for arr in params.arrays()))
+        self.fans = (fan_in, fan_out)
+        self._cache = None
+
+    def initialize(self, rng: np.random.Generator):
+        *banks, bias = self.parameters
+        for bank in banks:
+            bank[...] = glorot_uniform(rng, bank.shape, *self.fans, dtype=bank.dtype)
+        bias[...] = 0
+
+    @property
+    def parameters(self) -> list[np.ndarray]:
+        return self.params.arrays()
+
+    @property
+    def gradients(self) -> list[np.ndarray]:
+        return self.grads.arrays()
+
+
+class Conv2d(_WeightedLayer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.params = ConvParams(
-            w=np.zeros(shape, dtype=dtype), bias=np.zeros(out_channels, dtype=dtype)
+        super().__init__(
+            ConvParams(w=np.zeros(shape, dtype=dtype),
+                       bias=np.zeros(out_channels, dtype=dtype)),
+            fan_in=in_channels * kernel_size ** 2, fan_out=out_channels * kernel_size ** 2,
         )
-        self.grads = ConvParams(
-            w=np.zeros(shape, dtype=dtype), bias=np.zeros(out_channels, dtype=dtype)
-        )
-        self._cache = None
-
-    def initialize(self, rng: np.random.Generator):
-        k = self.kernel_size
-        self.params.w[...] = glorot_uniform(
-            rng, self.params.w.shape,
-            fan_in=self.in_channels * k * k, fan_out=self.out_channels * k * k,
-            dtype=self.params.w.dtype,
-        )
-        self.params.bias[...] = 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, cols = _correlate(x, self.params.w, self.params.bias)
@@ -371,16 +346,8 @@ class Conv2d:
         self.grads.bias += gbias
         return gx
 
-    def zero_grads(self):
-        self.grads.w[...] = 0
-        self.grads.bias[...] = 0
 
-    @property
-    def param_count(self) -> int:
-        return self.params.count
-
-
-class QConv2d:
+class QConv2d(_WeightedLayer):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
         self.in_channels = in_channels
@@ -388,25 +355,12 @@ class QConv2d:
         self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         zeros = lambda: np.zeros(shape, dtype=dtype)
-        self.params = QConvParams(
-            w0=zeros(), w1=zeros(), w2=zeros(), w3=zeros(),
-            bias=np.zeros((4, out_channels), dtype=dtype),
-        )
-        self.grads = QConvParams(
-            w0=zeros(), w1=zeros(), w2=zeros(), w3=zeros(),
-            bias=np.zeros((4, out_channels), dtype=dtype),
-        )
-        self._cache = None
-
-    def initialize(self, rng: np.random.Generator):
         # component-wise Glorot with fans counted in quaternion channels
-        k = self.kernel_size
-        fan_in = self.in_channels * k * k
-        fan_out = self.out_channels * k * k
-        for bank in (self.params.w0, self.params.w1, self.params.w2, self.params.w3):
-            bank[...] = glorot_uniform(rng, bank.shape, fan_in, fan_out,
-                                       dtype=bank.dtype)
-        self.params.bias[...] = 0
+        super().__init__(
+            QConvParams(w0=zeros(), w1=zeros(), w2=zeros(), w3=zeros(),
+                        bias=np.zeros((4, out_channels), dtype=dtype)),
+            fan_in=in_channels * kernel_size ** 2, fan_out=out_channels * kernel_size ** 2,
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x: (4, C, H, W) -> (4, F, OH, OW)."""
@@ -426,37 +380,42 @@ class QConv2d:
         self.grads.bias += gbias.reshape(4, f)
         return gx.reshape(x_shape)
 
-    def zero_grads(self):
-        for arr in self.grads.arrays():
-            arr[...] = 0
 
-    @property
-    def param_count(self) -> int:
-        return self.params.count
+class MaxPool2d(Layer):
+    """Per-plane max pooling of a square ``window`` over the last two
+    axes of a real (C, H, W) or quaternion (4, C, H, W) array."""
 
-
-class MaxPool2d:
-    def __init__(self, window=2, stride: int = 2):
-        self.window = _window_size(window)
+    def __init__(self, window: int = 2, stride: int = 2):
+        self.window = window
         self.stride = stride
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = _maxpool(x, self.window, self.stride)
+        views = _pool_views(x, self.window, self.stride)
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
         self._cache = (x, out)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
+        """Route each window's gradient to its first maximum in row-major
+        order; windows that overlap add their shares."""
         x, out = self._cache
-        return _maxpool_backward(g, x, out, self.window, self.stride)
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        for view, gview in zip(_pool_views(x, self.window, self.stride),
+                               _pool_views(gx, self.window, self.stride)):
+            hit = view == out
+            hit &= free
+            free ^= hit
+            gview += g * hit
+        return gx
 
-    param_count = 0
 
-    def zero_grads(self):
-        pass
+class ReLU(Layer):
+    """Element-wise max(0, .); on quaternion input, applied to every plane."""
 
-
-class ReLU:
     def __init__(self):
         self._mask = None
 
@@ -467,13 +426,12 @@ class ReLU:
     def backward(self, g: np.ndarray) -> np.ndarray:
         return g * self._mask
 
-    param_count = 0
 
-    def zero_grads(self):
-        pass
+class Flatten(Layer):
+    """Any array -> real vector in C order. A quaternion (4, C, H, W)
+    input flattens component-major, then channel, row, column, so index
+    ((comp*C + c)*H + h)*W + w holds plane comp of element (c, h, w)."""
 
-
-class Flatten:
     def __init__(self):
         self._shape = None
 
@@ -484,29 +442,16 @@ class Flatten:
     def backward(self, g: np.ndarray) -> np.ndarray:
         return g.reshape(self._shape)
 
-    param_count = 0
 
-    def zero_grads(self):
-        pass
+class Dense(_WeightedLayer):
+    """Single-output dense layer: dot(w, v) + b as a python float logit."""
 
-
-class Dense:
     def __init__(self, in_features: int, dtype=np.float32):
         self.in_features = in_features
-        self.params = DenseParams(
-            w=np.zeros(in_features, dtype=dtype), b=np.zeros((), dtype=dtype)
+        super().__init__(
+            DenseParams(w=np.zeros(in_features, dtype=dtype), b=np.zeros((), dtype=dtype)),
+            fan_in=in_features, fan_out=1,
         )
-        self.grads = DenseParams(
-            w=np.zeros(in_features, dtype=dtype), b=np.zeros((), dtype=dtype)
-        )
-        self._cache = None
-
-    def initialize(self, rng: np.random.Generator):
-        self.params.w[...] = glorot_uniform(
-            rng, self.params.w.shape, fan_in=self.in_features, fan_out=1,
-            dtype=self.params.w.dtype,
-        )
-        self.params.b[...] = 0
 
     def forward(self, v: np.ndarray) -> float:
         if v.shape != self.params.w.shape:
@@ -521,14 +466,6 @@ class Dense:
         self.grads.w += g * v
         self.grads.b += g
         return (g * self.params.w).astype(v.dtype, copy=False)
-
-    @property
-    def param_count(self) -> int:
-        return self.params.count
-
-    def zero_grads(self):
-        self.grads.w[...] = 0
-        self.grads.b[...] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -664,24 +601,23 @@ def count_parameters(config: ModelConfig) -> tuple[list[int], int]:
     for the real model and [320, 4672, 18560, 12801] -> 36353 for the
     quaternion one.
     """
-    counts = []
-    in_channels = config.in_channels
-    for spec, channels, h, w, flat in trace_shapes(config):
-        if spec.kind == "conv":
-            counts.append(spec.filters * in_channels * spec.kernel ** 2 + spec.filters)
-            in_channels = spec.filters
-        elif spec.kind == "qconv":
-            counts.append(
-                4 * spec.filters * in_channels * spec.kernel ** 2 + 4 * spec.filters
-            )
-            in_channels = spec.filters
-        elif spec.kind == "dense":
-            counts.append(flat + 1)
+    counts = [layer.param_count for layer in Model(config).layers if layer.param_count]
     return counts, sum(counts)
 
 
 # ---------------------------------------------------------------------------
 # the sequential model
+
+# layer kind -> constructor(spec, in_channels, flat_len, dtype); the kinds
+# and their shape rules are validated by trace_shapes
+_LAYER_BUILDERS = {
+    "conv": lambda spec, c, flat, dtype: Conv2d(c, spec.filters, spec.kernel, dtype),
+    "qconv": lambda spec, c, flat, dtype: QConv2d(c, spec.filters, spec.kernel, dtype),
+    "relu": lambda spec, c, flat, dtype: ReLU(),
+    "maxpool": lambda spec, c, flat, dtype: MaxPool2d(spec.pool, spec.pool),
+    "flatten": lambda spec, c, flat, dtype: Flatten(),
+    "dense": lambda spec, c, flat, dtype: Dense(flat, dtype),
+}
 
 
 class Model:
@@ -697,30 +633,17 @@ class Model:
                  dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.layers = []
+        self.layers: list[Layer] = []
         in_channels = config.in_channels
-        for spec, channels, h, w, flat in trace_shapes(config):
-            if spec.kind == "conv":
-                self.layers.append(Conv2d(in_channels, spec.filters, spec.kernel, dtype))
-                in_channels = spec.filters
-            elif spec.kind == "qconv":
-                self.layers.append(QConv2d(in_channels, spec.filters, spec.kernel, dtype))
-                in_channels = spec.filters
-            elif spec.kind == "relu":
-                self.layers.append(ReLU())
-            elif spec.kind == "maxpool":
-                self.layers.append(MaxPool2d(spec.pool, spec.pool))
-            elif spec.kind == "flatten":
-                self.layers.append(Flatten())
-            elif spec.kind == "dense":
-                self.layers.append(Dense(flat, dtype))
+        for spec, channels, _, _, flat in trace_shapes(config):
+            self.layers.append(_LAYER_BUILDERS[spec.kind](spec, in_channels, flat, dtype))
+            in_channels = channels
         if rng is not None:
             self.initialize(rng)
 
     def initialize(self, rng: np.random.Generator):
         for layer in self.layers:
-            if hasattr(layer, "initialize"):
-                layer.initialize(rng)
+            layer.initialize(rng)
 
     def _unwrap(self, x) -> np.ndarray:
         if self.config.arithmetic == "quaternion":
@@ -757,19 +680,11 @@ class Model:
 
     @property
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if hasattr(layer, "params"):
-                out.extend(layer.params.arrays())
-        return out
+        return [arr for layer in self.layers for arr in layer.parameters]
 
     @property
     def gradients(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if hasattr(layer, "grads"):
-                out.extend(layer.grads.arrays())
-        return out
+        return [arr for layer in self.layers for arr in layer.gradients]
 
     @property
     def param_count(self) -> int:
@@ -795,40 +710,76 @@ def config_digest(config: ModelConfig) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
-def save_model(path, model: Model) -> None:
-    """Write magic, version, config digest, then every parameter array in
-    declaration order as little-endian float32."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(config_digest(model.config))
-        for arr in model.parameters:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+@contextmanager
+def atomic_write(path):
+    """Yield a binary handle on a temporary file beside ``path`` and move
+    it over ``path`` when the block completes. If the block raises, the
+    previous file is left as it was and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _read_exact(fh, n: int) -> bytes:
+def write_blobs(fh, arrays) -> None:
+    """Write each array as a little-endian float32 blob, in order."""
+    for arr in arrays:
+        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def read_exact(fh, n: int) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise ValueError("model file truncated")
+        raise ValueError("file truncated")
     return data
+
+
+def read_blobs(fh, arrays) -> None:
+    """Fill each array in place from its little-endian float32 blob."""
+    for arr in arrays:
+        arr[...] = np.frombuffer(read_exact(fh, arr.size * 4), dtype="<f4").reshape(arr.shape)
+
+
+def write_container(fh, model: Model) -> None:
+    """Write magic, version, config digest, then every parameter array in
+    declaration order as little-endian float32."""
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<I", _VERSION))
+    fh.write(config_digest(model.config))
+    write_blobs(fh, model.parameters)
+
+
+def read_container(fh, config: ModelConfig, dtype=np.float32) -> Model:
+    """Check the header against ``config`` and read the parameter blobs
+    into a new Model, leaving the handle just past the last blob."""
+    if read_exact(fh, 4) != _MAGIC:
+        raise ValueError("not a model container (bad magic)")
+    (version,) = struct.unpack("<I", read_exact(fh, 4))
+    if version != _VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    if read_exact(fh, 32) != config_digest(config):
+        raise ValueError("config digest mismatch: file was saved from a different config")
+    model = Model(config, rng=None, dtype=dtype)
+    read_blobs(fh, model.parameters)
+    return model
+
+
+def save_model(path, model: Model) -> None:
+    """Write the model container to ``path`` atomically."""
+    with atomic_write(path) as fh:
+        write_container(fh, model)
 
 
 def load_model(path, config: ModelConfig, dtype=np.float32) -> Model:
     """Rebuild a Model from the container; the config must match the
     digest recorded at save time."""
-    model = Model(config, rng=None, dtype=dtype)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _MAGIC:
-            raise ValueError("not a model container (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        digest = _read_exact(fh, 32)
-        if digest != config_digest(config):
-            raise ValueError("config digest mismatch: file was saved from a different config")
-        for arr in model.parameters:
-            raw = _read_exact(fh, arr.size * 4)
-            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape).astype(dtype)
+        model = read_container(fh, config, dtype)
         if fh.read(1):
             raise ValueError("trailing bytes after parameter blobs")
     return model

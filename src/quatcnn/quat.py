@@ -23,7 +23,6 @@ __all__ = [
     "norm",
     "split_complex",
     "recompose",
-    "qtensor_from_planes",
 ]
 
 
@@ -180,8 +179,3 @@ class QTensor:
 
     def __repr__(self) -> str:
         return f"QTensor(channels={self.channels}, spatial={self.data.shape[2:]}, dtype={self.dtype})"
-
-
-def qtensor_from_planes(p0, p1, p2, p3) -> QTensor:
-    """Functional alias for QTensor.from_planes."""
-    return QTensor.from_planes(p0, p1, p2, p3)

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import LayerSpec, Model, ModelConfig, glorot_uniform
+from .layers import (
+    LayerSpec, Model, ModelConfig, atomic_write, read_blobs, read_container,
+    read_exact, write_blobs, write_container,
+)
 from .quat import QTensor
 
 __all__ = [
-    "glorot_uniform",
     "bce_with_logits",
     "Adam",
     "grad_check",
@@ -207,46 +209,26 @@ _ADAM_MAGIC = b"ADAM"
 
 
 def save_checkpoint(path, model: Model, adam: Adam) -> None:
-    """Model container followed by the Adam state (t, then m and v blobs
-    in parameter order, little-endian float32)."""
-    from .layers import save_model
-
-    save_model(path, model)
-    with open(path, "ab") as fh:
+    """Model container followed by the Adam state (t, lr, beta1, beta2,
+    eps, then m and v blobs in parameter order, little-endian float32),
+    written atomically."""
+    with atomic_write(path) as fh:
+        write_container(fh, model)
         fh.write(_ADAM_MAGIC)
-        fh.write(struct.pack("<Q", adam.t))
-        fh.write(struct.pack("<ddd", adam.lr, adam.beta1, adam.beta2))
-        fh.write(struct.pack("<d", adam.eps))
-        for group in (adam.m, adam.v):
-            for arr in group:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(struct.pack("<Qdddd", adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps))
+        write_blobs(fh, adam.m + adam.v)
 
 
 def load_checkpoint(path, config: ModelConfig, dtype=np.float32) -> tuple[Model, Adam]:
-    from .layers import _read_exact, config_digest, _MAGIC, _VERSION
-
-    model = Model(config, rng=None, dtype=dtype)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _MAGIC:
-            raise ValueError("not a model container (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        if _read_exact(fh, 32) != config_digest(config):
-            raise ValueError("config digest mismatch: file was saved from a different config")
-        for arr in model.parameters:
-            raw = _read_exact(fh, arr.size * 4)
-            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape).astype(dtype)
+        model = read_container(fh, config, dtype)
         if fh.read(4) != _ADAM_MAGIC:
             raise ValueError("checkpoint missing optimizer state")
         adam = Adam(model.parameters)
-        (adam.t,) = struct.unpack("<Q", _read_exact(fh, 8))
-        adam.lr, adam.beta1, adam.beta2 = struct.unpack("<ddd", _read_exact(fh, 24))
-        (adam.eps,) = struct.unpack("<d", _read_exact(fh, 8))
-        for group in (adam.m, adam.v):
-            for arr in group:
-                raw = _read_exact(fh, arr.size * 4)
-                arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape).astype(dtype)
+        adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps = struct.unpack(
+            "<Qdddd", read_exact(fh, 40)
+        )
+        read_blobs(fh, adam.m + adam.v)
         if fh.read(1):
             raise ValueError("trailing bytes after optimizer state")
     return model, adam

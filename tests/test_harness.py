@@ -78,6 +78,28 @@ class TestLoadManifest:
         with pytest.raises(ValueError, match=":2:.*does not exist"):
             load_manifest(tmp_path, "csv")
 
+    def test_csv_duplicate_id_rejected(self, tmp_path):
+        img = np.zeros((4, 4, 3), dtype=np.uint8)
+        (tmp_path / "sub").mkdir()
+        for rel in ("Im001_0.ppm", "sub/Im001_0.ppm", "Im002_1.ppm"):
+            write_ppm(tmp_path / rel, img)
+        (tmp_path / "manifest.csv").write_text(
+            "path,label\nIm001_0.ppm,0\nsub/Im001_0.ppm,0\nIm002_1.ppm,1\n"
+        )
+        with pytest.raises(ValueError, match="duplicate sample id 'Im001_0'") as exc:
+            load_manifest(tmp_path, "csv")
+        assert str(tmp_path / "Im001_0.ppm") in str(exc.value)
+        assert str(tmp_path / "sub" / "Im001_0.ppm") in str(exc.value)
+
+    def test_filename_duplicate_id_rejected(self, tmp_path):
+        img = np.zeros((4, 4, 3), dtype=np.uint8)
+        write_ppm(tmp_path / "Im001_0.ppm", img)
+        write_ppm(tmp_path / "Im002_1.ppm", img)
+        (tmp_path / "Im001_0.png").write_bytes(b"")
+        with pytest.raises(ValueError, match="duplicate sample id 'Im001_0'") as exc:
+            load_manifest(tmp_path, "filename")
+        assert "Im001_0.png" in str(exc.value) and "Im001_0.ppm" in str(exc.value)
+
     def test_checksum_tracks_listing(self, tmp_path):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
         write_ppm(tmp_path / "Im001_1.ppm", img)
@@ -174,6 +196,11 @@ class TestPlanValidation:
     def test_bad_config(self):
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentPlan(configs=("resnet",))
+
+    def test_input_size_checked_against_architecture(self):
+        with pytest.raises(ValueError, match="inconsistent config"):
+            ExperimentPlan(configs=("rvcnn-rgb",), input_size=4)
+        ExperimentPlan(configs=("rvcnn-rgb",), input_size=24)
 
 
 class _StubModel:

@@ -1,13 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from quatcnn.quat import QTensor, Quaternion, hamilton, add
 from quatcnn.layers import (
-    ConvParams, QConvParams, DenseParams,
-    conv2d_forward, qconv2d_forward, maxpool2d, relu,
-    flatten_to_real, unflatten_to_qtensor, dense_forward, as_block_conv,
-    MaxPool2d, LayerSpec, ModelConfig, rvcnn_config, qvcnn_config, config_from_name,
-    count_parameters, trace_shapes, Model, save_model, load_model,
+    ConvParams, QConvParams, conv2d_forward, qconv2d_forward, as_block_conv,
+    MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig, rvcnn_config, qvcnn_config, config_from_name,
+    count_parameters, trace_shapes, Model, config_digest, save_model, load_model,
 )
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
@@ -150,14 +150,14 @@ class TestQConv2d:
 class TestMaxPool:
     def test_two_by_two(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert np.array_equal(maxpool2d(x), np.array([[[4.0]]]))
+        assert np.array_equal(MaxPool2d().forward(x), np.array([[[4.0]]]))
 
     def test_constant_plane(self):
         x = np.full((2, 4, 4), 3.25)
-        assert np.array_equal(maxpool2d(x), np.full((2, 2, 2), 3.25))
+        assert np.array_equal(MaxPool2d().forward(x), np.full((2, 2, 2), 3.25))
 
     def test_odd_trailing_dropped(self):
-        out = maxpool2d(np.zeros((1, 49, 49)))
+        out = MaxPool2d().forward(np.zeros((1, 49, 49)))
         assert out.shape == (1, 24, 24)
         # the spatial chain that feeds the dense layer 12,800 values
         sizes = [100]
@@ -168,17 +168,16 @@ class TestMaxPool:
 
     def test_qtensor_kind_preserved(self):
         rng = np.random.default_rng(27)
-        t = QTensor(rng.uniform(-1, 1, (4, 2, 4, 6)))
-        out = maxpool2d(t)
-        assert isinstance(out, QTensor)
-        assert out.data.shape == (4, 2, 2, 3)
+        planes = rng.uniform(-1, 1, (4, 2, 4, 6))
+        out = MaxPool2d().forward(planes)
+        assert out.shape == (4, 2, 2, 3)
         # per-plane independence: plane p of the output pools plane p
         for comp in range(4):
-            assert np.array_equal(out.data[comp], maxpool2d(t.data[comp]))
+            assert np.array_equal(out[comp], MaxPool2d().forward(planes[comp]))
 
     def test_degenerate_size_error(self):
         with pytest.raises(ValueError, match="pool window"):
-            maxpool2d(np.zeros((1, 1, 4)))
+            MaxPool2d().forward(np.zeros((1, 1, 4)))
 
     # (shape, window, stride): odd sizes drop their trailing row/column;
     # window 3/stride 2 and window 2/stride 1 overlap; the last is a
@@ -207,76 +206,76 @@ class TestMaxPool:
         else:
             assert_close(gx, expect_gx, 1e-12, "overlapping windows")
 
-    def test_tuple_window_accepted(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert np.array_equal(maxpool2d(x, window=(2, 2), stride=2),
-                              maxpool2d(x, window=2, stride=2))
-        with pytest.raises(ValueError, match="square"):
-            maxpool2d(x, window=(2, 3))
-
 
 class TestReLU:
     def test_split_application(self):
-        t = QTensor(np.array([-1.0, 2.0, -3.0, 4.0]).reshape(4, 1, 1, 1))
-        out = relu(t)
-        assert isinstance(out, QTensor)
-        assert out.at(0, 0, 0).components() == (0.0, 2.0, 0.0, 4.0)
+        planes = np.array([-1.0, 2.0, -3.0, 4.0]).reshape(4, 1, 1, 1)
+        out = ReLU().forward(planes)
+        assert out.shape == (4, 1, 1, 1)
+        assert QTensor(out).at(0, 0, 0).components() == (0.0, 2.0, 0.0, 4.0)
 
     def test_all_negative(self):
-        assert np.array_equal(relu(-np.ones((2, 3, 3))), np.zeros((2, 3, 3)))
+        assert np.array_equal(ReLU().forward(-np.ones((2, 3, 3))), np.zeros((2, 3, 3)))
 
     def test_idempotent(self):
         rng = np.random.default_rng(28)
         x = rng.normal(size=(3, 5, 5))
-        assert np.array_equal(relu(relu(x)), relu(x))
+        once = ReLU().forward(x)
+        assert np.array_equal(ReLU().forward(once), once)
 
 
 class TestFlatten:
     def test_dense_input_length(self):
-        t = QTensor(np.zeros((4, 32, 10, 10)))
-        assert flatten_to_real(t).shape == (12800,)
+        assert Flatten().forward(np.zeros((4, 32, 10, 10))).shape == (12800,)
 
     def test_zero(self):
-        assert np.all(flatten_to_real(QTensor(np.zeros((4, 1, 2, 2)))) == 0)
+        assert np.all(Flatten().forward(np.zeros((4, 1, 2, 2))) == 0)
 
     def test_documented_ordering(self):
         rng = np.random.default_rng(29)
         c, h, w = 2, 3, 4
-        t = QTensor(rng.uniform(-1, 1, (4, c, h, w)))
-        v = flatten_to_real(t)
+        planes = rng.uniform(-1, 1, (4, c, h, w))
+        v = Flatten().forward(planes)
         for comp, ci, hi, wi in [(0, 0, 0, 0), (1, 1, 2, 3), (3, 0, 1, 2)]:
             idx = ((comp * c + ci) * h + hi) * w + wi
-            assert v[idx] == t.data[comp, ci, hi, wi]
+            assert v[idx] == planes[comp, ci, hi, wi]
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
-        t = QTensor(rng.uniform(-1, 1, (4, 3, 5, 2)))
-        v = flatten_to_real(t)
-        back = unflatten_to_qtensor(v, 3, 5, 2)
-        assert np.array_equal(back.data, t.data)
+        planes = rng.uniform(-1, 1, (4, 3, 5, 2))
+        layer = Flatten()
+        v = layer.forward(planes).copy()
+        back = layer.backward(v)
+        assert back.shape == planes.shape
+        assert np.array_equal(back, planes)
 
 
 class TestDense:
     def test_one_hot_selects(self):
-        w = np.zeros(5)
-        w[3] = 1.0
+        layer = Dense(5, dtype=np.float64)
+        layer.params.w[3] = 1.0
         v = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        assert dense_forward(v, DenseParams(w=w, b=np.zeros(()))) == 40.0
+        assert layer.forward(v) == 40.0
 
     def test_zero_vector_gives_bias(self):
-        p = DenseParams(w=np.ones(4), b=np.array(0.75))
-        assert dense_forward(np.zeros(4), p) == 0.75
+        layer = Dense(4, dtype=np.float64)
+        layer.params.w[...] = 1.0
+        layer.params.b[...] = 0.75
+        assert layer.forward(np.zeros(4)) == 0.75
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(31)
         v = rng.uniform(-1, 1, 64)
-        p = DenseParams(w=rng.uniform(-1, 1, 64), b=np.array(rng.uniform(-1, 1)))
+        layer = Dense(64, dtype=np.float64)
+        layer.params.w[...] = rng.uniform(-1, 1, 64)
+        layer.params.b[...] = rng.uniform(-1, 1)
+        p = layer.params
         expect = sum(float(a) * float(b) for a, b in zip(p.w, v)) + float(p.b)
-        assert_close(dense_forward(v, p), expect, 1e-12)
+        assert_close(layer.forward(v), expect, 1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            dense_forward(np.zeros(3), DenseParams(w=np.zeros(4), b=np.zeros(())))
+            Dense(4).forward(np.zeros(3))
 
 
 class TestCountParameters:
@@ -358,3 +357,27 @@ class TestSerialization:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path, qvcnn_config(input_size=24))
+
+    def test_container_layout(self, tmp_path):
+        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(37))
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        data = path.read_bytes()
+        assert data[:4] == b"QVCN"
+        assert struct.unpack("<I", data[4:8]) == (1,)
+        assert data[8:40] == config_digest(model.config)
+        assert len(data) == 40 + 4 * model.param_count
+        blobs = b"".join(np.asarray(p, dtype="<f4").tobytes() for p in model.parameters)
+        assert data[40:] == blobs
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(38))
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        before = path.read_bytes()
+        # the last blob cannot be cast to float32, so the save fails midway
+        model.layers[-1].params.b = np.array("not a number", dtype=object)
+        with pytest.raises(ValueError):
+            save_model(path, model)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]

@@ -4,7 +4,6 @@ import pytest
 from quatcnn.quat import (
     Quaternion, QTensor, I, J, K, ONE,
     add, hamilton, conjugate, norm, split_complex, recompose,
-    qtensor_from_planes,
 )
 from testutil import assert_close, hamilton_oracle, random_quaternion
 
@@ -146,7 +145,7 @@ class TestSplitComplex:
 class TestQTensor:
     def test_pack_zeros(self):
         zeros = [np.zeros((1, 2, 2)) for _ in range(4)]
-        t = qtensor_from_planes(*zeros)
+        t = QTensor.from_planes(*zeros)
         assert t.shape == (1, 2, 2)
         assert np.all(t.data == 0)
 
@@ -154,19 +153,19 @@ class TestQTensor:
         p = np.zeros((1, 2, 2))
         bad = np.zeros((1, 3, 2))
         with pytest.raises(ValueError, match="plane 2"):
-            qtensor_from_planes(p, p.copy(), bad, p.copy())
+            QTensor.from_planes(p, p.copy(), bad, p.copy())
 
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(11)
         planes = [rng.uniform(-1, 1, (3, 4, 5)) for _ in range(4)]
-        t = qtensor_from_planes(*planes)
+        t = QTensor.from_planes(*planes)
         for got, want in zip(t.planes, planes):
             assert np.array_equal(got, want)
 
     def test_element_access_reconstructs_quaternion(self):
         rng = np.random.default_rng(12)
         planes = [rng.uniform(-1, 1, (2, 3, 3)) for _ in range(4)]
-        t = qtensor_from_planes(*planes)
+        t = QTensor.from_planes(*planes)
         q = t.at(1, 2, 0)
         assert comps(q) == tuple(float(p[1, 2, 0]) for p in planes)
 

@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from quatcnn.quat import QTensor
 from quatcnn.layers import (
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
-    Model, glorot_uniform,
+    Model, glorot_uniform, save_model,
 )
 from quatcnn.train import (
     Adam, bce_with_logits, grad_check, train_model,
@@ -331,8 +333,6 @@ class TestCheckpoint:
                 assert np.array_equal(a, b)
 
     def test_model_container_alone_rejected(self, tmp_path):
-        from quatcnn.layers import save_model
-
         rng = np.random.default_rng(57)
         config = _tiny_config("real")
         model = Model(config, rng=rng)
@@ -340,3 +340,44 @@ class TestCheckpoint:
         save_model(path, model)
         with pytest.raises(ValueError, match="optimizer state"):
             load_checkpoint(path, config)
+
+    def _saved_pair(self, tmp_path):
+        model = Model(_tiny_config("real"), rng=np.random.default_rng(58))
+        adam = Adam(model.parameters, lr=5e-4)
+        adam.t = 3
+        save_model(tmp_path / "model.bin", model)
+        save_checkpoint(tmp_path / "ckpt.bin", model, adam)
+        return model, tmp_path / "model.bin", tmp_path / "ckpt.bin"
+
+    def test_layout_appends_adam_tail(self, tmp_path):
+        model, model_path, ckpt_path = self._saved_pair(tmp_path)
+        head = model_path.read_bytes()
+        data = ckpt_path.read_bytes()
+        assert data[:len(head)] == head
+        tail = data[len(head):]
+        assert tail[:4] == b"ADAM"
+        assert struct.unpack("<Qdddd", tail[4:44]) == (3, 5e-4, 0.9, 0.999, 1e-7)
+        assert len(tail) == 44 + 8 * model.param_count
+
+    @pytest.mark.parametrize("damage,match", [
+        (lambda data: data[:-1], "truncated"),
+        (lambda data: data + b"\0", "trailing"),
+    ], ids=["truncated", "trailing"])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage, match):
+        _, _, ckpt_path = self._saved_pair(tmp_path)
+        ckpt_path.write_bytes(damage(ckpt_path.read_bytes()))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(ckpt_path, _tiny_config("real"))
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = Model(_tiny_config("real"), rng=np.random.default_rng(59))
+        adam = Adam(model.parameters)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model, adam)
+        before = path.read_bytes()
+        adam.t = 1
+        adam.v[-1] = np.array("not a number", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model, adam)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]

@@ -75,7 +75,7 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     """Project the layer output with fixed weights and compare analytic
     parameter/input gradients against central finite differences.
 
-    Works on any layer object with forward/backward/zero_grads; the
+    Works on any ``Layer`` (parameter-free ones check the input only); the
     scalar objective is sum(forward(x) * projection). Zero finite
     differences are skipped (dead paths) and pairs below 1e-6 in both
     magnitudes are treated as matching, since the difference quotient
@@ -90,8 +90,8 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     layer.forward(x.copy())
     layer.zero_grads()
     gx = layer.backward(proj)
-    params = layer.params.arrays() if hasattr(layer, "params") else []
-    grads = layer.grads.arrays() if hasattr(layer, "grads") else []
+    params = layer.parameters
+    grads = layer.gradients
 
     worst = 0.0
 
