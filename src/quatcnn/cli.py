@@ -42,36 +42,33 @@ def _add_train_args(p: argparse.ArgumentParser):
                    help="plain random split instead of per-class stratification")
 
 
-def cmd_train(args) -> int:
-    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
-    plan = harness.ExperimentPlan(
-        configs=(args.config,), fractions=(args.test_fraction,), runs=1,
+def _plan(args, **fields) -> harness.ExperimentPlan:
+    return harness.ExperimentPlan(
         epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
         input_size=args.input_size, augment=not args.no_augment,
-        stratify=not args.no_stratify,
+        stratify=not args.no_stratify, **fields,
     )
+
+
+def cmd_train(args) -> int:
+    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
+    plan = _plan(args, configs=(args.config,), fractions=(args.test_fraction,), runs=1)
+    (config_name,), (fraction,) = plan.configs, plan.fractions
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    config = layers.config_from_name(args.config, args.input_size)
-    seed = harness.derive_seed(args.seed, args.config, args.test_fraction, 0)
-    decoded = harness.load_decoded_images(manifest, args.input_size)
-    train_ids, test_ids = harness.split(
-        manifest, args.test_fraction, seed, stratify=plan.stratify
+    seed, config, train_inputs, test_inputs = harness._prepare_run(
+        config_name, manifest, fraction, 0, plan
     )
-    _, train_inputs, test_inputs = harness.build_run_inputs(
-        config, decoded, train_ids, test_ids, augment=plan.augment
-    )
-
     model, metrics = training.train_model(
-        config, train_inputs, epochs=args.epochs, batch_size=args.batch_size,
+        config, train_inputs, epochs=plan.epochs, batch_size=plan.batch_size,
         seed=seed, metrics_path=out / "metrics.csv",
     )
     layers.save_model(out / "model.bin", model)
     test_acc = harness.evaluate(model, test_inputs)
     result = {
-        "config": args.config, "test_fraction": args.test_fraction,
-        "seed": seed, "epochs": args.epochs,
+        "config": config_name, "test_fraction": fraction,
+        "seed": seed, "epochs": plan.epochs,
         "train_accuracy": metrics[-1].train_acc if metrics else None,
         "test_accuracy": test_acc,
         "n_train": len(train_inputs), "n_test": len(test_inputs),
@@ -87,12 +84,8 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    plan = harness.ExperimentPlan(
-        configs=tuple(args.configs), fractions=fractions, runs=args.runs,
-        epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
-        input_size=args.input_size, augment=not args.no_augment,
-        stratify=not args.no_stratify, jobs=args.jobs,
-    )
+    plan = _plan(args, configs=tuple(args.configs), fractions=fractions,
+                 runs=args.runs, jobs=args.jobs)
     report = harness.run_experiment(plan, manifest, args.out)
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
           f"reports in {args.out}")

@@ -47,10 +47,15 @@ class LabeledSample:
     source_id: str
 
 
-def _check_rgb(img: np.ndarray) -> np.ndarray:
+def _check_shape(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    return img
+
+
+def _check_rgb(img: np.ndarray) -> np.ndarray:
+    img = _check_shape(img)
     if not np.isfinite(img).all():
         raise ValueError("RGB values must be finite")
     if img.min() < 0.0 or img.max() > 1.0:
@@ -59,9 +64,7 @@ def _check_rgb(img: np.ndarray) -> np.ndarray:
 
 
 def _check_hsv(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    img = _check_shape(img)
     if not np.isfinite(img).all():
         raise ValueError("HSV values must be finite")
     h, s, v = img[..., 0], img[..., 1], img[..., 2]
@@ -116,9 +119,7 @@ def encode_hsv_quaternion(img: np.ndarray, dtype=np.float64) -> QTensor:
 def concat_channels(img: np.ndarray, dtype=np.float64) -> np.ndarray:
     """(H, W, 3) -> (3, H, W) channel-major stack, values untouched
     (HSV hue stays in radians)."""
-    img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    img = _check_shape(img)
     return np.ascontiguousarray(img.transpose(2, 0, 1), dtype=dtype)
 
 
@@ -210,9 +211,7 @@ def read_ppm(path) -> np.ndarray:
 def write_ppm(path, img: np.ndarray) -> None:
     """Write (H, W, 3) data as binary P6. Float input must be unit-interval
     and is rounded to 8 bits; uint8 passes through."""
-    img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    img = _check_shape(img)
     if img.dtype != np.uint8:
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError("float image must lie in [0, 1]")

@@ -205,6 +205,8 @@ class ExperimentPlan:
             raise ValueError("runs must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -302,21 +304,29 @@ def build_run_inputs(config: ModelConfig, decoded: dict[str, LabeledSample],
     return train_samples, train_inputs, test_inputs
 
 
+def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
+                 run: int, plan: ExperimentPlan,
+                 decoded: dict[str, LabeledSample] | None = None):
+    """Seed, config and encoded (train, test) inputs of one plan cell."""
+    seed = derive_seed(plan.base_seed, config_name, fraction, run)
+    config = config_from_name(config_name, plan.input_size)
+    if decoded is None:
+        decoded = load_decoded_images(manifest, plan.input_size)
+    train_ids, test_ids = split(manifest, fraction, seed, stratify=plan.stratify)
+    _, train_inputs, test_inputs = build_run_inputs(
+        config, decoded, train_ids, test_ids, augment=plan.augment
+    )
+    return seed, config, train_inputs, test_inputs
+
+
 def run_single(config_name: str, manifest: DatasetManifest, fraction: float,
                run: int, plan: ExperimentPlan,
                decoded: dict[str, LabeledSample] | None = None) -> RunResult:
     """Execute one (config, fraction, run) cell of a plan."""
     started = time.perf_counter()
-    seed = derive_seed(plan.base_seed, config_name, fraction, run)
-    config = config_from_name(config_name, plan.input_size)
-    if decoded is None:
-        decoded = load_decoded_images(manifest, plan.input_size)
-
-    train_ids, test_ids = split(manifest, fraction, seed, stratify=plan.stratify)
-    _, train_inputs, test_inputs = build_run_inputs(
-        config, decoded, train_ids, test_ids, augment=plan.augment
+    seed, config, train_inputs, test_inputs = _prepare_run(
+        config_name, manifest, fraction, run, plan, decoded
     )
-
     model, metrics = train_model(
         config, train_inputs, epochs=plan.epochs,
         batch_size=plan.batch_size, seed=seed,
@@ -342,7 +352,7 @@ class ExperimentReport:
     n_skipped: int
 
 
-_RUNS_HEADER = ["config", "fraction", "run", "seed", "test_accuracy", "train_accuracy"]
+_RUNS_HEADER = "config,fraction,run,seed,test_accuracy,train_accuracy\n"
 
 # worker-process dataset cache, filled once per worker by _pool_init
 _POOL_STATE: dict = {}
@@ -361,28 +371,34 @@ def _pool_run(task: tuple[str, float, int]) -> RunResult:
 
 
 def read_runs_csv(path) -> list[RunResult]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _RUNS_HEADER:
-        raise ValueError(f"{path}: unexpected header {rows[0] if rows else None}")
+    """Parse runs.csv (LF or CRLF lines). A final line without its newline
+    was torn by an interrupted sweep; it is dropped so its run is redone."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    lines.pop()  # "" after the final newline, else the torn row
+    if not lines or lines[0] + "\n" != _RUNS_HEADER:
+        raise ValueError(f"{path}: unexpected header {lines[0] if lines else None!r}")
     results = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, line in enumerate(lines[1:], start=2):
         try:
+            config, fraction, run, seed, test_acc, train_acc = line.split(",")
             results.append(RunResult(
-                config=row[0], fraction=float(row[1]), run=int(row[2]),
-                seed=int(row[3]), test_accuracy=float(row[4]),
-                train_accuracy=float(row[5]),
+                config=config, fraction=float(fraction), run=int(run),
+                seed=int(seed), test_accuracy=float(test_acc),
+                train_accuracy=float(train_acc),
             ))
-        except (IndexError, ValueError) as exc:
-            if i == len(rows):
-                break  # torn final row from an interrupted sweep; redo that run
-            raise ValueError(f"{path}:{i}: malformed row {row}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: malformed row {line!r}") from exc
     return results
 
 
-def _result_row(r: RunResult) -> list[str]:
-    return [r.config, repr(r.fraction), str(r.run), str(r.seed),
-            repr(r.test_accuracy), repr(r.train_accuracy)]
+def _runs_line(r: RunResult) -> str:
+    return ",".join([r.config, repr(r.fraction), str(r.run), str(r.seed),
+                     repr(r.test_accuracy), repr(r.train_accuracy)]) + "\n"
+
+
+def _write_runs_csv(path: Path, results) -> None:
+    _atomic_write(path, _RUNS_HEADER + "".join(_runs_line(r) for r in results))
 
 
 def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
@@ -399,30 +415,18 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "runs.csv"
 
-    done: dict[tuple, RunResult] = {}
-    if runs_path.exists():
-        for prior in read_runs_csv(runs_path):
-            done[prior.key] = prior
-
-    tasks = []
-    for config_name in plan.configs:
-        for fraction in plan.fractions:
-            for run in range(plan.runs):
-                if (config_name, repr(fraction), run) not in done:
-                    tasks.append((config_name, fraction, run))
+    done = {r.key: r for r in read_runs_csv(runs_path)} if runs_path.exists() else {}
+    tasks = [(c, f, run) for c in plan.configs for f in plan.fractions
+             for run in range(plan.runs) if (c, repr(f), run) not in done]
     n_skipped = len(done)
 
+    # drops a torn final row and CRLF endings, so appends start on a clean line
+    _write_runs_csv(runs_path, done.values())
     results: dict[tuple, RunResult] = dict(done)
-    append_header = not runs_path.exists()
     with open(runs_path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if append_header:
-            writer.writerow(_RUNS_HEADER)
-            fh.flush()
-
         def record(result: RunResult):
             results[result.key] = result
-            writer.writerow(_result_row(result))
+            fh.write(_runs_line(result))
             fh.flush()
             log(
                 f"[{result.config} f={result.fraction} run={result.run}] "
@@ -482,9 +486,7 @@ def emit_report(results, stats, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = [",".join(_RUNS_HEADER)]
-    lines += [",".join(_result_row(r)) for r in results]
-    _atomic_write(out_dir / "runs.csv", "\n".join(lines) + "\n")
+    _write_runs_csv(out_dir / "runs.csv", results)
 
     header = ["config", "fraction", "n", "mean", "std", "q25", "q75"]
     lines = [",".join(header)]

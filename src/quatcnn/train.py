@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
-    LayerSpec, Model, ModelConfig, atomic_write, read_blobs, read_container,
+    Model, ModelConfig, _conv_stack, atomic_write, read_blobs, read_container,
     read_exact, write_blobs, write_container,
 )
 from .quat import QTensor
@@ -148,6 +148,8 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
     to ``metrics_path`` as CSV (epoch, loss, train_acc) when given.
     A non-finite loss raises ValueError naming the epoch and batch.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     samples = list(dataset)
     if not samples:
         raise ValueError("dataset is empty")
@@ -244,11 +246,7 @@ def _tiny_config(arithmetic: str, input_size: int = 12) -> ModelConfig:
         name=f"tiny-{arithmetic}", arithmetic=arithmetic, encoding="rgb",
         input_size=input_size,
         in_channels=1 if arithmetic == "quaternion" else 3,
-        layers=(
-            LayerSpec(conv, filters=2), LayerSpec("relu"), LayerSpec("maxpool"),
-            LayerSpec(conv, filters=2), LayerSpec("relu"), LayerSpec("maxpool"),
-            LayerSpec("flatten"), LayerSpec("dense", filters=1),
-        ),
+        layers=_conv_stack(conv, (2, 2)),
     )
 
 

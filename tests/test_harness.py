@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +196,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="runs"):
             ExperimentPlan(runs=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            ExperimentPlan(batch_size=batch_size)
+
     def test_bad_config(self):
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentPlan(configs=("resnet",))
@@ -369,6 +377,21 @@ def smoke_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+class _Interrupt(Exception):
+    pass
+
+
+def _interrupt_after(n_records):
+    """A sweep log that raises once it has been told of n_records runs."""
+    seen = []
+
+    def log(message):
+        seen.append(message)
+        if len(seen) == n_records:
+            raise _Interrupt(message)
+    return log
+
+
 class TestRunExperiment:
     def test_smoke_counts_and_stats(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
@@ -428,8 +451,47 @@ class TestRunExperiment:
         run_experiment(smoke_plan(), man, out, log=lambda *_: None)
         intact = (out / "runs.csv").read_bytes()
         lines = intact.decode().splitlines()
+        # a cut after 10 characters does not parse; a cut of the last two
+        # still parses, as a row with a truncated train_accuracy
+        for torn_row in (lines[-1][:10], lines[-1][:-2]):
+            torn = "\n".join(lines[:-1]) + "\n" + torn_row
+            (out / "runs.csv").write_text(torn, encoding="utf-8")
+            report = run_experiment(smoke_plan(), man, out, log=lambda *_: None)
+            assert report.n_executed == 1 and report.n_skipped == 1
+            assert (out / "runs.csv").read_bytes() == intact
+
+    def test_resume_after_torn_row_survives_interruption(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(), man, out, log=lambda *_: None)
+        lines = (out / "runs.csv").read_text().splitlines()
         torn = "\n".join(lines[:-1]) + "\n" + lines[-1][:10]
         (out / "runs.csv").write_text(torn, encoding="utf-8")
+        with pytest.raises(_Interrupt):
+            run_experiment(smoke_plan(runs=4), man, out, log=_interrupt_after(2))
+        report = run_experiment(smoke_plan(runs=4), man, out, log=lambda *_: None)
+        assert report.n_executed == 1 and report.n_skipped == 3
+        run_experiment(smoke_plan(runs=4), man, tmp_path / "fresh", log=lambda *_: None)
+        assert ((out / "runs.csv").read_bytes()
+                == (tmp_path / "fresh" / "runs.csv").read_bytes())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_runs_csv_has_only_lf_lines(self, tmp_path, jobs):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        with pytest.raises(_Interrupt):
+            run_experiment(smoke_plan(jobs=jobs), man, out, log=_interrupt_after(1))
+        data = (out / "runs.csv").read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        assert data.count(b"\n") == 2  # header and the one recorded run
+
+    def test_crlf_rows_resume(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(), man, out, log=lambda *_: None)
+        intact = (out / "runs.csv").read_bytes()
+        header, first, _ = intact.split(b"\n")[:3]
+        (out / "runs.csv").write_bytes(header + b"\r\n" + first + b"\r\n")
         report = run_experiment(smoke_plan(), man, out, log=lambda *_: None)
         assert report.n_executed == 1 and report.n_skipped == 1
         assert (out / "runs.csv").read_bytes() == intact
@@ -512,6 +574,26 @@ class TestCli:
         assert (out_dir / "runs.csv").exists()
         assert (out_dir / "stats.csv").exists()
         assert (out_dir / "summary.json").exists()
+
+    def test_runs_csv_independent_of_blas_threads(self, tmp_path):
+        # BLAS reads its thread count when numpy is imported, so each
+        # sweep runs in its own interpreter
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out_dir = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "quatcnn", "sweep", "--data", str(data),
+                 "--fractions", "0.25", "--runs", "1", "--epochs", "2",
+                 "--batch-size", "4", "--input-size", "24", "--out", str(out_dir)],
+                env=env, check=True, capture_output=True,
+            )
+            runs.append((out_dir / "runs.csv").read_bytes())
+        assert runs[0] == runs[1]
+        assert runs[0].count(b"\n") == 5  # header and one run per config
 
     def test_data_env_var(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"

@@ -279,6 +279,12 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="empty"):
             train_model(_tiny_config("real"), [], epochs=1)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size(self, batch_size):
+        data = tiny_dataset(np.random.default_rng(59))
+        with pytest.raises(ValueError, match="batch_size"):
+            train_model(_tiny_config("real"), data, epochs=1, batch_size=batch_size)
+
     @pytest.mark.parametrize("arithmetic", ["real", "quaternion"])
     def test_nan_input_fails_with_epoch_and_batch(self, arithmetic):
         rng = np.random.default_rng(58)
