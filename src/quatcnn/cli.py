@@ -43,16 +43,20 @@ def _add_train_args(p: argparse.ArgumentParser):
 
 
 def _plan(args, **fields) -> harness.ExperimentPlan:
-    return harness.ExperimentPlan(
-        epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
-        input_size=args.input_size, augment=not args.no_augment,
-        stratify=not args.no_stratify, **fields,
-    )
+    """The plan the arguments describe; an invalid plan exits with its message."""
+    try:
+        return harness.ExperimentPlan(
+            epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
+            input_size=args.input_size, augment=not args.no_augment,
+            stratify=not args.no_stratify, **fields,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def cmd_train(args) -> int:
-    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     plan = _plan(args, configs=(args.config,), fractions=(args.test_fraction,), runs=1)
+    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     (config_name,), (fraction,) = plan.configs, plan.fractions
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -82,10 +86,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     fractions = tuple(float(f) for f in args.fractions.split(","))
     plan = _plan(args, configs=tuple(args.configs), fractions=fractions,
                  runs=args.runs, jobs=args.jobs)
+    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     report = harness.run_experiment(plan, manifest, args.out)
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
           f"reports in {args.out}")

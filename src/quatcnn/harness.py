@@ -24,7 +24,9 @@ import numpy as np
 
 from . import encoding
 from .encoding import LabeledSample, augment_flips, load_image, resize
-from .layers import ModelConfig, atomic_write, config_from_name, trace_shapes, CONFIG_NAMES
+from .layers import (
+    CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
+)
 from .quat import QTensor
 from .train import train_model
 
@@ -207,6 +209,8 @@ class ExperimentPlan:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -260,13 +264,17 @@ def encode_input(config: ModelConfig, image: np.ndarray, dtype=np.float32):
 
 
 def evaluate(model, samples) -> float:
-    """Fraction of samples whose sign-thresholded logit matches the label."""
+    """Fraction of samples whose sign-thresholded logit matches the label.
+    Forward passes run in chunks of ``chunk_size(model.config, n)``."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot evaluate on an empty sample set")
+    chunk = chunk_size(model.config, len(samples))
     correct = 0
-    for x, label in samples:
-        correct += int((model.forward(x) > 0) == (label == 1))
+    for lo in range(0, len(samples), chunk):
+        part = samples[lo:lo + chunk]
+        logits = model.forward([x for x, _ in part])
+        correct += sum(int((z > 0) == (label == 1)) for z, (_, label) in zip(logits, part))
     return correct / len(samples)
 
 

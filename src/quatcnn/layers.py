@@ -5,17 +5,35 @@ Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
 the one shape rule for a config, and ``Model`` builds each layer from
 one kind -> constructor table.
 
+Layers run on batches of samples. The sample axis sits third from last,
+just before the spatial axes: a real batch is (C, N, H, W) and a
+quaternion batch (4, C, N, H, W). In this channel-major layout the
+im2col copy of a batch and the GEMM output need no transposes, and a
+batch of one costs what a single sample does. ``Flatten`` makes one
+(N, D) copy and ``Dense`` returns (N,) logits. ``Model.forward`` takes a
+list of samples; on a single sample it returns that sample's float logit.
+
 Real convolutions are valid cross-correlations (no kernel flip, no
-padding, stride 1) built on an im2col + matmul core. The quaternion
+padding, stride 1) built on an im2col + matmul core: one im2col and one
+GEMM per batch. The quaternion
 convolution runs on the same core as one real GEMM over the 4C stacked
 component planes, with the (4F, 4C, k, k) block kernel that
 ``as_block_conv`` assembles from the four weight banks and the Hamilton
-sign pattern in ``_QCONV_TERMS``; its weight gradient folds back into
-the banks through the same table. Max pooling takes the maximum of the
+sign pattern in ``_QCONV_TERMS``, once per batch; its weight gradient
+folds back into the banks through the same table, once per batch. Max
+pooling takes the maximum of the
 window's strided slices, uses a (2, 2) window with stride 2 and drops
 trailing odd rows/columns, which is what makes a 100x100 input
 flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
 exactly 12,800 values in both architectures.
+
+How many samples go through at once is ``chunk_size``: the most, up to
+the batch size, whose largest per-layer float32 im2col matrix fits in
+``IM2COL_BUDGET`` bytes. A chunk's activations are kept until its
+backward pass, so this budget is what bounds training memory. It gives
+chunks of 4 at 24x24. At 100x100 one sample's conv2 patches (2.5 MB)
+already exceed it, so the paper-size path runs one sample per chunk
+and keeps the memory of an unbatched loop.
 
 ``write_container``/``read_container`` are the one writer and reader of
 the model container; checkpoints call them on the same file handle.
@@ -58,6 +76,8 @@ __all__ = [
     "CONFIG_NAMES",
     "trace_shapes",
     "count_parameters",
+    "IM2COL_BUDGET",
+    "chunk_size",
     "Model",
     "config_digest",
     "atomic_write",
@@ -141,33 +161,34 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(C, H, W) -> (C*k*k, OH*OW) patch matrix for a valid correlation."""
-    c, h, w = x.shape
+    """(C, N, H, W) -> (C*k*k, N*OH*OW) patch matrix for a valid correlation."""
+    c, n, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
-    s0, s1, s2 = x.strides
+    s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(c, k, k, oh, ow), strides=(s0, s1, s2, s1, s2)
+        x, shape=(c, k, k, n, oh, ow), strides=(s0, s2, s3, s1, s2, s3)
     )
-    return windows.reshape(c * k * k, oh * ow)
+    return windows.reshape(c * k * k, n * oh * ow)
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
-    """Scatter-add the inverse of _im2col back onto an input-shaped array."""
-    c, h, w = shape
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int) -> np.ndarray:
+    """Scatter-add the inverse of _im2col back onto a (C, N, H, W) array."""
+    c, n, h, w = shape
     oh, ow = h - k + 1, w - k + 1
     out = np.zeros(shape, dtype=cols.dtype)
-    patches = cols.reshape(c, k, k, oh, ow)
+    patches = cols.reshape(c, k, k, n, oh, ow)
     for di in range(k):
         for dj in range(k):
-            out[:, di:di + oh, dj:dj + ow] += patches[:, di, dj]
+            out[..., di:di + oh, dj:dj + ow] += patches[:, di, dj]
     return out
 
 
 def _check_conv_input(x_shape, w_shape):
+    """x_shape is (C, ..., H, W): channels first, spatial size last."""
     f, c, k, k2 = w_shape
     if k != k2:
         raise ValueError(f"kernels must be square, got {k}x{k2}")
-    xc, h, w = x_shape
+    xc, (h, w) = x_shape[0], x_shape[-2:]
     if xc != c:
         raise ValueError(f"input has {xc} channels, kernel expects {c}")
     if h < k or w < k:
@@ -175,28 +196,23 @@ def _check_conv_input(x_shape, w_shape):
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
-    """Valid correlation (C, H, W) with (F, C, k, k) plus bias, as one
-    GEMM over the im2col patches. Returns the output and the patches."""
-    _check_conv_input(x.shape, w.shape)
+    """Valid correlation of the (..., C, N, H, W) input's P stacked planes
+    (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
+    as one GEMM over the im2col patches of all N samples. Returns the
+    (F, N, OH, OW) output and the patches."""
+    planes = x.reshape(-1, *x.shape[-3:])
     f, _, k, _ = w.shape
-    cols = _im2col(x, k)
-    out = (w.reshape(f, -1) @ cols).reshape(f, x.shape[1] - k + 1, x.shape[2] - k + 1)
-    out += bias[:, None, None]
+    n, h, wd = planes.shape[1:]
+    cols = _im2col(planes, k)
+    out = (w.reshape(f, -1) @ cols).reshape(f, n, h - k + 1, wd - k + 1)
+    out += bias[:, None, None, None]
     return out, cols
-
-
-def _correlate_backward(g: np.ndarray, w: np.ndarray, cols: np.ndarray, x_shape):
-    """Gradients of _correlate: (weight, bias, input)."""
-    f, _, k, _ = w.shape
-    gmat = g.reshape(f, -1)
-    gw = (gmat @ cols.T).reshape(w.shape)
-    gx = _col2im(w.reshape(f, -1).T @ gmat, x_shape, k)
-    return gw, g.sum(axis=(1, 2)), gx
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Valid cross-correlation plus bias: (C, H, W) -> (F, H-k+1, W-k+1)."""
-    return _correlate(x, params.w, params.bias)[0]
+    _check_conv_input(x.shape, params.w.shape)
+    return _correlate(x[:, None], params.w, params.bias)[0][:, 0]
 
 
 # Hamilton product sign structure, written as the four-term expansion of
@@ -229,24 +245,18 @@ def as_block_conv(params: QConvParams) -> ConvParams:
     banks = (params.w0, params.w1, params.w2, params.w3)
     block = np.empty((4 * f, 4 * c, k, k), dtype=params.w0.dtype)
     for a, sign, rows, planes in _block_terms(f, c):
-        block[rows, planes] = sign * banks[a]
+        np.multiply(banks[a], sign, out=block[rows, planes])
     return ConvParams(w=block, bias=params.bias.reshape(-1).copy())
-
-
-def _qconv_forward(x: np.ndarray, params: QConvParams):
-    """(4, C, H, W) -> (4, F, OH, OW) as one block correlation over the
-    4C stacked planes; also returns the block kernel and the patches."""
-    _check_conv_input(x.shape[1:], params.w0.shape)
-    block = as_block_conv(params)
-    out, cols = _correlate(x.reshape(-1, *x.shape[2:]), block.w, block.bias)
-    return out.reshape(4, -1, *out.shape[1:]), block.w, cols
 
 
 def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
     """Quaternion convolution: Hamilton product of filter and input at
     every tap of a valid cross-correlation, plus the quaternion bias.
     """
-    return QTensor(_qconv_forward(x.data, params)[0])
+    _check_conv_input(x.shape, params.w0.shape)
+    block = as_block_conv(params)
+    out = _correlate(x.data[:, :, None], block.w, block.bias)[0][:, 0]
+    return QTensor(out.reshape(4, -1, *out.shape[1:]))
 
 
 def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
@@ -268,9 +278,13 @@ def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
 class Layer:
     """The interface every layer implements.
 
-    ``forward`` caches what ``backward`` needs; ``backward`` takes the
-    output gradient, accumulates into ``gradients`` and returns the input
-    gradient. The defaults here describe a parameter-free layer.
+    ``forward`` takes a batch, with the sample axis third from last
+    before flattening, and caches what ``backward`` needs; ``backward``
+    takes the output gradient, accumulates into ``gradients`` (summed
+    over the batch) and returns the input gradient, or None when
+    ``input_grad`` is false. A cache lives until the next ``forward``
+    replaces it, so a training loop reuses the same memory from chunk
+    to chunk. The defaults here describe a parameter-free layer.
     """
 
     def initialize(self, rng: np.random.Generator):
@@ -321,69 +335,97 @@ class _WeightedLayer(Layer):
         return self.grads.arrays()
 
 
-class Conv2d(_WeightedLayer):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
-                 dtype=np.float32):
+class _Correlation(_WeightedLayer):
+    """Shared forward and backward of Conv2d and QConv2d: one im2col and
+    one GEMM over the batch's stacked planes with the kernel from
+    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grads``."""
+
+    batch_ndim = 4
+
+    def __init__(self, params, in_channels: int, out_channels: int, kernel_size: int):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
+        super().__init__(params, fan_in=in_channels * kernel_size ** 2,
+                         fan_out=out_channels * kernel_size ** 2)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != self.batch_ndim:
+            raise ValueError(
+                f"{type(self).__name__} expects a {self.batch_ndim}-d batch, got {x.shape}"
+            )
+        _check_conv_input(x.shape[-4:], self.parameters[0].shape)
+        w, bias = self._kernel()
+        out, cols = _correlate(x, w, bias)
+        self._cache = (w, cols, x.shape)
+        return out.reshape(*x.shape[:-4], -1, *out.shape[1:])
+
+    def backward(self, g: np.ndarray, input_grad: bool = True):
+        w, cols, x_shape = self._cache
+        f, k = w.shape[0], w.shape[-1]
+        gmat = g.reshape(f, -1)
+        self._fold((gmat @ cols.T).reshape(w.shape), gmat.sum(axis=1))
+        if not input_grad:
+            return None
+        planes = (w.shape[1], *x_shape[-3:])
+        return _col2im(w.reshape(f, -1).T @ gmat, planes, k).reshape(x_shape)
+
+
+class Conv2d(_Correlation):
+    """Real valid correlation of a (C, N, H, W) batch -> (F, N, OH, OW)."""
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
+                 dtype=np.float32):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         super().__init__(
             ConvParams(w=np.zeros(shape, dtype=dtype),
                        bias=np.zeros(out_channels, dtype=dtype)),
-            fan_in=in_channels * kernel_size ** 2, fan_out=out_channels * kernel_size ** 2,
+            in_channels, out_channels, kernel_size,
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, cols = _correlate(x, self.params.w, self.params.bias)
-        self._cache = (cols, x.shape)
-        return out
+    def _kernel(self):
+        return self.params.w, self.params.bias
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        cols, x_shape = self._cache
-        gw, gbias, gx = _correlate_backward(g, self.params.w, cols, x_shape)
+    def _fold(self, gw: np.ndarray, gbias: np.ndarray):
         self.grads.w += gw
         self.grads.bias += gbias
-        return gx
 
 
-class QConv2d(_WeightedLayer):
+class QConv2d(_Correlation):
+    """Quaternion correlation of a (4, C, N, H, W) batch -> (4, F, N, OH, OW)
+    as one block correlation over the 4C stacked planes."""
+
+    batch_ndim = 5
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         zeros = lambda: np.zeros(shape, dtype=dtype)
         # component-wise Glorot with fans counted in quaternion channels
         super().__init__(
             QConvParams(w0=zeros(), w1=zeros(), w2=zeros(), w3=zeros(),
                         bias=np.zeros((4, out_channels), dtype=dtype)),
-            fan_in=in_channels * kernel_size ** 2, fan_out=out_channels * kernel_size ** 2,
+            in_channels, out_channels, kernel_size,
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """x: (4, C, H, W) -> (4, F, OH, OW)."""
-        out, block, cols = _qconv_forward(x, self.params)
-        self._cache = (block, cols, x.shape)
-        return out
+    def _kernel(self):
+        block = as_block_conv(self.params)
+        return block.w, block.bias
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        block, cols, x_shape = self._cache
+    def _fold(self, gblock: np.ndarray, gbias: np.ndarray):
         f, c = self.out_channels, self.in_channels
-        gblock, gbias, gx = _correlate_backward(
-            g.reshape(4 * f, *g.shape[2:]), block, cols, (4 * c, *x_shape[2:])
-        )
-        gbanks = (self.grads.w0, self.grads.w1, self.grads.w2, self.grads.w3)
+        gbanks = self.grads.arrays()[:4]
         for a, sign, rows, planes in _block_terms(f, c):
-            gbanks[a][...] += sign * gblock[rows, planes]
+            if sign > 0:
+                gbanks[a] += gblock[rows, planes]
+            else:
+                gbanks[a] -= gblock[rows, planes]
         self.grads.bias += gbias.reshape(4, f)
-        return gx.reshape(x_shape)
 
 
 class MaxPool2d(Layer):
     """Per-plane max pooling of a square ``window`` over the last two
-    axes of a real (C, H, W) or quaternion (4, C, H, W) array."""
+    axes of a real (C, N, H, W) or quaternion (4, C, N, H, W) batch."""
 
     def __init__(self, window: int = 2, stride: int = 2):
         self.window = window
@@ -398,53 +440,64 @@ class MaxPool2d(Layer):
         self._cache = (x, out)
         return out
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
+    def backward(self, g: np.ndarray, input_grad: bool = True):
         """Route each window's gradient to its first maximum in row-major
         order; windows that overlap add their shares."""
+        if not input_grad:
+            return None
         x, out = self._cache
         gx = np.zeros(x.shape, dtype=g.dtype)
         free = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        share = np.empty(out.shape, dtype=g.dtype)
         for view, gview in zip(_pool_views(x, self.window, self.stride),
                                _pool_views(gx, self.window, self.stride)):
-            hit = view == out
+            np.equal(view, out, out=hit)
             hit &= free
             free ^= hit
-            gview += g * hit
+            gview += np.multiply(g, hit, out=share)
         return gx
 
 
 class ReLU(Layer):
-    """Element-wise max(0, .); on quaternion input, applied to every plane."""
+    """Element-wise max(0, .), applied to every plane. ``forward``
+    rectifies its input in place and returns it; the mask for
+    ``backward`` is read from that output."""
 
     def __init__(self):
-        self._mask = None
+        self._out = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.maximum(x, 0)
+        self._out = np.maximum(x, 0, out=x)
+        return x
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return g * self._mask
+    def backward(self, g: np.ndarray, input_grad: bool = True):
+        return g * (self._out > 0) if input_grad else None
 
 
 class Flatten(Layer):
-    """Any array -> real vector in C order. A quaternion (4, C, H, W)
-    input flattens component-major, then channel, row, column, so index
-    ((comp*C + c)*H + h)*W + w holds plane comp of element (c, h, w)."""
+    """Batch -> (N, D) real rows in C order. Each sample of a quaternion
+    (4, C, N, H, W) batch flattens component-major, then channel, row,
+    column, so index ((comp*C + c)*H + h)*W + w of row n holds plane comp
+    of element (c, h, w) of sample n."""
 
     def __init__(self):
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(-1)
+        return np.moveaxis(x, -3, 0).reshape(x.shape[-3], -1)
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return g.reshape(self._shape)
+    def backward(self, g: np.ndarray, input_grad: bool = True):
+        if not input_grad:
+            return None
+        shape = self._shape
+        moved = (shape[-3], *shape[:-3], *shape[-2:])
+        return np.moveaxis(g.reshape(moved), 0, -3)
 
 
 class Dense(_WeightedLayer):
-    """Single-output dense layer: dot(w, v) + b as a python float logit."""
+    """Single-output dense layer: (N, D) rows -> (N,) logits v @ w + b."""
 
     def __init__(self, in_features: int, dtype=np.float32):
         self.in_features = in_features
@@ -453,19 +506,19 @@ class Dense(_WeightedLayer):
             fan_in=in_features, fan_out=1,
         )
 
-    def forward(self, v: np.ndarray) -> float:
-        if v.shape != self.params.w.shape:
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        if v.ndim != 2 or v.shape[1:] != self.params.w.shape:
             raise ValueError(
                 f"input length {v.shape} does not match weights {self.params.w.shape}"
             )
         self._cache = v
-        return float(v @ self.params.w + self.params.b)
+        return v @ self.params.w + self.params.b
 
-    def backward(self, g: float) -> np.ndarray:
+    def backward(self, g: np.ndarray, input_grad: bool = True):
         v = self._cache
-        self.grads.w += g * v
-        self.grads.b += g
-        return (g * self.params.w).astype(v.dtype, copy=False)
+        self.grads.w += g @ v
+        self.grads.b += g.sum()
+        return np.outer(g, self.params.w) if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +658,32 @@ def count_parameters(config: ModelConfig) -> tuple[list[int], int]:
     return counts, sum(counts)
 
 
+# Bytes of float32 im2col patches one chunk may build in its largest conv
+# layer. By trace_shapes, that layer is conv2 in all four reference
+# configs: 288 x 81 floats (93,312 bytes) per sample at 24x24, and
+# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget holds four
+# 24x24 samples and less than one 100x100 sample.
+IM2COL_BUDGET = 4 * 93_312
+
+
+def chunk_size(config: ModelConfig, batch_size: int) -> int:
+    """How many samples of a ``batch_size`` batch go through the model in
+    one forward and one backward: the most, up to ``batch_size``, whose
+    largest per-layer float32 im2col matrix fits in ``IM2COL_BUDGET``,
+    and at least one. For the four reference configs that is
+    min(batch_size, 4) at 24x24 and 1 at 100x100.
+    """
+    planes = 4 if config.arithmetic == "quaternion" else 1
+    channels, per_sample = config.in_channels, 0
+    for spec, out_channels, h, w, _ in trace_shapes(config):
+        if spec.kind in ("conv", "qconv"):
+            rows = planes * channels * spec.kernel ** 2
+            per_sample = max(per_sample, 4 * rows * h * w)
+        channels = out_channels
+    fits = IM2COL_BUDGET // per_sample if per_sample else batch_size
+    return max(1, min(batch_size, fits))
+
+
 # ---------------------------------------------------------------------------
 # the sequential model
 
@@ -624,9 +703,10 @@ class Model:
     """Sequential network built from a ModelConfig.
 
     Forward keeps per-layer caches so one backward sweep accumulates the
-    exact reverse-mode gradients for every trainable array. Quaternion
-    models take a QTensor input and carry its (4, C, H, W) planes
-    through the stack; real models take a (C, H, W) array.
+    exact reverse-mode gradients for every trainable array, summed over
+    the batch. Quaternion models take QTensor samples and carry them
+    through the stack as one (4, C, N, H, W) batch; real models take
+    (C, H, W) arrays and carry a (C, N, H, W) batch.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
@@ -662,17 +742,29 @@ class Model:
             )
         return data.astype(self.dtype, copy=False)
 
-    def forward(self, x) -> float:
-        h = self._unwrap(x)
+    def _stack(self, xs) -> np.ndarray:
+        """Samples -> a new batch array with the sample axis third from
+        last, which the layers may overwrite."""
+        return np.stack([self._unwrap(x) for x in xs], axis=-3)
+
+    def forward(self, x):
+        """Logits of a list of samples as an (N,) array. A single sample
+        (not in a list) runs as a batch of one and gives a float."""
+        if not isinstance(x, list):
+            return float(self.forward([x])[0])
+        h = self._stack(x)
         for layer in self.layers:
             h = layer.forward(h)
-        return h  # dense returns a python float logit
+        return h
 
-    def backward(self, dlogit: float):
-        g = dlogit
-        for layer in reversed(self.layers):
+    def backward(self, dlogits) -> None:
+        """Accumulate the parameter gradients of the last forward, given
+        dloss/dlogit per sample (a float for a single sample). The first
+        layer's input gradient is not computed: no caller needs it."""
+        g = np.asarray(dlogits, dtype=self.dtype).reshape(-1)
+        for layer in self.layers[:0:-1]:
             g = layer.backward(g)
-        return g
+        self.layers[0].backward(g, input_grad=False)
 
     def zero_grads(self):
         for layer in self.layers:

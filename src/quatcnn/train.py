@@ -7,7 +7,6 @@ to double first so central differences at h=1e-6 are meaningful.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
-    Model, ModelConfig, _conv_stack, atomic_write, read_blobs, read_container,
-    read_exact, write_blobs, write_container,
+    Model, ModelConfig, _conv_stack, atomic_write, chunk_size, read_blobs,
+    read_container, read_exact, write_blobs, write_container,
 )
 from .quat import QTensor
 
@@ -75,17 +74,38 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _model_loss(model: Model, x, label: int) -> float:
-    loss, _ = bce_with_logits(model.forward(x), label)
-    return loss
+def _minibatch(model: Model, batch, chunk: int) -> list[tuple[float, float]]:
+    """Zero the gradients, then accumulate the gradient of the mean BCE
+    over ``batch`` ((input, label) pairs), ``chunk`` samples per forward
+    and backward. Returns each sample's (loss, logit) in batch order."""
+    model.zero_grads()
+    out = []
+    for lo in range(0, len(batch), chunk):
+        part = batch[lo:lo + chunk]
+        logits = model.forward([x for x, _ in part])
+        dlogits = []
+        for logit, (_, label) in zip(logits, part):
+            loss, dlogit = bce_with_logits(logit, label)
+            out.append((loss, float(logit)))
+            dlogits.append(dlogit / len(batch))
+        model.backward(dlogits)
+    return out
 
 
-def grad_check(model: Model, x, label: int, h: float = 1e-6,
+def _mean_loss(model: Model, xs, labels) -> float:
+    logits = model.forward(xs)
+    return sum(bce_with_logits(z, y)[0] for z, y in zip(logits, labels)) / len(xs)
+
+
+def grad_check(model: Model, x, label, h: float = 1e-6,
                num_samples: int = 200, rng: np.random.Generator | None = None) -> float:
     """Max relative error of analytic gradients vs central differences.
 
-    Samples up to ``num_samples`` distinct parameters across all arrays
-    and compares dL/dtheta against (L(theta+h) - L(theta-h)) / 2h.
+    ``x`` and ``label`` are one sample and its label, or equal-length
+    lists of them; the loss is the mean BCE over the batch, whose
+    gradient comes from one batched forward and backward. Samples up to
+    ``num_samples`` distinct parameters across all arrays and compares
+    dL/dtheta against (L(theta+h) - L(theta-h)) / 2h.
     Samples whose finite difference is exactly zero are skipped (dead
     paths), and pairs where both magnitudes sit below 1e-6 are treated
     as matching: at h=1e-6 in double precision the difference quotient
@@ -94,10 +114,11 @@ def grad_check(model: Model, x, label: int, h: float = 1e-6,
     if model.dtype != np.float64:
         raise ValueError("grad_check requires a float64 model (use model.astype)")
     rng = rng or np.random.default_rng(0)
+    xs, labels = (x, label) if isinstance(x, list) else ([x], [label])
+    if len(xs) != len(labels):
+        raise ValueError(f"{len(xs)} samples but {len(labels)} labels")
 
-    model.zero_grads()
-    loss, dlogit = bce_with_logits(model.forward(x), label)
-    model.backward(dlogit)
+    _minibatch(model, list(zip(xs, labels)), len(xs))
     analytic = [g.copy() for g in model.gradients]
 
     params = model.parameters
@@ -113,9 +134,9 @@ def grad_check(model: Model, x, label: int, h: float = 1e-6,
         p = params[ai].reshape(-1)
         orig = p[idx]
         p[idx] = orig + h
-        lp = _model_loss(model, x, label)
+        lp = _mean_loss(model, xs, labels)
         p[idx] = orig - h
-        lm = _model_loss(model, x, label)
+        lm = _mean_loss(model, xs, labels)
         p[idx] = orig
         fd = (lp - lm) / (2.0 * h)
         if fd == 0.0:
@@ -141,7 +162,10 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
     """Train a model from scratch on (input, label) pairs.
 
     Deterministic given (seed, config, dataset): the seed drives both
-    Glorot initialization and the per-epoch shuffle. Loss is the mean
+    Glorot initialization and the per-epoch shuffle. Each minibatch runs
+    in chunks of ``layers.chunk_size(config, batch_size)`` samples, one
+    forward and one backward per chunk, and takes one Adam step on the
+    gradient of its mean loss. Loss is the mean
     per-sample binary cross-entropy over the epoch; train accuracy is
     running accuracy, i.e. measured from the forward passes used for
     training with the parameters current at each batch. Metrics stream
@@ -162,13 +186,12 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
     rng = np.random.default_rng(seed)
     model = Model(config, rng=rng, dtype=dtype)
     adam = Adam(model.parameters, lr=lr)
+    chunk = chunk_size(config, batch_size)
 
-    writer = None
     fh = None
     if metrics_path is not None:
         fh = open(metrics_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "train_acc"])
+        fh.write("epoch,loss,train_acc\n")
 
     metrics: list[EpochMetrics] = []
     n = len(samples)
@@ -178,25 +201,21 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
             total_loss = 0.0
             correct = 0
             for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                model.zero_grads()
-                for si in batch:
-                    x, label = samples[si]
-                    logit = model.forward(x)
-                    loss, dlogit = bce_with_logits(logit, label)
+                batch = [samples[si] for si in order[start:start + batch_size]]
+                results = _minibatch(model, batch, chunk)
+                for (loss, logit), (_, label) in zip(results, batch):
                     if not math.isfinite(loss):
                         raise ValueError(
                             f"non-finite loss {loss} at epoch {epoch}, "
                             f"batch {start // batch_size}"
                         )
-                    model.backward(dlogit / len(batch))
                     total_loss += loss
                     correct += int((logit > 0) == (label == 1))
                 adam.step(model.gradients)
             row = EpochMetrics(epoch, total_loss / n, correct / n)
             metrics.append(row)
-            if writer is not None:
-                writer.writerow([row.epoch, repr(row.loss), repr(row.train_acc)])
+            if fh is not None:
+                fh.write(f"{row.epoch},{row.loss!r},{row.train_acc!r}\n")
                 fh.flush()
     finally:
         if fh is not None:

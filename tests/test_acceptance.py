@@ -127,21 +127,21 @@ def test_criterion_3_qconv_oracle_equivalence():
 
 def test_criterion_4_gradient_checks():
     started = time.perf_counter()
-    # every layer kind, three random instances each
+    # every layer kind on a batch of one sample, three random instances each
     for rep in range(3):
         rng = np.random.default_rng(3000 + rep)
         conv = Conv2d(2, 3, 3, dtype=np.float64)
         conv.initialize(rng)
-        layer_fd_check(conv, rng.uniform(-1, 1, (2, 6, 6)), rng)
+        layer_fd_check(conv, rng.uniform(-1, 1, (2, 1, 6, 6)), rng)
         qconv = QConv2d(2, 2, 3, dtype=np.float64)
         qconv.initialize(rng)
-        layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 6, 6)), rng)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6)), rng)
-        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5)), rng)
-        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4)), rng)
+        layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 1, 6, 6)), rng)
+        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 1, 6, 6)), rng)
+        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 1, 5, 5)), rng)
+        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 1, 4, 4)), rng)
         dense = Dense(24, dtype=np.float64)
         dense.initialize(rng)
-        layer_fd_check(dense, rng.uniform(-1, 1, 24), rng)
+        layer_fd_check(dense, rng.uniform(-1, 1, (1, 24)), rng)
     # tiny end-to-end models of both arithmetics
     rows = run_gradient_verification(seed=0, num_samples=200)
     worst = max(err for _, err in rows)
@@ -162,7 +162,7 @@ def test_criterion_5_shape_chain_12800():
         config = maker(input_size=100)
         model = Model(config, rng=rng)
         x = make_input()
-        data = model._unwrap(x)
+        data = model._stack([x])
         for layer in model.layers:
             data = layer.forward(data)
             if isinstance(layer, Flatten):

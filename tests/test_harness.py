@@ -14,7 +14,7 @@ from quatcnn.harness import (
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import config_from_name
+from quatcnn.layers import config_from_name, rvcnn_config
 from quatcnn.quat import QTensor
 from quatcnn import cli
 
@@ -201,6 +201,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="batch_size"):
             ExperimentPlan(batch_size=batch_size)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ExperimentPlan(jobs=jobs)
+
     def test_bad_config(self):
         with pytest.raises(ValueError, match="unknown config"):
             ExperimentPlan(configs=("resnet",))
@@ -212,14 +217,20 @@ class TestPlanValidation:
 
 
 class _StubModel:
+    """Hands out ``logits`` in turn, one per sample of each forward batch."""
+
+    config = rvcnn_config(input_size=24)  # chunks of 4 samples
+
     def __init__(self, logits):
         self.logits = list(logits)
         self.i = 0
+        self.batch_sizes = []
 
-    def forward(self, x):
-        logit = self.logits[self.i % len(self.logits)]
-        self.i += 1
-        return logit
+    def forward(self, xs):
+        self.batch_sizes.append(len(xs))
+        out = [self.logits[(self.i + j) % len(self.logits)] for j in range(len(xs))]
+        self.i += len(xs)
+        return np.array(out)
 
 
 class TestEvaluate:
@@ -234,8 +245,10 @@ class TestEvaluate:
         rng = np.random.default_rng(81)
         logits = rng.normal(size=2000)
         samples = [(None, i % 2) for i in range(2000)]
-        acc = evaluate(_StubModel(logits), samples)
+        model = _StubModel(logits)
+        acc = evaluate(model, samples)
         assert abs(acc - 0.5) < 0.05
+        assert model.batch_sizes == [4] * 500
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -606,6 +619,13 @@ class TestCli:
             "--out", str(out_dir),
         ])
         assert code == 0
+
+    def test_sweep_rejects_bad_jobs_before_reading_data(self, tmp_path):
+        # the data dir does not exist: the plan is refused first
+        with pytest.raises(SystemExit, match="jobs must be >= 1, got 0"):
+            cli.main(["sweep", "--data", str(tmp_path / "missing"), "--jobs", "0",
+                      "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_data(self, monkeypatch):
         monkeypatch.delenv("QUATCNN_DATA", raising=False)

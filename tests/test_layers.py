@@ -1,3 +1,4 @@
+import inspect
 import struct
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from quatcnn.quat import QTensor, Quaternion, hamilton, add
 from quatcnn.layers import (
     ConvParams, QConvParams, conv2d_forward, qconv2d_forward, as_block_conv,
-    MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig, rvcnn_config, qvcnn_config, config_from_name,
-    count_parameters, trace_shapes, Model, config_digest, save_model, load_model,
+    Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
+    rvcnn_config, qvcnn_config, config_from_name, CONFIG_NAMES,
+    chunk_size, count_parameters, trace_shapes, Model, config_digest, save_model,
+    load_model,
 )
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
@@ -51,6 +54,76 @@ class TestConv2d:
             conv2d_forward(np.zeros((1, 5, 5)), p)
         with pytest.raises(ValueError, match="smaller than kernel"):
             conv2d_forward(np.zeros((2, 2, 2)), p)
+
+
+class TestBatchedLayersPerSample:
+    """Each sample of a batch must come out as the independent oracles
+    give it for that sample alone."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_conv_layer(self, dtype, tol):
+        rng = np.random.default_rng(38)
+        layer = Conv2d(2, 3, 3, dtype=dtype)
+        layer.initialize(rng)
+        layer.params.bias[...] = rng.uniform(-1, 1, 3)
+        x = rng.uniform(-1, 1, (2, 5, 7, 6)).astype(dtype)
+        out = layer.forward(x)
+        assert out.shape == (3, 5, 5, 4)
+        for n in range(5):
+            expect = conv2d_oracle(x[:, n], layer.params.w, layer.params.bias)
+            assert norm_rel_err(out[:, n], expect) < tol
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_qconv_layer_against_hamilton_sum_oracle(self, dtype, tol):
+        rng = np.random.default_rng(39)
+        layer = QConv2d(2, 3, 3, dtype=dtype)
+        p = rand_qconv_params(rng, 3, 2, 3, dtype)
+        layer.params = p
+        x = rng.uniform(-1, 1, (4, 2, 5, 6, 7)).astype(dtype)
+        out = layer.forward(x)
+        assert out.shape == (4, 3, 5, 4, 5)
+        for n in range(5):
+            expect = qconv2d_hamilton_sum_oracle(QTensor(x[:, :, n]), p)
+            assert norm_rel_err(out[:, :, n], expect) < tol
+
+    @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (4, 2, 3, 10, 9)])
+    @pytest.mark.parametrize("values", ["uniform", "three-levels"])
+    def test_maxpool_layer_against_argmax_oracle(self, shape, values):
+        rng = np.random.default_rng(40)
+        if values == "uniform":
+            x = rng.uniform(-1, 1, shape)
+        else:
+            x = rng.integers(0, 3, shape).astype(np.float64)
+        layer = MaxPool2d()
+        out = layer.forward(x)
+        g = rng.uniform(-1, 1, out.shape)
+        gx = layer.backward(g)
+        for n in range(shape[-3]):
+            expect_out, expect_gx = maxpool_oracle(x[..., n, :, :], g[..., n, :, :], 2, 2)
+            assert np.array_equal(out[..., n, :, :], expect_out)
+            assert np.array_equal(gx[..., n, :, :], expect_gx)
+
+    def test_conv_layers_reject_unbatched_input(self):
+        with pytest.raises(ValueError, match="4-d batch"):
+            Conv2d(2, 3).forward(np.zeros((2, 6, 6)))
+        with pytest.raises(ValueError, match="5-d batch"):
+            QConv2d(2, 3).forward(np.zeros((4, 2, 6, 6)))
+
+
+class TestChunkSize:
+    # the docstring of chunk_size: min(batch_size, 4) at 24x24, 1 at 100x100
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_reference_configs(self, name):
+        small, paper = config_from_name(name, 24), config_from_name(name, 100)
+        for batch_size in (1, 3, 4, 16, 100):
+            assert chunk_size(small, batch_size) == min(batch_size, 4)
+            assert chunk_size(paper, batch_size) == 1
+
+    def test_depends_only_on_config_and_batch_size(self):
+        assert list(inspect.signature(chunk_size).parameters) == ["config", "batch_size"]
+        first = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
+        again = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
+        assert first == again == [min(b, 4) for b in range(1, 20)]
 
 
 class TestQConv2d:
@@ -226,23 +299,25 @@ class TestReLU:
 
 class TestFlatten:
     def test_dense_input_length(self):
-        assert Flatten().forward(np.zeros((4, 32, 10, 10))).shape == (12800,)
+        assert Flatten().forward(np.zeros((4, 32, 1, 10, 10))).shape == (1, 12800)
+        assert Flatten().forward(np.zeros((128, 3, 10, 10))).shape == (3, 12800)
 
     def test_zero(self):
-        assert np.all(Flatten().forward(np.zeros((4, 1, 2, 2))) == 0)
+        assert np.all(Flatten().forward(np.zeros((4, 1, 2, 2, 2))) == 0)
 
     def test_documented_ordering(self):
         rng = np.random.default_rng(29)
-        c, h, w = 2, 3, 4
-        planes = rng.uniform(-1, 1, (4, c, h, w))
+        c, n, h, w = 2, 3, 3, 4
+        planes = rng.uniform(-1, 1, (4, c, n, h, w))
         v = Flatten().forward(planes)
-        for comp, ci, hi, wi in [(0, 0, 0, 0), (1, 1, 2, 3), (3, 0, 1, 2)]:
+        assert v.shape == (n, 4 * c * h * w)
+        for comp, ci, ni, hi, wi in [(0, 0, 0, 0, 0), (1, 1, 2, 2, 3), (3, 0, 1, 1, 2)]:
             idx = ((comp * c + ci) * h + hi) * w + wi
-            assert v[idx] == planes[comp, ci, hi, wi]
+            assert v[ni, idx] == planes[comp, ci, ni, hi, wi]
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
-        planes = rng.uniform(-1, 1, (4, 3, 5, 2))
+        planes = rng.uniform(-1, 1, (4, 3, 2, 5, 2))
         layer = Flatten()
         v = layer.forward(planes).copy()
         back = layer.backward(v)
@@ -254,28 +329,30 @@ class TestDense:
     def test_one_hot_selects(self):
         layer = Dense(5, dtype=np.float64)
         layer.params.w[3] = 1.0
-        v = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        assert layer.forward(v) == 40.0
+        v = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+        assert np.array_equal(layer.forward(v), [40.0, 4.0])
 
     def test_zero_vector_gives_bias(self):
         layer = Dense(4, dtype=np.float64)
         layer.params.w[...] = 1.0
         layer.params.b[...] = 0.75
-        assert layer.forward(np.zeros(4)) == 0.75
+        assert np.array_equal(layer.forward(np.zeros((1, 4))), [0.75])
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(31)
-        v = rng.uniform(-1, 1, 64)
+        v = rng.uniform(-1, 1, (3, 64))
         layer = Dense(64, dtype=np.float64)
         layer.params.w[...] = rng.uniform(-1, 1, 64)
         layer.params.b[...] = rng.uniform(-1, 1)
         p = layer.params
-        expect = sum(float(a) * float(b) for a, b in zip(p.w, v)) + float(p.b)
+        expect = [sum(float(a) * float(b) for a, b in zip(p.w, row)) + float(p.b) for row in v]
         assert_close(layer.forward(v), expect, 1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            Dense(4).forward(np.zeros(3))
+            Dense(4).forward(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="length"):
+            Dense(4).forward(np.zeros(4))
 
 
 class TestCountParameters:

@@ -1,18 +1,20 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quatcnn.quat import QTensor
 from quatcnn.layers import (
-    Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
-    Model, glorot_uniform, save_model,
+    Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, IM2COL_BUDGET,
+    Model, chunk_size, config_from_name, glorot_uniform, save_model,
 )
 from quatcnn.train import (
-    Adam, bce_with_logits, grad_check, train_model,
+    Adam, bce_with_logits, grad_check, train_model, _minibatch,
     save_checkpoint, load_checkpoint, run_gradient_verification, _tiny_config,
 )
-from testutil import layer_fd_check
+from testutil import assert_close, layer_fd_check
 
 
 class TestGlorot:
@@ -125,36 +127,36 @@ class TestLayerGradients:
         rng = np.random.default_rng(100 + rep)
         layer = Conv2d(2, 3, 3, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, (2, 6, 6)), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (2, 3, 6, 6)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_qconv(self, rep):
         rng = np.random.default_rng(200 + rep)
         layer = QConv2d(2, 2, 3, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, (4, 2, 6, 6)), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (4, 2, 3, 6, 6)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_maxpool(self, rep):
         rng = np.random.default_rng(300 + rep)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6)), rng)
+        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 2, 6, 6)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_relu(self, rep):
         rng = np.random.default_rng(400 + rep)
-        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5)), rng)
+        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 3, 5, 5)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_flatten(self, rep):
         rng = np.random.default_rng(500 + rep)
-        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4)), rng)
+        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 3, 4, 4)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_dense(self, rep):
         rng = np.random.default_rng(600 + rep)
         layer = Dense(20, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, 20), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (3, 20)), rng)
 
 
 class TestBackwardClosedForms:
@@ -168,13 +170,13 @@ class TestBackwardClosedForms:
     def test_dense_closed_form(self):
         layer = Dense(3, dtype=np.float64)
         layer.params.w[...] = [1.0, -2.0, 0.5]
-        v = np.array([4.0, 5.0, 6.0])
+        v = np.array([[4.0, 5.0, 6.0], [1.0, 0.0, -1.0]])
         layer.forward(v)
         layer.zero_grads()
-        gv = layer.backward(2.0)
-        assert np.array_equal(layer.grads.w, 2.0 * v)
-        assert layer.grads.b == 2.0
-        assert np.array_equal(gv, 2.0 * layer.params.w)
+        gv = layer.backward(np.array([2.0, -3.0]))
+        assert np.array_equal(layer.grads.w, 2.0 * v[0] - 3.0 * v[1])
+        assert layer.grads.b == -1.0
+        assert np.array_equal(gv, [2.0 * layer.params.w, -3.0 * layer.params.w])
 
     def test_maxpool_tie_routes_to_first_row_major(self):
         layer = MaxPool2d()
@@ -308,6 +310,7 @@ class TestTrainModel:
         path = tmp_path / "metrics.csv"
         _, metrics = train_model(_tiny_config("real"), data, epochs=3, seed=3,
                                  metrics_path=path)
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,loss,train_acc"
         assert len(lines) == 4
@@ -387,3 +390,178 @@ class TestCheckpoint:
             save_checkpoint(path, model, adam)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
+# ---------------------------------------------------------------------------
+# the batched path against the per-sample one
+
+
+def random_samples(config, n, rng, dtype=np.float32):
+    """n (input, label) pairs of the shape ``config`` takes, labels alternating."""
+    size = config.input_size
+    out = []
+    for i in range(n):
+        if config.arithmetic == "quaternion":
+            x = QTensor(rng.uniform(0, 1, (4, config.in_channels, size, size)).astype(dtype))
+        else:
+            x = rng.uniform(0, 1, (config.in_channels, size, size)).astype(dtype)
+        out.append((x, i % 2))
+    return out
+
+
+def per_sample_gradients(model, batch):
+    """The mean-BCE gradient of ``batch`` summed from batches of one."""
+    model.zero_grads()
+    for x, label in batch:
+        _, dlogit = bce_with_logits(model.forward(x), label)
+        model.backward(dlogit / len(batch))
+    return [g.copy() for g in model.gradients]
+
+
+def per_sample_training(config, dataset, epochs, batch_size, seed, dtype):
+    """train_model's loop one sample at a time: the reference for its
+    running accuracy and mean epoch loss."""
+    rng = np.random.default_rng(seed)
+    model = Model(config, rng=rng, dtype=dtype)
+    adam = Adam(model.parameters)
+    rows = []
+    n = len(dataset)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total_loss, correct = 0.0, 0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            model.zero_grads()
+            for si in batch:
+                x, label = dataset[si]
+                logit = model.forward(x)
+                loss, dlogit = bce_with_logits(logit, label)
+                model.backward(dlogit / len(batch))
+                total_loss += loss
+                correct += int((logit > 0) == (label == 1))
+            adam.step(model.gradients)
+        rows.append((total_loss / n, correct / n))
+    return rows
+
+
+ARITHMETICS = ["real", "quaternion"]
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("arithmetic", ARITHMETICS)
+    def test_grad_check_on_a_batch(self, arithmetic):
+        rng = np.random.default_rng(70)
+        config = _tiny_config(arithmetic)
+        model = Model(config, rng=rng, dtype=np.float64)
+        batch = random_samples(config, 4, rng, np.float64)
+        xs, labels = [x for x, _ in batch], [label for _, label in batch]
+        assert grad_check(model, xs, labels, rng=rng) < 1e-4
+
+    def test_grad_check_rejects_unpaired_labels(self):
+        rng = np.random.default_rng(71)
+        config = _tiny_config("real")
+        model = Model(config, rng=rng, dtype=np.float64)
+        xs = [x for x, _ in random_samples(config, 3, rng, np.float64)]
+        with pytest.raises(ValueError, match="3 samples but 2 labels"):
+            grad_check(model, xs, [0, 1])
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_chunked_minibatch_gradient_is_sum_of_single_samples(self, name, batch_size,
+                                                                 dtype, tol):
+        rng = np.random.default_rng(72)
+        config = config_from_name(name, 24)
+        model = Model(config, rng=rng, dtype=dtype)
+        samples = random_samples(config, 10, rng, dtype)
+        chunk = chunk_size(config, batch_size)
+        assert chunk == min(batch_size, 4)
+        for start in range(0, len(samples), batch_size):
+            batch = samples[start:start + batch_size]
+            sizes = []
+            model.forward = lambda xs: sizes.append(len(xs)) or Model.forward(model, xs)
+            results = _minibatch(model, batch, chunk)
+            del model.forward
+            batched = [g.copy() for g in model.gradients]
+            expect = per_sample_gradients(model, batch)
+            for got, want in zip(batched, expect):
+                assert_close(got, want, tol, f"{name} batch {start // batch_size}")
+            assert sum(sizes) == len(batch) and max(sizes) <= chunk
+            for (loss, logit), (x, label) in zip(results, batch):
+                single = model.forward(x)
+                assert_close(logit, single, tol)
+                assert_close(loss, bce_with_logits(single, label)[0], tol)
+        # 10 samples: batch 3 ends in a partial batch, batch 16 in a partial chunk
+        if batch_size == 16:
+            assert sizes == [4, 4, 2]
+        if batch_size == 3:
+            assert sizes == [1]
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_running_accuracy_and_loss_match_per_sample_loop(self, name, batch_size):
+        rng = np.random.default_rng(73)
+        config = config_from_name(name, 24)
+        data = random_samples(config, 10, rng, np.float64)
+        _, metrics = train_model(config, data, epochs=2, batch_size=batch_size, seed=8,
+                                 dtype=np.float64)
+        expect = per_sample_training(config, data, 2, batch_size, 8, np.float64)
+        for row, (loss, acc) in zip(metrics, expect, strict=True):
+            assert math.isclose(row.loss, loss, rel_tol=1e-12)
+            assert row.train_acc == acc
+
+    @pytest.mark.parametrize("arithmetic", ARITHMETICS)
+    def test_first_layer_input_gradient_skip_keeps_gradients(self, arithmetic):
+        rng = np.random.default_rng(74)
+        config = _tiny_config(arithmetic)
+        model = Model(config, rng=rng, dtype=np.float64)
+        xs = [x for x, _ in random_samples(config, 3, rng, np.float64)]
+        dlogits = rng.uniform(-1, 1, 3)
+
+        model.zero_grads()
+        model.forward(xs)
+        assert model.backward(dlogits) is None
+        skipped = [g.copy() for g in model.gradients]
+
+        model.zero_grads()
+        model.forward(xs)
+        g = dlogits
+        for layer in reversed(model.layers):
+            g = layer.backward(g)
+        assert g.shape == model._stack(xs).shape
+        for a, b in zip(skipped, model.gradients, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_single_sample_forward_is_a_batch_of_one(self):
+        rng = np.random.default_rng(75)
+        config = config_from_name("qvcnn-rgb", 24)
+        model = Model(config, rng=rng)
+        (x, _), = random_samples(config, 1, rng)
+        before = x.data.copy()
+        logit = model.forward(x)
+        assert isinstance(logit, float)
+        assert logit == float(model.forward([x])[0])
+        assert np.array_equal(x.data, before)  # layers overwrite only their own batch
+
+
+class TestTrainingMemory:
+    """tracemalloc sees numpy's buffers, so the peak of one epoch shows
+    what a chunk keeps alive. Parameters, gradients and both Adam moments
+    take 16 bytes per parameter. At 24x24 a full chunk of 4 samples
+    peaks at 5.2 (rvcnn) and 5.7 (qvcnn) times IM2COL_BUDGET on top of
+    that: its patches, conv outputs, pooled maps and block kernels, the
+    backward's gradient matrices and the Adam step's temporaries. The
+    bound allows 7 budgets; chunks of 8 need 8.7 and 10.1."""
+
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_epoch_peak_within_chunk_budget(self, name):
+        config = config_from_name(name, 24)
+        data = random_samples(config, 64, np.random.default_rng(76))
+        tracemalloc.start()
+        try:
+            model, _ = train_model(config, data, epochs=1, batch_size=16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 16 * model.param_count + 7 * IM2COL_BUDGET
+        assert peak <= bound, f"{name}: peak {peak} > {bound} bytes"

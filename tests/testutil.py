@@ -76,7 +76,8 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     parameter/input gradients against central finite differences.
 
     Works on any ``Layer`` (parameter-free ones check the input only); the
-    scalar objective is sum(forward(x) * projection). Zero finite
+    scalar objective is sum(forward(x) * projection). Every forward gets
+    a copy of ``x``, because a layer may overwrite its input. Zero finite
     differences are skipped (dead paths) and pairs below 1e-6 in both
     magnitudes are treated as matching, since the difference quotient
     at h=1e-6 carries roundoff around 1e-10.
@@ -120,9 +121,9 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     for idx in rng.choice(xflat.size, size=min(n_samples, xflat.size), replace=False):
         orig = xflat[idx]
         xflat[idx] = orig + h
-        lp = loss_at(x)
+        lp = loss_at(x.copy())
         xflat[idx] = orig - h
-        lm = loss_at(x)
+        lm = loss_at(x.copy())
         xflat[idx] = orig
         compare(float(gxflat[idx]), (lp - lm) / (2 * h))
 
