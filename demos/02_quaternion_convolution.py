@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """The quaternion convolution and its two equivalent formulations.
 
-A quaternion filter bank holds four real kernel banks W0..W3. At every
-tap of a valid cross-correlation the layer multiplies filter and input
-quaternions with the Hamilton product and sums. The layer computes the
+A quaternion filter bank holds four real kernel banks W0..W3, stored
+as one (4, F, C, k, k) array. At every tap of a valid cross-correlation
+the layer multiplies filter and input quaternions with the Hamilton
+product and sums. The layer computes the
 same map as one real convolution over the four stacked component planes
 with a sign-structured 4x4 block kernel (``as_block_conv``); both routes
 are shown here against a literal per-pixel loop.
@@ -20,7 +21,7 @@ height = width = 6
 
 x = QTensor(rng.uniform(-1, 1, (4, channels, height, width)))
 mk = lambda: rng.uniform(-1, 1, (filters, channels, k, k))
-params = QConvParams(w0=mk(), w1=mk(), w2=mk(), w3=mk(),
+params = QConvParams(w=np.stack([mk() for _ in range(4)]),
                      bias=rng.uniform(-1, 1, (4, filters)))
 
 out = qconv2d_forward(x, params)
@@ -37,12 +38,8 @@ for f in range(filters):
             for c in range(channels):
                 for di in range(k):
                     for dj in range(k):
-                        w_q = Quaternion(
-                            float(params.w0[f, c, di, dj]),
-                            float(params.w1[f, c, di, dj]),
-                            float(params.w2[f, c, di, dj]),
-                            float(params.w3[f, c, di, dj]),
-                        )
+                        w_q = Quaternion(*(float(bank[f, c, di, dj])
+                                           for bank in params.w))
                         acc = add(acc, hamilton(w_q, x.at(c, i + di, j + dj)))
             loop[:, f, i, j] = acc.components()
 print("max |layer - per-pixel loop| =", np.max(np.abs(out.data - loop)))
@@ -56,7 +53,7 @@ print("max |layer - block conv|     =",
 
 # the sign pattern of the first block row, which is the Hamilton table
 # read along the real output component: (+, -, -, -)
-banks = (params.w0, params.w1, params.w2, params.w3)
+banks = params.w
 signs = [float(np.sign(block.w[0, b * channels, 0, 0] / banks[b][0, 0, 0, 0]))
          for b in range(4)]
 print("first block-row signs:", signs)

@@ -124,7 +124,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    value = (args.fixed_value, args.fixed_value) if args.fixed_value else (0.65, 0.85)
+    value = (0.65, 0.85) if args.fixed_value is None else (args.fixed_value,) * 2
     paths = harness.generate_synthetic_dataset(
         args.out, n=args.n, size=args.size, seed=args.seed,
         healthy_hue=args.healthy_hue, blast_hue=args.blast_hue, value=value,

@@ -27,7 +27,6 @@ from .encoding import LabeledSample, augment_flips, load_image, resize
 from .layers import (
     CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
 )
-from .quat import QTensor
 from .train import train_model
 
 __all__ = [

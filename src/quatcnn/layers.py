@@ -3,7 +3,10 @@ two reference architectures, and the model container.
 
 Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
 the one shape rule for a config, and ``Model`` builds each layer from
-one kind -> constructor table.
+one kind -> constructor table. A model's parameters are one flat
+``theta`` and their gradients one flat ``grad``, in declaration order;
+each weighted layer's arrays are reshaped views of its slice, and a
+quaternion layer's four weight banks are one (4, F, C, k, k) view.
 
 Layers run on batches of samples. The sample axis sits third from last,
 just before the spatial axes: a real batch is (C, N, H, W) and a
@@ -15,13 +18,12 @@ list of samples; on a single sample it returns that sample's float logit.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
-GEMM per batch. The quaternion
-convolution runs on the same core as one real GEMM over the 4C stacked
-component planes, with the (4F, 4C, k, k) block kernel that
-``as_block_conv`` assembles from the four weight banks and the Hamilton
-sign pattern in ``_QCONV_TERMS``, once per batch; its weight gradient
-folds back into the banks through the same table, once per batch. Max
-pooling takes the maximum of the
+GEMM per batch. The quaternion convolution runs on the same core as one
+real GEMM over the 4C stacked component planes, with the (4F, 4C, k, k)
+block kernel gathered from the banks through 4x4 bank and sign tables
+derived from the Hamilton sign pattern in ``_QCONV_TERMS``, once per
+batch; its weight gradient folds back into the banks through the
+inverse tables, once per batch. Max pooling takes the maximum of the
 window's strided slices, uses a (2, 2) window with stride 2 and drops
 trailing odd rows/columns, which is what makes a 100x100 input
 flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
@@ -36,13 +38,15 @@ already exceed it, so the paper-size path runs one sample per chunk
 and keeps the memory of an unbatched loop.
 
 ``write_container``/``read_container`` are the one writer and reader of
-the model container; checkpoints call them on the same file handle.
+the model container, whose payload is ``theta`` as one float32 blob;
+checkpoints call them on the same file handle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -81,9 +85,9 @@ __all__ = [
     "Model",
     "config_digest",
     "atomic_write",
-    "write_blobs",
+    "write_blob",
     "read_exact",
-    "read_blobs",
+    "read_blob",
     "write_container",
     "read_container",
     "save_model",
@@ -102,38 +106,26 @@ class ConvParams:
     w: np.ndarray
     bias: np.ndarray
 
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w, self.bias]
-
 
 @dataclass
 class QConvParams:
     """Quaternion convolution weights.
 
-    Four real kernel banks of identical shape (F, C, k, k), one per
-    quaternion component of the filter, plus F quaternion biases stored
-    as a (4, F) array.
+    The four real kernel banks, one per quaternion component of the
+    filter, stacked as one (4, F, C, k, k) array, plus F quaternion
+    biases stored as a (4, F) array.
     """
 
-    w0: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
+    w: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        ref = self.w0.shape
-        for name in ("w1", "w2", "w3"):
-            shape = getattr(self, name).shape
-            if shape != ref:
-                raise ValueError(f"kernel bank {name} has shape {shape}, expected {ref}")
-        if self.bias.shape != (4, ref[0]):
+        if self.w.ndim != 5 or self.w.shape[0] != 4:
+            raise ValueError(f"kernel banks must have shape (4, F, C, k, k), got {self.w.shape}")
+        if self.bias.shape != (4, self.w.shape[1]):
             raise ValueError(
-                f"bias must have shape (4, {ref[0]}), got {self.bias.shape}"
+                f"bias must have shape (4, {self.w.shape[1]}), got {self.bias.shape}"
             )
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w0, self.w1, self.w2, self.w3, self.bias]
 
 
 @dataclass
@@ -141,10 +133,7 @@ class DenseParams:
     """Single-output dense layer: weight vector (D,) and scalar bias."""
 
     w: np.ndarray
-    b: np.ndarray  # 0-d array so the optimizer can update it in place
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w, self.b]
+    b: np.ndarray
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -225,12 +214,42 @@ _QCONV_TERMS = (
 )
 
 
-def _block_terms(f: int, c: int):
-    """(bank, sign, rows, planes) of the 16 Hamilton terms: bank ``a``
-    times ``sign`` fills block[rows, planes] of the (4F, 4C, k, k) kernel."""
+def _hamilton_tables():
+    """``_QCONV_TERMS`` as 4x4 tables. Indexed [output component, input
+    component b]: the bank and sign of block (comp, b) of the block
+    kernel. Indexed [output component, bank a]: the input component whose
+    block gradient folds into bank a, and its sign."""
+    bank, plane = np.zeros((2, 4, 4), dtype=np.intp)
+    sign, fold_sign = np.zeros((2, 4, 4), dtype=np.float32)
     for comp, terms in enumerate(_QCONV_TERMS):
-        for a, b, sign in terms:
-            yield a, sign, slice(comp * f, (comp + 1) * f), slice(b * c, (b + 1) * c)
+        for a, b, s in terms:
+            bank[comp, b], sign[comp, b] = a, s
+            plane[comp, a], fold_sign[comp, a] = b, s
+    return bank, sign, plane, fold_sign
+
+
+_BANK, _SIGN, _PLANE, _FOLD_SIGN = _hamilton_tables()
+_COMPONENTS = np.arange(4)[:, None]
+
+
+def _block_kernel(w: np.ndarray) -> np.ndarray:
+    """The (4F, 4C, k, k) block kernel of (4, F, C, k, k) banks: one
+    gather into (comp, F, b, C, k, k) order, times the sign table."""
+    _, f, c, k, _ = w.shape
+    block = w[_BANK[:, None, :], np.arange(f)[:, None]]
+    block *= _SIGN[:, None, :, None, None, None]
+    return block.reshape(4 * f, 4 * c, k, k)
+
+
+def _fold_block(gw: np.ndarray, gblock: np.ndarray):
+    """Add a (4F, 4C, k, k) block-kernel gradient into the (4, F, C, k, k)
+    bank gradient ``gw``: one gather and a sign multiply, then one add
+    per output component in component order."""
+    _, f, c, k, _ = gw.shape
+    terms = gblock.reshape(4, f, 4, c, k, k)[_COMPONENTS, :, _PLANE]
+    terms *= _FOLD_SIGN[..., None, None, None, None]
+    for term in terms:
+        gw += term
 
 
 def as_block_conv(params: QConvParams) -> ConvParams:
@@ -241,19 +260,14 @@ def as_block_conv(params: QConvParams) -> ConvParams:
     block structure carries the Hamilton signs. This is the form the
     quaternion layers run in; it also exports to real-conv runtimes.
     """
-    f, c, k, _ = params.w0.shape
-    banks = (params.w0, params.w1, params.w2, params.w3)
-    block = np.empty((4 * f, 4 * c, k, k), dtype=params.w0.dtype)
-    for a, sign, rows, planes in _block_terms(f, c):
-        np.multiply(banks[a], sign, out=block[rows, planes])
-    return ConvParams(w=block, bias=params.bias.reshape(-1).copy())
+    return ConvParams(w=_block_kernel(params.w), bias=params.bias.reshape(-1).copy())
 
 
 def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
     """Quaternion convolution: Hamilton product of filter and input at
     every tap of a valid cross-correlation, plus the quaternion bias.
     """
-    _check_conv_input(x.shape, params.w0.shape)
+    _check_conv_input(x.shape, params.w.shape[1:])
     block = as_block_conv(params)
     out = _correlate(x.data[:, :, None], block.w, block.bias)[0][:, 0]
     return QTensor(out.reshape(4, -1, *out.shape[1:]))
@@ -280,59 +294,59 @@ class Layer:
 
     ``forward`` takes a batch, with the sample axis third from last
     before flattening, and caches what ``backward`` needs; ``backward``
-    takes the output gradient, accumulates into ``gradients`` (summed
-    over the batch) and returns the input gradient, or None when
+    takes the output gradient, accumulates into ``grad`` (summed over
+    the batch) and returns the input gradient, or None when
     ``input_grad`` is false. A cache lives until the next ``forward``
     replaces it, so a training loop reuses the same memory from chunk
-    to chunk. The defaults here describe a parameter-free layer.
+    to chunk. ``theta`` and ``grad`` are the layer's flat parameter and
+    gradient vectors; they are empty for a parameter-free layer.
     """
+
+    theta = grad = np.zeros(0)
+
+    def bind(self, theta: np.ndarray, grad: np.ndarray):
+        """Make the flat ``theta`` and ``grad`` (slices of the model's) the
+        layer's parameter and gradient vectors."""
+        self.theta, self.grad = theta, grad
 
     def initialize(self, rng: np.random.Generator):
         """Draw initial parameter values from ``rng``."""
 
     @property
-    def parameters(self) -> list[np.ndarray]:
-        """Trainable arrays in declaration order, updated in place."""
-        return []
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        """Gradient accumulators, one per entry of ``parameters``."""
-        return []
-
-    @property
     def param_count(self) -> int:
-        return sum(arr.size for arr in self.parameters)
+        return self.theta.size
 
     def zero_grads(self):
-        for arr in self.gradients:
-            arr[...] = 0
+        self.grad.fill(0)
 
 
 class _WeightedLayer(Layer):
-    """A layer whose arrays live in a ``params`` container (weight banks,
-    then the bias) with zeroed accumulators in a ``grads`` container of
-    the same type. Initialization is Glorot on the banks, zero bias."""
+    """A layer whose arrays (weight banks, then the bias) are views of
+    its flat ``theta``, as a ``params`` container, with the same views
+    of its flat ``grad`` as ``grads``. A layer built on its own owns its
+    vectors until ``Model`` binds it to slices of the model's.
+    Initialization is Glorot on the banks, zero bias."""
 
-    def __init__(self, params, fan_in: int, fan_out: int):
-        self.params = params
-        self.grads = type(params)(*(np.zeros_like(arr) for arr in params.arrays()))
+    def __init__(self, params_type, shapes, fan_in: int, fan_out: int, dtype):
+        self.params_type, self.shapes = params_type, shapes
         self.fans = (fan_in, fan_out)
+        n = sum(math.prod(shape) for shape in shapes)
+        self.bind(np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype))
         self._cache = None
 
+    def bind(self, theta: np.ndarray, grad: np.ndarray):
+        super().bind(theta, grad)
+        cuts = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
+        views = lambda flat: (part.reshape(shape)
+                              for part, shape in zip(np.split(flat, cuts), self.shapes))
+        self.params, self.grads = self.params_type(*views(theta)), self.params_type(*views(grad))
+
     def initialize(self, rng: np.random.Generator):
-        *banks, bias = self.parameters
-        for bank in banks:
+        w, bias = vars(self.params).values()
+        # one bank at a time: QConv2d's (4, F, C, k, k) holds four
+        for bank in w.reshape(-1, *w.shape[-4:]):
             bank[...] = glorot_uniform(rng, bank.shape, *self.fans, dtype=bank.dtype)
         bias[...] = 0
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return self.params.arrays()
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return self.grads.arrays()
 
 
 class _Correlation(_WeightedLayer):
@@ -342,19 +356,22 @@ class _Correlation(_WeightedLayer):
 
     batch_ndim = 4
 
-    def __init__(self, params, in_channels: int, out_channels: int, kernel_size: int):
+    def __init__(self, params_type, bank_shape, in_channels: int, out_channels: int,
+                 kernel_size: int, dtype):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        super().__init__(params, fan_in=in_channels * kernel_size ** 2,
-                         fan_out=out_channels * kernel_size ** 2)
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        super().__init__(params_type, ((*bank_shape, *shape), (*bank_shape, out_channels)),
+                         fan_in=in_channels * kernel_size ** 2,
+                         fan_out=out_channels * kernel_size ** 2, dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != self.batch_ndim:
             raise ValueError(
                 f"{type(self).__name__} expects a {self.batch_ndim}-d batch, got {x.shape}"
             )
-        _check_conv_input(x.shape[-4:], self.parameters[0].shape)
+        _check_conv_input(x.shape[-4:], self.params.w.shape[-4:])
         w, bias = self._kernel()
         out, cols = _correlate(x, w, bias)
         self._cache = (w, cols, x.shape)
@@ -376,12 +393,7 @@ class Conv2d(_Correlation):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        super().__init__(
-            ConvParams(w=np.zeros(shape, dtype=dtype),
-                       bias=np.zeros(out_channels, dtype=dtype)),
-            in_channels, out_channels, kernel_size,
-        )
+        super().__init__(ConvParams, (), in_channels, out_channels, kernel_size, dtype)
 
     def _kernel(self):
         return self.params.w, self.params.bias
@@ -393,34 +405,22 @@ class Conv2d(_Correlation):
 
 class QConv2d(_Correlation):
     """Quaternion correlation of a (4, C, N, H, W) batch -> (4, F, N, OH, OW)
-    as one block correlation over the 4C stacked planes."""
+    as one block correlation over the 4C stacked planes. Its banks are
+    one (4, F, C, k, k) view; Glorot is component-wise, with fans counted
+    in quaternion channels."""
 
     batch_ndim = 5
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        zeros = lambda: np.zeros(shape, dtype=dtype)
-        # component-wise Glorot with fans counted in quaternion channels
-        super().__init__(
-            QConvParams(w0=zeros(), w1=zeros(), w2=zeros(), w3=zeros(),
-                        bias=np.zeros((4, out_channels), dtype=dtype)),
-            in_channels, out_channels, kernel_size,
-        )
+        super().__init__(QConvParams, (4,), in_channels, out_channels, kernel_size, dtype)
 
     def _kernel(self):
-        block = as_block_conv(self.params)
-        return block.w, block.bias
+        return _block_kernel(self.params.w), self.params.bias.reshape(-1)
 
     def _fold(self, gblock: np.ndarray, gbias: np.ndarray):
-        f, c = self.out_channels, self.in_channels
-        gbanks = self.grads.arrays()[:4]
-        for a, sign, rows, planes in _block_terms(f, c):
-            if sign > 0:
-                gbanks[a] += gblock[rows, planes]
-            else:
-                gbanks[a] -= gblock[rows, planes]
-        self.grads.bias += gbias.reshape(4, f)
+        _fold_block(self.grads.w, gblock)
+        self.grads.bias += gbias.reshape(4, -1)
 
 
 class MaxPool2d(Layer):
@@ -501,10 +501,8 @@ class Dense(_WeightedLayer):
 
     def __init__(self, in_features: int, dtype=np.float32):
         self.in_features = in_features
-        super().__init__(
-            DenseParams(w=np.zeros(in_features, dtype=dtype), b=np.zeros((), dtype=dtype)),
-            fan_in=in_features, fan_out=1,
-        )
+        super().__init__(DenseParams, ((in_features,), ()), fan_in=in_features,
+                         fan_out=1, dtype=dtype)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         if v.ndim != 2 or v.shape[1:] != self.params.w.shape:
@@ -702,9 +700,12 @@ _LAYER_BUILDERS = {
 class Model:
     """Sequential network built from a ModelConfig.
 
-    Forward keeps per-layer caches so one backward sweep accumulates the
-    exact reverse-mode gradients for every trainable array, summed over
-    the batch. Quaternion models take QTensor samples and carry them
+    All trainable parameters live in one flat ``theta`` and their
+    gradients in one flat ``grad``, both in the model's dtype and in
+    declaration order; each weighted layer's arrays are views of its
+    slice. Forward keeps per-layer caches so one backward sweep
+    accumulates the exact reverse-mode gradients into ``grad``, summed
+    over the batch. Quaternion models take QTensor samples and carry them
     through the stack as one (4, C, N, H, W) batch; real models take
     (C, H, W) arrays and carry a (C, N, H, W) batch.
     """
@@ -718,6 +719,12 @@ class Model:
         for spec, channels, _, _, flat in trace_shapes(config):
             self.layers.append(_LAYER_BUILDERS[spec.kind](spec, in_channels, flat, dtype))
             in_channels = channels
+        cuts = np.cumsum([layer.param_count for layer in self.layers])
+        self.theta = np.zeros(cuts[-1], dtype=self.dtype)
+        self.grad = np.zeros_like(self.theta)
+        for layer, theta, grad in zip(self.layers, np.split(self.theta, cuts),
+                                      np.split(self.grad, cuts)):
+            layer.bind(theta, grad)
         if rng is not None:
             self.initialize(rng)
 
@@ -767,25 +774,15 @@ class Model:
         self.layers[0].backward(g, input_grad=False)
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [arr for layer in self.layers for arr in layer.parameters]
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [arr for layer in self.layers for arr in layer.gradients]
+        self.grad.fill(0)
 
     @property
     def param_count(self) -> int:
-        return sum(layer.param_count for layer in self.layers)
+        return self.theta.size
 
     def astype(self, dtype) -> "Model":
         clone = Model(self.config, rng=None, dtype=dtype)
-        for dst, src in zip(clone.parameters, self.parameters):
-            dst[...] = src.astype(dtype)
+        clone.theta[...] = self.theta
         return clone
 
 
@@ -818,10 +815,9 @@ def atomic_write(path):
         raise
 
 
-def write_blobs(fh, arrays) -> None:
-    """Write each array as a little-endian float32 blob, in order."""
-    for arr in arrays:
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def write_blob(fh, arr: np.ndarray) -> None:
+    """Write ``arr`` as one little-endian float32 blob."""
+    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def read_exact(fh, n: int) -> bytes:
@@ -831,24 +827,23 @@ def read_exact(fh, n: int) -> bytes:
     return data
 
 
-def read_blobs(fh, arrays) -> None:
-    """Fill each array in place from its little-endian float32 blob."""
-    for arr in arrays:
-        arr[...] = np.frombuffer(read_exact(fh, arr.size * 4), dtype="<f4").reshape(arr.shape)
+def read_blob(fh, arr: np.ndarray) -> None:
+    """Fill ``arr`` in place from its little-endian float32 blob."""
+    arr[...] = np.frombuffer(read_exact(fh, arr.size * 4), dtype="<f4").reshape(arr.shape)
 
 
 def write_container(fh, model: Model) -> None:
-    """Write magic, version, config digest, then every parameter array in
-    declaration order as little-endian float32."""
+    """Write magic, version, config digest, then ``theta`` (every
+    parameter array in declaration order) as little-endian float32."""
     fh.write(_MAGIC)
     fh.write(struct.pack("<I", _VERSION))
     fh.write(config_digest(model.config))
-    write_blobs(fh, model.parameters)
+    write_blob(fh, model.theta)
 
 
 def read_container(fh, config: ModelConfig, dtype=np.float32) -> Model:
-    """Check the header against ``config`` and read the parameter blobs
-    into a new Model, leaving the handle just past the last blob."""
+    """Check the header against ``config`` and read the parameter blob
+    into a new Model's ``theta``, leaving the handle just past it."""
     if read_exact(fh, 4) != _MAGIC:
         raise ValueError("not a model container (bad magic)")
     (version,) = struct.unpack("<I", read_exact(fh, 4))
@@ -857,7 +852,7 @@ def read_container(fh, config: ModelConfig, dtype=np.float32) -> Model:
     if read_exact(fh, 32) != config_digest(config):
         raise ValueError("config digest mismatch: file was saved from a different config")
     model = Model(config, rng=None, dtype=dtype)
-    read_blobs(fh, model.parameters)
+    read_blob(fh, model.theta)
     return model
 
 
@@ -873,5 +868,5 @@ def load_model(path, config: ModelConfig, dtype=np.float32) -> Model:
     with open(path, "rb") as fh:
         model = read_container(fh, config, dtype)
         if fh.read(1):
-            raise ValueError("trailing bytes after parameter blobs")
+            raise ValueError("trailing bytes after parameter blob")
     return model

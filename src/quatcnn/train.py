@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (
-    Model, ModelConfig, _conv_stack, atomic_write, chunk_size, read_blobs,
-    read_container, read_exact, write_blobs, write_container,
+    Model, ModelConfig, _conv_stack, atomic_write, chunk_size, read_blob,
+    read_container, read_exact, write_blob, write_container,
 )
 from .quat import QTensor
 
@@ -47,31 +47,38 @@ def bce_with_logits(logit: float, label: int) -> tuple[float, float]:
 
 
 class Adam:
-    """Adam with bias correction, updating parameter arrays in place."""
+    """Adam with bias correction, updating the flat parameter vector
+    ``theta`` in place. A step allocates nothing: it works through two
+    preallocated scratch vectors, in the order of the expression
+    theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
+    def __init__(self, theta: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
-        self.params = params
+        self.theta = theta
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self._step, self._denom = np.empty_like(theta), np.empty_like(theta)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.theta.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match {self.theta.shape}")
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=step)
+        v *= self.beta2
+        v += np.multiply(np.square(grad, out=step), 1.0 - self.beta2, out=step)
+        np.sqrt(np.divide(v, b2c, out=denom), out=denom)
+        denom += self.eps
+        np.multiply(np.divide(m, b1c, out=step), self.lr, out=step)
+        self.theta -= np.divide(step, denom, out=step)
 
 
 def _minibatch(model: Model, batch, chunk: int) -> list[tuple[float, float]]:
@@ -104,7 +111,7 @@ def grad_check(model: Model, x, label, h: float = 1e-6,
     ``x`` and ``label`` are one sample and its label, or equal-length
     lists of them; the loss is the mean BCE over the batch, whose
     gradient comes from one batched forward and backward. Samples up to
-    ``num_samples`` distinct parameters across all arrays and compares
+    ``num_samples`` distinct entries of ``model.theta`` and compares
     dL/dtheta against (L(theta+h) - L(theta-h)) / 2h.
     Samples whose finite difference is exactly zero are skipped (dead
     paths), and pairs where both magnitudes sit below 1e-6 are treated
@@ -119,29 +126,23 @@ def grad_check(model: Model, x, label, h: float = 1e-6,
         raise ValueError(f"{len(xs)} samples but {len(labels)} labels")
 
     _minibatch(model, list(zip(xs, labels)), len(xs))
-    analytic = [g.copy() for g in model.gradients]
+    analytic = model.grad.copy()
 
-    params = model.parameters
-    sizes = np.array([p.size for p in params])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    chosen = rng.choice(total, size=min(num_samples, total), replace=False)
+    theta = model.theta
+    chosen = rng.choice(theta.size, size=min(num_samples, theta.size), replace=False)
 
     max_rel = 0.0
-    for flat in chosen:
-        ai = int(np.searchsorted(offsets, flat, side="right") - 1)
-        idx = int(flat - offsets[ai])
-        p = params[ai].reshape(-1)
-        orig = p[idx]
-        p[idx] = orig + h
+    for i in chosen:
+        orig = theta[i]
+        theta[i] = orig + h
         lp = _mean_loss(model, xs, labels)
-        p[idx] = orig - h
+        theta[i] = orig - h
         lm = _mean_loss(model, xs, labels)
-        p[idx] = orig
+        theta[i] = orig
         fd = (lp - lm) / (2.0 * h)
         if fd == 0.0:
             continue
-        a = float(analytic[ai].reshape(-1)[idx])
+        a = float(analytic[i])
         scale = max(abs(a), abs(fd))
         if scale < 1e-6:
             continue
@@ -185,7 +186,7 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
 
     rng = np.random.default_rng(seed)
     model = Model(config, rng=rng, dtype=dtype)
-    adam = Adam(model.parameters, lr=lr)
+    adam = Adam(model.theta, lr=lr)
     chunk = chunk_size(config, batch_size)
 
     fh = None
@@ -211,7 +212,7 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
                         )
                     total_loss += loss
                     correct += int((logit > 0) == (label == 1))
-                adam.step(model.gradients)
+                adam.step(model.grad)
             row = EpochMetrics(epoch, total_loss / n, correct / n)
             metrics.append(row)
             if fh is not None:
@@ -231,13 +232,14 @@ _ADAM_MAGIC = b"ADAM"
 
 def save_checkpoint(path, model: Model, adam: Adam) -> None:
     """Model container followed by the Adam state (t, lr, beta1, beta2,
-    eps, then m and v blobs in parameter order, little-endian float32),
-    written atomically."""
+    eps, then the m and v blobs, little-endian float32), written
+    atomically."""
     with atomic_write(path) as fh:
         write_container(fh, model)
         fh.write(_ADAM_MAGIC)
         fh.write(struct.pack("<Qdddd", adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps))
-        write_blobs(fh, adam.m + adam.v)
+        write_blob(fh, adam.m)
+        write_blob(fh, adam.v)
 
 
 def load_checkpoint(path, config: ModelConfig, dtype=np.float32) -> tuple[Model, Adam]:
@@ -245,11 +247,12 @@ def load_checkpoint(path, config: ModelConfig, dtype=np.float32) -> tuple[Model,
         model = read_container(fh, config, dtype)
         if fh.read(4) != _ADAM_MAGIC:
             raise ValueError("checkpoint missing optimizer state")
-        adam = Adam(model.parameters)
+        adam = Adam(model.theta)
         adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps = struct.unpack(
             "<Qdddd", read_exact(fh, 40)
         )
-        read_blobs(fh, adam.m + adam.v)
+        read_blob(fh, adam.m)
+        read_blob(fh, adam.v)
         if fh.read(1):
             raise ValueError("trailing bytes after optimizer state")
     return model, adam

@@ -102,13 +102,11 @@ def test_criterion_3_qconv_oracle_equivalence():
         w = int(rng.integers(3, 7))
         x64 = rng.uniform(-1, 1, (4, c, h, w))
         mk = lambda: rng.uniform(-1, 1, (f, c, 3, 3))
-        p64 = QConvParams(w0=mk(), w1=mk(), w2=mk(), w3=mk(),
+        p64 = QConvParams(w=np.stack([mk() for _ in range(4)]),
                           bias=rng.uniform(-1, 1, (4, f)))
         for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
             x = QTensor(x64.astype(dtype))
-            p = QConvParams(w0=p64.w0.astype(dtype), w1=p64.w1.astype(dtype),
-                            w2=p64.w2.astype(dtype), w3=p64.w3.astype(dtype),
-                            bias=p64.bias.astype(dtype))
+            p = QConvParams(w=p64.w.astype(dtype), bias=p64.bias.astype(dtype))
             out = qconv2d_forward(x, p).data
             # route (a): per-pixel hamilton/add loop
             assert norm_rel_err(out, qconv2d_oracle(x, p)) < tol

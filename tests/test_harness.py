@@ -557,6 +557,16 @@ class TestCli:
                       "320", "4,672", "18,560", "36,353"):
             assert token in out
 
+    @pytest.mark.parametrize("fixed", ["0", "0.8"])
+    def test_synth_data_fixed_value(self, tmp_path, capsys, fixed):
+        # a fixed value of 0 pins the value channel too; it is not "unset"
+        assert cli.main(["synth-data", "--n", "4", "--size", "16", "--seed", "2",
+                         "--fixed-value", fixed, "--out", str(tmp_path / "cli")]) == 0
+        expect = generate_synthetic_dataset(tmp_path / "direct", n=4, size=16, seed=2,
+                                            value=(float(fixed), float(fixed)))
+        for path in expect:
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+
     def test_synth_data_and_train(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["synth-data", "--n", "8", "--size", "24",

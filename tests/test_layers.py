@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from quatcnn import layers
 from quatcnn.quat import QTensor, Quaternion, hamilton, add
 from quatcnn.layers import (
     ConvParams, QConvParams, conv2d_forward, qconv2d_forward, as_block_conv,
@@ -14,13 +15,13 @@ from quatcnn.layers import (
 )
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
-    qconv2d_hamilton_sum_oracle, maxpool_oracle,
+    qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array,
 )
 
 
 def rand_qconv_params(rng, f, c, k, dtype=np.float64):
     mk = lambda: rng.uniform(-1, 1, (f, c, k, k)).astype(dtype)
-    return QConvParams(w0=mk(), w1=mk(), w2=mk(), w3=mk(),
+    return QConvParams(w=np.stack([mk() for _ in range(4)]),
                        bias=rng.uniform(-1, 1, (4, f)).astype(dtype))
 
 
@@ -78,7 +79,8 @@ class TestBatchedLayersPerSample:
         rng = np.random.default_rng(39)
         layer = QConv2d(2, 3, 3, dtype=dtype)
         p = rand_qconv_params(rng, 3, 2, 3, dtype)
-        layer.params = p
+        layer.params.w[...] = p.w
+        layer.params.bias[...] = p.bias
         x = rng.uniform(-1, 1, (4, 2, 5, 6, 7)).astype(dtype)
         out = layer.forward(x)
         assert out.shape == (4, 3, 5, 4, 5)
@@ -130,22 +132,18 @@ class TestQConv2d:
     def test_identity_quaternion_filter(self):
         rng = np.random.default_rng(21)
         x = QTensor(rng.uniform(-1, 1, (4, 1, 4, 4)))
-        p = QConvParams(
-            w0=np.ones((1, 1, 1, 1)), w1=np.zeros((1, 1, 1, 1)),
-            w2=np.zeros((1, 1, 1, 1)), w3=np.zeros((1, 1, 1, 1)),
-            bias=np.zeros((4, 1)),
-        )
+        w = np.zeros((4, 1, 1, 1, 1))
+        w[0] = 1.0
+        p = QConvParams(w=w, bias=np.zeros((4, 1)))
         out = qconv2d_forward(x, p)
         assert np.allclose(out.data, x.data)
 
     def test_single_j_tap_against_i_plane(self):
         # filter holds j at the center tap only; input is the constant
         # quaternion i; every output equals hamilton(j, i) = -k
-        zeros = np.zeros((1, 1, 3, 3))
-        w2 = zeros.copy()
-        w2[0, 0, 1, 1] = 1.0
-        p = QConvParams(w0=zeros.copy(), w1=zeros.copy(), w2=w2,
-                        w3=zeros.copy(), bias=np.zeros((4, 1)))
+        w = np.zeros((4, 1, 1, 3, 3))
+        w[2, 0, 0, 1, 1] = 1.0
+        p = QConvParams(w=w, bias=np.zeros((4, 1)))
         data = np.zeros((4, 1, 5, 5))
         data[1] = 1.0
         out = qconv2d_forward(QTensor(data), p)
@@ -157,8 +155,7 @@ class TestQConv2d:
         p = rand_qconv_params(rng, 1, 1, 1)
         x = QTensor(rng.uniform(-1, 1, (4, 1, 1, 1)))
         out = qconv2d_forward(x, p)
-        wq = Quaternion(float(p.w0[0, 0, 0, 0]), float(p.w1[0, 0, 0, 0]),
-                        float(p.w2[0, 0, 0, 0]), float(p.w3[0, 0, 0, 0]))
+        wq = Quaternion(*(float(bank[0, 0, 0, 0]) for bank in p.w))
         bq = Quaternion(*(float(p.bias[i, 0]) for i in range(4)))
         expect = add(hamilton(wq, x.at(0, 0, 0)), bq)
         assert_close(out.data[:, 0, 0, 0], expect.components(), 1e-12)
@@ -214,10 +211,12 @@ class TestQConv2d:
             qconv2d_forward(QTensor(np.zeros((4, 1, 5, 5))), p)
 
     def test_bank_shape_validation(self):
-        with pytest.raises(ValueError, match="w2"):
-            QConvParams(w0=np.zeros((1, 1, 3, 3)), w1=np.zeros((1, 1, 3, 3)),
-                        w2=np.zeros((1, 1, 2, 2)), w3=np.zeros((1, 1, 3, 3)),
-                        bias=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"\(4, F, C, k, k\)"):
+            QConvParams(w=np.zeros((3, 1, 1, 3, 3)), bias=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"\(4, F, C, k, k\)"):
+            QConvParams(w=np.zeros((4, 1, 3, 3)), bias=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="bias"):
+            QConvParams(w=np.zeros((4, 2, 1, 3, 3)), bias=np.zeros((4, 1)))
 
 
 class TestMaxPool:
@@ -414,8 +413,7 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(path, model)
         loaded = load_model(path, config)
-        for a, b in zip(loaded.parameters, model.parameters):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.theta, model.theta)
 
     def test_digest_mismatch(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -444,17 +442,42 @@ class TestSerialization:
         assert struct.unpack("<I", data[4:8]) == (1,)
         assert data[8:40] == config_digest(model.config)
         assert len(data) == 40 + 4 * model.param_count
-        blobs = b"".join(np.asarray(p, dtype="<f4").tobytes() for p in model.parameters)
+        arrays = [p for layer in model.layers if layer.param_count
+                  for p in per_array(layer.params)]
+        assert len(arrays) == 17  # four banks and a bias per qconv, then dense w and b
+        blobs = b"".join(np.asarray(p, dtype="<f4").tobytes() for p in arrays)
         assert data[40:] == blobs
 
-    def test_failed_save_keeps_previous_file(self, tmp_path):
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_layer_arrays_are_views_of_theta(self, tmp_path, name):
+        model = Model(config_from_name(name, 24), rng=np.random.default_rng(39))
+        for flat, container in ((model.theta, "params"), (model.grad, "grads")):
+            base = flat.__array_interface__["data"][0]
+            offset = 0
+            for layer in model.layers:
+                if not layer.param_count:
+                    continue
+                for arr in vars(getattr(layer, container)).values():
+                    assert np.shares_memory(arr, flat)
+                    assert arr.__array_interface__["data"][0] == base + offset * flat.itemsize
+                    offset += arr.size
+            assert offset == flat.size == model.param_count
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        assert path.read_bytes()[40:] == model.theta.astype("<f4").tobytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(38))
         path = tmp_path / "model.bin"
         save_model(path, model)
         before = path.read_bytes()
-        # the last blob cannot be cast to float32, so the save fails midway
-        model.layers[-1].params.b = np.array("not a number", dtype=object)
-        with pytest.raises(ValueError):
+
+        def torn_blob(fh, arr):  # the save fails midway, after the header
+            fh.write(b"\0" * 8)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(layers, "write_blob", torn_blob)
+        with pytest.raises(OSError, match="disk full"):
             save_model(path, model)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quatcnn import train
 from quatcnn.quat import QTensor
 from quatcnn.layers import (
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, IM2COL_BUDGET,
@@ -14,7 +15,7 @@ from quatcnn.train import (
     Adam, bce_with_logits, grad_check, train_model, _minibatch,
     save_checkpoint, load_checkpoint, run_gradient_verification, _tiny_config,
 )
-from testutil import assert_close, layer_fd_check
+from testutil import assert_close, grad_arrays, layer_fd_check
 
 
 class TestGlorot:
@@ -77,16 +78,16 @@ class TestBCE:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = np.array([1.0, -2.0, 3.0])
-        adam = Adam([p])
-        adam.step([np.zeros(3)])
+        adam = Adam(p)
+        adam.step(np.zeros(3))
         assert np.array_equal(p, [1.0, -2.0, 3.0])
         assert adam.t == 1
 
     def test_first_step_magnitude(self):
         for g0 in (0.37, -41.0, 1e-3):
             p = np.zeros(1)
-            adam = Adam([p], lr=1e-3)
-            adam.step([np.array([g0])])
+            adam = Adam(p, lr=1e-3)
+            adam.step(np.array([g0]))
             # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
             assert abs(p[0] + 1e-3 * np.sign(g0)) < 1e-6
 
@@ -95,26 +96,57 @@ class TestAdam:
         steps = []
         for scale in (1.0, 7.3):
             p = np.zeros(4)
-            adam = Adam([p])
-            adam.step([scale * g])
+            adam = Adam(p)
+            adam.step(scale * g)
             steps.append(p.copy())
         assert np.array_equal(np.sign(steps[0]), np.sign(steps[1]))
         assert np.allclose(steps[0], steps[1], rtol=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_adam_expression_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-1, 1, 257).astype(dtype)
+        p, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        adam = Adam(theta, lr=2e-3)
+        for t in range(1, 6):
+            g = rng.normal(0, 1, 257).astype(dtype)
+            adam.step(g)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * np.square(g)
+            p = p - 2e-3 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-7)
+            assert np.array_equal(theta, p) and np.array_equal(adam.m, m)
+            assert np.array_equal(adam.v, v) and theta.dtype == dtype
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="gradient shape"):
+            Adam(np.zeros(3)).step(np.zeros(4))
+
+    def test_step_makes_no_parameter_sized_temporaries(self):
+        model = Model(config_from_name("rvcnn-rgb", 100), rng=np.random.default_rng(6))
+        model.grad[...] = np.random.default_rng(7).normal(0, 1, model.grad.size)
+        adam = Adam(model.theta)
+        adam.step(model.grad)
+        tracemalloc.start()
+        try:
+            adam.step(model.grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.theta.nbytes / 4, f"peak {peak} bytes"
 
     def test_lockstep_models_stay_identical(self):
         rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
         m1 = Model(_tiny_config("quaternion"), rng=rng1, dtype=np.float64)
         m2 = Model(_tiny_config("quaternion"), rng=rng2, dtype=np.float64)
-        a1, a2 = Adam(m1.parameters), Adam(m2.parameters)
+        a1, a2 = Adam(m1.theta), Adam(m2.theta)
         x = np.random.default_rng(4).uniform(-1, 1, (4, 1, 12, 12))
         for _ in range(3):
             for m, a in ((m1, a1), (m2, a2)):
                 m.zero_grads()
                 loss, dlogit = bce_with_logits(m.forward(QTensor(x)), 1)
                 m.backward(dlogit)
-                a.step(m.gradients)
-        for p1, p2 in zip(m1.parameters, m2.parameters):
-            assert np.array_equal(p1, p2)
+                a.step(m.grad)
+        assert np.array_equal(m1.theta, m2.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +282,7 @@ class TestTrainModel:
         model, metrics = train_model(config, data, epochs=0, seed=9)
         assert metrics == []
         reference = Model(config, rng=np.random.default_rng(9))
-        for a, b in zip(model.parameters, reference.parameters):
-            assert np.array_equal(a, b)
+        assert np.array_equal(model.theta, reference.theta)
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(51)
@@ -260,8 +291,7 @@ class TestTrainModel:
         m1, t1 = train_model(config, data, epochs=3, batch_size=4, seed=5)
         m2, t2 = train_model(config, data, epochs=3, batch_size=4, seed=5)
         assert t1 == t2
-        for a, b in zip(m1.parameters, m2.parameters):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.theta, m2.theta)
 
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(52)
@@ -326,20 +356,19 @@ class TestCheckpoint:
         data = tiny_dataset(rng)
         config = _tiny_config("real")
         model, _ = train_model(config, data, epochs=2, batch_size=4, seed=4)
-        adam = Adam(model.parameters, lr=5e-4)
+        adam = Adam(model.theta, lr=5e-4)
         adam.t = 17
-        adam.m = [np.full_like(p, 0.25) for p in model.parameters]
-        adam.v = [np.full_like(p, 0.5) for p in model.parameters]
+        adam.m[...] = 0.25
+        adam.v[...] = 0.5
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, model, adam)
         restored_model, restored_adam = load_checkpoint(path, config)
-        for a, b in zip(restored_model.parameters, model.parameters):
-            assert np.array_equal(a, b)
+        assert np.array_equal(restored_model.theta, model.theta)
         assert restored_adam.t == 17
         assert restored_adam.lr == 5e-4
-        for group_a, group_b in ((restored_adam.m, adam.m), (restored_adam.v, adam.v)):
-            for a, b in zip(group_a, group_b):
-                assert np.array_equal(a, b)
+        assert np.array_equal(restored_adam.m, adam.m)
+        assert np.array_equal(restored_adam.v, adam.v)
+        assert restored_adam.theta is restored_model.theta
 
     def test_model_container_alone_rejected(self, tmp_path):
         rng = np.random.default_rng(57)
@@ -352,7 +381,7 @@ class TestCheckpoint:
 
     def _saved_pair(self, tmp_path):
         model = Model(_tiny_config("real"), rng=np.random.default_rng(58))
-        adam = Adam(model.parameters, lr=5e-4)
+        adam = Adam(model.theta, lr=5e-4)
         adam.t = 3
         save_model(tmp_path / "model.bin", model)
         save_checkpoint(tmp_path / "ckpt.bin", model, adam)
@@ -378,15 +407,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match):
             load_checkpoint(ckpt_path, _tiny_config("real"))
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = Model(_tiny_config("real"), rng=np.random.default_rng(59))
-        adam = Adam(model.parameters)
+        adam = Adam(model.theta)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, model, adam)
         before = path.read_bytes()
         adam.t = 1
-        adam.v[-1] = np.array("not a number", dtype=object)
-        with pytest.raises(ValueError):
+
+        def torn_blob(fh, arr):  # fails midway, after the container and the ADAM header
+            fh.write(b"\0" * 8)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(train, "write_blob", torn_blob)
+        with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, adam)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
@@ -415,7 +449,7 @@ def per_sample_gradients(model, batch):
     for x, label in batch:
         _, dlogit = bce_with_logits(model.forward(x), label)
         model.backward(dlogit / len(batch))
-    return [g.copy() for g in model.gradients]
+    return grad_arrays(model)
 
 
 def per_sample_training(config, dataset, epochs, batch_size, seed, dtype):
@@ -423,7 +457,7 @@ def per_sample_training(config, dataset, epochs, batch_size, seed, dtype):
     running accuracy and mean epoch loss."""
     rng = np.random.default_rng(seed)
     model = Model(config, rng=rng, dtype=dtype)
-    adam = Adam(model.parameters)
+    adam = Adam(model.theta)
     rows = []
     n = len(dataset)
     for _ in range(epochs):
@@ -439,7 +473,7 @@ def per_sample_training(config, dataset, epochs, batch_size, seed, dtype):
                 model.backward(dlogit / len(batch))
                 total_loss += loss
                 correct += int((logit > 0) == (label == 1))
-            adam.step(model.gradients)
+            adam.step(model.grad)
         rows.append((total_loss / n, correct / n))
     return rows
 
@@ -482,9 +516,9 @@ class TestBatchedPath:
             model.forward = lambda xs: sizes.append(len(xs)) or Model.forward(model, xs)
             results = _minibatch(model, batch, chunk)
             del model.forward
-            batched = [g.copy() for g in model.gradients]
+            batched = grad_arrays(model)
             expect = per_sample_gradients(model, batch)
-            for got, want in zip(batched, expect):
+            for got, want in zip(batched, expect, strict=True):
                 assert_close(got, want, tol, f"{name} batch {start // batch_size}")
             assert sum(sizes) == len(batch) and max(sizes) <= chunk
             for (loss, logit), (x, label) in zip(results, batch):
@@ -521,7 +555,7 @@ class TestBatchedPath:
         model.zero_grads()
         model.forward(xs)
         assert model.backward(dlogits) is None
-        skipped = [g.copy() for g in model.gradients]
+        skipped = model.grad.copy()
 
         model.zero_grads()
         model.forward(xs)
@@ -529,8 +563,7 @@ class TestBatchedPath:
         for layer in reversed(model.layers):
             g = layer.backward(g)
         assert g.shape == model._stack(xs).shape
-        for a, b in zip(skipped, model.gradients, strict=True):
-            assert np.array_equal(a, b)
+        assert np.array_equal(skipped, model.grad)
 
     def test_single_sample_forward_is_a_batch_of_one(self):
         rng = np.random.default_rng(75)
@@ -548,10 +581,11 @@ class TestTrainingMemory:
     """tracemalloc sees numpy's buffers, so the peak of one epoch shows
     what a chunk keeps alive. Parameters, gradients and both Adam moments
     take 16 bytes per parameter. At 24x24 a full chunk of 4 samples
-    peaks at 5.2 (rvcnn) and 5.7 (qvcnn) times IM2COL_BUDGET on top of
+    peaks at 6.5 (rvcnn) and 6.2 (qvcnn) times IM2COL_BUDGET on top of
     that: its patches, conv outputs, pooled maps and block kernels, the
-    backward's gradient matrices and the Adam step's temporaries. The
-    bound allows 7 budgets; chunks of 8 need 8.7 and 10.1."""
+    backward's gradient matrices and Adam's two scratch vectors (8 bytes
+    per parameter). The bound allows 7 budgets; chunks of 8 need 10.7
+    and 10.6."""
 
     @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
     def test_epoch_peak_within_chunk_budget(self, name):

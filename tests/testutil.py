@@ -71,6 +71,19 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
+def per_array(container):
+    """The arrays of a layer's ``params`` or ``grads`` container as views,
+    one per weight bank or bias: a (4, F, C, k, k) quaternion bank array
+    gives its four banks."""
+    return [bank for arr in vars(container).values() for bank in (arr if arr.ndim == 5 else [arr])]
+
+
+def grad_arrays(model):
+    """Copies of a model's gradient arrays, per bank, in declaration order."""
+    return [g.copy() for layer in model.layers if layer.param_count
+            for g in per_array(layer.grads)]
+
+
 def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     """Project the layer output with fixed weights and compare analytic
     parameter/input gradients against central finite differences.
@@ -91,8 +104,7 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     layer.forward(x.copy())
     layer.zero_grads()
     gx = layer.backward(proj)
-    params = layer.parameters
-    grads = layer.gradients
+    pairs = zip(per_array(layer.params), per_array(layer.grads)) if layer.param_count else ()
 
     worst = 0.0
 
@@ -105,7 +117,7 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
             return
         worst = max(worst, abs(analytic - fd) / scale)
 
-    for p, g in zip(params, grads):
+    for p, g in pairs:
         flat = p.reshape(-1)
         for idx in rng.choice(flat.size, size=min(n_samples, flat.size), replace=False):
             orig = flat[idx]
@@ -133,7 +145,8 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
 
 def qconv2d_oracle(x, params) -> np.ndarray:
     """Per-pixel quaternion convolution using hamilton() and add() only."""
-    f_out, c_in, k, _ = params.w0.shape
+    w0, w1, w2, w3 = params.w
+    f_out, c_in, k, _ = w0.shape
     _, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
     out = np.zeros((4, f_out, oh, ow))
@@ -148,10 +161,10 @@ def qconv2d_oracle(x, params) -> np.ndarray:
                     for di in range(k):
                         for dj in range(k):
                             wq = Quaternion(
-                                float(params.w0[f, c, di, dj]),
-                                float(params.w1[f, c, di, dj]),
-                                float(params.w2[f, c, di, dj]),
-                                float(params.w3[f, c, di, dj]),
+                                float(w0[f, c, di, dj]),
+                                float(w1[f, c, di, dj]),
+                                float(w2[f, c, di, dj]),
+                                float(w3[f, c, di, dj]),
                             )
                             acc = add(acc, hamilton(wq, x.at(c, i + di, j + dj)))
                 out[:, f, i, j] = acc.components()
@@ -163,8 +176,8 @@ def qconv2d_hamilton_sum_oracle(x, params) -> np.ndarray:
     filter component a and input component b, each added into output
     component e_a * e_b with its sign, both read from _UNIT_TABLE (not
     from the library's sign table)."""
-    banks = (params.w0, params.w1, params.w2, params.w3)
-    f_out, _, k, _ = params.w0.shape
+    banks = params.w
+    f_out, _, k, _ = banks[0].shape
     _, _, h, w = x.data.shape
     out = np.zeros((4, f_out, h - k + 1, w - k + 1))
     for (a, b), (sign, unit) in _UNIT_TABLE.items():
