@@ -15,8 +15,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -377,6 +380,32 @@ def _pool_run(task: tuple[str, float, int]) -> RunResult:
                       _POOL_STATE["plan"], _POOL_STATE["decoded"])
 
 
+# One BLAS thread per pool worker, so that N workers keep N cores busy.
+# BLAS reads these when numpy is imported, which is why the workers are
+# spawned (a forked worker inherits the parent's already-started BLAS).
+_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan):
+    """A pool of ``plan.jobs`` spawned worker processes, each running one
+    BLAS thread and holding the decoded dataset. The workers start with
+    ``_WORKER_BLAS_ENV`` in their environment; this process's
+    ``os.environ`` is restored when the pool closes."""
+    saved = dict(os.environ)
+    os.environ.update(_WORKER_BLAS_ENV)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=plan.jobs, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_pool_init, initargs=(manifest, plan),
+        ) as pool:
+            yield pool
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+
+
 def read_runs_csv(path) -> list[RunResult]:
     """Parse runs.csv (LF or CRLF lines). A final line without its newline
     was torn by an interrupted sweep; it is dropped so its run is redone."""
@@ -414,9 +443,12 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
 
     Completed runs are appended to ``<out_dir>/runs.csv`` immediately,
     so an interrupted sweep resumes where it stopped; keys already in
-    the file are skipped. When ``plan.jobs`` > 1 runs execute in worker
-    processes (each loads the dataset once); all writes stay in this
-    process. Finishes by re-emitting the canonical, sorted report.
+    the file are skipped. When ``plan.jobs`` > 1 runs execute in spawned
+    worker processes with one BLAS thread each (each loads the dataset
+    once); all writes stay in this process. Spawned workers import the
+    calling script's main module, so a script that calls this with
+    ``jobs`` > 1 keeps its top-level code under ``if __name__ ==
+    "__main__":``. Finishes by re-emitting the canonical, sorted report.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -442,10 +474,7 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
             )
 
         if tasks and plan.jobs > 1:
-            with ProcessPoolExecutor(
-                max_workers=plan.jobs, initializer=_pool_init,
-                initargs=(manifest, plan),
-            ) as pool:
+            with _worker_pool(manifest, plan) as pool:
                 futures = [pool.submit(_pool_run, t) for t in tasks]
                 for fut in as_completed(futures):
                     record(fut.result())

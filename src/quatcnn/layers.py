@@ -18,16 +18,25 @@ list of samples; on a single sample it returns that sample's float logit.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
-GEMM per batch. The quaternion convolution runs on the same core as one
+GEMM per batch. The input gradient is the transposed GEMM on the output
+gradient zero-padded to the input width, scattered back with one
+contiguous add per tap over the flat (P, N, H*W) planes; the taps that
+wrap past a row's end fall on the pad columns and add exact zeros.
+The quaternion convolution runs on the same core as one
 real GEMM over the 4C stacked component planes, with the (4F, 4C, k, k)
 block kernel gathered from the banks through 4x4 bank and sign tables
 derived from the Hamilton sign pattern in ``_QCONV_TERMS``, once per
 batch; its weight gradient folds back into the banks through the
-inverse tables, once per batch. Max pooling takes the maximum of the
-window's strided slices, uses a (2, 2) window with stride 2 and drops
-trailing odd rows/columns, which is what makes a 100x100 input
-flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
-exactly 12,800 values in both architectures.
+inverse tables, once per batch.
+
+Max pooling takes the maximum of the window's strided slices, uses a
+(2, 2) window with stride 2 and drops trailing odd rows/columns, which
+is what makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 ->
+10 and feed the dense layer exactly 12,800 values in both
+architectures. Its backward routes each window's gradient to the
+window's first maximum in row-major order, one pass over the window
+offsets; where windows do not overlap, each offset writes its share
+straight into its strided view of the input gradient.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix fits in
@@ -158,18 +167,6 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
         x, shape=(c, k, k, n, oh, ow), strides=(s0, s2, s3, s1, s2, s3)
     )
     return windows.reshape(c * k * k, n * oh * ow)
-
-
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int) -> np.ndarray:
-    """Scatter-add the inverse of _im2col back onto a (C, N, H, W) array."""
-    c, n, h, w = shape
-    oh, ow = h - k + 1, w - k + 1
-    out = np.zeros(shape, dtype=cols.dtype)
-    patches = cols.reshape(c, k, k, n, oh, ow)
-    for di in range(k):
-        for dj in range(k):
-            out[..., di:di + oh, dj:dj + ow] += patches[:, di, dj]
-    return out
 
 
 def _check_conv_input(x_shape, w_shape):
@@ -384,8 +381,23 @@ class _Correlation(_WeightedLayer):
         self._fold((gmat @ cols.T).reshape(w.shape), gmat.sum(axis=1))
         if not input_grad:
             return None
-        planes = (w.shape[1], *x_shape[-3:])
-        return _col2im(w.reshape(f, -1).T @ gmat, planes, k).reshape(x_shape)
+        # With g zero-padded to the input width W, tap (di, dj) of flat
+        # output position t lands on flat input position t + di*W + dj. The
+        # taps that wrap past a row's end come from pad columns and add
+        # exact zeros, so each input element gets the nonzero terms of a
+        # per-tap strided scatter in the same (di, dj) order.
+        n, h, wd = x_shape[-3:]
+        oh, ow = h - k + 1, wd - k + 1
+        gpad = np.zeros((f, n, oh, wd), dtype=g.dtype)
+        gpad[..., :ow] = g.reshape(f, n, oh, ow)
+        taps = (w.reshape(f, -1).T @ gpad.reshape(f, -1)).reshape(-1, k, k, n, oh * wd)
+        gx = np.zeros((taps.shape[0], n, h * wd), dtype=taps.dtype)
+        for di in range(k):
+            for dj in range(k):
+                start = di * wd + dj
+                span = min(oh * wd, h * wd - start)
+                gx[..., start:start + span] += taps[:, di, dj, :, :span]
+        return gx.reshape(x_shape)
 
 
 class Conv2d(_Correlation):
@@ -442,20 +454,34 @@ class MaxPool2d(Layer):
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """Route each window's gradient to its first maximum in row-major
-        order; windows that overlap add their shares."""
+        order; windows that overlap add their shares.
+
+        ``free`` marks the windows whose maximum is still unclaimed. A
+        window's maximum is one of its elements, so at the last offset
+        every free window hits. Windows that do not overlap own disjoint
+        input elements, and each offset writes its routed gradient
+        straight into its strided view of ``gx``."""
         if not input_grad:
             return None
         x, out = self._cache
         gx = np.zeros(x.shape, dtype=g.dtype)
+        views = _pool_views(x, self.window, self.stride)
+        gviews = _pool_views(gx, self.window, self.stride)
         free = np.ones(out.shape, dtype=bool)
         hit = np.empty(out.shape, dtype=bool)
-        share = np.empty(out.shape, dtype=g.dtype)
-        for view, gview in zip(_pool_views(x, self.window, self.stride),
-                               _pool_views(gx, self.window, self.stride)):
-            np.equal(view, out, out=hit)
-            hit &= free
-            free ^= hit
-            gview += np.multiply(g, hit, out=share)
+        share = np.empty(out.shape, dtype=g.dtype) if self.stride < self.window else None
+        for d, (view, gview) in enumerate(zip(views, gviews)):
+            if d == len(views) - 1:
+                hit = free
+            else:
+                np.equal(view, out, out=hit)
+                if d:
+                    hit &= free
+                free ^= hit
+            if share is None:
+                np.multiply(g, hit, out=gview)
+            else:
+                gview += np.multiply(g, hit, out=share)
         return gx
 
 

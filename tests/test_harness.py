@@ -16,7 +16,7 @@ from quatcnn.harness import (
 )
 from quatcnn.layers import config_from_name, rvcnn_config
 from quatcnn.quat import QTensor
-from quatcnn import cli
+from quatcnn import cli, harness
 
 
 def make_fixture_dir(tmp_path, n=8, size=24, seed=0):
@@ -518,6 +518,34 @@ class TestRunExperiment:
         (out / "runs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="malformed row"):
             run_experiment(smoke_plan(), man, out, log=lambda *_: None)
+
+
+class TestWorkerPool:
+    """The pool ``run_experiment`` uses for ``jobs`` > 1."""
+
+    _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_workers_see_one_blas_thread(self, tmp_path, monkeypatch):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with harness._worker_pool(man, smoke_plan(jobs=2)) as pool:
+            futures = [pool.submit(os.getenv, name) for name in self._BLAS_VARS]
+            seen = [fut.result(timeout=120) for fut in futures]
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
+
+    def test_environment_restored_when_the_block_raises(self, tmp_path, monkeypatch):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        before = dict(os.environ)
+        with pytest.raises(_Interrupt):
+            with harness._worker_pool(man, smoke_plan(jobs=2)):
+                assert os.environ["OMP_NUM_THREADS"] == "1"
+                raise _Interrupt
+        assert dict(os.environ) == before
 
 
 class TestSyntheticData:

@@ -15,7 +15,8 @@ from quatcnn.layers import (
 )
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
-    qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array,
+    qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
+    conv_input_grad_oracle, qconv_input_grad_oracle,
 )
 
 
@@ -110,6 +111,62 @@ class TestBatchedLayersPerSample:
             Conv2d(2, 3).forward(np.zeros((2, 6, 6)))
         with pytest.raises(ValueError, match="5-d batch"):
             QConv2d(2, 3).forward(np.zeros((4, 2, 6, 6)))
+
+
+def _random_correlation(kind, c, f, k, dtype, rng):
+    """A Conv2d or QConv2d with uniform random weights and bias, and the
+    leading axes of its input batch."""
+    if kind == "conv":
+        layer, lead = Conv2d(c, f, k, dtype=dtype), (c,)
+    else:
+        layer, lead = QConv2d(c, f, k, dtype=dtype), (4, c)
+    layer.theta[...] = rng.uniform(-1, 1, layer.theta.size)
+    return layer, lead
+
+
+class TestConvInputGradient:
+    """The input gradient of Conv2d and QConv2d: against a per-tap oracle,
+    and bit for bit against the transposed GEMM scattered by the
+    nine-strided-add ``col2im_oracle``."""
+
+    # (C, F, H, W, k, N); channels are quaternion channels for qconv
+    @pytest.mark.parametrize("c,f,h,w,k,n", [
+        (2, 3, 7, 6, 3, 1), (2, 3, 7, 6, 3, 4), (3, 2, 9, 11, 1, 4),
+        (2, 2, 9, 11, 3, 1), (2, 2, 9, 11, 5, 4), (1, 2, 5, 5, 5, 1),
+    ])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("kind", ["conv", "qconv"])
+    def test_matches_per_tap_oracle(self, kind, dtype, tol, c, f, h, w, k, n):
+        rng = np.random.default_rng(41)
+        layer, lead = _random_correlation(kind, c, f, k, dtype, rng)
+        x = rng.uniform(-1, 1, (*lead, n, h, w)).astype(dtype)
+        g = rng.uniform(-1, 1, layer.forward(x).shape).astype(dtype)
+        gx = layer.backward(g)
+        oracle = conv_input_grad_oracle if kind == "conv" else qconv_input_grad_oracle
+        assert gx.shape == x.shape and gx.dtype == dtype
+        assert norm_rel_err(gx, oracle(g, layer.params.w, (h, w))) < tol
+
+    # the conv2 and conv3 planes of both architectures at 100x100, then
+    # k = 1, 3, 5 on a 9x11 plane; N = 1 and 4
+    @pytest.mark.parametrize("kind,c,f,h,w,k,n", [
+        ("conv", 32, 64, 49, 49, 3, 1), ("conv", 32, 64, 49, 49, 3, 4),
+        ("conv", 64, 128, 23, 23, 3, 1), ("conv", 64, 128, 23, 23, 3, 4),
+        ("qconv", 8, 16, 49, 49, 3, 1), ("qconv", 8, 16, 49, 49, 3, 4),
+        ("qconv", 16, 32, 23, 23, 3, 1), ("qconv", 16, 32, 23, 23, 3, 4),
+        ("conv", 4, 6, 9, 11, 1, 4), ("conv", 4, 6, 9, 11, 3, 1),
+        ("conv", 4, 6, 9, 11, 5, 4), ("qconv", 2, 3, 9, 11, 1, 1),
+        ("qconv", 2, 3, 9, 11, 3, 4), ("qconv", 2, 3, 9, 11, 5, 1),
+    ])
+    def test_bit_identical_to_col2im_form(self, kind, c, f, h, w, k, n):
+        rng = np.random.default_rng(42)
+        layer, lead = _random_correlation(kind, c, f, k, np.float32, rng)
+        x = rng.uniform(-1, 1, (*lead, n, h, w)).astype(np.float32)
+        g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
+        gx = layer.backward(g)
+        kernel = layer.params.w if kind == "conv" else as_block_conv(layer.params).w
+        planes, gmat = kernel.reshape(kernel.shape[0], -1), g.reshape(kernel.shape[0], -1)
+        expect = col2im_oracle(planes.T @ gmat, (kernel.shape[1], n, h, w), k)
+        assert np.array_equal(gx, expect.reshape(x.shape))
 
 
 class TestChunkSize:
@@ -251,32 +308,51 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="pool window"):
             MaxPool2d().forward(np.zeros((1, 1, 4)))
 
-    # (shape, window, stride): odd sizes drop their trailing row/column;
-    # window 3/stride 2 and window 2/stride 1 overlap; the last is a
-    # (4, C, H, W) quaternion input
+    # (shape, window, stride): odd sizes drop their trailing row/column,
+    # among them the 47x47 and 21x21 planes of the 100x100 chain; window
+    # 3/stride 2 and window 2/stride 1 overlap; window 2/stride 3 leaves
+    # gaps; (4, 3, 10, 9) is a (4, C, H, W) quaternion input
     @pytest.mark.parametrize("shape,window,stride", [
         ((3, 7, 7), 2, 2), ((2, 49, 49), 2, 2), ((2, 9, 11), 3, 2),
-        ((2, 8, 7), 2, 1), ((4, 3, 10, 9), 2, 2),
+        ((2, 8, 7), 2, 1), ((4, 3, 10, 9), 2, 2), ((2, 47, 47), 2, 2),
+        ((3, 21, 21), 2, 2), ((2, 10, 11), 2, 3),
     ])
-    @pytest.mark.parametrize("values", ["uniform", "three-levels", "all-tie"])
+    @pytest.mark.parametrize("values", ["uniform", "three-levels", "all-tie", "last-max"])
     def test_layer_matches_argmax_oracle(self, shape, window, stride, values):
         rng = np.random.default_rng(36)
         if values == "uniform":
             x = rng.uniform(-1, 1, shape)
         elif values == "three-levels":
             x = rng.integers(0, 3, shape).astype(np.float64)
-        else:
+        elif values == "all-tie":
             x = np.full(shape, 0.5)
+        else:
+            # where windows do not overlap, each one's only maximum sits at
+            # its last (row-major) offset
+            x = rng.uniform(-1, 0, shape)
+            x[..., window - 1::stride, window - 1::stride] = rng.uniform(1, 2)
         layer = MaxPool2d(window, stride)
         out = layer.forward(x)
         g = rng.uniform(-1, 1, out.shape)
         expect_out, expect_gx = maxpool_oracle(x, g, window, stride)
         assert np.array_equal(out, expect_out)
         gx = layer.backward(g)
-        if window == stride:
+        if stride >= window:
             assert np.array_equal(gx, expect_gx)
         else:
             assert_close(gx, expect_gx, 1e-12, "overlapping windows")
+        # inputs no window covers (gaps, dropped trailing rows and
+        # columns) get exactly 0
+        oh, ow = out.shape[-2:]
+        covered = np.zeros(shape[-2:], dtype=bool)
+        for i in range(oh):
+            for j in range(ow):
+                covered[i * stride:i * stride + window, j * stride:j * stride + window] = True
+        assert np.all(gx[..., ~covered] == 0)
+        if stride >= window and values in ("all-tie", "last-max"):
+            # ties route to offset 0; a lone maximum at the last offset gets it all
+            d = 0 if values == "all-tie" else window - 1
+            assert np.array_equal(gx[..., d:d + stride * oh:stride, d:d + stride * ow:stride], g)
 
 
 class TestReLU:

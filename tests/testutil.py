@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the library's code paths: the
 Hamilton oracle multiplies via the basis table derived from
 i^2 = j^2 = k^2 = ijk = -1, the convolution oracles are plain
-python loops over output pixels, taps, and channels, and the pooling
-oracle picks each window's maximum by argmax and scatters gradients
-with np.add.at.
+python loops over output pixels, taps, and channels, the convolution
+input-gradient oracles scatter one tap at a time without a patch
+matrix, and the pooling oracle picks each window's maximum by argmax
+and scatters gradients with np.add.at. ``col2im_oracle`` is the
+nine-strided-add scatter the library used before its row-shifted form,
+kept to pin that form bit for bit.
 """
 
 import numpy as np
@@ -69,6 +72,49 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
                             acc += float(w[f, c, di, dj]) * float(x[c, i + di, j + dj])
                 out[f, i, j] = acc
     return out
+
+
+def col2im_oracle(cols: np.ndarray, shape, k: int) -> np.ndarray:
+    """Scatter-add a (C*k*k, N*OH*OW) patch-gradient matrix back onto a
+    (C, N, H, W) array: one strided add per tap (di, dj), in row-major
+    tap order."""
+    c, n, h, w = shape
+    oh, ow = h - k + 1, w - k + 1
+    out = np.zeros(shape, dtype=cols.dtype)
+    patches = cols.reshape(c, k, k, n, oh, ow)
+    for di in range(k):
+        for dj in range(k):
+            out[..., di:di + oh, dj:dj + ow] += patches[:, di, dj]
+    return out
+
+
+def conv_input_grad_oracle(g: np.ndarray, w: np.ndarray, in_hw) -> np.ndarray:
+    """Input gradient of a valid correlation, one tap at a time: output
+    gradient (F, N, OH, OW) and kernel (F, C, k, k) give (C, N, H, W),
+    where tap (di, dj) adds sum_f w[f, :, di, dj] * g[f] at offset
+    (di, dj). Accumulates in float64."""
+    f, c, k, _ = w.shape
+    _, n, oh, ow = g.shape
+    gx = np.zeros((c, n, *in_hw))
+    g64 = g.astype(np.float64)
+    for di in range(k):
+        for dj in range(k):
+            gx[..., di:di + oh, dj:dj + ow] += np.einsum(
+                "fc,fnij->cnij", w[:, :, di, dj].astype(np.float64), g64)
+    return gx
+
+
+def qconv_input_grad_oracle(g: np.ndarray, banks: np.ndarray, in_hw) -> np.ndarray:
+    """Input gradient of the quaternion correlation: output component
+    e_a * e_b gets sign * correlate(x[b], W[a]) (signs and units from
+    _UNIT_TABLE), so x[b] gets sign times the real input gradient of
+    bank a under that component's output gradient. ``g`` is
+    (4, F, N, OH, OW), ``banks`` (4, F, C, k, k); returns (4, C, N, H, W)."""
+    _, _, c, _, _ = banks.shape
+    gx = np.zeros((4, c, g.shape[2], *in_hw))
+    for (a, b), (sign, unit) in _UNIT_TABLE.items():
+        gx[b] += sign * conv_input_grad_oracle(g[unit], banks[a], in_hw)
+    return gx
 
 
 def per_array(container):
