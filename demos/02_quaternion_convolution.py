@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """The quaternion convolution and its two equivalent formulations.
 
-A quaternion filter bank holds four real kernel banks W0..W3, stored
-as one (4, F, C, k, k) array. At every tap of a valid cross-correlation
+A quaternion feature map of C channels is a plain (4, C, H, W) array,
+one real plane per component. A quaternion filter bank holds four real
+kernel banks W0..W3, stored as one (4, F, C, k, k) array. At every tap of a valid cross-correlation
 the layer multiplies filter and input quaternions with the Hamilton
 product and sums. The layer computes the
 same map as one real convolution over the four stacked component planes
@@ -12,21 +13,21 @@ are shown here against a literal per-pixel loop.
 
 import numpy as np
 
-from quatcnn import QTensor, Quaternion, add, hamilton, qconv2d_forward, as_block_conv
+from quatcnn import Quaternion, add, hamilton, qconv2d_forward, as_block_conv
 from quatcnn.layers import QConvParams, conv2d_forward
 
 rng = np.random.default_rng(3)
 channels, filters, k = 2, 3, 3
 height = width = 6
 
-x = QTensor(rng.uniform(-1, 1, (4, channels, height, width)))
+x = rng.uniform(-1, 1, (4, channels, height, width))
 mk = lambda: rng.uniform(-1, 1, (filters, channels, k, k))
 params = QConvParams(w=np.stack([mk() for _ in range(4)]),
                      bias=rng.uniform(-1, 1, (4, filters)))
 
 out = qconv2d_forward(x, params)
-print("input  (C, H, W):", x.shape)
-print("output (F, OH, OW):", out.shape)
+print("input  (4, C, H, W):", x.shape)
+print("output (4, F, OH, OW):", out.shape)
 
 # route 1: the definition, written as loops
 oh = ow = height - k + 1
@@ -40,16 +41,17 @@ for f in range(filters):
                     for dj in range(k):
                         w_q = Quaternion(*(float(bank[f, c, di, dj])
                                            for bank in params.w))
-                        acc = add(acc, hamilton(w_q, x.at(c, i + di, j + dj)))
+                        x_q = Quaternion(*x[:, c, i + di, j + dj])
+                        acc = add(acc, hamilton(w_q, x_q))
             loop[:, f, i, j] = acc.components()
-print("max |layer - per-pixel loop| =", np.max(np.abs(out.data - loop)))
+print("max |layer - per-pixel loop| =", np.max(np.abs(out - loop)))
 
 # route 2: one real convolution of the stacked planes
 block = as_block_conv(params)
 print("block kernel shape:", block.w.shape, " (4F, 4C, k, k)")
-stacked = conv2d_forward(x.data.reshape(4 * channels, height, width), block)
+stacked = conv2d_forward(x.reshape(4 * channels, height, width), block)
 print("max |layer - block conv|     =",
-      np.max(np.abs(out.data.reshape(stacked.shape) - stacked)))
+      np.max(np.abs(out.reshape(stacked.shape) - stacked)))
 
 # the sign pattern of the first block row, which is the Hamilton table
 # read along the real output component: (+, -, -, -)

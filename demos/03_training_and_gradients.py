@@ -5,7 +5,9 @@ Every layer ships a hand-written backward pass, so before trusting any
 training curve we compare analytic gradients of tiny end-to-end models
 against central finite differences in double precision. Then both
 architectures overfit a 20-image synthetic set to show the whole
-pipeline (encode, forward, backward, Adam) closing the loop.
+pipeline (encode, forward, backward, Adam) closing the loop. The set is
+one ``Samples``: every encoded image in a single batch array, with the
+sample axis third from last, and a label vector.
 """
 
 import tempfile
@@ -13,7 +15,7 @@ from pathlib import Path
 
 from quatcnn import qvcnn_config, rvcnn_config, train_model
 from quatcnn.harness import generate_synthetic_dataset, load_manifest, \
-    load_decoded_images, encode_input
+    load_decoded_images, encode_samples
 from quatcnn.train import run_gradient_verification
 
 print("== finite-difference gradient checks (double precision, h = 1e-6) ==")
@@ -29,7 +31,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     for maker in (qvcnn_config, rvcnn_config):
         config = maker("rgb", input_size=24)
-        samples = [(encode_input(config, s.image), s.label) for s in decoded.values()]
+        samples = encode_samples(config, list(decoded.values()))
         model, metrics = train_model(config, samples, epochs=20, batch_size=16, seed=0)
         trace = " ".join(f"{m.train_acc:.2f}" for m in metrics[:12])
         print(f"{config.name}: train accuracy per epoch: {trace} ...")

@@ -8,7 +8,6 @@ white-blood-cell classification task.
 
 from .quat import (
     Quaternion,
-    QTensor,
     add,
     hamilton,
     conjugate,
@@ -36,6 +35,7 @@ from .layers import (
     load_model,
 )
 from .train import (
+    Samples,
     bce_with_logits,
     Adam,
     grad_check,
@@ -65,6 +65,7 @@ from .harness import (
     AggregateStats,
     derive_seed,
     encode_input,
+    encode_samples,
     evaluate,
     load_decoded_images,
     build_run_inputs,

@@ -1,7 +1,8 @@
 """Image ingestion and the four network input constructions.
 
-Real models consume channel-concatenated RGB or HSV tensors; quaternion
-models consume one of two single-channel quaternion encodings:
+Real models consume channel-concatenated RGB or HSV arrays of shape
+(3, H, W); quaternion models consume one of two single-channel
+quaternion encodings, each a (4, 1, H, W) array of component planes:
 
 * rgb: q = 0 + R i + G j + B k (real plane identically zero)
 * hsv: q = S cos(H) + S sin(H) i + V cos(H) j + V sin(H) k
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .quat import QTensor
 
 __all__ = [
     "LabeledSample",
@@ -96,24 +95,26 @@ def rgb_to_hsv(img: np.ndarray) -> np.ndarray:
     return np.stack([h, s, v], axis=2)
 
 
-def encode_rgb_quaternion(img: np.ndarray, dtype=np.float64) -> QTensor:
-    """Pure-imaginary encoding: planes (0, R, G, B), one quaternion channel."""
+def encode_rgb_quaternion(img: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Pure-imaginary encoding: (4, 1, H, W) planes (0, R, G, B), one
+    quaternion channel."""
     img = _check_rgb(img)
     h, w = img.shape[:2]
     data = np.zeros((4, 1, h, w), dtype=dtype)
     data[1, 0] = img[..., 0]
     data[2, 0] = img[..., 1]
     data[3, 0] = img[..., 2]
-    return QTensor(data)
+    return data
 
 
-def encode_hsv_quaternion(img: np.ndarray, dtype=np.float64) -> QTensor:
-    """Hue-angle encoding: planes (S cosH, S sinH, V cosH, V sinH)."""
+def encode_hsv_quaternion(img: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Hue-angle encoding: (4, 1, H, W) planes (S cosH, S sinH, V cosH,
+    V sinH), one quaternion channel."""
     img = _check_hsv(img)
     h, s, v = img[..., 0], img[..., 1], img[..., 2]
     cos_h, sin_h = np.cos(h), np.sin(h)
     data = np.stack([s * cos_h, s * sin_h, v * cos_h, v * sin_h])
-    return QTensor(data[:, None, :, :].astype(dtype))
+    return data[:, None, :, :].astype(dtype)
 
 
 def concat_channels(img: np.ndarray, dtype=np.float64) -> np.ndarray:

@@ -30,7 +30,7 @@ from .encoding import LabeledSample, augment_flips, load_image, resize
 from .layers import (
     CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
 )
-from .train import train_model
+from .train import Samples, train_model
 
 __all__ = [
     "ManifestEntry",
@@ -42,6 +42,7 @@ __all__ = [
     "AggregateStats",
     "derive_seed",
     "encode_input",
+    "encode_samples",
     "evaluate",
     "load_decoded_images",
     "build_run_inputs",
@@ -265,19 +266,19 @@ def encode_input(config: ModelConfig, image: np.ndarray, dtype=np.float32):
     return encoding.concat_channels(image, dtype=dtype)
 
 
-def evaluate(model, samples) -> float:
+def evaluate(model, samples: Samples) -> float:
     """Fraction of samples whose sign-thresholded logit matches the label.
     Forward passes run in chunks of ``chunk_size(model.config, n)``."""
-    samples = list(samples)
-    if not samples:
+    n = len(samples)
+    if not n:
         raise ValueError("cannot evaluate on an empty sample set")
-    chunk = chunk_size(model.config, len(samples))
+    chunk = chunk_size(model.config, n)
     correct = 0
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        logits = model.forward([x for x, _ in part])
-        correct += sum(int((z > 0) == (label == 1)) for z, (_, label) in zip(logits, part))
-    return correct / len(samples)
+    for lo in range(0, n, chunk):
+        part = np.arange(lo, min(lo + chunk, n))
+        logits = model.forward(samples.x.take(part, axis=-3))
+        correct += int(np.count_nonzero((logits > 0) == (samples.y[part] == 1)))
+    return correct / n
 
 
 def load_decoded_images(manifest: DatasetManifest, input_size: int) -> dict[str, LabeledSample]:
@@ -289,6 +290,17 @@ def load_decoded_images(manifest: DatasetManifest, input_size: int) -> dict[str,
     return decoded
 
 
+def encode_samples(config: ModelConfig, samples: list[LabeledSample]) -> Samples:
+    """Encode images into one preallocated float32 batch array, each into
+    its slot along the sample axis, with their labels."""
+    lead = (4,) if config.arithmetic == "quaternion" else ()
+    size = config.input_size
+    x = np.empty((*lead, config.in_channels, len(samples), size, size), dtype=np.float32)
+    for i, s in enumerate(samples):
+        x[..., i, :, :] = encode_input(config, s.image)
+    return Samples(x, [s.label for s in samples])
+
+
 def build_run_inputs(config: ModelConfig, decoded: dict[str, LabeledSample],
                      train_ids, test_ids, augment: bool = True):
     """Prepare encoded inputs for one run.
@@ -296,7 +308,7 @@ def build_run_inputs(config: ModelConfig, decoded: dict[str, LabeledSample],
     Augmentation happens here, strictly after the split and only on the
     training side, so no flipped variant of a test image can leak into
     training. Returns (train samples with source ids, encoded train
-    pairs, encoded test pairs).
+    ``Samples``, encoded test ``Samples``).
     """
     train_samples: list[LabeledSample] = []
     for sid in train_ids:
@@ -304,14 +316,9 @@ def build_run_inputs(config: ModelConfig, decoded: dict[str, LabeledSample],
             train_samples.extend(augment_flips(decoded[sid]))
         else:
             train_samples.append(decoded[sid])
-    train_inputs = [
-        (encode_input(config, s.image), s.label) for s in train_samples
-    ]
-    test_inputs = [
-        (encode_input(config, decoded[sid].image), decoded[sid].label)
-        for sid in test_ids
-    ]
-    return train_samples, train_inputs, test_inputs
+    test_samples = [decoded[sid] for sid in test_ids]
+    return (train_samples, encode_samples(config, train_samples),
+            encode_samples(config, test_samples))
 
 
 def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
@@ -392,7 +399,9 @@ def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan):
     """A pool of ``plan.jobs`` spawned worker processes, each running one
     BLAS thread and holding the decoded dataset. The workers start with
     ``_WORKER_BLAS_ENV`` in their environment; this process's
-    ``os.environ`` is restored when the pool closes."""
+    ``os.environ`` is restored when the pool closes. If the block raises,
+    the runs not yet started are cancelled, so the error reaches the
+    caller once the running ones end."""
     saved = dict(os.environ)
     os.environ.update(_WORKER_BLAS_ENV)
     try:
@@ -400,7 +409,11 @@ def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan):
             max_workers=plan.jobs, mp_context=multiprocessing.get_context("spawn"),
             initializer=_pool_init, initargs=(manifest, plan),
         ) as pool:
-            yield pool
+            try:
+                yield pool
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     finally:
         os.environ.clear()
         os.environ.update(saved)

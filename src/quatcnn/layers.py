@@ -13,8 +13,9 @@ just before the spatial axes: a real batch is (C, N, H, W) and a
 quaternion batch (4, C, N, H, W). In this channel-major layout the
 im2col copy of a batch and the GEMM output need no transposes, and a
 batch of one costs what a single sample does. ``Flatten`` makes one
-(N, D) copy and ``Dense`` returns (N,) logits. ``Model.forward`` takes a
-list of samples; on a single sample it returns that sample's float logit.
+(N, D) copy and ``Dense`` returns (N,) logits. ``Model.forward`` takes
+one such batch array, as ``train.Samples`` holds a whole split, and
+returns its (N,) logits.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
@@ -63,8 +64,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .quat import QTensor
 
 __all__ = [
     "ConvParams",
@@ -260,14 +259,17 @@ def as_block_conv(params: QConvParams) -> ConvParams:
     return ConvParams(w=_block_kernel(params.w), bias=params.bias.reshape(-1).copy())
 
 
-def qconv2d_forward(x: QTensor, params: QConvParams) -> QTensor:
+def qconv2d_forward(x: np.ndarray, params: QConvParams) -> np.ndarray:
     """Quaternion convolution: Hamilton product of filter and input at
     every tap of a valid cross-correlation, plus the quaternion bias.
+    (4, C, H, W) component planes -> (4, F, H-k+1, W-k+1).
     """
-    _check_conv_input(x.shape, params.w.shape[1:])
+    if x.ndim != 4 or x.shape[0] != 4:
+        raise ValueError(f"quaternion input must have shape (4, C, H, W), got {x.shape}")
+    _check_conv_input(x.shape[1:], params.w.shape[1:])
     block = as_block_conv(params)
-    out = _correlate(x.data[:, :, None], block.w, block.bias)[0][:, 0]
-    return QTensor(out.reshape(4, -1, *out.shape[1:]))
+    out = _correlate(x[:, :, None], block.w, block.bias)[0][:, 0]
+    return out.reshape(4, -1, *out.shape[1:])
 
 
 def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
@@ -349,9 +351,11 @@ class _WeightedLayer(Layer):
 class _Correlation(_WeightedLayer):
     """Shared forward and backward of Conv2d and QConv2d: one im2col and
     one GEMM over the batch's stacked planes with the kernel from
-    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grads``."""
+    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grads``.
+    ``lead`` is the shape of the axes before (C, N, H, W): none for a real
+    batch, the four quaternion components for a quaternion one."""
 
-    batch_ndim = 4
+    lead = ()
 
     def __init__(self, params_type, bank_shape, in_channels: int, out_channels: int,
                  kernel_size: int, dtype):
@@ -364,9 +368,11 @@ class _Correlation(_WeightedLayer):
                          fan_out=out_channels * kernel_size ** 2, dtype=dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != self.batch_ndim:
+        ndim = len(self.lead) + 4
+        if x.ndim != ndim or x.shape[:-4] != self.lead:
+            layout = ", ".join([*map(str, self.lead), "C", "N", "H", "W"])
             raise ValueError(
-                f"{type(self).__name__} expects a {self.batch_ndim}-d batch, got {x.shape}"
+                f"{type(self).__name__} expects a {ndim}-d ({layout}) batch, got {x.shape}"
             )
         _check_conv_input(x.shape[-4:], self.params.w.shape[-4:])
         w, bias = self._kernel()
@@ -421,7 +427,7 @@ class QConv2d(_Correlation):
     one (4, F, C, k, k) view; Glorot is component-wise, with fans counted
     in quaternion channels."""
 
-    batch_ndim = 5
+    lead = (4,)
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
@@ -731,9 +737,8 @@ class Model:
     declaration order; each weighted layer's arrays are views of its
     slice. Forward keeps per-layer caches so one backward sweep
     accumulates the exact reverse-mode gradients into ``grad``, summed
-    over the batch. Quaternion models take QTensor samples and carry them
-    through the stack as one (4, C, N, H, W) batch; real models take
-    (C, H, W) arrays and carry a (C, N, H, W) batch.
+    over the batch. A real model takes a (C, N, H, W) batch array and a
+    quaternion model a (4, C, N, H, W) one.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
@@ -758,42 +763,25 @@ class Model:
         for layer in self.layers:
             layer.initialize(rng)
 
-    def _unwrap(self, x) -> np.ndarray:
-        if self.config.arithmetic == "quaternion":
-            if not isinstance(x, QTensor):
-                raise TypeError("quaternion model expects a QTensor input")
-            data = x.data
-        else:
-            data = np.asarray(x)
-            if data.ndim != 3:
-                raise ValueError(f"real model expects (C, H, W) input, got {data.shape}")
-        spatial = data.shape[-2:]
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """(N,) logits of a batch whose sample axis is third from last.
+        The first layer checks the batch's layout; a convolution, as in
+        every reference config, only reads ``x``."""
+        spatial = x.shape[-2:]
         if spatial != (self.config.input_size, self.config.input_size):
             raise ValueError(
                 f"input spatial size {spatial} does not match configured "
                 f"{self.config.input_size}"
             )
-        return data.astype(self.dtype, copy=False)
-
-    def _stack(self, xs) -> np.ndarray:
-        """Samples -> a new batch array with the sample axis third from
-        last, which the layers may overwrite."""
-        return np.stack([self._unwrap(x) for x in xs], axis=-3)
-
-    def forward(self, x):
-        """Logits of a list of samples as an (N,) array. A single sample
-        (not in a list) runs as a batch of one and gives a float."""
-        if not isinstance(x, list):
-            return float(self.forward([x])[0])
-        h = self._stack(x)
+        h = x.astype(self.dtype, copy=False)
         for layer in self.layers:
             h = layer.forward(h)
         return h
 
     def backward(self, dlogits) -> None:
         """Accumulate the parameter gradients of the last forward, given
-        dloss/dlogit per sample (a float for a single sample). The first
-        layer's input gradient is not computed: no caller needs it."""
+        dloss/dlogit per sample. The first layer's input gradient is not
+        computed: no caller needs it."""
         g = np.asarray(dlogits, dtype=self.dtype).reshape(-1)
         for layer in self.layers[:0:-1]:
             g = layer.backward(g)

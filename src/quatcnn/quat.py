@@ -1,10 +1,12 @@
-"""Quaternion scalars and four-plane quaternion tensors.
+"""Quaternion scalars: the algebra the layers are checked against.
 
 A quaternion q = q0 + q1*i + q2*j + q3*k is stored as four real
-components. Feature maps carry one real plane per component, so a
-quaternion-valued image of C channels lives in an array of shape
-(4, C, H, W). All layer arithmetic downstream reduces to real
-operations over these planes.
+components. Feature maps are plain arrays with one real plane per
+component, component axis first: a quaternion-valued image of C
+channels is a (4, C, H, W) array, and a batch of N of them a
+(4, C, N, H, W) array. All layer arithmetic downstream reduces to real
+operations over these planes; the scalar ``Quaternion`` and
+``hamilton`` here are the reference they mirror.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Quaternion",
-    "QTensor",
     "add",
     "hamilton",
     "conjugate",
@@ -105,77 +104,3 @@ def split_complex(q: Quaternion) -> tuple[complex, complex]:
 def recompose(z0: complex, z1: complex) -> Quaternion:
     """Inverse of split_complex: (z0, z1) -> z0 + z1*j."""
     return Quaternion(z0.real, z0.imag, z1.real, z1.imag)
-
-
-class QTensor:
-    """Quaternion-valued feature map: four real planes of shape (C, H, W).
-
-    Stored as one contiguous array of shape (4, C, H, W), component
-    index first, so flattening is component-major by construction.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data)
-        if data.ndim != 4 or data.shape[0] != 4:
-            raise ValueError(
-                f"QTensor data must have shape (4, C, H, W), got {data.shape}"
-            )
-        self.data = data
-
-    @classmethod
-    def from_planes(
-        cls,
-        p0: np.ndarray,
-        p1: np.ndarray,
-        p2: np.ndarray,
-        p3: np.ndarray,
-    ) -> "QTensor":
-        """Pack four (C, H, W) planes; all shapes must agree."""
-        planes = [np.asarray(p) for p in (p0, p1, p2, p3)]
-        ref = planes[0].shape
-        if len(ref) != 3:
-            raise ValueError(f"plane 0 must be 3-d (C, H, W), got shape {ref}")
-        for idx, plane in enumerate(planes[1:], start=1):
-            if plane.shape != ref:
-                raise ValueError(
-                    f"plane {idx} has shape {plane.shape}, expected {ref} (plane 0)"
-                )
-        return cls(np.stack(planes, axis=0))
-
-    @property
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.data[0], self.data[1], self.data[2], self.data[3])
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """(C, H, W) over quaternion channels."""
-        return self.data.shape[1:]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    def at(self, c: int, h: int, w: int) -> Quaternion:
-        """Read one quaternion element across the four planes."""
-        d = self.data
-        return Quaternion(
-            float(d[0, c, h, w]),
-            float(d[1, c, h, w]),
-            float(d[2, c, h, w]),
-            float(d[3, c, h, w]),
-        )
-
-    def astype(self, dtype) -> "QTensor":
-        return QTensor(self.data.astype(dtype))
-
-    def copy(self) -> "QTensor":
-        return QTensor(self.data.copy())
-
-    def __repr__(self) -> str:
-        return f"QTensor(channels={self.channels}, spatial={self.data.shape[2:]}, dtype={self.dtype})"

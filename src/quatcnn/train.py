@@ -1,5 +1,11 @@
-"""Training machinery: loss, Adam, finite-difference verification, and
-the deterministic single-run training loop.
+"""Training machinery: the labelled sample set, loss, Adam,
+finite-difference verification, and the deterministic single-run
+training loop.
+
+A split is one ``Samples``: a batch array holding every sample along its
+third-from-last axis, as ``Model.forward`` takes it, and an int label
+vector. A chunk of it is one ``take`` along that axis, and the loss and
+accuracy of a chunk are array expressions over its logits.
 
 Training runs in single precision; gradient checking converts the model
 to double first so central differences at h=1e-6 are meaningful.
@@ -7,7 +13,6 @@ to double first so central differences at h=1e-6 are meaningful.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -17,9 +22,9 @@ from .layers import (
     Model, ModelConfig, _conv_stack, atomic_write, chunk_size, read_blob,
     read_container, read_exact, write_blob, write_container,
 )
-from .quat import QTensor
 
 __all__ = [
+    "Samples",
     "bce_with_logits",
     "Adam",
     "grad_check",
@@ -31,19 +36,54 @@ __all__ = [
 ]
 
 
-def bce_with_logits(logit: float, label: int) -> tuple[float, float]:
-    """Binary cross-entropy on a raw logit, in the stable softplus form.
+def _check_labels(y: np.ndarray):
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {np.unique(y).tolist()}")
 
-    Returns (loss, dloss/dlogit). loss = softplus(logit) - label*logit,
-    gradient = sigmoid(logit) - label. Safe for large |logit|.
+
+@dataclass(eq=False)
+class Samples:
+    """A labelled set of network inputs. ``x`` holds the samples along
+    its third-from-last axis: a real (C, N, H, W) or quaternion
+    (4, C, N, H, W) array. ``y`` holds their N labels, each 0 or 1."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y)
+        if self.x.ndim < 3:
+            raise ValueError(f"samples need an (..., N, H, W) array, got shape {self.x.shape}")
+        if self.y.shape != (self.x.shape[-3],):
+            raise ValueError(f"{self.x.shape[-3]} samples but {self.y.size} labels")
+        _check_labels(self.y)
+        self.y = np.ascontiguousarray(self.y, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.y.size
+
+    def tobytes(self) -> bytes:
+        """``x.tobytes() + y.tobytes()``, assembled in one allocation: a
+        split is megabytes, and the sum would copy it twice."""
+        return b"".join((np.ascontiguousarray(self.x), self.y))
+
+
+def bce_with_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Binary cross-entropy on raw logits, in the stable softplus form,
+    element by element in float64.
+
+    Returns (loss, dloss/dlogit) arrays. loss = softplus(z) - label*z,
+    gradient = sigmoid(z) - label. Both come from e = exp(-|z|), which
+    cannot overflow: softplus(z) = max(z, 0) + log1p(e), and sigmoid(z)
+    is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
     """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    z = float(logit)
-    softplus = max(z, 0.0) + np.log1p(np.exp(-abs(z)))
-    loss = softplus - label * z
-    sigmoid = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-    return float(loss), float(sigmoid - label)
+    z = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
+    _check_labels(labels)
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) + np.log1p(e) - labels * z
+    sigmoid = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return loss, sigmoid - labels
 
 
 class Adam:
@@ -81,36 +121,34 @@ class Adam:
         self.theta -= np.divide(step, denom, out=step)
 
 
-def _minibatch(model: Model, batch, chunk: int) -> list[tuple[float, float]]:
+def _minibatch(model: Model, data: Samples, batch: np.ndarray,
+               chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero the gradients, then accumulate the gradient of the mean BCE
-    over ``batch`` ((input, label) pairs), ``chunk`` samples per forward
-    and backward. Returns each sample's (loss, logit) in batch order."""
+    over the samples of ``data`` indexed by ``batch``, ``chunk`` samples
+    per forward and backward. Returns their float64 losses and their
+    logits, in batch order."""
     model.zero_grads()
-    out = []
+    losses, logits = np.empty(len(batch)), np.empty(len(batch))
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
-        logits = model.forward([x for x, _ in part])
-        dlogits = []
-        for logit, (_, label) in zip(logits, part):
-            loss, dlogit = bce_with_logits(logit, label)
-            out.append((loss, float(logit)))
-            dlogits.append(dlogit / len(batch))
-        model.backward(dlogits)
-    return out
+        z = model.forward(data.x.take(part, axis=-3))
+        loss, dz = bce_with_logits(z, data.y[part])
+        model.backward(dz / len(batch))
+        losses[lo:lo + len(part)] = loss
+        logits[lo:lo + len(part)] = z
+    return losses, logits
 
 
-def _mean_loss(model: Model, xs, labels) -> float:
-    logits = model.forward(xs)
-    return sum(bce_with_logits(z, y)[0] for z, y in zip(logits, labels)) / len(xs)
+def _mean_loss(model: Model, data: Samples) -> float:
+    return float(bce_with_logits(model.forward(data.x), data.y)[0].mean())
 
 
-def grad_check(model: Model, x, label, h: float = 1e-6,
+def grad_check(model: Model, data: Samples, h: float = 1e-6,
                num_samples: int = 200, rng: np.random.Generator | None = None) -> float:
     """Max relative error of analytic gradients vs central differences.
 
-    ``x`` and ``label`` are one sample and its label, or equal-length
-    lists of them; the loss is the mean BCE over the batch, whose
-    gradient comes from one batched forward and backward. Samples up to
+    The loss is the mean BCE over ``data``, whose gradient comes from
+    one batched forward and backward. Samples up to
     ``num_samples`` distinct entries of ``model.theta`` and compares
     dL/dtheta against (L(theta+h) - L(theta-h)) / 2h.
     Samples whose finite difference is exactly zero are skipped (dead
@@ -121,11 +159,7 @@ def grad_check(model: Model, x, label, h: float = 1e-6,
     if model.dtype != np.float64:
         raise ValueError("grad_check requires a float64 model (use model.astype)")
     rng = rng or np.random.default_rng(0)
-    xs, labels = (x, label) if isinstance(x, list) else ([x], [label])
-    if len(xs) != len(labels):
-        raise ValueError(f"{len(xs)} samples but {len(labels)} labels")
-
-    _minibatch(model, list(zip(xs, labels)), len(xs))
+    _minibatch(model, data, np.arange(len(data)), len(data))
     analytic = model.grad.copy()
 
     theta = model.theta
@@ -135,9 +169,9 @@ def grad_check(model: Model, x, label, h: float = 1e-6,
     for i in chosen:
         orig = theta[i]
         theta[i] = orig + h
-        lp = _mean_loss(model, xs, labels)
+        lp = _mean_loss(model, data)
         theta[i] = orig - h
-        lm = _mean_loss(model, xs, labels)
+        lm = _mean_loss(model, data)
         theta[i] = orig
         fd = (lp - lm) / (2.0 * h)
         if fd == 0.0:
@@ -157,17 +191,18 @@ class EpochMetrics:
     train_acc: float
 
 
-def train_model(config: ModelConfig, dataset, epochs: int = 100,
+def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
                 batch_size: int = 16, seed: int = 0, lr: float = 1e-3,
                 dtype=np.float32, metrics_path=None) -> tuple[Model, list[EpochMetrics]]:
-    """Train a model from scratch on (input, label) pairs.
+    """Train a model from scratch on a labelled sample set.
 
     Deterministic given (seed, config, dataset): the seed drives both
     Glorot initialization and the per-epoch shuffle. Each minibatch runs
     in chunks of ``layers.chunk_size(config, batch_size)`` samples, one
     forward and one backward per chunk, and takes one Adam step on the
     gradient of its mean loss. Loss is the mean
-    per-sample binary cross-entropy over the epoch; train accuracy is
+    per-sample binary cross-entropy over the epoch, summed left to right
+    in the order the samples were trained; train accuracy is
     running accuracy, i.e. measured from the forward passes used for
     training with the parameters current at each batch. Metrics stream
     to ``metrics_path`` as CSV (epoch, loss, train_acc) when given.
@@ -175,14 +210,11 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    samples = list(dataset)
-    if not samples:
+    n = len(dataset)
+    if not n:
         raise ValueError("dataset is empty")
-    labels = {label for _, label in samples}
-    if labels == {0} or labels == {1}:
+    if dataset.y.min() == dataset.y.max():
         raise ValueError("dataset contains a single class; need both labels")
-    if not labels <= {0, 1}:
-        raise ValueError(f"labels must be 0 or 1, got {sorted(labels)}")
 
     rng = np.random.default_rng(seed)
     model = Model(config, rng=rng, dtype=dtype)
@@ -195,25 +227,26 @@ def train_model(config: ModelConfig, dataset, epochs: int = 100,
         fh.write("epoch,loss,train_acc\n")
 
     metrics: list[EpochMetrics] = []
-    n = len(samples)
     try:
         for epoch in range(epochs):
             order = rng.permutation(n)
-            total_loss = 0.0
+            losses = np.empty(n)
             correct = 0
             for start in range(0, n, batch_size):
-                batch = [samples[si] for si in order[start:start + batch_size]]
-                results = _minibatch(model, batch, chunk)
-                for (loss, logit), (_, label) in zip(results, batch):
-                    if not math.isfinite(loss):
-                        raise ValueError(
-                            f"non-finite loss {loss} at epoch {epoch}, "
-                            f"batch {start // batch_size}"
-                        )
-                    total_loss += loss
-                    correct += int((logit > 0) == (label == 1))
+                batch = order[start:start + batch_size]
+                loss, logits = _minibatch(model, dataset, batch, chunk)
+                bad = loss[~np.isfinite(loss)]
+                if bad.size:
+                    raise ValueError(
+                        f"non-finite loss {bad[0]} at epoch {epoch}, "
+                        f"batch {start // batch_size}"
+                    )
+                losses[start:start + len(batch)] = loss
+                correct += int(np.count_nonzero((logits > 0) == (dataset.y[batch] == 1)))
                 adam.step(model.grad)
-            row = EpochMetrics(epoch, total_loss / n, correct / n)
+            # np.sum would add pairwise; cumsum adds one sample after another,
+            # so the epoch loss keeps the value a per-sample loop gives
+            row = EpochMetrics(epoch, float(np.cumsum(losses)[-1]) / n, correct / n)
             metrics.append(row)
             if fh is not None:
                 fh.write(f"{row.epoch},{row.loss!r},{row.train_acc!r}\n")
@@ -283,10 +316,10 @@ def run_gradient_verification(seed: int = 0, num_samples: int = 200) -> list[tup
         for rep in range(3):
             model = Model(config, rng=rng, dtype=np.float64)
             if arithmetic == "quaternion":
-                x = QTensor(rng.uniform(-1, 1, size=(4, 1, 12, 12)))
+                x = rng.uniform(-1, 1, size=(4, 1, 1, 12, 12))
             else:
-                x = rng.uniform(-1, 1, size=(3, 12, 12))
+                x = rng.uniform(-1, 1, size=(3, 1, 12, 12))
             label = int(rng.integers(0, 2))
-            err = grad_check(model, x, label, num_samples=num_samples, rng=rng)
+            err = grad_check(model, Samples(x, [label]), num_samples=num_samples, rng=rng)
             rows.append((f"{arithmetic}-model-{rep}", err))
     return rows

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import quatcnn
-from quatcnn.quat import Quaternion, QTensor, I, J, K, ONE, add, hamilton, conjugate, norm
+from quatcnn.quat import Quaternion, I, J, K, ONE, add, hamilton, conjugate, norm
 from quatcnn.layers import (
     Model, QConvParams, as_block_conv, conv2d_forward, qconv2d_forward,
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
@@ -21,7 +21,7 @@ from quatcnn.train import train_model, run_gradient_verification
 from quatcnn.encoding import rgb_to_hsv, encode_rgb_quaternion, encode_hsv_quaternion
 from quatcnn.harness import (
     ExperimentPlan, generate_synthetic_dataset, load_manifest, load_decoded_images,
-    encode_input, run_experiment,
+    encode_samples, run_experiment,
 )
 from testutil import (
     assert_close, norm_rel_err, random_quaternion,
@@ -105,14 +105,14 @@ def test_criterion_3_qconv_oracle_equivalence():
         p64 = QConvParams(w=np.stack([mk() for _ in range(4)]),
                           bias=rng.uniform(-1, 1, (4, f)))
         for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
-            x = QTensor(x64.astype(dtype))
+            x = x64.astype(dtype)
             p = QConvParams(w=p64.w.astype(dtype), bias=p64.bias.astype(dtype))
-            out = qconv2d_forward(x, p).data
+            out = qconv2d_forward(x, p)
             # route (a): per-pixel hamilton/add loop
             assert norm_rel_err(out, qconv2d_oracle(x, p)) < tol
             # route (b): one real convolution of the stacked planes with
             # the sign-structured 4x4 block kernel
-            block = conv2d_forward(x.data.reshape(4 * c, h, w), as_block_conv(p))
+            block = conv2d_forward(x.reshape(4 * c, h, w), as_block_conv(p))
             assert norm_rel_err(out.reshape(block.shape), block) < tol
             # route (c): sixteen real correlations summed with a sign
             # table of the test helpers' own, which the library's
@@ -153,14 +153,12 @@ def test_criterion_4_gradient_checks():
 def test_criterion_5_shape_chain_12800():
     rng = np.random.default_rng(4000)
     flat_lengths = {}
-    for maker, make_input in (
-        (rvcnn_config, lambda: rng.uniform(0, 1, (3, 100, 100)).astype(np.float32)),
-        (qvcnn_config, lambda: QTensor(rng.uniform(0, 1, (4, 1, 100, 100)).astype(np.float32))),
-    ):
+    # batches of one sample: real (C, N, H, W), quaternion (4, C, N, H, W)
+    for maker, shape in ((rvcnn_config, (3, 1, 100, 100)),
+                         (qvcnn_config, (4, 1, 1, 100, 100))):
         config = maker(input_size=100)
         model = Model(config, rng=rng)
-        x = make_input()
-        data = model._stack([x])
+        data = rng.uniform(0, 1, shape).astype(np.float32)
         for layer in model.layers:
             data = layer.forward(data)
             if isinstance(layer, Flatten):
@@ -177,14 +175,14 @@ def test_criterion_6_encoding_identities():
 
     # pure-imaginary encoding: real plane identically zero
     img = rng.uniform(0, 1, (40, 40, 3))
-    assert np.all(encode_rgb_quaternion(img).data[0] == 0.0)
+    assert np.all(encode_rgb_quaternion(img)[0] == 0.0)
 
     # hue-angle encoding: per-pixel squared norm is S^2 + V^2
     h = rng.uniform(0, 2 * np.pi - 1e-12, (40, 40))
     s = rng.uniform(0, 1, (40, 40))
     v = rng.uniform(0, 1, (40, 40))
     t = encode_hsv_quaternion(np.stack([h, s, v], axis=2))
-    sq = np.sum(t.data ** 2, axis=0)[0]
+    sq = np.sum(t ** 2, axis=0)[0]
     expect = s ** 2 + v ** 2
     assert np.max(np.abs(sq - expect) / np.maximum(1.0, np.abs(expect))) < 1e-10
 
@@ -213,7 +211,7 @@ def test_criterion_7_overfit_smoke(fixture_dataset):
     first_perfect = {}
     for maker in (qvcnn_config, rvcnn_config):
         config = maker("rgb", input_size=24)
-        data = [(encode_input(config, s.image), s.label) for s in decoded.values()]
+        data = encode_samples(config, list(decoded.values()))
         _, metrics = train_model(config, data, epochs=30, batch_size=16, seed=0)
         hit = next((m.epoch for m in metrics if m.train_acc == 1.0), None)
         assert hit is not None, f"{config.name} never reached 100% within 30 epochs"

@@ -6,6 +6,7 @@ from quatcnn.encoding import (
     concat_channels, resize, flip_horizontal, flip_vertical, augment_flips,
     read_ppm, write_ppm, load_image,
 )
+from testutil import quat_at
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,17 +79,17 @@ class TestRgbToHsv:
 class TestRgbQuaternionEncoding:
     def test_red_pixel(self):
         t = encode_rgb_quaternion(np.array([[[1.0, 0.0, 0.0]]]))
-        assert t.at(0, 0, 0).components() == (0.0, 1.0, 0.0, 0.0)
+        assert quat_at(t, 0, 0, 0).components() == (0.0, 1.0, 0.0, 0.0)
 
     def test_black_pixel(self):
         t = encode_rgb_quaternion(np.zeros((1, 1, 3)))
-        assert t.at(0, 0, 0).components() == (0.0, 0.0, 0.0, 0.0)
+        assert quat_at(t, 0, 0, 0).components() == (0.0, 0.0, 0.0, 0.0)
 
     def test_real_plane_identically_zero(self):
         rng = np.random.default_rng(62)
         t = encode_rgb_quaternion(rng.uniform(0, 1, (7, 9, 3)))
-        assert np.all(t.data[0] == 0.0)
-        assert t.shape == (1, 7, 9)
+        assert np.all(t[0] == 0.0)
+        assert t.shape == (4, 1, 7, 9)
 
     def test_range_error(self):
         with pytest.raises(ValueError):
@@ -104,12 +105,12 @@ class TestRgbQuaternionEncoding:
 class TestHsvQuaternionEncoding:
     def test_quarter_turn(self):
         img = np.array([[[np.pi / 2, 1.0, 0.5]]])
-        q = encode_hsv_quaternion(img).at(0, 0, 0)
+        q = quat_at(encode_hsv_quaternion(img), 0, 0, 0)
         assert np.allclose(q.components(), (0.0, 1.0, 0.0, 0.5), atol=1e-15)
 
     def test_zero_hue(self):
         img = np.array([[[0.0, 1.0, 1.0]]])
-        q = encode_hsv_quaternion(img).at(0, 0, 0)
+        q = quat_at(encode_hsv_quaternion(img), 0, 0, 0)
         assert q.components() == (1.0, 0.0, 1.0, 0.0)
 
     def test_norm_identity(self):
@@ -118,7 +119,8 @@ class TestHsvQuaternionEncoding:
         s = rng.uniform(0, 1, (25, 40))
         v = rng.uniform(0, 1, (25, 40))
         t = encode_hsv_quaternion(np.stack([h, s, v], axis=2))
-        sq_norm = np.sum(t.data ** 2, axis=0)[0]
+        assert t.shape == (4, 1, 25, 40)
+        sq_norm = np.sum(t ** 2, axis=0)[0]
         expect = s ** 2 + v ** 2
         assert np.max(np.abs(sq_norm - expect)) <= 1e-10 * np.maximum(1.0, expect).max()
 
@@ -277,7 +279,7 @@ class TestPpmIO:
         write_ppm(path, img)
         a = encode_rgb_quaternion(load_image(path))
         b = encode_rgb_quaternion(load_image(path))
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         ha = encode_hsv_quaternion(rgb_to_hsv(load_image(path)))
         hb = encode_hsv_quaternion(rgb_to_hsv(load_image(path)))
-        assert np.array_equal(ha.data, hb.data)
+        assert np.array_equal(ha, hb)

@@ -15,7 +15,7 @@ from quatcnn.harness import (
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
 from quatcnn.layers import config_from_name, rvcnn_config
-from quatcnn.quat import QTensor
+from quatcnn.train import Samples
 from quatcnn import cli, harness
 
 
@@ -217,42 +217,49 @@ class TestPlanValidation:
 
 
 class _StubModel:
-    """Hands out ``logits`` in turn, one per sample of each forward batch."""
+    """Gives each sample of a (1, N, 1, 1) batch its one value as the logit."""
 
     config = rvcnn_config(input_size=24)  # chunks of 4 samples
 
-    def __init__(self, logits):
-        self.logits = list(logits)
-        self.i = 0
+    def __init__(self):
         self.batch_sizes = []
 
-    def forward(self, xs):
-        self.batch_sizes.append(len(xs))
-        out = [self.logits[(self.i + j) % len(self.logits)] for j in range(len(xs))]
-        self.i += len(xs)
-        return np.array(out)
+    def forward(self, x):
+        self.batch_sizes.append(x.shape[-3])
+        return x[0, :, 0, 0]
+
+
+def logit_samples(logits, labels) -> Samples:
+    """Samples whose one-pixel inputs hold the logits _StubModel returns."""
+    return Samples(np.asarray(logits, dtype=np.float64).reshape(1, -1, 1, 1), labels)
 
 
 class TestEvaluate:
     def test_all_correct(self):
-        samples = [(None, 1), (None, 0)]
-        assert evaluate(_StubModel([5.0, -5.0]), samples) == 1.0
+        assert evaluate(_StubModel(), logit_samples([5.0, -5.0], [1, 0])) == 1.0
 
     def test_single_wrong(self):
-        assert evaluate(_StubModel([-1.0]), [(None, 1)]) == 0.0
+        assert evaluate(_StubModel(), logit_samples([-1.0], [1])) == 0.0
 
     def test_coin_flip_near_half(self):
         rng = np.random.default_rng(81)
-        logits = rng.normal(size=2000)
-        samples = [(None, i % 2) for i in range(2000)]
-        model = _StubModel(logits)
+        samples = logit_samples(rng.normal(size=2000), [i % 2 for i in range(2000)])
+        model = _StubModel()
         acc = evaluate(model, samples)
         assert abs(acc - 0.5) < 0.05
         assert model.batch_sizes == [4] * 500
 
+    def test_counts_each_sample_against_its_own_label(self):
+        # 10 samples in chunks of 4, 4 and 2; the wrong ones are 2, 5 and 9
+        logits = [1.0, -1.0, -2.0, 3.0, -0.5, 0.5, 2.0, -3.0, 4.0, -4.0]
+        labels = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
+        model = _StubModel()
+        assert evaluate(model, logit_samples(logits, labels)) == 7 / 10
+        assert model.batch_sizes == [4, 4, 2]
+
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
-            evaluate(_StubModel([0.0]), [])
+            evaluate(_StubModel(), logit_samples([], []))
 
 
 class TestEncodeInput:
@@ -264,14 +271,14 @@ class TestEncodeInput:
             assert isinstance(out, np.ndarray) and out.shape == (3, 24, 24)
         for name in ("qvcnn-rgb", "qvcnn-hsv"):
             out = encode_input(config_from_name(name, 24), img)
-            assert isinstance(out, QTensor) and out.shape == (1, 24, 24)
+            assert isinstance(out, np.ndarray) and out.shape == (4, 1, 24, 24)
 
     def test_hsv_encodings_differ_from_rgb(self):
         rng = np.random.default_rng(83)
         img = rng.uniform(0.1, 0.9, (24, 24, 3))
         rgb = encode_input(config_from_name("qvcnn-rgb", 24), img)
         hsv = encode_input(config_from_name("qvcnn-hsv", 24), img)
-        assert not np.allclose(rgb.data, hsv.data)
+        assert not np.allclose(rgb, hsv)
 
 
 class TestAugmentationLeakage:
@@ -299,6 +306,56 @@ class TestAugmentationLeakage:
             config, decoded, train_ids, test_ids, augment=False
         )
         assert len(train_samples) == len(train_ids)
+
+
+class TestRunInputs:
+    """The ``Samples`` that ``build_run_inputs`` returns, as the benchmark
+    uses them: ``len()`` of each set and a digest over ``tobytes()``."""
+
+    def _inputs(self, tmp_path, name):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        decoded = load_decoded_images(man, 24)
+        train_ids, test_ids = split(man, 0.25, seed=0)
+        config = config_from_name(name, 24)
+        return config, decoded, train_ids, test_ids
+
+    @pytest.mark.parametrize("name,lead", [("rvcnn-rgb", (3,)), ("qvcnn-hsv", (4, 1))],
+                             ids=["rvcnn-rgb", "qvcnn-hsv"])
+    def test_one_array_per_set_with_a_slot_per_sample(self, tmp_path, name, lead):
+        config, decoded, train_ids, test_ids = self._inputs(tmp_path, name)
+        train_samples, train, test = build_run_inputs(config, decoded, train_ids, test_ids)
+        for images, inputs in ((train_samples, train), ([decoded[i] for i in test_ids], test)):
+            assert len(inputs) == len(images)
+            assert inputs.x.shape == (*lead, len(images), 24, 24)
+            assert inputs.x.dtype == np.float32
+            assert inputs.y.tolist() == [s.label for s in images]
+            for i, s in enumerate(images):
+                assert np.array_equal(inputs.x[..., i, :, :], encode_input(config, s.image))
+
+    def test_same_inputs_give_the_same_bytes(self, tmp_path):
+        config, decoded, train_ids, test_ids = self._inputs(tmp_path, "qvcnn-rgb")
+        first = build_run_inputs(config, decoded, train_ids, test_ids)
+        again = build_run_inputs(config, decoded, train_ids, test_ids)
+        for a, b in zip(first[1:], again[1:]):
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == a.x.tobytes() + a.y.tobytes()
+        assert first[1].tobytes() != first[2].tobytes()
+
+    def test_samples_reject_unpaired_labels(self):
+        with pytest.raises(ValueError, match="3 samples but 4 labels"):
+            Samples(np.zeros((4, 1, 3, 5, 5)), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="shape"):
+            Samples(np.zeros((5, 5)), [0])
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0.5, 1]], ids=["2", "-1", "0.5"])
+    def test_samples_reject_labels_other_than_0_and_1(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            Samples(np.zeros((1, 2, 3, 3)), labels)
+
+    def test_samples_labels_are_ints(self):
+        samples = Samples(np.zeros((1, 3, 2, 2)), [1.0, 0.0, True])
+        assert samples.y.dtype == np.int64 and samples.y.tolist() == [1, 0, 1]
+        assert len(samples) == 3
 
 
 class TestAggregate:
@@ -546,6 +603,23 @@ class TestWorkerPool:
                 assert os.environ["OMP_NUM_THREADS"] == "1"
                 raise _Interrupt
         assert dict(os.environ) == before
+
+    def test_runs_not_started_are_cancelled_when_recording_fails(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class KeptFutures(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", KeptFutures)
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        with pytest.raises(_Interrupt):
+            run_experiment(smoke_plan(runs=16, jobs=2), man, out, log=_interrupt_after(1))
+        assert len(submitted) == 16 and all(fut.done() for fut in submitted)
+        assert any(fut.cancelled() for fut in submitted)
+        assert (out / "runs.csv").read_bytes().count(b"\n") == 2
 
 
 class TestSyntheticData:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quatcnn import layers
-from quatcnn.quat import QTensor, Quaternion, hamilton, add
+from quatcnn.quat import Quaternion, hamilton, add
 from quatcnn.layers import (
     ConvParams, QConvParams, conv2d_forward, qconv2d_forward, as_block_conv,
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
@@ -16,7 +16,7 @@ from quatcnn.layers import (
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
-    conv_input_grad_oracle, qconv_input_grad_oracle,
+    conv_input_grad_oracle, qconv_input_grad_oracle, quat_at,
 )
 
 
@@ -86,7 +86,7 @@ class TestBatchedLayersPerSample:
         out = layer.forward(x)
         assert out.shape == (4, 3, 5, 4, 5)
         for n in range(5):
-            expect = qconv2d_hamilton_sum_oracle(QTensor(x[:, :, n]), p)
+            expect = qconv2d_hamilton_sum_oracle(x[:, :, n], p)
             assert norm_rel_err(out[:, :, n], expect) < tol
 
     @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (4, 2, 3, 10, 9)])
@@ -107,10 +107,15 @@ class TestBatchedLayersPerSample:
             assert np.array_equal(gx[..., n, :, :], expect_gx)
 
     def test_conv_layers_reject_unbatched_input(self):
-        with pytest.raises(ValueError, match="4-d batch"):
+        with pytest.raises(ValueError, match=r"4-d \(C, N, H, W\) batch"):
             Conv2d(2, 3).forward(np.zeros((2, 6, 6)))
-        with pytest.raises(ValueError, match="5-d batch"):
+        with pytest.raises(ValueError, match=r"5-d \(4, C, N, H, W\) batch"):
             QConv2d(2, 3).forward(np.zeros((4, 2, 6, 6)))
+
+    def test_qconv_layer_rejects_a_first_axis_other_than_4(self):
+        # a 5-d batch of 3 planes would otherwise reach the GEMM
+        with pytest.raises(ValueError, match=r"\(4, C, N, H, W\) batch, got \(3, 2, 1, 6, 6\)"):
+            QConv2d(2, 3).forward(np.zeros((3, 2, 1, 6, 6)))
 
 
 def _random_correlation(kind, c, f, k, dtype, rng):
@@ -188,12 +193,12 @@ class TestChunkSize:
 class TestQConv2d:
     def test_identity_quaternion_filter(self):
         rng = np.random.default_rng(21)
-        x = QTensor(rng.uniform(-1, 1, (4, 1, 4, 4)))
+        x = rng.uniform(-1, 1, (4, 1, 4, 4))
         w = np.zeros((4, 1, 1, 1, 1))
         w[0] = 1.0
         p = QConvParams(w=w, bias=np.zeros((4, 1)))
         out = qconv2d_forward(x, p)
-        assert np.allclose(out.data, x.data)
+        assert np.allclose(out, x)
 
     def test_single_j_tap_against_i_plane(self):
         # filter holds j at the center tap only; input is the constant
@@ -203,19 +208,19 @@ class TestQConv2d:
         p = QConvParams(w=w, bias=np.zeros((4, 1)))
         data = np.zeros((4, 1, 5, 5))
         data[1] = 1.0
-        out = qconv2d_forward(QTensor(data), p)
-        assert np.allclose(out.data[0], 0) and np.allclose(out.data[1], 0)
-        assert np.allclose(out.data[2], 0) and np.allclose(out.data[3], -1.0)
+        out = qconv2d_forward(data, p)
+        assert np.allclose(out[0], 0) and np.allclose(out[1], 0)
+        assert np.allclose(out[2], 0) and np.allclose(out[3], -1.0)
 
     def test_single_tap_reduces_to_hamilton_plus_bias(self):
         rng = np.random.default_rng(22)
         p = rand_qconv_params(rng, 1, 1, 1)
-        x = QTensor(rng.uniform(-1, 1, (4, 1, 1, 1)))
+        x = rng.uniform(-1, 1, (4, 1, 1, 1))
         out = qconv2d_forward(x, p)
         wq = Quaternion(*(float(bank[0, 0, 0, 0]) for bank in p.w))
         bq = Quaternion(*(float(p.bias[i, 0]) for i in range(4)))
-        expect = add(hamilton(wq, x.at(0, 0, 0)), bq)
-        assert_close(out.data[:, 0, 0, 0], expect.components(), 1e-12)
+        expect = add(hamilton(wq, quat_at(x, 0, 0, 0)), bq)
+        assert_close(out[:, 0, 0, 0], expect.components(), 1e-12)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_bruteforce_oracle(self, dtype, tol):
@@ -223,9 +228,9 @@ class TestQConv2d:
         for _ in range(5):
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
-            x = QTensor(rng.uniform(-1, 1, (4, c, h, w)).astype(dtype))
+            x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
             p = rand_qconv_params(rng, f, c, 3, dtype)
-            assert norm_rel_err(qconv2d_forward(x, p).data, qconv2d_oracle(x, p)) < tol
+            assert norm_rel_err(qconv2d_forward(x, p), qconv2d_oracle(x, p)) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_hamilton_sum_oracle(self, dtype, tol):
@@ -233,9 +238,9 @@ class TestQConv2d:
         for _ in range(5):
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
-            x = QTensor(rng.uniform(-1, 1, (4, c, h, w)).astype(dtype))
+            x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
             p = rand_qconv_params(rng, f, c, 3, dtype)
-            out = qconv2d_forward(x, p).data
+            out = qconv2d_forward(x, p)
             assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, p)) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -244,28 +249,34 @@ class TestQConv2d:
         for _ in range(5):
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
-            x = QTensor(rng.uniform(-1, 1, (4, c, h, w)).astype(dtype))
+            x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
             p = rand_qconv_params(rng, f, c, 3, dtype)
-            out = qconv2d_forward(x, p).data
-            block = conv2d_forward(x.data.reshape(4 * c, h, w), as_block_conv(p))
+            out = qconv2d_forward(x, p)
+            block = conv2d_forward(x.reshape(4 * c, h, w), as_block_conv(p))
             assert norm_rel_err(out.reshape(block.shape), block) < tol
 
     def test_linearity_zero_bias(self):
         rng = np.random.default_rng(25)
         p = rand_qconv_params(rng, 2, 2, 3)
         p.bias[...] = 0
-        x = QTensor(rng.uniform(-1, 1, (4, 2, 6, 6)))
-        y = QTensor(rng.uniform(-1, 1, (4, 2, 6, 6)))
+        x = rng.uniform(-1, 1, (4, 2, 6, 6))
+        y = rng.uniform(-1, 1, (4, 2, 6, 6))
         a = 1.7
-        lhs = qconv2d_forward(QTensor(a * x.data + y.data), p).data
-        rhs = a * qconv2d_forward(x, p).data + qconv2d_forward(y, p).data
+        lhs = qconv2d_forward(a * x + y, p)
+        rhs = a * qconv2d_forward(x, p) + qconv2d_forward(y, p)
         assert norm_rel_err(lhs, rhs) < 1e-12
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(26)
         p = rand_qconv_params(rng, 1, 2, 3)
         with pytest.raises(ValueError, match="channels"):
-            qconv2d_forward(QTensor(np.zeros((4, 1, 5, 5))), p)
+            qconv2d_forward(np.zeros((4, 1, 5, 5)), p)
+
+    def test_rejects_wrong_leading_axis(self):
+        p = rand_qconv_params(np.random.default_rng(26), 1, 1, 3)
+        for bad in (np.zeros((3, 1, 5, 5)), np.zeros((4, 5, 5))):
+            with pytest.raises(ValueError, match=r"\(4, C, H, W\)"):
+                qconv2d_forward(bad, p)
 
     def test_bank_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(4, F, C, k, k\)"):
@@ -360,7 +371,7 @@ class TestReLU:
         planes = np.array([-1.0, 2.0, -3.0, 4.0]).reshape(4, 1, 1, 1)
         out = ReLU().forward(planes)
         assert out.shape == (4, 1, 1, 1)
-        assert QTensor(out).at(0, 0, 0).components() == (0.0, 2.0, 0.0, 4.0)
+        assert quat_at(out, 0, 0, 0).components() == (0.0, 2.0, 0.0, 4.0)
 
     def test_all_negative(self):
         assert np.array_equal(ReLU().forward(-np.ones((2, 3, 3))), np.zeros((2, 3, 3)))

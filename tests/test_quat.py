@@ -1,11 +1,10 @@
 import numpy as np
-import pytest
 
 from quatcnn.quat import (
-    Quaternion, QTensor, I, J, K, ONE,
+    Quaternion, I, J, K, ONE,
     add, hamilton, conjugate, norm, split_complex, recompose,
 )
-from testutil import assert_close, hamilton_oracle, random_quaternion
+from testutil import assert_close, hamilton_oracle, quat_at, random_quaternion
 
 TOL = 1e-12
 
@@ -142,33 +141,11 @@ class TestSplitComplex:
             assert comps(recompose(*split_complex(q))) == comps(q)
 
 
-class TestQTensor:
-    def test_pack_zeros(self):
-        zeros = [np.zeros((1, 2, 2)) for _ in range(4)]
-        t = QTensor.from_planes(*zeros)
-        assert t.shape == (1, 2, 2)
-        assert np.all(t.data == 0)
-
-    def test_shape_mismatch_names_plane(self):
-        p = np.zeros((1, 2, 2))
-        bad = np.zeros((1, 3, 2))
-        with pytest.raises(ValueError, match="plane 2"):
-            QTensor.from_planes(p, p.copy(), bad, p.copy())
-
-    def test_pack_unpack_round_trip(self):
-        rng = np.random.default_rng(11)
-        planes = [rng.uniform(-1, 1, (3, 4, 5)) for _ in range(4)]
-        t = QTensor.from_planes(*planes)
-        for got, want in zip(t.planes, planes):
-            assert np.array_equal(got, want)
+class TestComponentPlanes:
+    """A quaternion feature map is a (4, C, H, W) array, component first."""
 
     def test_element_access_reconstructs_quaternion(self):
         rng = np.random.default_rng(12)
         planes = [rng.uniform(-1, 1, (2, 3, 3)) for _ in range(4)]
-        t = QTensor.from_planes(*planes)
-        q = t.at(1, 2, 0)
+        q = quat_at(np.stack(planes), 1, 2, 0)
         assert comps(q) == tuple(float(p[1, 2, 0]) for p in planes)
-
-    def test_rejects_wrong_leading_dim(self):
-        with pytest.raises(ValueError, match=r"\(4, C, H, W\)"):
-            QTensor(np.zeros((3, 1, 2, 2)))

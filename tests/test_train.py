@@ -1,21 +1,21 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from quatcnn import train
-from quatcnn.quat import QTensor
 from quatcnn.layers import (
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, IM2COL_BUDGET,
     Model, chunk_size, config_from_name, glorot_uniform, save_model,
 )
 from quatcnn.train import (
-    Adam, bce_with_logits, grad_check, train_model, _minibatch,
+    Adam, Samples, bce_with_logits, grad_check, train_model, _minibatch,
     save_checkpoint, load_checkpoint, run_gradient_verification, _tiny_config,
 )
-from testutil import assert_close, grad_arrays, layer_fd_check
+from testutil import assert_close, bce_oracle, grad_arrays, layer_fd_check
 
 
 class TestGlorot:
@@ -61,18 +61,34 @@ class TestBCE:
         # larger logits 1 - sigma cancels catastrophically, which is the
         # reason the implementation uses the softplus form
         rng = np.random.default_rng(2)
-        for _ in range(500):
-            z = float(rng.uniform(-12, 12))
-            label = int(rng.integers(0, 2))
-            sigma = 1.0 / (1.0 + np.exp(-z))
-            naive = -np.log(sigma) if label == 1 else -np.log(1.0 - sigma)
-            loss, grad = bce_with_logits(z, label)
-            assert abs(loss - naive) < 1e-9
-            assert abs(grad - (sigma - label)) < 1e-12
+        z = rng.uniform(-12, 12, 500)
+        labels = rng.integers(0, 2, 500)
+        sigma = 1.0 / (1.0 + np.exp(-z))
+        naive = np.where(labels == 1, -np.log(sigma), -np.log(1.0 - sigma))
+        loss, grad = bce_with_logits(z, labels)
+        assert loss.shape == grad.shape == (500,)
+        assert np.max(np.abs(loss - naive)) < 1e-9
+        assert np.max(np.abs(grad - (sigma - labels))) < 1e-12
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_matches_scalar_oracle_bit_for_bit(self, label):
+        # np.where evaluates both sigmoid branches, so neither may overflow
+        magnitudes = [0.0, 1e-8, 1.0, 50.0, 700.0, 800.0, 1e4]
+        z = np.array([sign * m for m in magnitudes for sign in (1.0, -1.0)])
+        z32 = np.random.default_rng(3).normal(0, 30, 2000).astype(np.float32)
+        for logits in (z, z32):
+            labels = np.full(logits.shape, label)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                loss, grad = bce_with_logits(logits, labels)
+            expect = np.array([bce_oracle(v, label) for v in logits])
+            assert np.array_equal(loss, expect[:, 0]) and np.array_equal(grad, expect[:, 1])
+            assert loss.dtype == grad.dtype == np.float64
 
     def test_label_validation(self):
-        with pytest.raises(ValueError, match="label"):
-            bce_with_logits(0.0, 2)
+        for labels in (2, [0, 2], [-1, 1], [0.5, 1.0]):
+            with pytest.raises(ValueError, match="label"):
+                bce_with_logits(np.zeros(np.shape(labels)), labels)
 
 
 class TestAdam:
@@ -139,11 +155,11 @@ class TestAdam:
         m1 = Model(_tiny_config("quaternion"), rng=rng1, dtype=np.float64)
         m2 = Model(_tiny_config("quaternion"), rng=rng2, dtype=np.float64)
         a1, a2 = Adam(m1.theta), Adam(m2.theta)
-        x = np.random.default_rng(4).uniform(-1, 1, (4, 1, 12, 12))
+        x = np.random.default_rng(4).uniform(-1, 1, (4, 1, 1, 12, 12))
         for _ in range(3):
             for m, a in ((m1, a1), (m2, a2)):
                 m.zero_grads()
-                loss, dlogit = bce_with_logits(m.forward(QTensor(x)), 1)
+                loss, dlogit = bce_with_logits(m.forward(x), [1])
                 m.backward(dlogit)
                 a.step(m.grad)
         assert np.array_equal(m1.theta, m2.theta)
@@ -231,14 +247,14 @@ class TestGradCheck:
     def test_tiny_qvcnn(self):
         rng = np.random.default_rng(40)
         model = Model(_tiny_config("quaternion"), rng=rng, dtype=np.float64)
-        x = QTensor(rng.uniform(-1, 1, (4, 1, 12, 12)))
-        assert grad_check(model, x, 1, rng=rng) < 1e-4
+        x = rng.uniform(-1, 1, (4, 1, 1, 12, 12))
+        assert grad_check(model, Samples(x, [1]), rng=rng) < 1e-4
 
     def test_tiny_rvcnn(self):
         rng = np.random.default_rng(41)
         model = Model(_tiny_config("real"), rng=rng, dtype=np.float64)
-        x = rng.uniform(-1, 1, (3, 12, 12))
-        assert grad_check(model, x, 0, rng=rng) < 1e-4
+        x = rng.uniform(-1, 1, (3, 1, 12, 12))
+        assert grad_check(model, Samples(x, [0]), rng=rng) < 1e-4
 
     def test_dead_paths_are_filtered(self):
         rng = np.random.default_rng(42)
@@ -246,13 +262,13 @@ class TestGradCheck:
         # saturate one filter: its kernel taps get zero analytic gradient
         # and zero finite differences, which must be skipped, not scored
         model.layers[0].params.bias[0] = -100.0
-        x = rng.uniform(-1, 1, (3, 12, 12))
-        assert grad_check(model, x, 1, num_samples=400, rng=rng) < 1e-4
+        x = rng.uniform(-1, 1, (3, 1, 12, 12))
+        assert grad_check(model, Samples(x, [1]), num_samples=400, rng=rng) < 1e-4
 
     def test_requires_double(self):
         model = Model(_tiny_config("real"), rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="float64"):
-            grad_check(model, np.zeros((3, 12, 12)), 0)
+            grad_check(model, Samples(np.zeros((3, 1, 12, 12)), [0]))
 
     def test_verification_suite(self):
         rows = run_gradient_verification(seed=0, num_samples=80)
@@ -260,18 +276,13 @@ class TestGradCheck:
         assert all(err < 1e-4 for _, err in rows)
 
 
-def tiny_dataset(rng, n=8, size=12, quaternion=False):
-    samples = []
-    for i in range(n):
-        label = i % 2
-        base = 0.8 if label else 0.2
-        if quaternion:
-            x = QTensor(np.clip(base + rng.normal(0, 0.05, (4, 1, size, size)), 0, 1)
-                        .astype(np.float32))
-        else:
-            x = np.clip(base + rng.normal(0, 0.05, (3, size, size)), 0, 1).astype(np.float32)
-        samples.append((x, label))
-    return samples
+def tiny_dataset(rng, n=8, size=12, quaternion=False) -> Samples:
+    """n samples whose pixels sit near 0.8 (label 1) or 0.2 (label 0)."""
+    shape = (4, 1, size, size) if quaternion else (3, size, size)
+    labels = [i % 2 for i in range(n)]
+    xs = [np.clip((0.8 if label else 0.2) + rng.normal(0, 0.05, shape), 0, 1)
+          for label in labels]
+    return Samples(np.stack(xs, axis=-3).astype(np.float32), labels)
 
 
 class TestTrainModel:
@@ -309,7 +320,7 @@ class TestTrainModel:
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
-            train_model(_tiny_config("real"), [], epochs=1)
+            train_model(_tiny_config("real"), Samples(np.zeros((3, 0, 12, 12)), []), epochs=1)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_bad_batch_size(self, batch_size):
@@ -321,16 +332,13 @@ class TestTrainModel:
     def test_nan_input_fails_with_epoch_and_batch(self, arithmetic):
         rng = np.random.default_rng(58)
         data = tiny_dataset(rng, quaternion=arithmetic == "quaternion")
-        x, label = data[5]
-        poisoned = np.array(x.data if arithmetic == "quaternion" else x)
-        poisoned[(0,) * poisoned.ndim] = np.nan
-        data[5] = (QTensor(poisoned) if arithmetic == "quaternion" else poisoned, label)
+        data.x[..., 5, 0, 0].flat[0] = np.nan  # one pixel of sample 5
         with pytest.raises(ValueError, match=r"non-finite loss .* epoch 0, batch \d"):
             train_model(_tiny_config(arithmetic), data, epochs=1, batch_size=4, seed=6)
 
     def test_single_class(self):
         rng = np.random.default_rng(54)
-        data = [(x, 1) for x, _ in tiny_dataset(rng)]
+        data = Samples(tiny_dataset(rng).x, np.ones(8))
         with pytest.raises(ValueError, match="single class"):
             train_model(_tiny_config("real"), data, epochs=1)
 
@@ -430,25 +438,28 @@ class TestCheckpoint:
 # the batched path against the per-sample one
 
 
-def random_samples(config, n, rng, dtype=np.float32):
-    """n (input, label) pairs of the shape ``config`` takes, labels alternating."""
+def random_samples(config, n, rng, dtype=np.float32) -> Samples:
+    """n samples of the shape ``config`` takes, labels alternating."""
     size = config.input_size
-    out = []
-    for i in range(n):
-        if config.arithmetic == "quaternion":
-            x = QTensor(rng.uniform(0, 1, (4, config.in_channels, size, size)).astype(dtype))
-        else:
-            x = rng.uniform(0, 1, (config.in_channels, size, size)).astype(dtype)
-        out.append((x, i % 2))
-    return out
+    lead = (4,) if config.arithmetic == "quaternion" else ()
+    xs = [rng.uniform(0, 1, (*lead, config.in_channels, size, size)).astype(dtype)
+          for _ in range(n)]
+    return Samples(np.stack(xs, axis=-3), [i % 2 for i in range(n)])
 
 
-def per_sample_gradients(model, batch):
-    """The mean-BCE gradient of ``batch`` summed from batches of one."""
+def one(data: Samples, i):
+    """Sample i of ``data`` as a batch of one, and its label."""
+    return data.x.take([i], axis=-3), int(data.y[i])
+
+
+def per_sample_gradients(model, data, batch):
+    """The mean-BCE gradient of the samples ``batch`` indexes, summed
+    from batches of one, with the scalar loss oracle."""
     model.zero_grads()
-    for x, label in batch:
-        _, dlogit = bce_with_logits(model.forward(x), label)
-        model.backward(dlogit / len(batch))
+    for i in batch:
+        x, label = one(data, i)
+        _, dlogit = bce_oracle(model.forward(x)[0], label)
+        model.backward([dlogit / len(batch)])
     return grad_arrays(model)
 
 
@@ -467,10 +478,10 @@ def per_sample_training(config, dataset, epochs, batch_size, seed, dtype):
             batch = order[start:start + batch_size]
             model.zero_grads()
             for si in batch:
-                x, label = dataset[si]
-                logit = model.forward(x)
-                loss, dlogit = bce_with_logits(logit, label)
-                model.backward(dlogit / len(batch))
+                x, label = one(dataset, si)
+                logit = float(model.forward(x)[0])
+                loss, dlogit = bce_oracle(logit, label)
+                model.backward([dlogit / len(batch)])
                 total_loss += loss
                 correct += int((logit > 0) == (label == 1))
             adam.step(model.grad)
@@ -488,16 +499,15 @@ class TestBatchedPath:
         config = _tiny_config(arithmetic)
         model = Model(config, rng=rng, dtype=np.float64)
         batch = random_samples(config, 4, rng, np.float64)
-        xs, labels = [x for x, _ in batch], [label for _, label in batch]
-        assert grad_check(model, xs, labels, rng=rng) < 1e-4
+        assert grad_check(model, batch, rng=rng) < 1e-4
 
     def test_grad_check_rejects_unpaired_labels(self):
         rng = np.random.default_rng(71)
         config = _tiny_config("real")
         model = Model(config, rng=rng, dtype=np.float64)
-        xs = [x for x, _ in random_samples(config, 3, rng, np.float64)]
+        x = random_samples(config, 3, rng, np.float64).x
         with pytest.raises(ValueError, match="3 samples but 2 labels"):
-            grad_check(model, xs, [0, 1])
+            grad_check(model, Samples(x, [0, 1]))
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("batch_size", [1, 3, 16])
@@ -510,21 +520,25 @@ class TestBatchedPath:
         samples = random_samples(config, 10, rng, dtype)
         chunk = chunk_size(config, batch_size)
         assert chunk == min(batch_size, 4)
+        # a shuffled order, as train_model draws its batches
+        order = rng.permutation(len(samples))
         for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
+            batch = order[start:start + batch_size]
             sizes = []
-            model.forward = lambda xs: sizes.append(len(xs)) or Model.forward(model, xs)
-            results = _minibatch(model, batch, chunk)
+            model.forward = lambda x: sizes.append(x.shape[-3]) or Model.forward(model, x)
+            losses, logits = _minibatch(model, samples, batch, chunk)
             del model.forward
             batched = grad_arrays(model)
-            expect = per_sample_gradients(model, batch)
+            expect = per_sample_gradients(model, samples, batch)
             for got, want in zip(batched, expect, strict=True):
                 assert_close(got, want, tol, f"{name} batch {start // batch_size}")
             assert sum(sizes) == len(batch) and max(sizes) <= chunk
-            for (loss, logit), (x, label) in zip(results, batch):
-                single = model.forward(x)
+            assert losses.shape == logits.shape == (len(batch),)
+            for loss, logit, i in zip(losses, logits, batch, strict=True):
+                x, label = one(samples, i)
+                single = float(model.forward(x)[0])
                 assert_close(logit, single, tol)
-                assert_close(loss, bce_with_logits(single, label)[0], tol)
+                assert_close(loss, bce_oracle(single, label)[0], tol)
         # 10 samples: batch 3 ends in a partial batch, batch 16 in a partial chunk
         if batch_size == 16:
             assert sizes == [4, 4, 2]
@@ -544,37 +558,64 @@ class TestBatchedPath:
             assert math.isclose(row.loss, loss, rel_tol=1e-12)
             assert row.train_acc == acc
 
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_epoch_loss_is_the_per_sample_loop_sum_bit_for_bit(self, name):
+        # batches of one run the same arithmetic as the loop, so only the
+        # order of the epoch sum could tell them apart
+        rng = np.random.default_rng(78)
+        config = config_from_name(name, 24)
+        data = random_samples(config, 12, rng)
+        _, metrics = train_model(config, data, epochs=2, batch_size=1, seed=9)
+        expect = per_sample_training(config, data, 2, 1, 9, np.float32)
+        assert [(row.loss, row.train_acc) for row in metrics] == expect
+
     @pytest.mark.parametrize("arithmetic", ARITHMETICS)
     def test_first_layer_input_gradient_skip_keeps_gradients(self, arithmetic):
         rng = np.random.default_rng(74)
         config = _tiny_config(arithmetic)
         model = Model(config, rng=rng, dtype=np.float64)
-        xs = [x for x, _ in random_samples(config, 3, rng, np.float64)]
+        x = random_samples(config, 3, rng, np.float64).x
         dlogits = rng.uniform(-1, 1, 3)
 
         model.zero_grads()
-        model.forward(xs)
+        model.forward(x)
         assert model.backward(dlogits) is None
         skipped = model.grad.copy()
 
         model.zero_grads()
-        model.forward(xs)
+        model.forward(x)
         g = dlogits
         for layer in reversed(model.layers):
             g = layer.backward(g)
-        assert g.shape == model._stack(xs).shape
+        assert g.shape == x.shape
         assert np.array_equal(skipped, model.grad)
 
-    def test_single_sample_forward_is_a_batch_of_one(self):
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_batch_forward_matches_each_sample_alone(self, name):
         rng = np.random.default_rng(75)
-        config = config_from_name("qvcnn-rgb", 24)
+        config = config_from_name(name, 24)
         model = Model(config, rng=rng)
-        (x, _), = random_samples(config, 1, rng)
-        before = x.data.copy()
-        logit = model.forward(x)
-        assert isinstance(logit, float)
-        assert logit == float(model.forward([x])[0])
-        assert np.array_equal(x.data, before)  # layers overwrite only their own batch
+        x = random_samples(config, 3, rng).x
+        before = x.copy()
+        logits = model.forward(x)
+        assert logits.shape == (3,)
+        for i in range(3):  # the batch GEMMs round differently in float32
+            assert_close(logits[i], model.forward(x.take([i], axis=-3))[0], 1e-5)
+        assert np.array_equal(x, before)  # a first-layer convolution only reads its input
+
+    def test_forward_rejects_a_wrong_layout(self):
+        rng = np.random.default_rng(77)
+        real = Model(config_from_name("rvcnn-rgb", 24), rng=rng)
+        quat = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
+        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d \(C, N, H, W\) batch"):
+            real.forward(np.zeros((3, 24, 24), dtype=np.float32))  # one unbatched sample
+        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d"):
+            real.forward(np.zeros((4, 1, 2, 24, 24), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"QConv2d expects a 5-d \(4, C, N, H, W\)"):
+            quat.forward(np.zeros((3, 1, 2, 24, 24), dtype=np.float32))
+        for model, shape in ((real, (3, 2, 20, 20)), (quat, (4, 1, 2, 24, 25))):
+            with pytest.raises(ValueError, match="does not match configured 24"):
+                model.forward(np.zeros(shape, dtype=np.float32))
 
 
 class TestTrainingMemory:

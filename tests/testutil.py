@@ -8,7 +8,8 @@ input-gradient oracles scatter one tap at a time without a patch
 matrix, and the pooling oracle picks each window's maximum by argmax
 and scatters gradients with np.add.at. ``col2im_oracle`` is the
 nine-strided-add scatter the library used before its row-shifted form,
-kept to pin that form bit for bit.
+kept to pin that form bit for bit; ``bce_oracle`` is, likewise, the
+one-logit scalar loss the library used before its array form.
 """
 
 import numpy as np
@@ -55,6 +56,24 @@ def hamilton_oracle(p: Quaternion, q: Quaternion) -> Quaternion:
 
 def random_quaternion(rng, lo=-1.0, hi=1.0) -> Quaternion:
     return Quaternion(*rng.uniform(lo, hi, 4))
+
+
+def quat_at(arr: np.ndarray, c: int, h: int, w: int) -> Quaternion:
+    """Element (c, h, w) of a (4, C, H, W) component-plane array."""
+    return Quaternion(*(float(arr[comp, c, h, w]) for comp in range(4)))
+
+
+def bce_oracle(logit: float, label: int) -> tuple[float, float]:
+    """Binary cross-entropy of one logit in the stable softplus form,
+    branching on the sign of the logit for the sigmoid. Returns (loss,
+    dloss/dlogit)."""
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    z = float(logit)
+    softplus = max(z, 0.0) + np.log1p(np.exp(-abs(z)))
+    loss = softplus - label * z
+    sigmoid = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+    return float(loss), float(sigmoid - label)
 
 
 def conv2d_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -190,10 +209,11 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
 
 
 def qconv2d_oracle(x, params) -> np.ndarray:
-    """Per-pixel quaternion convolution using hamilton() and add() only."""
+    """Per-pixel quaternion convolution of a (4, C, H, W) input using
+    hamilton() and add() only."""
     w0, w1, w2, w3 = params.w
     f_out, c_in, k, _ = w0.shape
-    _, h, w = x.shape
+    _, _, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
     out = np.zeros((4, f_out, oh, ow))
     for f in range(f_out):
@@ -212,22 +232,22 @@ def qconv2d_oracle(x, params) -> np.ndarray:
                                 float(w2[f, c, di, dj]),
                                 float(w3[f, c, di, dj]),
                             )
-                            acc = add(acc, hamilton(wq, x.at(c, i + di, j + dj)))
+                            acc = add(acc, hamilton(wq, quat_at(x, c, i + di, j + dj)))
                 out[:, f, i, j] = acc.components()
     return out
 
 
 def qconv2d_hamilton_sum_oracle(x, params) -> np.ndarray:
-    """Quaternion convolution as 16 real correlations, one per pair of
-    filter component a and input component b, each added into output
-    component e_a * e_b with its sign, both read from _UNIT_TABLE (not
-    from the library's sign table)."""
+    """Quaternion convolution of a (4, C, H, W) input as 16 real
+    correlations, one per pair of filter component a and input component
+    b, each added into output component e_a * e_b with its sign, both
+    read from _UNIT_TABLE (not from the library's sign table)."""
     banks = params.w
     f_out, _, k, _ = banks[0].shape
-    _, _, h, w = x.data.shape
+    _, _, h, w = x.shape
     out = np.zeros((4, f_out, h - k + 1, w - k + 1))
     for (a, b), (sign, unit) in _UNIT_TABLE.items():
-        out[unit] += sign * conv2d_oracle(x.data[b], banks[a], np.zeros(f_out))
+        out[unit] += sign * conv2d_oracle(x[b], banks[a], np.zeros(f_out))
     return out + np.asarray(params.bias, dtype=np.float64)[:, :, None, None]
 
 
