@@ -6,17 +6,19 @@ training curve we compare analytic gradients of tiny end-to-end models
 against central finite differences in double precision. Then both
 architectures overfit a 20-image synthetic set to show the whole
 pipeline (encode, forward, backward, Adam) closing the loop. The set is
-one ``Samples``: every encoded image in a single batch array, with the
-sample axis third from last, and a label vector.
+one ``Samples``: the stack of images encoded in one call into a single
+batch array, with the sample axis third from last, and a label vector.
 """
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from quatcnn import qvcnn_config, rvcnn_config, train_model
 from quatcnn.harness import generate_synthetic_dataset, load_manifest, \
-    load_decoded_images, encode_samples
-from quatcnn.train import run_gradient_verification
+    load_decoded_images, encode_input
+from quatcnn.train import Samples, run_gradient_verification
 
 print("== finite-difference gradient checks (double precision, h = 1e-6) ==")
 for name, err in run_gradient_verification(seed=0):
@@ -27,11 +29,11 @@ with tempfile.TemporaryDirectory() as tmp:
     data_dir = Path(tmp) / "cells"
     generate_synthetic_dataset(data_dir, n=20, size=24, seed=7)
     manifest = load_manifest(data_dir)
-    decoded = load_decoded_images(manifest, 24)
+    images, labels = zip(*load_decoded_images(manifest, 24).values())
 
     for maker in (qvcnn_config, rvcnn_config):
         config = maker("rgb", input_size=24)
-        samples = encode_samples(config, list(decoded.values()))
+        samples = Samples(encode_input(config, np.stack(images)), labels)
         model, metrics = train_model(config, samples, epochs=20, batch_size=16, seed=0)
         trace = " ".join(f"{m.train_acc:.2f}" for m in metrics[:12])
         print(f"{config.name}: train accuracy per epoch: {trace} ...")

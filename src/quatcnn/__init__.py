@@ -45,7 +45,6 @@ from .train import (
     run_gradient_verification,
 )
 from .encoding import (
-    LabeledSample,
     rgb_to_hsv,
     encode_rgb_quaternion,
     encode_hsv_quaternion,
@@ -65,7 +64,6 @@ from .harness import (
     AggregateStats,
     derive_seed,
     encode_input,
-    encode_samples,
     evaluate,
     load_decoded_images,
     build_run_inputs,

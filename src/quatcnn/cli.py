@@ -90,7 +90,10 @@ def cmd_sweep(args) -> int:
     plan = _plan(args, configs=tuple(args.configs), fractions=fractions,
                  runs=args.runs, jobs=args.jobs)
     manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
-    report = harness.run_experiment(plan, manifest, args.out)
+    try:
+        report = harness.run_experiment(plan, manifest, args.out)
+    except ValueError as exc:  # such as an output dir that holds another plan's runs
+        raise SystemExit(f"error: {exc}") from None
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
           f"reports in {args.out}")
     print(f"{'config':<12} {'fraction':>8} {'mean':>8} {'std':>8} {'q25':>8} {'q75':>8}")

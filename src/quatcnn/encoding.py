@@ -1,8 +1,11 @@
 """Image ingestion and the four network input constructions.
 
-Real models consume channel-concatenated RGB or HSV arrays of shape
-(3, H, W); quaternion models consume one of two single-channel
-quaternion encodings, each a (4, 1, H, W) array of component planes:
+Each encoder takes an (H, W, 3) image or an (N, H, W, 3) stack, indexing
+channels as ``img[..., c]``. Real models consume channel-concatenated
+RGB or HSV arrays, (3, H, W) or (3, N, H, W); quaternion models consume
+one of two single-channel quaternion encodings, (4, 1, H, W) or
+(4, 1, N, H, W) arrays of component planes, so an encoded stack is the
+``train.Samples`` layout:
 
 * rgb: q = 0 + R i + G j + B k (real plane identically zero)
 * hsv: q = S cos(H) + S sin(H) i + V cos(H) j + V sin(H) k
@@ -14,20 +17,16 @@ values are unit-interval. 8-bit rasters are normalized by /255 on load.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "LabeledSample",
     "rgb_to_hsv",
     "encode_rgb_quaternion",
     "encode_hsv_quaternion",
     "concat_channels",
     "resize",
-    "flip_horizontal",
-    "flip_vertical",
     "augment_flips",
     "read_ppm",
     "write_ppm",
@@ -37,19 +36,11 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """An image with its binary label (0 healthy, 1 lymphoblast)."""
-
-    image: np.ndarray
-    label: int
-    source_id: str
-
-
-def _check_shape(img: np.ndarray) -> np.ndarray:
+def _check_shape(img: np.ndarray, ndims=(3, 4)) -> np.ndarray:
     img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    if img.ndim not in ndims or img.shape[-1] != 3:
+        expected = "(H, W, 3) image" + (" or (N, H, W, 3) stack" if 4 in ndims else "")
+        raise ValueError(f"expected {expected}, got shape {img.shape}")
     return img
 
 
@@ -75,15 +66,15 @@ def _check_hsv(img: np.ndarray) -> np.ndarray:
 
 
 def rgb_to_hsv(img: np.ndarray) -> np.ndarray:
-    """Hexcone RGB -> HSV with hue in radians [0, 2pi).
+    """Hexcone RGB -> HSV with hue in radians [0, 2pi), same shape out.
 
     Achromatic pixels (zero chroma) take H = 0 by convention; black
     pixels additionally take S = 0.
     """
     img = _check_rgb(img)
     r, g, b = img[..., 0], img[..., 1], img[..., 2]
-    v = img.max(axis=2)
-    c = v - img.min(axis=2)
+    v = img.max(axis=-1)
+    c = v - img.min(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         hp = np.select(
             [c == 0, v == r, v == g],
@@ -92,36 +83,33 @@ def rgb_to_hsv(img: np.ndarray) -> np.ndarray:
         )
         s = np.where(v > 0, c / np.where(v > 0, v, 1.0), 0.0)
     h = (hp * (np.pi / 3.0)) % TWO_PI
-    return np.stack([h, s, v], axis=2)
+    return np.stack([h, s, v], axis=-1)
 
 
 def encode_rgb_quaternion(img: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Pure-imaginary encoding: (4, 1, H, W) planes (0, R, G, B), one
+    """Pure-imaginary encoding: (4, 1, ...) planes (0, R, G, B), one
     quaternion channel."""
     img = _check_rgb(img)
-    h, w = img.shape[:2]
-    data = np.zeros((4, 1, h, w), dtype=dtype)
-    data[1, 0] = img[..., 0]
-    data[2, 0] = img[..., 1]
-    data[3, 0] = img[..., 2]
+    data = np.zeros((4, 1, *img.shape[:-1]), dtype=dtype)
+    data[1:, 0] = np.moveaxis(img, -1, 0)
     return data
 
 
 def encode_hsv_quaternion(img: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Hue-angle encoding: (4, 1, H, W) planes (S cosH, S sinH, V cosH,
+    """Hue-angle encoding: (4, 1, ...) planes (S cosH, S sinH, V cosH,
     V sinH), one quaternion channel."""
     img = _check_hsv(img)
     h, s, v = img[..., 0], img[..., 1], img[..., 2]
     cos_h, sin_h = np.cos(h), np.sin(h)
     data = np.stack([s * cos_h, s * sin_h, v * cos_h, v * sin_h])
-    return data[:, None, :, :].astype(dtype)
+    return data[:, None].astype(dtype)
 
 
 def concat_channels(img: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """(H, W, 3) -> (3, H, W) channel-major stack, values untouched
-    (HSV hue stays in radians)."""
+    """(..., 3) -> (3, ...) channel-major stack, values untouched (HSV hue
+    stays in radians)."""
     img = _check_shape(img)
-    return np.ascontiguousarray(img.transpose(2, 0, 1), dtype=dtype)
+    return np.ascontiguousarray(np.moveaxis(img, -1, 0), dtype=dtype)
 
 
 def resize(img: np.ndarray, target: tuple[int, int] = (100, 100)) -> np.ndarray:
@@ -158,21 +146,19 @@ def resize(img: np.ndarray, target: tuple[int, int] = (100, 100)) -> np.ndarray:
     return np.clip(out, img.min(), img.max())
 
 
-def flip_horizontal(img: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(img[:, ::-1])
+def augment_flips(x: np.ndarray) -> np.ndarray:
+    """Deterministic x4 expansion of an encoded (..., N, H, W) array to
+    (..., 4N, H, W): each sample's original, horizontal, vertical and
+    double flip, next to each other in that order.
 
-
-def flip_vertical(img: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(img[::-1])
-
-
-def augment_flips(sample: LabeledSample) -> list[LabeledSample]:
-    """Deterministic x4 expansion: original, horizontal, vertical, both.
-    Labels and source ids carry over."""
-    img = sample.image
-    variants = [img, flip_horizontal(img), flip_vertical(img),
-                flip_vertical(flip_horizontal(img))]
-    return [LabeledSample(v, sample.label, sample.source_id) for v in variants]
+    Flipping the encoded planes equals encoding the flipped image,
+    because all four encodings act on each pixel alone.
+    """
+    x = np.asarray(x)
+    if x.ndim < 3:
+        raise ValueError(f"expected an (..., N, H, W) array, got shape {x.shape}")
+    variants = np.stack([x, x[..., ::-1], x[..., ::-1, :], x[..., ::-1, ::-1]], axis=-3)
+    return variants.reshape(*x.shape[:-3], 4 * x.shape[-3], *x.shape[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +198,7 @@ def read_ppm(path) -> np.ndarray:
 def write_ppm(path, img: np.ndarray) -> None:
     """Write (H, W, 3) data as binary P6. Float input must be unit-interval
     and is rounded to 8 bits; uint8 passes through."""
-    img = _check_shape(img)
+    img = _check_shape(img, ndims=(3,))
     if img.dtype != np.uint8:
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError("float image must lie in [0, 1]")

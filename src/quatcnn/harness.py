@@ -1,13 +1,17 @@
 """Experiment harness: dataset manifests, stratified repeated splits,
 the sweep over model/encoding configurations, and report emission.
 
+Images are decoded once per sweep (or worker); a run encodes each side
+of its split in one call and flips the encoded training array x4.
+
 A sweep cell is one (config, test fraction); each of its runs derives a
 seed from a stable hash of (base seed, config, fraction, run), so
 adding configurations or fractions never perturbs existing runs.
 Results stream to ``runs.csv`` as they finish, and an interrupted sweep
 resumes by skipping the (config, fraction, run) keys already present.
 Wall-clock time is tracked per run but kept out of runs.csv so repeated
-sweeps reproduce the file byte for byte.
+sweeps reproduce the file byte for byte. A resume under another plan
+than the directory's ``plan.json`` records is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding
-from .encoding import LabeledSample, augment_flips, load_image, resize
+from .encoding import augment_flips, load_image, resize
 from .layers import (
     CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
 )
@@ -42,7 +46,6 @@ __all__ = [
     "AggregateStats",
     "derive_seed",
     "encode_input",
-    "encode_samples",
     "evaluate",
     "load_decoded_images",
     "build_run_inputs",
@@ -152,27 +155,22 @@ def split(manifest: DatasetManifest, test_fraction: float, seed: int,
     """Random train/test partition, stratified per class by default.
 
     Returns (train ids, test ids); disjoint, union covers the dataset,
-    deterministic per seed. Per-class test counts are round(fraction *
-    class size), so they differ from the exact fraction by at most one.
+    deterministic per seed. Each class (without ``stratify``, the whole
+    set) is permuted and cut at round(fraction * size), so per-class test
+    counts differ from the exact fraction by at most one.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    ids = [e.id for e in manifest.entries]
+    groups = ([[e.id for e in manifest.entries if e.label == label] for label in (0, 1)]
+              if stratify else [[e.id for e in manifest.entries]])
     train: list[str] = []
     test: list[str] = []
-    if stratify:
-        for label in (0, 1):
-            members = [e.id for e in manifest.entries if e.label == label]
-            order = rng.permutation(len(members))
-            n_test = round(test_fraction * len(members))
-            test.extend(members[i] for i in order[:n_test])
-            train.extend(members[i] for i in order[n_test:])
-    else:
-        order = rng.permutation(len(ids))
-        n_test = round(test_fraction * len(ids))
-        test.extend(ids[i] for i in order[:n_test])
-        train.extend(ids[i] for i in order[n_test:])
+    for members in groups:
+        order = rng.permutation(len(members))
+        n_test = round(test_fraction * len(members))
+        test.extend(members[i] for i in order[:n_test])
+        train.extend(members[i] for i in order[n_test:])
     if not train or not test:
         raise ValueError(
             f"test fraction {test_fraction} leaves an empty side "
@@ -255,7 +253,8 @@ def derive_seed(base_seed: int, config: str, fraction: float, run: int) -> int:
 
 
 def encode_input(config: ModelConfig, image: np.ndarray, dtype=np.float32):
-    """Turn a unit-interval RGB image into the input the config expects."""
+    """Turn a unit-interval RGB (H, W, 3) image or (N, H, W, 3) stack into
+    the input the config expects; a stack gives ``Samples.x``."""
     if config.encoding == "hsv":
         image = encoding.rgb_to_hsv(image)
         if config.arithmetic == "quaternion":
@@ -281,64 +280,52 @@ def evaluate(model, samples: Samples) -> float:
     return correct / n
 
 
-def load_decoded_images(manifest: DatasetManifest, input_size: int) -> dict[str, LabeledSample]:
-    """Decode and resize every manifest entry once, keyed by sample id."""
-    decoded = {}
-    for entry in manifest.entries:
-        img = resize(load_image(entry.path), (input_size, input_size))
-        decoded[entry.id] = LabeledSample(img, entry.label, entry.id)
-    return decoded
+Decoded = dict[str, tuple[np.ndarray, int]]
 
 
-def encode_samples(config: ModelConfig, samples: list[LabeledSample]) -> Samples:
-    """Encode images into one preallocated float32 batch array, each into
-    its slot along the sample axis, with their labels."""
-    lead = (4,) if config.arithmetic == "quaternion" else ()
-    size = config.input_size
-    x = np.empty((*lead, config.in_channels, len(samples), size, size), dtype=np.float32)
-    for i, s in enumerate(samples):
-        x[..., i, :, :] = encode_input(config, s.image)
-    return Samples(x, [s.label for s in samples])
+def load_decoded_images(manifest: DatasetManifest, input_size: int) -> Decoded:
+    """Decode and resize every manifest entry once: sample id -> (float64
+    (H, W, 3) image, label)."""
+    return {entry.id: (resize(load_image(entry.path), (input_size, input_size)), entry.label)
+            for entry in manifest.entries}
 
 
-def build_run_inputs(config: ModelConfig, decoded: dict[str, LabeledSample],
+def build_run_inputs(config: ModelConfig, decoded: Decoded,
                      train_ids, test_ids, augment: bool = True):
-    """Prepare encoded inputs for one run.
+    """Prepare encoded inputs for one run, each side of the split in one call.
 
     Augmentation happens here, strictly after the split and only on the
     training side, so no flipped variant of a test image can leak into
-    training. Returns (train samples with source ids, encoded train
-    ``Samples``, encoded test ``Samples``).
+    training. Returns (the source id of each training sample, encoded
+    train ``Samples``, encoded test ``Samples``).
     """
-    train_samples: list[LabeledSample] = []
-    for sid in train_ids:
-        if augment:
-            train_samples.extend(augment_flips(decoded[sid]))
-        else:
-            train_samples.append(decoded[sid])
-    test_samples = [decoded[sid] for sid in test_ids]
-    return (train_samples, encode_samples(config, train_samples),
-            encode_samples(config, test_samples))
+    def encoded(ids):
+        images, labels = zip(*(decoded[sid] for sid in ids))
+        return encode_input(config, np.stack(images)), np.array(labels)
+
+    train_x, train_y = encoded(train_ids)
+    sources = list(train_ids)
+    if augment:
+        train_x, train_y = augment_flips(train_x), np.repeat(train_y, 4)
+        sources = np.repeat(sources, 4).tolist()
+    return sources, Samples(train_x, train_y), Samples(*encoded(test_ids))
 
 
 def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
-                 run: int, plan: ExperimentPlan,
-                 decoded: dict[str, LabeledSample] | None = None):
+                 run: int, plan: ExperimentPlan, decoded: Decoded | None = None):
     """Seed, config and encoded (train, test) inputs of one plan cell."""
     seed = derive_seed(plan.base_seed, config_name, fraction, run)
     config = config_from_name(config_name, plan.input_size)
     if decoded is None:
         decoded = load_decoded_images(manifest, plan.input_size)
     train_ids, test_ids = split(manifest, fraction, seed, stratify=plan.stratify)
-    _, train_inputs, test_inputs = build_run_inputs(
-        config, decoded, train_ids, test_ids, augment=plan.augment
-    )
+    _, train_inputs, test_inputs = build_run_inputs(config, decoded, train_ids, test_ids,
+                                                    augment=plan.augment)
     return seed, config, train_inputs, test_inputs
 
 
 def run_single(config_name: str, manifest: DatasetManifest, fraction: float,
-               run: int, plan: ExperimentPlan,
-               decoded: dict[str, LabeledSample] | None = None) -> RunResult:
+               run: int, plan: ExperimentPlan, decoded: Decoded | None = None) -> RunResult:
     """Execute one (config, fraction, run) cell of a plan."""
     started = time.perf_counter()
     seed, config, train_inputs, test_inputs = _prepare_run(
@@ -450,6 +437,26 @@ def _write_runs_csv(path: Path, results) -> None:
     _atomic_write(path, _RUNS_HEADER + "".join(_runs_line(r) for r in results))
 
 
+# the plan fields that change what a run computes; runs, configs,
+# fractions and jobs only choose which runs exist and where they execute
+_PLAN_FIELDS = ("epochs", "base_seed", "batch_size", "input_size", "augment", "stratify")
+
+
+def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) -> None:
+    """Record the plan in ``<out_dir>/plan.json`` on the first write; on a
+    resume, raise if the runs there were computed under another plan."""
+    current = {name: getattr(plan, name) for name in _PLAN_FIELDS}
+    current["checksum"] = manifest.checksum
+    path = out_dir / "plan.json"
+    stored = json.loads(path.read_text(encoding="utf-8")) if path.exists() else current
+    changed = [f"{k} {stored.get(k)!r} -> {v!r}" for k, v in current.items()
+               if stored.get(k) != v]
+    if changed:
+        raise ValueError(f"{out_dir} holds runs of a different plan ({'; '.join(changed)}); "
+                         "resume with the same plan or use a new output directory")
+    _atomic_write(path, json.dumps(current, indent=2, sort_keys=True) + "\n")
+
+
 def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
                    out_dir, log=print) -> ExperimentReport:
     """Run every (config, fraction, run) cell of the plan.
@@ -461,10 +468,14 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     once); all writes stay in this process. Spawned workers import the
     calling script's main module, so a script that calls this with
     ``jobs`` > 1 keeps its top-level code under ``if __name__ ==
-    "__main__":``. Finishes by re-emitting the canonical, sorted report.
+    "__main__":``. A directory written under other ``_PLAN_FIELDS`` or another
+    manifest raises ``ValueError`` before anything runs; more runs, configs
+    or fractions, or other ``jobs``, resume. Finishes by re-emitting the
+    canonical, sorted report.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _check_plan(plan, manifest, out_dir)
     runs_path = out_dir / "runs.csv"
 
     done = {r.key: r for r in read_runs_csv(runs_path)} if runs_path.exists() else {}

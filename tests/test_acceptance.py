@@ -17,11 +17,11 @@ from quatcnn.layers import (
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
     rvcnn_config, qvcnn_config, count_parameters, trace_shapes,
 )
-from quatcnn.train import train_model, run_gradient_verification
+from quatcnn.train import Samples, train_model, run_gradient_verification
 from quatcnn.encoding import rgb_to_hsv, encode_rgb_quaternion, encode_hsv_quaternion
 from quatcnn.harness import (
     ExperimentPlan, generate_synthetic_dataset, load_manifest, load_decoded_images,
-    encode_samples, run_experiment,
+    encode_input, run_experiment,
 )
 from testutil import (
     assert_close, norm_rel_err, random_quaternion,
@@ -211,7 +211,8 @@ def test_criterion_7_overfit_smoke(fixture_dataset):
     first_perfect = {}
     for maker in (qvcnn_config, rvcnn_config):
         config = maker("rgb", input_size=24)
-        data = encode_samples(config, list(decoded.values()))
+        images, labels = zip(*decoded.values())
+        data = Samples(encode_input(config, np.stack(images)), labels)
         _, metrics = train_model(config, data, epochs=30, batch_size=16, seed=0)
         hit = next((m.epoch for m in metrics if m.train_acc == 1.0), None)
         assert hit is not None, f"{config.name} never reached 100% within 30 epochs"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from quatcnn.encoding import (
-    LabeledSample, rgb_to_hsv, encode_rgb_quaternion, encode_hsv_quaternion,
-    concat_channels, resize, flip_horizontal, flip_vertical, augment_flips,
-    read_ppm, write_ppm, load_image,
+    rgb_to_hsv, encode_rgb_quaternion, encode_hsv_quaternion,
+    concat_channels, resize, augment_flips, read_ppm, write_ppm, load_image,
 )
 from testutil import quat_at
 
@@ -199,32 +198,84 @@ class TestResize:
 
 
 class TestFlips:
+    """``augment_flips`` on encoded (..., N, H, W) arrays."""
+
     def test_augment_produces_four(self):
         rng = np.random.default_rng(68)
-        sample = LabeledSample(rng.uniform(0, 1, (6, 8, 3)), 1, "im1")
-        out = augment_flips(sample)
-        assert len(out) == 4
-        assert all(s.label == 1 and s.source_id == "im1" for s in out)
-        assert np.array_equal(out[0].image, sample.image)
-        assert np.array_equal(out[1].image, flip_horizontal(sample.image))
-        assert np.array_equal(out[2].image, flip_vertical(sample.image))
-        assert np.array_equal(out[3].image, flip_vertical(flip_horizontal(sample.image)))
-        # x4 multiplicity over a training set
-        expanded = [v for s in [sample] * 5 for v in augment_flips(s)]
-        assert len(expanded) == 20
+        x = rng.uniform(0, 1, (4, 1, 5, 6, 8))
+        out = augment_flips(x)
+        assert out.shape == (4, 1, 20, 6, 8)  # x4 multiplicity over the set
+        for n in range(5):
+            sample = x[..., n, :, :]
+            variants = out[..., 4 * n:4 * n + 4, :, :]
+            assert np.array_equal(variants[..., 0, :, :], sample)
+            assert np.array_equal(variants[..., 1, :, :], np.flip(sample, axis=-1))
+            assert np.array_equal(variants[..., 2, :, :], np.flip(sample, axis=-2))
+            assert np.array_equal(variants[..., 3, :, :], np.flip(sample, axis=(-2, -1)))
 
     def test_flips_are_involutions(self):
         rng = np.random.default_rng(69)
-        img = rng.uniform(0, 1, (5, 7, 3))
-        assert np.array_equal(flip_horizontal(flip_horizontal(img)), img)
-        assert np.array_equal(flip_vertical(flip_vertical(img)), img)
+        x = rng.uniform(0, 1, (3, 1, 5, 7))
+        out = augment_flips(x)
+        for k in range(1, 4):  # the same flip of a flipped variant restores the original
+            again = augment_flips(out[..., k:k + 1, :, :])
+            assert np.array_equal(again[..., k, :, :], x[..., 0, :, :])
 
     def test_symmetric_image_duplicates(self):
         img = np.zeros((4, 4, 3))
         img[1:3, 1:3] = 1.0  # symmetric under both flips
-        variants = augment_flips(LabeledSample(img, 0, "sym"))
-        for v in variants[1:]:
-            assert np.array_equal(v.image, img)
+        variants = augment_flips(concat_channels(img[None]))
+        assert variants.shape == (3, 4, 4, 4)
+        for k in range(1, 4):
+            assert np.array_equal(variants[:, k], variants[:, 0])
+
+    def test_rejects_an_unbatched_array(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., N, H, W\)"):
+            augment_flips(np.zeros((4, 4)))
+
+
+class TestStacks:
+    """Each encoder takes an (H, W, 3) image or an (N, H, W, 3) stack."""
+
+    # encoder and the axis that holds the samples of its output for a stack
+    ENCODERS = {"rgb_to_hsv": (rgb_to_hsv, 0),
+                "encode_rgb_quaternion": (encode_rgb_quaternion, -3),
+                "encode_hsv_quaternion": (encode_hsv_quaternion, -3),
+                "concat_channels": (concat_channels, -3)}
+
+    @pytest.mark.parametrize("name", ENCODERS)
+    def test_stack_matches_each_image(self, name):
+        encode, sample_axis = self.ENCODERS[name]
+        rng = np.random.default_rng(72)
+        images = rng.uniform(0, 1, (3, 5, 7, 3))
+        images[1, 2, 3] = 0.4  # achromatic pixel
+        if name == "encode_hsv_quaternion":
+            images = rgb_to_hsv(images)
+        out = encode(images)
+        for n in range(3):
+            assert np.array_equal(np.take(out, n, axis=sample_axis), encode(images[n]))
+
+    def test_stack_shapes(self):
+        images = np.zeros((2, 5, 7, 3))
+        assert rgb_to_hsv(images).shape == (2, 5, 7, 3)
+        assert encode_rgb_quaternion(images).shape == (4, 1, 2, 5, 7)
+        assert encode_hsv_quaternion(images).shape == (4, 1, 2, 5, 7)
+        assert concat_channels(images).shape == (3, 2, 5, 7)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 4, 4, 2), (4, 3), (1, 2, 4, 4, 3)],
+                             ids=["hw4", "nhw2", "2d", "5d"])
+    @pytest.mark.parametrize("name", ENCODERS)
+    def test_encoders_reject_other_shapes(self, name, shape):
+        encode, _ = self.ENCODERS[name]
+        with pytest.raises(ValueError, match=r"\(H, W, 3\) image or \(N, H, W, 3\) stack"):
+            encode(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 4, 4, 3), (4, 3)],
+                             ids=["hw4", "stack", "2d"])
+    def test_write_ppm_takes_one_image_only(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"expected \(H, W, 3\) image, got"):
+            write_ppm(tmp_path / "img.ppm", np.zeros(shape, dtype=np.uint8))
+        assert not (tmp_path / "img.ppm").exists()
 
 
 class TestPpmIO:

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatcnn.encoding import write_ppm
+from quatcnn.encoding import augment_flips, write_ppm
 from quatcnn.harness import (
     ManifestEntry, DatasetManifest, load_manifest, split,
     ExperimentPlan, RunResult, derive_seed, encode_input, evaluate,
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import config_from_name, rvcnn_config
+from quatcnn.layers import CONFIG_NAMES, config_from_name, rvcnn_config
 from quatcnn.train import Samples
 from quatcnn import cli, harness
 
@@ -158,6 +158,15 @@ class TestSplit:
         train, test = split(man, 0.2, seed=5, stratify=False)
         assert len(test) == 4 and len(train) == 16
 
+    def test_golden_order(self):
+        # pinned: a change to the draws or the order of the ids would
+        # change every runs.csv
+        man = fake_manifest(3)
+        assert split(man, 0.4, seed=9) == (
+            ["Im0000_0", "Im0001_0", "Im1002_1", "Im1000_1"], ["Im0002_0", "Im1001_1"])
+        assert split(man, 0.4, seed=9, stratify=False) == (
+            ["Im0002_0", "Im1001_1", "Im0000_0", "Im0001_0"], ["Im1000_1", "Im1002_1"])
+
     def test_empty_side_error(self):
         man = fake_manifest(2)
         with pytest.raises(ValueError, match="empty side"):
@@ -262,16 +271,39 @@ class TestEvaluate:
             evaluate(_StubModel(), logit_samples([], []))
 
 
+FLIPS = (lambda img: img, lambda img: img[:, ::-1], lambda img: img[::-1],
+         lambda img: img[::-1, ::-1])  # original, horizontal, vertical, both
+
+
 class TestEncodeInput:
     def test_kinds_and_shapes(self):
         rng = np.random.default_rng(82)
         img = rng.uniform(0, 1, (24, 24, 3))
+        stack = rng.uniform(0, 1, (5, 24, 24, 3))
         for name in ("rvcnn-rgb", "rvcnn-hsv"):
             out = encode_input(config_from_name(name, 24), img)
             assert isinstance(out, np.ndarray) and out.shape == (3, 24, 24)
+            assert encode_input(config_from_name(name, 24), stack).shape == (3, 5, 24, 24)
         for name in ("qvcnn-rgb", "qvcnn-hsv"):
             out = encode_input(config_from_name(name, 24), img)
             assert isinstance(out, np.ndarray) and out.shape == (4, 1, 24, 24)
+            assert encode_input(config_from_name(name, 24), stack).shape == (4, 1, 5, 24, 24)
+            assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_stack_and_flips_match_per_image_encoding(self, name):
+        config = config_from_name(name, 24)
+        rng = np.random.default_rng(84)
+        images = rng.uniform(0, 1, (3, 6, 9, 3))  # no flip maps an image onto itself
+        images[0, 1, 2] = 0.5  # an achromatic pixel
+        per_image = [encode_input(config, img) for img in images]
+        stacked = encode_input(config, images)
+        assert np.array_equal(stacked, np.stack(per_image, axis=-3))
+        flipped = [encode_input(config, flip(img)) for img in images for flip in FLIPS]
+        assert not np.array_equal(flipped[0], flipped[1])
+        augmented = augment_flips(stacked)
+        assert augmented.dtype == np.float32
+        assert np.array_equal(augmented, np.stack(flipped, axis=-3))
 
     def test_hsv_encodings_differ_from_rgb(self):
         rng = np.random.default_rng(83)
@@ -288,12 +320,12 @@ class TestAugmentationLeakage:
         decoded = load_decoded_images(man, 24)
         train_ids, test_ids = split(man, 0.25, seed=0)
         config = config_from_name("rvcnn-rgb", 24)
-        train_samples, train_inputs, test_inputs = build_run_inputs(
+        sources, train_inputs, test_inputs = build_run_inputs(
             config, decoded, train_ids, test_ids, augment=True
         )
-        assert len(train_samples) == 4 * len(train_ids)
-        assert {s.source_id for s in train_samples} == set(train_ids)
-        assert not {s.source_id for s in train_samples} & set(test_ids)
+        assert len(sources) == len(train_inputs) == 4 * len(train_ids)
+        assert sources == [sid for sid in train_ids for _ in range(4)]
+        assert not set(sources) & set(test_ids)
         assert len(test_inputs) == len(test_ids)
 
     def test_no_augment(self, tmp_path):
@@ -302,10 +334,10 @@ class TestAugmentationLeakage:
         decoded = load_decoded_images(man, 24)
         train_ids, test_ids = split(man, 0.25, seed=0)
         config = config_from_name("qvcnn-rgb", 24)
-        train_samples, _, _ = build_run_inputs(
+        sources, train_inputs, _ = build_run_inputs(
             config, decoded, train_ids, test_ids, augment=False
         )
-        assert len(train_samples) == len(train_ids)
+        assert sources == train_ids and len(train_inputs) == len(train_ids)
 
 
 class TestRunInputs:
@@ -322,15 +354,29 @@ class TestRunInputs:
     @pytest.mark.parametrize("name,lead", [("rvcnn-rgb", (3,)), ("qvcnn-hsv", (4, 1))],
                              ids=["rvcnn-rgb", "qvcnn-hsv"])
     def test_one_array_per_set_with_a_slot_per_sample(self, tmp_path, name, lead):
+        self._check_slots(tmp_path, name, lead, augment=True)
+
+    @pytest.mark.parametrize("name,lead", [("rvcnn-hsv", (3,)), ("qvcnn-rgb", (4, 1))],
+                             ids=["rvcnn-hsv", "qvcnn-rgb"])
+    def test_one_slot_per_image_without_augmentation(self, tmp_path, name, lead):
+        self._check_slots(tmp_path, name, lead, augment=False)
+
+    def _check_slots(self, tmp_path, name, lead, augment):
         config, decoded, train_ids, test_ids = self._inputs(tmp_path, name)
-        train_samples, train, test = build_run_inputs(config, decoded, train_ids, test_ids)
-        for images, inputs in ((train_samples, train), ([decoded[i] for i in test_ids], test)):
+        sources, train, test = build_run_inputs(config, decoded, train_ids, test_ids,
+                                                augment=augment)
+        flips = FLIPS if augment else FLIPS[:1]
+        train_images = [(flip(decoded[sid][0]), decoded[sid][1])
+                        for sid in train_ids for flip in flips]
+        test_images = [decoded[sid] for sid in test_ids]
+        assert sources == [sid for sid in train_ids for _ in flips]
+        for images, inputs in ((train_images, train), (test_images, test)):
             assert len(inputs) == len(images)
             assert inputs.x.shape == (*lead, len(images), 24, 24)
             assert inputs.x.dtype == np.float32
-            assert inputs.y.tolist() == [s.label for s in images]
-            for i, s in enumerate(images):
-                assert np.array_equal(inputs.x[..., i, :, :], encode_input(config, s.image))
+            assert inputs.y.tolist() == [label for _, label in images]
+            for i, (img, _) in enumerate(images):
+                assert np.array_equal(inputs.x[..., i, :, :], encode_input(config, img))
 
     def test_same_inputs_give_the_same_bytes(self, tmp_path):
         config, decoded, train_ids, test_ids = self._inputs(tmp_path, "qvcnn-rgb")
@@ -491,6 +537,54 @@ class TestRunExperiment:
         report = run_experiment(smoke_plan(runs=3), man, out, log=lambda *_: None)
         assert report.n_executed == 2 and report.n_skipped == 1
         assert len(report.results) == 3
+
+    def test_plan_json_records_what_the_runs_computed(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        run_experiment(smoke_plan(), man, tmp_path / "out", log=lambda *_: None)
+        assert json.loads((tmp_path / "out" / "plan.json").read_text()) == {
+            "epochs": 2, "base_seed": 3, "batch_size": 16, "input_size": 24,
+            "augment": False, "stratify": True, "checksum": man.checksum,
+        }
+
+    @pytest.mark.parametrize("change", [
+        dict(epochs=5), dict(base_seed=4), dict(batch_size=4), dict(input_size=32),
+        dict(augment=True), dict(stratify=False), dict(epochs=1, batch_size=8),
+    ], ids=lambda c: "+".join(c))
+    def test_resume_under_another_plan_is_refused(self, tmp_path, monkeypatch, change):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match="different plan") as err:
+            run_experiment(smoke_plan(runs=2, **change), man, out, log=lambda *_: None)
+        for field in change:
+            assert field in str(err.value)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_with_another_dataset_is_refused(self, tmp_path):
+        out = tmp_path / "out"
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        other = load_manifest(make_fixture_dir(tmp_path / "other", n=10))
+        with pytest.raises(ValueError, match="checksum"):
+            run_experiment(smoke_plan(runs=1), other, out, log=lambda *_: None)
+
+    def test_more_runs_configs_fractions_and_jobs_resume(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        plan = (out / "plan.json").read_bytes()
+        wider = smoke_plan(runs=2, configs=("qvcnn-rgb", "rvcnn-rgb"), fractions=(0.25, 0.5),
+                           jobs=2)
+        report = run_experiment(wider, man, out, log=lambda *_: None)
+        assert report.n_skipped == 1 and report.n_executed == 7
+        assert (out / "plan.json").read_bytes() == plan
+        run_experiment(wider, man, tmp_path / "fresh", log=lambda *_: None)
+        assert (out / "runs.csv").read_bytes() == (tmp_path / "fresh" / "runs.csv").read_bytes()
 
     def test_seed_column_matches_derivation(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
@@ -699,6 +793,16 @@ class TestCli:
         assert (out_dir / "runs.csv").exists()
         assert (out_dir / "stats.csv").exists()
         assert (out_dir / "summary.json").exists()
+
+    def test_sweep_resume_under_another_plan_exits_with_an_error(self, tmp_path):
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        args = ["sweep", "--data", str(data), "--configs", "rvcnn-rgb", "--fractions", "0.25",
+                "--runs", "1", "--input-size", "24", "--out", str(tmp_path / "out")]
+        assert cli.main(args + ["--epochs", "1"]) == 0
+        runs = (tmp_path / "out" / "runs.csv").read_bytes()
+        with pytest.raises(SystemExit, match=r"^error: .*different plan \(epochs 1 -> 5\)"):
+            cli.main(args + ["--epochs", "5"])
+        assert (tmp_path / "out" / "runs.csv").read_bytes() == runs
 
     def test_runs_csv_independent_of_blas_threads(self, tmp_path):
         # BLAS reads its thread count when numpy is imported, so each
