@@ -43,15 +43,12 @@ def _add_train_args(p: argparse.ArgumentParser):
 
 
 def _plan(args, **fields) -> harness.ExperimentPlan:
-    """The plan the arguments describe; an invalid plan exits with its message."""
-    try:
-        return harness.ExperimentPlan(
-            epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
-            input_size=args.input_size, augment=not args.no_augment,
-            stratify=not args.no_stratify, **fields,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    """The plan the arguments describe."""
+    return harness.ExperimentPlan(
+        epochs=args.epochs, base_seed=args.seed, batch_size=args.batch_size,
+        input_size=args.input_size, augment=not args.no_augment,
+        stratify=not args.no_stratify, **fields,
+    )
 
 
 def cmd_train(args) -> int:
@@ -90,10 +87,7 @@ def cmd_sweep(args) -> int:
     plan = _plan(args, configs=tuple(args.configs), fractions=fractions,
                  runs=args.runs, jobs=args.jobs)
     manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
-    try:
-        report = harness.run_experiment(plan, manifest, args.out)
-    except ValueError as exc:  # such as an output dir that holds another plan's runs
-        raise SystemExit(f"error: {exc}") from None
+    report = harness.run_experiment(plan, manifest, args.out)
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
           f"reports in {args.out}")
     print(f"{'config':<12} {'fraction':>8} {'mean':>8} {'std':>8} {'q25':>8} {'q75':>8}")
@@ -187,8 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the ValueError of any bad input exits as
+    ``error: <message>``."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

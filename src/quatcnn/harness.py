@@ -262,7 +262,7 @@ def encode_input(config: ModelConfig, image: np.ndarray, dtype=np.float32):
         return encoding.concat_channels(image, dtype=dtype)
     if config.arithmetic == "quaternion":
         return encoding.encode_rgb_quaternion(image, dtype=dtype)
-    return encoding.concat_channels(image, dtype=dtype)
+    return encoding.concat_channels(encoding._check_rgb(image), dtype=dtype)
 
 
 def evaluate(model, samples: Samples) -> float:

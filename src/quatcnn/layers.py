@@ -30,14 +30,14 @@ derived from the Hamilton sign pattern in ``_QCONV_TERMS``, once per
 batch; its weight gradient folds back into the banks through the
 inverse tables, once per batch.
 
-Max pooling takes the maximum of the window's strided slices, uses a
-(2, 2) window with stride 2 and drops trailing odd rows/columns, which
-is what makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 ->
-10 and feed the dense layer exactly 12,800 values in both
-architectures. Its backward routes each window's gradient to the
-window's first maximum in row-major order, one pass over the window
-offsets; where windows do not overlap, each offset writes its share
-straight into its strided view of the input gradient.
+Max pooling takes the maximum of the window's strided slices, with the
+stride equal to the window, so windows never overlap. The reference
+configs use a 2x2 window and drop trailing odd rows/columns, which is
+what makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10
+and feed the dense layer exactly 12,800 values in both architectures.
+Its backward routes each window's gradient to the window's first
+maximum in row-major order, one pass over the window offsets, each
+writing straight into its strided view of the input gradient.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix fits in
@@ -272,15 +272,15 @@ def qconv2d_forward(x: np.ndarray, params: QConvParams) -> np.ndarray:
     return out.reshape(4, -1, *out.shape[1:])
 
 
-def _pool_views(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
+def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
     """The window**2 strided views of (..., H, W), one per window offset in
-    row-major order; view d holds element d of every pooling window."""
+    row-major order; view d holds element d of every pooling window.
+    Trailing rows and columns that fill no whole window are dropped."""
     h, w = x.shape[-2:]
     if h < window or w < window:
         raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
-    rows = stride * ((h - window) // stride) + 1
-    cols = stride * ((w - window) // stride) + 1
-    return [x[..., di:di + rows:stride, dj:dj + cols:stride]
+    rows, cols = window * (h // window), window * (w // window)
+    return [x[..., di:rows:window, dj:cols:window]
             for di in range(window) for dj in range(window)]
 
 
@@ -294,11 +294,11 @@ class Layer:
     ``forward`` takes a batch, with the sample axis third from last
     before flattening, and caches what ``backward`` needs; ``backward``
     takes the output gradient, accumulates into ``grad`` (summed over
-    the batch) and returns the input gradient, or None when
-    ``input_grad`` is false. A cache lives until the next ``forward``
-    replaces it, so a training loop reuses the same memory from chunk
-    to chunk. ``theta`` and ``grad`` are the layer's flat parameter and
-    gradient vectors; they are empty for a parameter-free layer.
+    the batch) and returns the input gradient. A cache lives until the
+    next ``forward`` replaces it, so a training loop reuses the same
+    memory from chunk to chunk. ``theta`` and ``grad`` are the layer's
+    flat parameter and gradient vectors; they are empty for a
+    parameter-free layer.
     """
 
     theta = grad = np.zeros(0)
@@ -314,9 +314,6 @@ class Layer:
     @property
     def param_count(self) -> int:
         return self.theta.size
-
-    def zero_grads(self):
-        self.grad.fill(0)
 
 
 class _WeightedLayer(Layer):
@@ -381,6 +378,8 @@ class _Correlation(_WeightedLayer):
         return out.reshape(*x.shape[:-4], -1, *out.shape[1:])
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
+        """``input_grad=False`` skips the input gradient and returns None,
+        as the model's first layer does."""
         w, cols, x_shape = self._cache
         f, k = w.shape[0], w.shape[-1]
         gmat = g.reshape(f, -1)
@@ -442,40 +441,37 @@ class QConv2d(_Correlation):
 
 
 class MaxPool2d(Layer):
-    """Per-plane max pooling of a square ``window`` over the last two
-    axes of a real (C, N, H, W) or quaternion (4, C, N, H, W) batch."""
+    """Per-plane max pooling of a square ``window``, with stride
+    ``window``, over the last two axes of a real (C, N, H, W) or
+    quaternion (4, C, N, H, W) batch."""
 
-    def __init__(self, window: int = 2, stride: int = 2):
+    def __init__(self, window: int = 2):
         self.window = window
-        self.stride = stride
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        views = _pool_views(x, self.window, self.stride)
+        views = _pool_views(x, self.window)
         out = views[0].copy()
         for view in views[1:]:
             np.maximum(out, view, out=out)
         self._cache = (x, out)
         return out
 
-    def backward(self, g: np.ndarray, input_grad: bool = True):
+    def backward(self, g: np.ndarray) -> np.ndarray:
         """Route each window's gradient to its first maximum in row-major
-        order; windows that overlap add their shares.
+        order.
 
         ``free`` marks the windows whose maximum is still unclaimed. A
         window's maximum is one of its elements, so at the last offset
-        every free window hits. Windows that do not overlap own disjoint
-        input elements, and each offset writes its routed gradient
-        straight into its strided view of ``gx``."""
-        if not input_grad:
-            return None
+        every free window hits. Windows own disjoint input elements, so
+        each offset writes its routed gradient straight into its strided
+        view of ``gx``."""
         x, out = self._cache
         gx = np.zeros(x.shape, dtype=g.dtype)
-        views = _pool_views(x, self.window, self.stride)
-        gviews = _pool_views(gx, self.window, self.stride)
+        views = _pool_views(x, self.window)
+        gviews = _pool_views(gx, self.window)
         free = np.ones(out.shape, dtype=bool)
         hit = np.empty(out.shape, dtype=bool)
-        share = np.empty(out.shape, dtype=g.dtype) if self.stride < self.window else None
         for d, (view, gview) in enumerate(zip(views, gviews)):
             if d == len(views) - 1:
                 hit = free
@@ -484,10 +480,7 @@ class MaxPool2d(Layer):
                 if d:
                     hit &= free
                 free ^= hit
-            if share is None:
-                np.multiply(g, hit, out=gview)
-            else:
-                gview += np.multiply(g, hit, out=share)
+            np.multiply(g, hit, out=gview)
         return gx
 
 
@@ -503,8 +496,8 @@ class ReLU(Layer):
         self._out = np.maximum(x, 0, out=x)
         return x
 
-    def backward(self, g: np.ndarray, input_grad: bool = True):
-        return g * (self._out > 0) if input_grad else None
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        return g * (self._out > 0)
 
 
 class Flatten(Layer):
@@ -520,9 +513,7 @@ class Flatten(Layer):
         self._shape = x.shape
         return np.moveaxis(x, -3, 0).reshape(x.shape[-3], -1)
 
-    def backward(self, g: np.ndarray, input_grad: bool = True):
-        if not input_grad:
-            return None
+    def backward(self, g: np.ndarray) -> np.ndarray:
         shape = self._shape
         moved = (shape[-3], *shape[:-3], *shape[-2:])
         return np.moveaxis(g.reshape(moved), 0, -3)
@@ -544,11 +535,11 @@ class Dense(_WeightedLayer):
         self._cache = v
         return v @ self.params.w + self.params.b
 
-    def backward(self, g: np.ndarray, input_grad: bool = True):
+    def backward(self, g: np.ndarray) -> np.ndarray:
         v = self._cache
         self.grads.w += g @ v
         self.grads.b += g.sum()
-        return np.outer(g, self.params.w) if input_grad else None
+        return np.outer(g, self.params.w)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +633,11 @@ def trace_shapes(config: ModelConfig):
     """Return (spec, out_channels, out_h, out_w, flat_len) rows per layer,
     validating the spatial arithmetic; flat_len is the flattened length
     once a flatten layer has run, else None. Raises ValueError on an
-    inconsistent chain."""
+    inconsistent chain, or if the first layer is not a convolution, the
+    one layer whose input gradient ``Model.backward`` may skip."""
+    if not config.layers or config.layers[0].kind not in ("conv", "qconv"):
+        first = config.layers[0].kind if config.layers else "none"
+        raise ValueError(f"inconsistent config: first layer must be conv or qconv, got {first}")
     channels = config.in_channels
     h = w = config.input_size
     flat: int | None = None
@@ -662,8 +657,7 @@ def trace_shapes(config: ModelConfig):
                     f"inconsistent config: pool window {spec.pool} "
                     f"does not fit input {h}x{w}"
                 )
-            h = (h - spec.pool) // spec.pool + 1
-            w = (w - spec.pool) // spec.pool + 1
+            h, w = h // spec.pool, w // spec.pool
         elif spec.kind == "flatten":
             per_channel = 4 if config.arithmetic == "quaternion" else 1
             flat = per_channel * channels * h * w
@@ -723,7 +717,7 @@ _LAYER_BUILDERS = {
     "conv": lambda spec, c, flat, dtype: Conv2d(c, spec.filters, spec.kernel, dtype),
     "qconv": lambda spec, c, flat, dtype: QConv2d(c, spec.filters, spec.kernel, dtype),
     "relu": lambda spec, c, flat, dtype: ReLU(),
-    "maxpool": lambda spec, c, flat, dtype: MaxPool2d(spec.pool, spec.pool),
+    "maxpool": lambda spec, c, flat, dtype: MaxPool2d(spec.pool),
     "flatten": lambda spec, c, flat, dtype: Flatten(),
     "dense": lambda spec, c, flat, dtype: Dense(flat, dtype),
 }
@@ -765,8 +759,8 @@ class Model:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,) logits of a batch whose sample axis is third from last.
-        The first layer checks the batch's layout; a convolution, as in
-        every reference config, only reads ``x``."""
+        The first layer, a convolution, checks the batch's layout and
+        only reads ``x``."""
         spatial = x.shape[-2:]
         if spatial != (self.config.input_size, self.config.input_size):
             raise ValueError(
@@ -793,11 +787,6 @@ class Model:
     @property
     def param_count(self) -> int:
         return self.theta.size
-
-    def astype(self, dtype) -> "Model":
-        clone = Model(self.config, rng=None, dtype=dtype)
-        clone.theta[...] = self.theta
-        return clone
 
 
 # ---------------------------------------------------------------------------

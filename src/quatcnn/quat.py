@@ -7,6 +7,9 @@ channels is a (4, C, H, W) array, and a batch of N of them a
 (4, C, N, H, W) array. All layer arithmetic downstream reduces to real
 operations over these planes; the scalar ``Quaternion`` and
 ``hamilton`` here are the reference they mirror.
+
+``Quaternion`` is a plain value with no operators: each operation is
+one free function (``add``, ``hamilton``, ``conjugate``, ``norm``).
 """
 
 from __future__ import annotations
@@ -34,29 +37,10 @@ class Quaternion:
     q2: float
     q3: float
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return add(self, other)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return add(self, -other)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return hamilton(self, other)
-
-    def conjugate(self) -> "Quaternion":
-        return conjugate(self)
-
-    def norm(self) -> float:
-        return norm(self)
-
     def components(self) -> tuple[float, float, float, float]:
         return (self.q0, self.q1, self.q2, self.q3)
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

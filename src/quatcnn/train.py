@@ -7,8 +7,9 @@ third-from-last axis, as ``Model.forward`` takes it, and an int label
 vector. A chunk of it is one ``take`` along that axis, and the loss and
 accuracy of a chunk are array expressions over its logits.
 
-Training runs in single precision; gradient checking converts the model
-to double first so central differences at h=1e-6 are meaningful.
+Training runs in single precision; gradient checking builds its models
+in double precision (``Model(config, dtype=np.float64)``) so central
+differences at h=1e-6 are meaningful.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def grad_check(model: Model, data: Samples, h: float = 1e-6,
     carries ~1e-10 of roundoff, so smaller gradients only measure noise.
     """
     if model.dtype != np.float64:
-        raise ValueError("grad_check requires a float64 model (use model.astype)")
+        raise ValueError("grad_check requires a float64 model (build it with dtype=np.float64)")
     rng = rng or np.random.default_rng(0)
     _minibatch(model, data, np.arange(len(data)), len(data))
     analytic = model.grad.copy()

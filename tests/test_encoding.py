@@ -298,10 +298,16 @@ class TestPpmIO:
         img = read_ppm(path)
         assert np.array_equal(img, [[[255, 0, 0], [0, 0, 255]]])
 
-    def test_rejects_other_formats(self, tmp_path):
+    @pytest.mark.parametrize("raw,match", [
+        (b"P5\n2 2\n255\n" + bytes(4), "P3/P6"),
+        (b"P6\n2 2\n65535\n" + bytes(24), "only maxval 255 is supported, got 65535"),
+        (b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
+        (b"P3\n2 1\n255\n255 0 0  0 0\n", "expected 6 ascii samples, got 5"),
+    ], ids=["p5", "maxval", "truncated-p6", "p3-sample-count"])
+    def test_rejects_bad_pixmaps(self, tmp_path, raw, match):
         path = tmp_path / "img.ppm"
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
-        with pytest.raises(ValueError, match="P3/P6"):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
             read_ppm(path)
 
     def test_load_image_normalizes(self, tmp_path):

@@ -305,6 +305,15 @@ class TestEncodeInput:
         assert augmented.dtype == np.float32
         assert np.array_equal(augmented, np.stack(flipped, axis=-3))
 
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    @pytest.mark.parametrize("bad,match", [(np.nan, "be finite"), (7.0, r"lie in \[0, 1\]")],
+                             ids=["nan", "seven"])
+    def test_rejects_bad_pixels(self, name, bad, match):
+        images = np.full((2, 24, 24, 3), 0.5)
+        images[1, 3, 4, 2] = bad
+        with pytest.raises(ValueError, match=f"RGB values must {match}"):
+            encode_input(config_from_name(name, 24), images)
+
     def test_hsv_encodings_differ_from_rgb(self):
         rng = np.random.default_rng(83)
         img = rng.uniform(0.1, 0.9, (24, 24, 3))
@@ -842,6 +851,17 @@ class TestCli:
             cli.main(["sweep", "--data", str(tmp_path / "missing"), "--jobs", "0",
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--fractions", "0.1,x"],
+        ["sweep", "--data", "{tmp}/missing"],
+        ["count-params", "--input-size", "5"],
+    ], ids=["bad-fraction", "missing-data-dir", "input-too-small"])
+    def test_bad_input_exits_with_an_error(self, tmp_path, argv):
+        if argv[0] == "sweep":
+            argv = argv + ["--out", "{tmp}/out"]
+        with pytest.raises(SystemExit, match="^error: "):
+            cli.main([arg.format(tmp=tmp_path) for arg in argv])
 
     def test_missing_data(self, monkeypatch):
         monkeypatch.delenv("QUATCNN_DATA", raising=False)

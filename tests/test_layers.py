@@ -102,7 +102,7 @@ class TestBatchedLayersPerSample:
         g = rng.uniform(-1, 1, out.shape)
         gx = layer.backward(g)
         for n in range(shape[-3]):
-            expect_out, expect_gx = maxpool_oracle(x[..., n, :, :], g[..., n, :, :], 2, 2)
+            expect_out, expect_gx = maxpool_oracle(x[..., n, :, :], g[..., n, :, :], 2)
             assert np.array_equal(out[..., n, :, :], expect_out)
             assert np.array_equal(gx[..., n, :, :], expect_gx)
 
@@ -319,17 +319,17 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="pool window"):
             MaxPool2d().forward(np.zeros((1, 1, 4)))
 
-    # (shape, window, stride): odd sizes drop their trailing row/column,
-    # among them the 47x47 and 21x21 planes of the 100x100 chain; window
-    # 3/stride 2 and window 2/stride 1 overlap; window 2/stride 3 leaves
-    # gaps; (4, 3, 10, 9) is a (4, C, H, W) quaternion input
-    @pytest.mark.parametrize("shape,window,stride", [
-        ((3, 7, 7), 2, 2), ((2, 49, 49), 2, 2), ((2, 9, 11), 3, 2),
-        ((2, 8, 7), 2, 1), ((4, 3, 10, 9), 2, 2), ((2, 47, 47), 2, 2),
-        ((3, 21, 21), 2, 2), ((2, 10, 11), 2, 3),
+    # (shape, window): sizes that are no multiple of the window drop their
+    # trailing rows/columns, among them the 47x47 and 21x21 planes of the
+    # 100x100 chain and, at window 3, 9x11 (two columns) and 8x7 (two rows,
+    # one column); (4, 3, 10, 9) is a (4, C, H, W) quaternion input
+    @pytest.mark.parametrize("shape,window", [
+        ((3, 7, 7), 2), ((2, 49, 49), 2), ((2, 9, 11), 3),
+        ((2, 8, 7), 3), ((4, 3, 10, 9), 2), ((2, 47, 47), 2),
+        ((3, 21, 21), 2), ((2, 10, 11), 2),
     ])
     @pytest.mark.parametrize("values", ["uniform", "three-levels", "all-tie", "last-max"])
-    def test_layer_matches_argmax_oracle(self, shape, window, stride, values):
+    def test_layer_matches_argmax_oracle(self, shape, window, values):
         rng = np.random.default_rng(36)
         if values == "uniform":
             x = rng.uniform(-1, 1, shape)
@@ -338,32 +338,24 @@ class TestMaxPool:
         elif values == "all-tie":
             x = np.full(shape, 0.5)
         else:
-            # where windows do not overlap, each one's only maximum sits at
-            # its last (row-major) offset
+            # each window's only maximum sits at its last (row-major) offset
             x = rng.uniform(-1, 0, shape)
-            x[..., window - 1::stride, window - 1::stride] = rng.uniform(1, 2)
-        layer = MaxPool2d(window, stride)
+            x[..., window - 1::window, window - 1::window] = rng.uniform(1, 2)
+        layer = MaxPool2d(window)
         out = layer.forward(x)
         g = rng.uniform(-1, 1, out.shape)
-        expect_out, expect_gx = maxpool_oracle(x, g, window, stride)
+        expect_out, expect_gx = maxpool_oracle(x, g, window)
         assert np.array_equal(out, expect_out)
         gx = layer.backward(g)
-        if stride >= window:
-            assert np.array_equal(gx, expect_gx)
-        else:
-            assert_close(gx, expect_gx, 1e-12, "overlapping windows")
-        # inputs no window covers (gaps, dropped trailing rows and
-        # columns) get exactly 0
+        assert np.array_equal(gx, expect_gx)
+        # dropped trailing rows and columns get exactly 0
         oh, ow = out.shape[-2:]
-        covered = np.zeros(shape[-2:], dtype=bool)
-        for i in range(oh):
-            for j in range(ow):
-                covered[i * stride:i * stride + window, j * stride:j * stride + window] = True
-        assert np.all(gx[..., ~covered] == 0)
-        if stride >= window and values in ("all-tie", "last-max"):
+        assert np.all(gx[..., window * oh:, :] == 0)
+        assert np.all(gx[..., window * ow:] == 0)
+        if values in ("all-tie", "last-max"):
             # ties route to offset 0; a lone maximum at the last offset gets it all
             d = 0 if values == "all-tie" else window - 1
-            assert np.array_equal(gx[..., d:d + stride * oh:stride, d:d + stride * ow:stride], g)
+            assert np.array_equal(gx[..., d:d + window * oh:window, d:d + window * ow:window], g)
 
 
 class TestReLU:
@@ -464,12 +456,19 @@ class TestCountParameters:
         )
         assert count_parameters(config) == ([2], 2)
 
-    def test_inconsistent_config_raises(self):
+    @pytest.mark.parametrize("size,specs,match", [
+        (4, rvcnn_config().layers, "conv kernel 3 does not fit input 1x1"),
+        (5, (LayerSpec("conv", 1), LayerSpec("maxpool", pool=4)),
+         "pool window 4 does not fit input 3x3"),
+        (5, (LayerSpec("conv", 1), LayerSpec("dense", 1)), "dense before flatten"),
+        (5, (LayerSpec("conv", 1), LayerSpec("avgpool")), "unknown layer kind 'avgpool'"),
+    ], ids=["conv-too-big", "pool-too-big", "dense-before-flatten", "unknown-kind"])
+    def test_inconsistent_config_raises(self, size, specs, match):
         config = ModelConfig(
-            name="bad", arithmetic="real", encoding="rgb", input_size=4,
-            in_channels=3, layers=rvcnn_config().layers,
+            name="bad", arithmetic="real", encoding="rgb", input_size=size,
+            in_channels=3, layers=specs,
         )
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match=match):
             count_parameters(config)
 
     def test_hsv_variants_same_counts(self):
@@ -483,6 +482,24 @@ class TestShapeChain:
         rows = trace_shapes(maker(input_size=100))
         flat = [row[4] for row in rows if row[0].kind == "flatten"][0]
         assert flat == 12800
+
+    # Model.backward skips the first layer's input gradient, and ReLU
+    # rectifies its input in place: a first layer that is no convolution
+    # would return no input gradient it owes and could overwrite the
+    # caller's batch
+    @pytest.mark.parametrize("size,specs,first", [
+        (24, (), "none"),
+        (24, (LayerSpec("relu"), *rvcnn_config().layers), "relu"),
+        (48, (LayerSpec("maxpool"), *rvcnn_config().layers), "maxpool"),
+    ], ids=["no-layers", "relu-first", "maxpool-first"])
+    def test_first_layer_must_be_a_convolution(self, size, specs, first):
+        config = ModelConfig(name="bad", arithmetic="real", encoding="rgb",
+                             input_size=size, in_channels=3, layers=specs)
+        match = f"first layer must be conv or qconv, got {first}"
+        with pytest.raises(ValueError, match=match):
+            trace_shapes(config)
+        with pytest.raises(ValueError, match=match):
+            Model(config)
 
     def test_config_from_name(self):
         for name in ("rvcnn-rgb", "rvcnn-hsv", "qvcnn-rgb", "qvcnn-hsv"):
@@ -510,14 +527,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="digest"):
             load_model(path, rvcnn_config(input_size=24))
 
-    def test_truncated_file(self, tmp_path):
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda data: data[:len(data) // 2], "truncated"),
+        (lambda data: b"QVCX" + data[4:], "bad magic"),
+        (lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+         "unsupported container version 2"),
+        (lambda data: data + b"\0", "trailing bytes"),
+    ], ids=["truncated", "bad-magic", "version", "trailing-bytes"])
+    def test_corrupt_file(self, tmp_path, corrupt, match):
         rng = np.random.default_rng(34)
         model = Model(qvcnn_config(input_size=24), rng=rng)
         path = tmp_path / "model.bin"
         save_model(path, model)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(ValueError, match="truncated"):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=match):
             load_model(path, qvcnn_config(input_size=24))
 
     def test_container_layout(self, tmp_path):

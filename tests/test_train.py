@@ -220,7 +220,7 @@ class TestBackwardClosedForms:
         layer.params.w[...] = [1.0, -2.0, 0.5]
         v = np.array([[4.0, 5.0, 6.0], [1.0, 0.0, -1.0]])
         layer.forward(v)
-        layer.zero_grads()
+        layer.grad.fill(0)
         gv = layer.backward(np.array([2.0, -3.0]))
         assert np.array_equal(layer.grads.w, 2.0 * v[0] - 3.0 * v[1])
         assert layer.grads.b == -1.0

@@ -167,7 +167,7 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
         return float(np.sum(np.asarray(layer.forward(inp)) * proj))
 
     layer.forward(x.copy())
-    layer.zero_grads()
+    layer.grad.fill(0)
     gx = layer.backward(proj)
     pairs = zip(per_array(layer.params), per_array(layer.grads)) if layer.param_count else ()
 
@@ -251,24 +251,24 @@ def qconv2d_hamilton_sum_oracle(x, params) -> np.ndarray:
     return out + np.asarray(params.bias, dtype=np.float64)[:, :, None, None]
 
 
-def maxpool_oracle(x: np.ndarray, g: np.ndarray, window: int, stride: int):
-    """Max pooling of (..., H, W) by argmax over each row-major flattened
-    window (first index wins ties). Returns the pooled values and the
-    input gradient for output gradient ``g``, scattered with np.add.at."""
+def maxpool_oracle(x: np.ndarray, g: np.ndarray, window: int):
+    """Max pooling of (..., H, W) with stride ``window`` by argmax over
+    each row-major flattened window (first index wins ties). Returns the
+    pooled values and the input gradient for output gradient ``g``,
+    scattered with np.add.at."""
     lead = x.shape[:-2]
     flat = x.reshape(-1, *x.shape[-2:])
     p, h, w = flat.shape
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
+    oh, ow = h // window, w // window
     s0, s1, s2 = flat.strides
     win = np.lib.stride_tricks.as_strided(
         flat, shape=(p, oh, ow, window, window),
-        strides=(s0, stride * s1, stride * s2, s1, s2),
+        strides=(s0, window * s1, window * s2, s1, s2),
     ).reshape(p, oh, ow, window * window)
     idx = win.argmax(axis=3)
     out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
     gx = np.zeros(flat.shape, dtype=g.dtype)
     pi, oi, oj = np.indices((p, oh, ow))
-    np.add.at(gx, (pi, oi * stride + idx // window, oj * stride + idx % window),
+    np.add.at(gx, (pi, oi * window + idx // window, oj * window + idx % window),
               g.reshape(p, oh, ow))
     return out.reshape(*lead, oh, ow), gx.reshape(x.shape)
