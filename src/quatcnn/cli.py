@@ -83,8 +83,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    fractions = tuple(float(f) for f in args.fractions.split(","))
-    plan = _plan(args, configs=tuple(args.configs), fractions=fractions,
+    fractions = []
+    for item in args.fractions.split(","):
+        try:
+            fractions.append(float(item))
+        except ValueError:
+            raise ValueError(f"--fractions: {item!r} is not a number") from None
+    plan = _plan(args, configs=tuple(args.configs), fractions=tuple(fractions),
                  runs=args.runs, jobs=args.jobs)
     manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     report = harness.run_experiment(plan, manifest, args.out)

@@ -852,15 +852,15 @@ class TestCli:
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--fractions", "0.1,x"],
-        ["sweep", "--data", "{tmp}/missing"],
-        ["count-params", "--input-size", "5"],
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--fractions", "0.1,x"], "--fractions: 'x' is not a number$"),
+        (["sweep", "--data", "{tmp}/missing"], ""),
+        (["count-params", "--input-size", "5"], ""),
     ], ids=["bad-fraction", "missing-data-dir", "input-too-small"])
-    def test_bad_input_exits_with_an_error(self, tmp_path, argv):
+    def test_bad_input_exits_with_an_error(self, tmp_path, argv, message):
         if argv[0] == "sweep":
             argv = argv + ["--out", "{tmp}/out"]
-        with pytest.raises(SystemExit, match="^error: "):
+        with pytest.raises(SystemExit, match="^error: " + message):
             cli.main([arg.format(tmp=tmp_path) for arg in argv])
 
     def test_missing_data(self, monkeypatch):

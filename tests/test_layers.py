@@ -13,6 +13,7 @@ from quatcnn.layers import (
     chunk_size, count_parameters, trace_shapes, Model, config_digest, save_model,
     load_model,
 )
+from quatcnn.train import _tiny_config
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
@@ -373,6 +374,74 @@ class TestReLU:
         x = rng.normal(size=(3, 5, 5))
         once = ReLU().forward(x)
         assert np.array_equal(ReLU().forward(once), once)
+
+
+class TestRunOrder:
+    """``Model`` runs each ReLU after the max pool it feeds; the result
+    must be the bits of a pass in declaration order."""
+
+    def test_relu_runs_after_the_pool_it_feeds(self):
+        for name in CONFIG_NAMES:
+            model = Model(config_from_name(name, 24))
+            conv = type(model.layers[0])
+            assert [type(layer) for layer in model.layers] == \
+                [conv, ReLU, MaxPool2d] * 3 + [Flatten, Dense]
+            assert model.run_order == [model.layers[i] for i in (0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 10)]
+
+    def test_reference_digests_keep_the_declaration_order(self):
+        # the configs as declared (conv -> relu -> maxpool), whose digest
+        # every saved model.bin header holds
+        assert {name: config_digest(config_from_name(name)).hex() for name in CONFIG_NAMES} == {
+            "rvcnn-rgb": "d7e19efd3307442ecf8f66b30167676034fd3a4e1cf5a965f087bbf13f60ad1f",
+            "rvcnn-hsv": "98d01b7ce3930f22d713a74a42a2d22f051afd43f61529c840687cbbede27137",
+            "qvcnn-rgb": "ab770c2346f9cdeab8412d4f3e19ebb73d658d98dee68a614d6eb9e9c258a67b",
+            "qvcnn-hsv": "9a7b3c712329bed728ea7f0867a898d76c9a71a9c4ab3e933f5f51517b07b8ab",
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arithmetic", ["real", "quaternion"])
+    def test_matches_a_pass_in_declaration_order_bit_for_bit(self, arithmetic, dtype):
+        rng = np.random.default_rng(80)
+        model = Model(_tiny_config(arithmetic, input_size=13), dtype=dtype)
+        model.theta[:] = rng.integers(-1, 2, model.theta.size)
+        # the first convolution's two filters copy +/- input channel 0, so
+        # the first pool sees the windows written below
+        first = model.layers[0]
+        first.params.w[...] = first.params.bias[...] = 0
+        first.params.w.reshape(-1, 2, *first.params.w.shape[-3:])[0, :, 0, 1, 1] = (1, -1)
+        n = 3
+        lead = (3,) if arithmetic == "real" else (4, 1)
+        x = rng.integers(-3, 4, (*lead, n, 13, 13)).astype(dtype)
+        # 2x2 windows of channel 0: max < 0, max 0 with a tie, a positive
+        # tie, max 0 at the first offset
+        x.reshape(-1, n, 13, 13)[0, :, 1:3, 1:9] = [[-1, -2, -1, 0, 2, -1, 0, -1],
+                                                   [-3, -1, 0, -2, 0, 2, -2, -3]]
+        pooled_in = first.forward(x).copy()
+        peaks = MaxPool2d().forward(pooled_in)
+        ties = (np.stack(layers._pool_views(pooled_in, 2)) == peaks).sum(axis=0) > 1
+        assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
+        dlogits = rng.uniform(-1, 1, n).astype(dtype)
+
+        model.zero_grads()
+        h, g = x, dlogits
+        for layer in model.layers:
+            h = layer.forward(h)
+        for layer in reversed(model.layers):
+            g = layer.backward(g)
+        want = (h, model.grad.copy(), g)
+
+        model.zero_grads()
+        logits = model.forward(x)
+        model.backward(dlogits)
+        grad = model.grad.copy()
+        model.zero_grads()
+        model.forward(x)
+        g = dlogits
+        for layer in reversed(model.run_order):
+            g = layer.backward(g)
+        assert model.grad.tobytes() == grad.tobytes()
+        for got, expect in zip((logits, grad, g), want, strict=True):
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
 class TestFlatten:

@@ -585,7 +585,7 @@ class TestBatchedPath:
         model.zero_grads()
         model.forward(x)
         g = dlogits
-        for layer in reversed(model.layers):
+        for layer in reversed(model.run_order):
             g = layer.backward(g)
         assert g.shape == x.shape
         assert np.array_equal(skipped, model.grad)
