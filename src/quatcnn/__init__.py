@@ -75,3 +75,9 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# What a seed computes. Bump it with any change after which a seed no
+# longer reproduces its results byte for byte; plan.json records it, so a
+# sweep is not resumed across such a change. 1 is every result before
+# 24x24 training ran in chunks of 8 samples.
+RESULTS_VERSION = 2

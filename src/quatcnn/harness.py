@@ -10,8 +10,9 @@ adding configurations or fractions never perturbs existing runs.
 Results stream to ``runs.csv`` as they finish, and an interrupted sweep
 resumes by skipping the (config, fraction, run) keys already present.
 Wall-clock time is tracked per run but kept out of runs.csv so repeated
-sweeps reproduce the file byte for byte. A resume under another plan
-than the directory's ``plan.json`` records is refused.
+sweeps reproduce the file byte for byte. A resume under another plan or
+``RESULTS_VERSION`` than the directory's ``plan.json`` records is
+refused.
 """
 
 from __future__ import annotations
@@ -444,11 +445,17 @@ _PLAN_FIELDS = ("epochs", "base_seed", "batch_size", "input_size", "augment", "s
 
 def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) -> None:
     """Record the plan in ``<out_dir>/plan.json`` on the first write; on a
-    resume, raise if the runs there were computed under another plan."""
+    resume, raise if the runs there were computed under another plan or
+    another ``RESULTS_VERSION``. A ``plan.json`` without the version
+    predates it, so it reads as version 1."""
+    from . import RESULTS_VERSION  # the package attribute, read at call time
+
     current = {name: getattr(plan, name) for name in _PLAN_FIELDS}
     current["checksum"] = manifest.checksum
+    current["results_version"] = RESULTS_VERSION
     path = out_dir / "plan.json"
-    stored = json.loads(path.read_text(encoding="utf-8")) if path.exists() else current
+    stored = ({"results_version": 1} | json.loads(path.read_text(encoding="utf-8"))
+              if path.exists() else current)
     changed = [f"{k} {stored.get(k)!r} -> {v!r}" for k, v in current.items()
                if stored.get(k) != v]
     if changed:
@@ -468,10 +475,10 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     once); all writes stay in this process. Spawned workers import the
     calling script's main module, so a script that calls this with
     ``jobs`` > 1 keeps its top-level code under ``if __name__ ==
-    "__main__":``. A directory written under other ``_PLAN_FIELDS`` or another
-    manifest raises ``ValueError`` before anything runs; more runs, configs
-    or fractions, or other ``jobs``, resume. Finishes by re-emitting the
-    canonical, sorted report.
+    "__main__":``. A directory written under other ``_PLAN_FIELDS``, another
+    manifest or another ``RESULTS_VERSION`` raises ``ValueError`` before
+    anything runs; more runs, configs or fractions, or other ``jobs``,
+    resume. Finishes by re-emitting the canonical, sorted report.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

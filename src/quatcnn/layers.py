@@ -49,7 +49,7 @@ How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix fits in
 ``IM2COL_BUDGET`` bytes. A chunk's activations are kept until its
 backward pass, so this budget is what bounds training memory. It gives
-chunks of 4 at 24x24. At 100x100 one sample's conv2 patches (2.5 MB)
+chunks of 8 at 24x24. At 100x100 one sample's conv2 patches (2.5 MB)
 already exceed it, so the paper-size path runs one sample per chunk
 and keeps the memory of an unbatched loop.
 
@@ -703,9 +703,9 @@ def count_parameters(config: ModelConfig) -> tuple[list[int], int]:
 # Bytes of float32 im2col patches one chunk may build in its largest conv
 # layer. By trace_shapes, that layer is conv2 in all four reference
 # configs: 288 x 81 floats (93,312 bytes) per sample at 24x24, and
-# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget holds four
+# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget holds eight
 # 24x24 samples and less than one 100x100 sample.
-IM2COL_BUDGET = 4 * 93_312
+IM2COL_BUDGET = 8 * 93_312
 
 
 def chunk_size(config: ModelConfig, batch_size: int) -> int:
@@ -713,7 +713,7 @@ def chunk_size(config: ModelConfig, batch_size: int) -> int:
     one forward and one backward: the most, up to ``batch_size``, whose
     largest per-layer float32 im2col matrix fits in ``IM2COL_BUDGET``,
     and at least one. For the four reference configs that is
-    min(batch_size, 4) at 24x24 and 1 at 100x100.
+    min(batch_size, 8) at 24x24 and 1 at 100x100.
     """
     planes = 4 if config.arithmetic == "quaternion" else 1
     channels, per_sample = config.in_channels, 0

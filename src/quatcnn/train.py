@@ -78,9 +78,15 @@ def bce_with_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     cannot overflow: softplus(z) = max(z, 0) + log1p(e), and sigmoid(z)
     is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
     """
-    z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     _check_labels(labels)
+    return _bce(logits, labels)
+
+
+def _bce(logits, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bce_with_logits`` on labels already known to be 0 or 1, such as
+    those of a ``Samples``."""
+    z = np.asarray(logits, dtype=np.float64)
     e = np.exp(-np.abs(z))
     loss = np.maximum(z, 0.0) + np.log1p(e) - labels * z
     sigmoid = np.where(z >= 0, 1.0, e) / (1.0 + e)
@@ -133,7 +139,7 @@ def _minibatch(model: Model, data: Samples, batch: np.ndarray,
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
         z = model.forward(data.x.take(part, axis=-3))
-        loss, dz = bce_with_logits(z, data.y[part])
+        loss, dz = _bce(z, data.y[part])
         model.backward(dz / len(batch))
         losses[lo:lo + len(part)] = loss
         logits[lo:lo + len(part)] = z
@@ -141,7 +147,7 @@ def _minibatch(model: Model, data: Samples, batch: np.ndarray,
 
 
 def _mean_loss(model: Model, data: Samples) -> float:
-    return float(bce_with_logits(model.forward(data.x), data.y)[0].mean())
+    return float(_bce(model.forward(data.x), data.y)[0].mean())
 
 
 def grad_check(model: Model, data: Samples, h: float = 1e-6,

@@ -16,6 +16,7 @@ from quatcnn.harness import (
 )
 from quatcnn.layers import CONFIG_NAMES, config_from_name, rvcnn_config
 from quatcnn.train import Samples
+import quatcnn
 from quatcnn import cli, harness
 
 
@@ -228,7 +229,7 @@ class TestPlanValidation:
 class _StubModel:
     """Gives each sample of a (1, N, 1, 1) batch its one value as the logit."""
 
-    config = rvcnn_config(input_size=24)  # chunks of 4 samples
+    config = rvcnn_config(input_size=24)  # chunks of 8 samples
 
     def __init__(self):
         self.batch_sizes = []
@@ -256,15 +257,15 @@ class TestEvaluate:
         model = _StubModel()
         acc = evaluate(model, samples)
         assert abs(acc - 0.5) < 0.05
-        assert model.batch_sizes == [4] * 500
+        assert model.batch_sizes == [8] * 250
 
     def test_counts_each_sample_against_its_own_label(self):
-        # 10 samples in chunks of 4, 4 and 2; the wrong ones are 2, 5 and 9
+        # 10 samples in chunks of 8 and 2; the wrong ones are 2, 5 and 9
         logits = [1.0, -1.0, -2.0, 3.0, -0.5, 0.5, 2.0, -3.0, 4.0, -4.0]
         labels = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
         model = _StubModel()
         assert evaluate(model, logit_samples(logits, labels)) == 7 / 10
-        assert model.batch_sizes == [4, 4, 2]
+        assert model.batch_sizes == [8, 2]
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -553,6 +554,7 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "out" / "plan.json").read_text()) == {
             "epochs": 2, "base_seed": 3, "batch_size": 16, "input_size": 24,
             "augment": False, "stratify": True, "checksum": man.checksum,
+            "results_version": quatcnn.RESULTS_VERSION,
         }
 
     @pytest.mark.parametrize("change", [
@@ -581,6 +583,40 @@ class TestRunExperiment:
         other = load_manifest(make_fixture_dir(tmp_path / "other", n=10))
         with pytest.raises(ValueError, match="checksum"):
             run_experiment(smoke_plan(runs=1), other, out, log=lambda *_: None)
+
+    @pytest.mark.parametrize("stored", ["older-version", "no-version-field"])
+    def test_resume_under_another_results_version_is_refused(self, tmp_path, monkeypatch,
+                                                             stored):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        old = quatcnn.RESULTS_VERSION
+        if stored == "older-version":
+            monkeypatch.setattr(quatcnn, "RESULTS_VERSION", old + 1)
+        else:  # a plan.json written before the field existed reads as version 1
+            plan = json.loads((out / "plan.json").read_text())
+            del plan["results_version"]
+            (out / "plan.json").write_text(json.dumps(plan))
+            old = 1
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match=rf"\(results_version {old} -> "
+                                             rf"{quatcnn.RESULTS_VERSION}\)"):
+            run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_directory_without_plan_json_is_adopted(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        plan = (out / "plan.json").read_bytes()
+        (out / "plan.json").unlink()
+        report = run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
+        assert report.n_skipped == 1 and report.n_executed == 1
+        assert (out / "plan.json").read_bytes() == plan
 
     def test_more_runs_configs_fractions_and_jobs_resume(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))

@@ -176,19 +176,19 @@ class TestConvInputGradient:
 
 
 class TestChunkSize:
-    # the docstring of chunk_size: min(batch_size, 4) at 24x24, 1 at 100x100
+    # the docstring of chunk_size: min(batch_size, 8) at 24x24, 1 at 100x100
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_reference_configs(self, name):
         small, paper = config_from_name(name, 24), config_from_name(name, 100)
-        for batch_size in (1, 3, 4, 16, 100):
-            assert chunk_size(small, batch_size) == min(batch_size, 4)
+        for batch_size in (1, 3, 4, 8, 9, 16, 100):
+            assert chunk_size(small, batch_size) == min(batch_size, 8)
             assert chunk_size(paper, batch_size) == 1
 
     def test_depends_only_on_config_and_batch_size(self):
         assert list(inspect.signature(chunk_size).parameters) == ["config", "batch_size"]
         first = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
         again = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
-        assert first == again == [min(b, 4) for b in range(1, 20)]
+        assert first == again == [min(b, 8) for b in range(1, 20)]
 
 
 class TestQConv2d:
