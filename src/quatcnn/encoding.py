@@ -46,9 +46,10 @@ def _check_shape(img: np.ndarray, ndims=(3, 4)) -> np.ndarray:
 
 def _check_rgb(img: np.ndarray) -> np.ndarray:
     img = _check_shape(img)
-    if not np.isfinite(img).all():
+    lo, hi = img.min(), img.max()  # a NaN anywhere makes both NaN
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("RGB values must be finite")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("RGB values must lie in [0, 1]")
     return img
 
@@ -196,17 +197,17 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_ppm(path, img: np.ndarray) -> None:
-    """Write (H, W, 3) data as binary P6. Float input must be unit-interval
-    and is rounded to 8 bits; uint8 passes through."""
+    """Write (H, W, 3) data as binary P6. Float input must be finite and
+    unit-interval and is rounded to 8 bits; uint8 passes through. Bad
+    input raises ValueError before the file is opened."""
     img = _check_shape(img, ndims=(3,))
     if img.dtype != np.uint8:
-        if img.min() < 0.0 or img.max() > 1.0:
-            raise ValueError("float image must lie in [0, 1]")
-        img = np.round(img * 255.0).astype(np.uint8)
+        scaled = _check_rgb(img) * 255.0
+        img = np.round(scaled, out=scaled).astype(np.uint8)
     h, w = img.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(img).tobytes())
+        fh.write(np.ascontiguousarray(img))
 
 
 def load_image(path) -> np.ndarray:

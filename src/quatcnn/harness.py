@@ -599,12 +599,27 @@ def generate_synthetic_dataset(
     default), class 1 around ``blast_hue`` (bluish purple). Setting
     ``value`` to a degenerate range like (0.8, 0.8) yields the
     hue-separable-at-fixed-value task. A light mottled texture and
-    pixel noise keep the task from being a single-pixel lookup.
+    pixel noise keep the task from being a single-pixel lookup; a
+    negative ``noise`` raises ValueError.
+
+    Each call allocates its work arrays (image, noise, ellipse
+    coordinates, mask) once and refills them per image. The bytes of
+    every file are pinned by ``TestSyntheticData::test_bytes_are_pinned``.
     """
+    if not noise >= 0.0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    axis = np.arange(size, dtype=np.float64)
+    # the texture depends on x + y alone, which takes 2 * size - 1 values
+    diagonal = np.arange(2 * size - 1, dtype=np.float64)
+    diagonal_of = np.arange(size)[:, None] + np.arange(size)
+    img = np.empty((size, size, 3))
+    grain = np.empty_like(img)
+    u = np.empty((size, size))
+    w = np.empty_like(u)
+    mask = np.empty(u.shape, dtype=bool)
     paths = []
     for i in range(n):
         label = i % 2
@@ -614,21 +629,32 @@ def generate_synthetic_dataset(
         cell_rgb = _hsv_pixel_to_rgb(hue, sat, val)
 
         # pale background with a slight warm tint, like a smear slide
-        img = np.empty((size, size, 3))
-        img[...] = np.array([0.93, 0.88, 0.90]) + rng.uniform(-0.02, 0.02, 3)
+        background = np.array([0.93, 0.88, 0.90]) + rng.uniform(-0.02, 0.02, 3)
 
         cy, cx = rng.uniform(0.35, 0.65, 2) * size
         ry, rx = rng.uniform(0.18, 0.30, 2) * size
         theta = rng.uniform(0.0, np.pi)
         ct, st = np.cos(theta), np.sin(theta)
-        u = (xx - cx) * ct + (yy - cy) * st
-        w = -(xx - cx) * st + (yy - cy) * ct
-        mask = (u / rx) ** 2 + (w / ry) ** 2 <= 1.0
+        dx, dy = axis - cx, axis - cy
+        np.add(dx * ct, (dy * st)[:, None], out=u)  # the ellipse's own axes
+        np.subtract((dy * ct)[:, None], dx * st, out=w)
+        u /= rx
+        w /= ry
+        np.square(u, out=u)
+        np.square(w, out=w)
+        u += w
+        np.less_equal(u, 1.0, out=mask)
 
-        texture = 1.0 + 0.08 * np.sin(2 * np.pi * (xx + yy) / rng.uniform(6, 14))
-        for ch in range(3):
-            img[..., ch] = np.where(mask, cell_rgb[ch] * texture, img[..., ch])
-        img += rng.normal(0.0, noise, img.shape)
+        texture = 1.0 + 0.08 * np.sin(2 * np.pi * diagonal / rng.uniform(6, 14))
+        for ch in range(3):  # u is free once the mask is set
+            plane = img[..., ch]
+            plane[...] = background[ch]
+            np.take(cell_rgb[ch] * texture, diagonal_of, out=u)
+            np.copyto(plane, u, where=mask)
+        # the draws of rng.normal(0.0, noise, img.shape), scaled in place
+        rng.standard_normal(out=grain)
+        grain *= noise
+        img += grain
         np.clip(img, 0.0, 1.0, out=img)
 
         path = out_dir / f"Im{i + 1:03d}_{label}.ppm"

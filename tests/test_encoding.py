@@ -292,6 +292,24 @@ class TestPpmIO:
         write_ppm(path, img)
         assert np.all(read_ppm(path) == 128)  # round(0.5 * 255) = 128
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_float_write_rejects_non_finite(self, tmp_path, bad):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 0] = bad
+        path = tmp_path / "img.ppm"
+        with pytest.raises(ValueError, match="must be finite"):
+            write_ppm(path, img)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_float_write_rejects_out_of_range(self, tmp_path, bad):
+        img = np.full((2, 2, 3), 0.5)
+        img[0, 1, 2] = bad
+        path = tmp_path / "img.ppm"
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            write_ppm(path, img)
+        assert not path.exists()
+
     def test_ascii_p3(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_text("P3\n# comment\n2 1\n255\n255 0 0  0 0 255\n")

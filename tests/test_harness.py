@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -774,6 +775,44 @@ class TestSyntheticData:
         b = generate_synthetic_dataset(tmp_path / "b", n=4, size=16, seed=9)
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    # sha256 over the name and bytes of each file, in the order returned;
+    # computed before the generator preallocated its work arrays, with
+    # numpy 2.4 (its Generator streams and float64 sin)
+    PINNED = {
+        "default-24": (dict(n=6, size=24, seed=0),
+                       "231933af62b8c052b1f3114879b1ec4a238be6207e4574155b5cac0f9e256ff9"),
+        "default-100": (dict(n=4, size=100, seed=1),
+                        "c241dde0f918f3c5bf7b562246b53d46fc193cebc0a663892b9e84b7713c8467"),
+        "default-257": (dict(n=2, size=257, seed=2),
+                        "e4db4c51483aec07617c03d1ff9d66ad62565d13ed44581cb3095fa900fb91be"),
+        "default-5": (dict(n=3, size=5, seed=9),
+                      "580738514ce3f196540d55c8d1f1e1f62b2069698ef918d9e4e862d932cce799"),
+        "fixed-value": (dict(n=6, size=24, seed=11, value=(0.8, 0.8)),
+                        "57c847cafa9b291f2aafab903af0e41d05051be8119b04d0584b559aaaa3f42f"),
+        "hues-jitter-noise": (dict(n=6, size=32, seed=3, healthy_hue=10.0, blast_hue=200.0,
+                                   hue_jitter=30.0, saturation=(0.2, 0.9), noise=0.05),
+                              "6e0b08df0793bf099592d433e812898c15b0f64824ca80713b23bd252e81bd4d"),
+        "no-noise": (dict(n=4, size=24, seed=5, noise=0.0),
+                     "00a64588836961427d19dc64c00414deec6d5b7f75870158d602a9eb7ee927a7"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_bytes_are_pinned(self, tmp_path, case):
+        kwargs, expected = self.PINNED[case]
+        paths = generate_synthetic_dataset(tmp_path / "d", **kwargs)
+        assert sorted(paths) == sorted((tmp_path / "d").iterdir())
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("noise", [-0.01, -1.0, float("nan")])
+    def test_negative_or_nan_noise_is_refused(self, tmp_path, noise):
+        with pytest.raises(ValueError, match="noise must be >= 0"):
+            generate_synthetic_dataset(tmp_path / "d", n=2, size=8, noise=noise)
+        assert not (tmp_path / "d").exists()
 
     def test_classes_differ_in_hue(self, tmp_path):
         from quatcnn.encoding import load_image, rgb_to_hsv
