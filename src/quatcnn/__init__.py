@@ -40,8 +40,6 @@ from .train import (
     Adam,
     grad_check,
     train_model,
-    save_checkpoint,
-    load_checkpoint,
     run_gradient_verification,
 )
 from .encoding import (

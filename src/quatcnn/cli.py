@@ -21,7 +21,7 @@ def _data_root(args) -> Path:
     env = os.environ.get("QUATCNN_DATA")
     if env:
         return Path(env)
-    raise SystemExit("no dataset directory: pass --data or set QUATCNN_DATA")
+    raise ValueError("no dataset directory: pass --data or set QUATCNN_DATA")
 
 
 def _add_data_args(p: argparse.ArgumentParser):

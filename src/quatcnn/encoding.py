@@ -167,7 +167,8 @@ def augment_flips(x: np.ndarray) -> np.ndarray:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary (P6) or ascii (P3) portable pixmap as uint8 (H, W, 3)."""
+    """Read a binary (P6) or ascii (P3) portable pixmap as uint8 (H, W, 3).
+    A malformed file raises ValueError naming its path."""
     raw = Path(path).read_bytes()
     tokens = []
     pos = 0
@@ -179,7 +180,10 @@ def read_ppm(path) -> np.ndarray:
         pos = m.end()
     if len(tokens) < 4 or tokens[0] not in (b"P3", b"P6"):
         raise ValueError(f"{path}: not a P3/P6 portable pixmap")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric width, height or maxval") from None
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     n = width * height * 3
@@ -192,7 +196,13 @@ def read_ppm(path) -> np.ndarray:
         values = raw[pos:].split()
         if len(values) != n:
             raise ValueError(f"{path}: expected {n} ascii samples, got {len(values)}")
-        flat = np.array([int(v) for v in values], dtype=np.uint8)
+        try:
+            flat = np.array([int(v) for v in values])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric ascii sample") from None
+        if flat.size and not 0 <= flat.min() <= flat.max() <= 255:
+            raise ValueError(f"{path}: ascii samples must lie in [0, 255]")
+        flat = flat.astype(np.uint8)
     return flat.reshape(height, width, 3)
 
 

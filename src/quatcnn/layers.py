@@ -53,9 +53,9 @@ chunks of 8 at 24x24. At 100x100 one sample's conv2 patches (2.5 MB)
 already exceed it, so the paper-size path runs one sample per chunk
 and keeps the memory of an unbatched loop.
 
-``write_container``/``read_container`` are the one writer and reader of
-the model container, whose payload is ``theta`` as one float32 blob;
-checkpoints call them on the same file handle.
+``save_model``/``load_model`` are the one writer and reader of the
+model container: a header (magic, version, config digest), then
+``theta`` as one little-endian float32 blob.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ __all__ = [
     "Model",
     "config_digest",
     "atomic_write",
-    "write_blob",
-    "read_exact",
-    "read_blob",
-    "write_container",
-    "read_container",
     "save_model",
     "load_model",
 ]
@@ -815,10 +810,11 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container of little-endian float32 blobs
+# serialization: a fixed header, then theta as one little-endian float32 blob
 
 _MAGIC = b"QVCN"
 _VERSION = 1
+_HEADER = struct.Struct("<4sI32s")  # magic, version, config digest
 
 
 def config_digest(config: ModelConfig) -> bytes:
@@ -843,58 +839,34 @@ def atomic_write(path):
         raise
 
 
-def write_blob(fh, arr: np.ndarray) -> None:
-    """Write ``arr`` as one little-endian float32 blob."""
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("file truncated")
-    return data
-
-
-def read_blob(fh, arr: np.ndarray) -> None:
-    """Fill ``arr`` in place from its little-endian float32 blob."""
-    arr[...] = np.frombuffer(read_exact(fh, arr.size * 4), dtype="<f4").reshape(arr.shape)
-
-
-def write_container(fh, model: Model) -> None:
-    """Write magic, version, config digest, then ``theta`` (every
-    parameter array in declaration order) as little-endian float32."""
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<I", _VERSION))
-    fh.write(config_digest(model.config))
-    write_blob(fh, model.theta)
-
-
-def read_container(fh, config: ModelConfig, dtype=np.float32) -> Model:
-    """Check the header against ``config`` and read the parameter blob
-    into a new Model's ``theta``, leaving the handle just past it."""
-    if read_exact(fh, 4) != _MAGIC:
-        raise ValueError("not a model container (bad magic)")
-    (version,) = struct.unpack("<I", read_exact(fh, 4))
-    if version != _VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    if read_exact(fh, 32) != config_digest(config):
-        raise ValueError("config digest mismatch: file was saved from a different config")
-    model = Model(config, rng=None, dtype=dtype)
-    read_blob(fh, model.theta)
-    return model
-
-
 def save_model(path, model: Model) -> None:
-    """Write the model container to ``path`` atomically."""
+    """Write the model container to ``path`` atomically: magic, version,
+    config digest, then ``theta`` (every parameter array in declaration
+    order) as one little-endian float32 blob."""
     with atomic_write(path) as fh:
-        write_container(fh, model)
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, config_digest(model.config)))
+        fh.write(np.asarray(model.theta, dtype="<f4").tobytes())
 
 
 def load_model(path, config: ModelConfig, dtype=np.float32) -> Model:
     """Rebuild a Model from the container; the config must match the
-    digest recorded at save time."""
-    with open(path, "rb") as fh:
-        model = read_container(fh, config, dtype)
-        if fh.read(1):
-            raise ValueError("trailing bytes after parameter blob")
+    digest recorded at save time, and the blob must hold exactly its
+    parameters."""
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size:
+        raise ValueError("file truncated")
+    magic, version, digest = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("not a model container (bad magic)")
+    if version != _VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    if digest != config_digest(config):
+        raise ValueError("config digest mismatch: file was saved from a different config")
+    model = Model(config, rng=None, dtype=dtype)
+    blob = data[_HEADER.size:]
+    if len(blob) < 4 * model.theta.size:
+        raise ValueError("file truncated")
+    if len(blob) > 4 * model.theta.size:
+        raise ValueError("trailing bytes after parameter blob")
+    model.theta[...] = np.frombuffer(blob, dtype="<f4")
     return model

@@ -14,15 +14,11 @@ differences at h=1e-6 are meaningful.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (
-    Model, ModelConfig, _conv_stack, atomic_write, chunk_size, read_blob,
-    read_container, read_exact, write_blob, write_container,
-)
+from .layers import Model, ModelConfig, _conv_stack, chunk_size
 
 __all__ = [
     "Samples",
@@ -31,8 +27,6 @@ __all__ = [
     "grad_check",
     "EpochMetrics",
     "train_model",
-    "save_checkpoint",
-    "load_checkpoint",
     "run_gradient_verification",
 ]
 
@@ -262,40 +256,6 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
         if fh is not None:
             fh.close()
     return model, metrics
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: model container plus optimizer state
-
-_ADAM_MAGIC = b"ADAM"
-
-
-def save_checkpoint(path, model: Model, adam: Adam) -> None:
-    """Model container followed by the Adam state (t, lr, beta1, beta2,
-    eps, then the m and v blobs, little-endian float32), written
-    atomically."""
-    with atomic_write(path) as fh:
-        write_container(fh, model)
-        fh.write(_ADAM_MAGIC)
-        fh.write(struct.pack("<Qdddd", adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps))
-        write_blob(fh, adam.m)
-        write_blob(fh, adam.v)
-
-
-def load_checkpoint(path, config: ModelConfig, dtype=np.float32) -> tuple[Model, Adam]:
-    with open(path, "rb") as fh:
-        model = read_container(fh, config, dtype)
-        if fh.read(4) != _ADAM_MAGIC:
-            raise ValueError("checkpoint missing optimizer state")
-        adam = Adam(model.theta)
-        adam.t, adam.lr, adam.beta1, adam.beta2, adam.eps = struct.unpack(
-            "<Qdddd", read_exact(fh, 40)
-        )
-        read_blob(fh, adam.m)
-        read_blob(fh, adam.v)
-        if fh.read(1):
-            raise ValueError("trailing bytes after optimizer state")
-    return model, adam
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -317,15 +319,22 @@ class TestPpmIO:
         assert np.array_equal(img, [[[255, 0, 0], [0, 0, 255]]])
 
     @pytest.mark.parametrize("raw,match", [
-        (b"P5\n2 2\n255\n" + bytes(4), "P3/P6"),
+        (b"P5\n2 2\n255\n" + bytes(4), "not a P3/P6 portable pixmap"),
         (b"P6\n2 2\n65535\n" + bytes(24), "only maxval 255 is supported, got 65535"),
         (b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
         (b"P3\n2 1\n255\n255 0 0  0 0\n", "expected 6 ascii samples, got 5"),
-    ], ids=["p5", "maxval", "truncated-p6", "p3-sample-count"])
+        (b"P3\n2 1\n255\n255 0 0  0 0 300\n", r"ascii samples must lie in \[0, 255\]"),
+        (b"P3\n2 1\n255\n255 0 0  0 -1 0\n", r"ascii samples must lie in \[0, 255\]"),
+        (b"P3\n2 1\n255\n255 0 0  0 x 0\n", "non-numeric ascii sample"),
+        (b"P6\ntwo 2\n255\n" + bytes(12), "non-numeric width, height or maxval"),
+        (b"P3\n2 1\n25.5\n255 0 0  0 0 0\n", "non-numeric width, height or maxval"),
+    ], ids=["p5", "maxval", "truncated-p6", "p3-sample-count", "p3-sample-above-255",
+            "p3-negative-sample", "p3-non-numeric-sample", "non-numeric-width",
+            "non-numeric-maxval"])
     def test_rejects_bad_pixmaps(self, tmp_path, raw, match):
         path = tmp_path / "img.ppm"
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": " + match):
             read_ppm(path)
 
     def test_load_image_normalizes(self, tmp_path):

@@ -15,8 +15,8 @@ from quatcnn.harness import (
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import CONFIG_NAMES, config_from_name, rvcnn_config
-from quatcnn.train import Samples
+from quatcnn.layers import CONFIG_NAMES, config_from_name, load_model, rvcnn_config
+from quatcnn.train import Samples, train_model
 import quatcnn
 from quatcnn import cli, harness
 
@@ -858,11 +858,22 @@ class TestCli:
             "--no-augment", "--out", str(out_dir), "--seed", "0",
         ])
         assert code == 0
-        assert (out_dir / "model.bin").exists()
         assert (out_dir / "metrics.csv").exists()
         result = json.loads((out_dir / "result.json").read_text())
         assert result["config"] == "qvcnn-rgb"
-        assert 0.0 <= result["test_accuracy"] <= 1.0
+        # the saved model, on the split rebuilt from the recorded seed, scores
+        # the recorded accuracy; two test images make that a coarse check, so
+        # the weights must also equal those of the same training in-process
+        config = config_from_name("qvcnn-rgb", 24)
+        model = load_model(out_dir / "model.bin", config)
+        manifest = load_manifest(data)
+        train_ids, test_ids = split(manifest, 0.25, result["seed"])
+        _, train, test = build_run_inputs(config, load_decoded_images(manifest, 24),
+                                          train_ids, test_ids, augment=False)
+        assert len(test) == result["n_test"]
+        assert evaluate(model, test) == result["test_accuracy"]
+        trained, _ = train_model(config, train, epochs=2, batch_size=16, seed=result["seed"])
+        assert np.array_equal(model.theta, trained.theta)
 
     def test_sweep(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -931,17 +942,21 @@ class TestCli:
         (["sweep", "--fractions", "0.1,x"], "--fractions: 'x' is not a number$"),
         (["sweep", "--data", "{tmp}/missing"], ""),
         (["count-params", "--input-size", "5"], ""),
-    ], ids=["bad-fraction", "missing-data-dir", "input-too-small"])
-    def test_bad_input_exits_with_an_error(self, tmp_path, argv, message):
-        if argv[0] == "sweep":
+        (["train", "--config", "rvcnn-rgb"],
+         "no dataset directory: pass --data or set QUATCNN_DATA$"),
+        (["sweep", "--data", "{tmp}/data", "--input-size", "24"],
+         r".*Im001_0\.ppm: ascii samples must lie in \[0, 255\]$"),
+    ], ids=["bad-fraction", "missing-data-dir", "input-too-small", "missing-data",
+            "p3-sample-out-of-range"])
+    def test_bad_input_exits_with_an_error(self, tmp_path, monkeypatch, argv, message):
+        monkeypatch.delenv("QUATCNN_DATA", raising=False)
+        if "{tmp}/data" in argv:
+            data = make_fixture_dir(tmp_path)
+            (data / "Im001_0.ppm").write_text("P3\n2 2\n255\n300" + " 0" * 11 + "\n")
+        if argv[0] in ("sweep", "train"):
             argv = argv + ["--out", "{tmp}/out"]
         with pytest.raises(SystemExit, match="^error: " + message):
             cli.main([arg.format(tmp=tmp_path) for arg in argv])
-
-    def test_missing_data(self, monkeypatch):
-        monkeypatch.delenv("QUATCNN_DATA", raising=False)
-        with pytest.raises(SystemExit, match="QUATCNN_DATA"):
-            cli.main(["train", "--config", "rvcnn-rgb", "--out", "/tmp/x"])
 
     def test_gradcheck_cli(self, capsys):
         assert cli.main(["gradcheck"]) == 0

@@ -645,17 +645,30 @@ class TestSerialization:
         save_model(path, model)
         assert path.read_bytes()[40:] == model.theta.astype("<f4").tobytes()
 
+    def test_reads_a_file_built_from_the_documented_layout(self, tmp_path):
+        config = rvcnn_config(input_size=24)
+        _, total = count_parameters(config)
+        theta = np.random.default_rng(36).standard_normal(total)
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"QVCN" + struct.pack("<I", 1) + config_digest(config)
+                         + theta.astype("<f4").tobytes())
+        loaded = load_model(path, config)
+        assert loaded.theta.dtype == np.float32
+        assert np.array_equal(loaded.theta, theta.astype(np.float32))
+        assert np.array_equal(load_model(path, config, dtype=np.float64).theta,
+                              theta.astype(np.float32))
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(38))
         path = tmp_path / "model.bin"
         save_model(path, model)
         before = path.read_bytes()
 
-        def torn_blob(fh, arr):  # the save fails midway, after the header
-            fh.write(b"\0" * 8)
-            raise OSError("disk full")
+        class TornTheta:  # the save fails midway, after the header
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
 
-        monkeypatch.setattr(layers, "write_blob", torn_blob)
+        monkeypatch.setattr(model, "theta", TornTheta())
         with pytest.raises(OSError, match="disk full"):
             save_model(path, model)
         assert path.read_bytes() == before

@@ -1,19 +1,17 @@
 import math
-import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from quatcnn import train
 from quatcnn.layers import (
     Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, IM2COL_BUDGET,
-    Model, chunk_size, config_from_name, glorot_uniform, save_model,
+    Model, chunk_size, config_from_name, glorot_uniform,
 )
 from quatcnn.train import (
     Adam, Samples, bce_with_logits, grad_check, train_model, _minibatch,
-    save_checkpoint, load_checkpoint, run_gradient_verification, _tiny_config,
+    run_gradient_verification, _tiny_config,
 )
 from testutil import assert_close, bce_oracle, grad_arrays, layer_fd_check
 
@@ -356,82 +354,6 @@ class TestTrainModel:
         assert int(epoch) == 2
         assert float(loss) == metrics[-1].loss
         assert float(acc) == metrics[-1].train_acc
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(56)
-        data = tiny_dataset(rng)
-        config = _tiny_config("real")
-        model, _ = train_model(config, data, epochs=2, batch_size=4, seed=4)
-        adam = Adam(model.theta, lr=5e-4)
-        adam.t = 17
-        adam.m[...] = 0.25
-        adam.v[...] = 0.5
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, model, adam)
-        restored_model, restored_adam = load_checkpoint(path, config)
-        assert np.array_equal(restored_model.theta, model.theta)
-        assert restored_adam.t == 17
-        assert restored_adam.lr == 5e-4
-        assert np.array_equal(restored_adam.m, adam.m)
-        assert np.array_equal(restored_adam.v, adam.v)
-        assert restored_adam.theta is restored_model.theta
-
-    def test_model_container_alone_rejected(self, tmp_path):
-        rng = np.random.default_rng(57)
-        config = _tiny_config("real")
-        model = Model(config, rng=rng)
-        path = tmp_path / "model.bin"
-        save_model(path, model)
-        with pytest.raises(ValueError, match="optimizer state"):
-            load_checkpoint(path, config)
-
-    def _saved_pair(self, tmp_path):
-        model = Model(_tiny_config("real"), rng=np.random.default_rng(58))
-        adam = Adam(model.theta, lr=5e-4)
-        adam.t = 3
-        save_model(tmp_path / "model.bin", model)
-        save_checkpoint(tmp_path / "ckpt.bin", model, adam)
-        return model, tmp_path / "model.bin", tmp_path / "ckpt.bin"
-
-    def test_layout_appends_adam_tail(self, tmp_path):
-        model, model_path, ckpt_path = self._saved_pair(tmp_path)
-        head = model_path.read_bytes()
-        data = ckpt_path.read_bytes()
-        assert data[:len(head)] == head
-        tail = data[len(head):]
-        assert tail[:4] == b"ADAM"
-        assert struct.unpack("<Qdddd", tail[4:44]) == (3, 5e-4, 0.9, 0.999, 1e-7)
-        assert len(tail) == 44 + 8 * model.param_count
-
-    @pytest.mark.parametrize("damage,match", [
-        (lambda data: data[:-1], "truncated"),
-        (lambda data: data + b"\0", "trailing"),
-    ], ids=["truncated", "trailing"])
-    def test_damaged_checkpoint_rejected(self, tmp_path, damage, match):
-        _, _, ckpt_path = self._saved_pair(tmp_path)
-        ckpt_path.write_bytes(damage(ckpt_path.read_bytes()))
-        with pytest.raises(ValueError, match=match):
-            load_checkpoint(ckpt_path, _tiny_config("real"))
-
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        model = Model(_tiny_config("real"), rng=np.random.default_rng(59))
-        adam = Adam(model.theta)
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, model, adam)
-        before = path.read_bytes()
-        adam.t = 1
-
-        def torn_blob(fh, arr):  # fails midway, after the container and the ADAM header
-            fh.write(b"\0" * 8)
-            raise OSError("disk full")
-
-        monkeypatch.setattr(train, "write_blob", torn_blob)
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, model, adam)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 # ---------------------------------------------------------------------------
