@@ -2,30 +2,31 @@
 """The quaternion convolution and its two equivalent formulations.
 
 A quaternion feature map of C channels is a plain (4, C, H, W) array,
-one real plane per component. A quaternion filter bank holds four real
-kernel banks W0..W3, stored as one (4, F, C, k, k) array. At every tap of a valid cross-correlation
+one real plane per component; a batch of N of them is (4, C, N, H, W).
+A ``QConv2d`` layer holds four real kernel banks W0..W3 as one
+(4, F, C, k, k) array ``w``. At every tap of a valid cross-correlation
 the layer multiplies filter and input quaternions with the Hamilton
-product and sums. The layer computes the
-same map as one real convolution over the four stacked component planes
-with a sign-structured 4x4 block kernel (``as_block_conv``); both routes
-are shown here against a literal per-pixel loop.
+product and sums. The layer computes the same map as one real
+convolution over the four stacked component planes with a
+sign-structured 4x4 block kernel, the ``Conv2d`` that ``as_block_conv``
+returns; both routes are shown here against a literal per-pixel loop.
 """
 
 import numpy as np
 
-from quatcnn import Quaternion, add, hamilton, qconv2d_forward, as_block_conv
-from quatcnn.layers import QConvParams, conv2d_forward
+from quatcnn import Quaternion, add, hamilton, QConv2d, as_block_conv
 
 rng = np.random.default_rng(3)
 channels, filters, k = 2, 3, 3
 height = width = 6
 
 x = rng.uniform(-1, 1, (4, channels, height, width))
-mk = lambda: rng.uniform(-1, 1, (filters, channels, k, k))
-params = QConvParams(w=np.stack([mk() for _ in range(4)]),
-                     bias=rng.uniform(-1, 1, (4, filters)))
+layer = QConv2d(channels, filters, k, dtype=np.float64)
+layer.w[...] = rng.uniform(-1, 1, layer.w.shape)
+layer.bias[...] = rng.uniform(-1, 1, layer.bias.shape)
 
-out = qconv2d_forward(x, params)
+# a batch of one sample: the sample axis sits before the spatial axes
+out = layer.forward(x[:, :, None])[:, :, 0]
 print("input  (4, C, H, W):", x.shape)
 print("output (4, F, OH, OW):", out.shape)
 
@@ -35,27 +36,26 @@ loop = np.zeros((4, filters, oh, ow))
 for f in range(filters):
     for i in range(oh):
         for j in range(ow):
-            acc = Quaternion(*(float(params.bias[c, f]) for c in range(4)))
+            acc = Quaternion(*(float(layer.bias[c, f]) for c in range(4)))
             for c in range(channels):
                 for di in range(k):
                     for dj in range(k):
                         w_q = Quaternion(*(float(bank[f, c, di, dj])
-                                           for bank in params.w))
+                                           for bank in layer.w))
                         x_q = Quaternion(*x[:, c, i + di, j + dj])
                         acc = add(acc, hamilton(w_q, x_q))
             loop[:, f, i, j] = acc.components()
 print("max |layer - per-pixel loop| =", np.max(np.abs(out - loop)))
 
 # route 2: one real convolution of the stacked planes
-block = as_block_conv(params)
+block = as_block_conv(layer)
 print("block kernel shape:", block.w.shape, " (4F, 4C, k, k)")
-stacked = conv2d_forward(x.reshape(4 * channels, height, width), block)
+stacked = block.forward(x.reshape(4 * channels, 1, height, width))[:, 0]
 print("max |layer - block conv|     =",
       np.max(np.abs(out.reshape(stacked.shape) - stacked)))
 
 # the sign pattern of the first block row, which is the Hamilton table
 # read along the real output component: (+, -, -, -)
-banks = params.w
-signs = [float(np.sign(block.w[0, b * channels, 0, 0] / banks[b][0, 0, 0, 0]))
+signs = [float(np.sign(block.w[0, b * channels, 0, 0] / layer.w[b, 0, 0, 0, 0]))
          for b in range(4)]
 print("first block-row signs:", signs)

@@ -16,12 +16,9 @@ from .quat import (
     recompose,
 )
 from .layers import (
-    ConvParams,
-    QConvParams,
-    DenseParams,
     glorot_uniform,
-    conv2d_forward,
-    qconv2d_forward,
+    Conv2d,
+    QConv2d,
     as_block_conv,
     LayerSpec,
     ModelConfig,

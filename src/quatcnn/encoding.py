@@ -184,6 +184,8 @@ def read_ppm(path) -> np.ndarray:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
         raise ValueError(f"{path}: non-numeric width, height or maxval") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: width and height must be >= 1")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     n = width * height * 3

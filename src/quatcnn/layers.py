@@ -4,9 +4,11 @@ two reference architectures, and the model container.
 Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
 the one shape rule for a config, and ``Model`` builds each layer from
 one kind -> constructor table. A model's parameters are one flat
-``theta`` and their gradients one flat ``grad``, in declaration order;
-each weighted layer's arrays are reshaped views of its slice, and a
-quaternion layer's four weight banks are one (4, F, C, k, k) view.
+``theta`` and their gradients one flat ``grad``, in declaration order.
+A weighted layer's ``w`` and ``bias`` are reshaped views of its slice of
+``theta``, and its ``grad_w`` and ``grad_bias`` the same views of
+``grad``; a quaternion layer's four weight banks are one (4, F, C, k, k)
+view. The layers are the one way to run a convolution.
 
 Layers run on batches of samples. The sample axis sits third from last,
 just before the spatial axes: a real batch is (C, N, H, W) and a
@@ -28,7 +30,8 @@ real GEMM over the 4C stacked component planes, with the (4F, 4C, k, k)
 block kernel gathered from the banks through 4x4 bank and sign tables
 derived from the Hamilton sign pattern in ``_QCONV_TERMS``, once per
 batch; its weight gradient folds back into the banks through the
-inverse tables, once per batch.
+inverse tables, once per batch. ``as_block_conv`` returns that block
+kernel as the equivalent ``Conv2d``.
 
 Max pooling takes the maximum over whole rows, then over columns, with
 the stride equal to the window, so windows never overlap. The reference
@@ -66,23 +69,18 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "ConvParams",
-    "QConvParams",
-    "DenseParams",
     "glorot_uniform",
-    "conv2d_forward",
-    "qconv2d_forward",
-    "as_block_conv",
     "Layer",
     "Conv2d",
     "QConv2d",
+    "as_block_conv",
     "MaxPool2d",
     "ReLU",
     "Flatten",
@@ -103,47 +101,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-
-# ---------------------------------------------------------------------------
-# parameter containers
-
-
-@dataclass
-class ConvParams:
-    """Real convolution weights: kernel bank (F, C, k, k) and F biases."""
-
-    w: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class QConvParams:
-    """Quaternion convolution weights.
-
-    The four real kernel banks, one per quaternion component of the
-    filter, stacked as one (4, F, C, k, k) array, plus F quaternion
-    biases stored as a (4, F) array.
-    """
-
-    w: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        if self.w.ndim != 5 or self.w.shape[0] != 4:
-            raise ValueError(f"kernel banks must have shape (4, F, C, k, k), got {self.w.shape}")
-        if self.bias.shape != (4, self.w.shape[1]):
-            raise ValueError(
-                f"bias must have shape (4, {self.w.shape[1]}), got {self.bias.shape}"
-            )
-
-
-@dataclass
-class DenseParams:
-    """Single-output dense layer: weight vector (D,) and scalar bias."""
-
-    w: np.ndarray
-    b: np.ndarray
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
@@ -170,18 +127,6 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.reshape(c * k * k, n * oh * ow)
 
 
-def _check_conv_input(x_shape, w_shape):
-    """x_shape is (C, ..., H, W): channels first, spatial size last."""
-    f, c, k, k2 = w_shape
-    if k != k2:
-        raise ValueError(f"kernels must be square, got {k}x{k2}")
-    xc, (h, w) = x_shape[0], x_shape[-2:]
-    if xc != c:
-        raise ValueError(f"input has {xc} channels, kernel expects {c}")
-    if h < k or w < k:
-        raise ValueError(f"spatial size {h}x{w} smaller than kernel {k}x{k}")
-
-
 def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
     """Valid correlation of the (..., C, N, H, W) input's P stacked planes
     (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
@@ -194,12 +139,6 @@ def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
     out = (w.reshape(f, -1) @ cols).reshape(f, n, h - k + 1, wd - k + 1)
     out += bias[:, None, None, None]
     return out, cols
-
-
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Valid cross-correlation plus bias: (C, H, W) -> (F, H-k+1, W-k+1)."""
-    _check_conv_input(x.shape, params.w.shape)
-    return _correlate(x[:, None], params.w, params.bias)[0][:, 0]
 
 
 # Hamilton product sign structure, written as the four-term expansion of
@@ -248,30 +187,6 @@ def _fold_block(gw: np.ndarray, gblock: np.ndarray):
     terms *= _FOLD_SIGN[..., None, None, None, None]
     for term in terms:
         gw += term
-
-
-def as_block_conv(params: QConvParams) -> ConvParams:
-    """Assemble the equivalent real convolution on stacked planes.
-
-    The quaternion convolution of C quaternion channels equals one real
-    convolution of 4C planes with a (4F, 4C, k, k) kernel whose 4x4
-    block structure carries the Hamilton signs. This is the form the
-    quaternion layers run in; it also exports to real-conv runtimes.
-    """
-    return ConvParams(w=_block_kernel(params.w), bias=params.bias.reshape(-1).copy())
-
-
-def qconv2d_forward(x: np.ndarray, params: QConvParams) -> np.ndarray:
-    """Quaternion convolution: Hamilton product of filter and input at
-    every tap of a valid cross-correlation, plus the quaternion bias.
-    (4, C, H, W) component planes -> (4, F, H-k+1, W-k+1).
-    """
-    if x.ndim != 4 or x.shape[0] != 4:
-        raise ValueError(f"quaternion input must have shape (4, C, H, W), got {x.shape}")
-    _check_conv_input(x.shape[1:], params.w.shape[1:])
-    block = as_block_conv(params)
-    out = _correlate(x[:, :, None], block.w, block.bias)[0][:, 0]
-    return out.reshape(4, -1, *out.shape[1:])
 
 
 def _window_rows(x: np.ndarray, window: int) -> list[np.ndarray]:
@@ -324,50 +239,51 @@ class Layer:
 
 
 class _WeightedLayer(Layer):
-    """A layer whose arrays (weight banks, then the bias) are views of
-    its flat ``theta``, as a ``params`` container, with the same views
-    of its flat ``grad`` as ``grads``. A layer built on its own owns its
-    vectors until ``Model`` binds it to slices of the model's.
+    """A layer whose weights ``w`` and ``bias`` are views of its flat
+    ``theta``, in that order, and whose ``grad_w`` and ``grad_bias`` are
+    the same views of its flat ``grad``. A layer built on its own owns
+    its vectors until ``Model`` binds it to slices of the model's.
     Initialization is Glorot on the banks, zero bias."""
 
-    def __init__(self, params_type, shapes, fan_in: int, fan_out: int, dtype):
-        self.params_type, self.shapes = params_type, shapes
+    def __init__(self, w_shape, bias_shape, fan_in: int, fan_out: int, dtype):
+        self.shapes = (w_shape, bias_shape)
         self.fans = (fan_in, fan_out)
-        n = sum(math.prod(shape) for shape in shapes)
+        n = math.prod(w_shape) + math.prod(bias_shape)
         self.bind(np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype))
         self._cache = None
 
     def bind(self, theta: np.ndarray, grad: np.ndarray):
         super().bind(theta, grad)
-        cuts = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
-        views = lambda flat: (part.reshape(shape)
-                              for part, shape in zip(np.split(flat, cuts), self.shapes))
-        self.params, self.grads = self.params_type(*views(theta)), self.params_type(*views(grad))
+        w_shape, bias_shape = self.shapes
+        cut = math.prod(w_shape)
+        self.w, self.bias = theta[:cut].reshape(w_shape), theta[cut:].reshape(bias_shape)
+        self.grad_w, self.grad_bias = grad[:cut].reshape(w_shape), grad[cut:].reshape(bias_shape)
 
     def initialize(self, rng: np.random.Generator):
-        w, bias = vars(self.params).values()
         # one bank at a time: QConv2d's (4, F, C, k, k) holds four
-        for bank in w.reshape(-1, *w.shape[-4:]):
+        for bank in self.w.reshape(-1, *self.w.shape[-4:]):
             bank[...] = glorot_uniform(rng, bank.shape, *self.fans, dtype=bank.dtype)
-        bias[...] = 0
+        self.bias[...] = 0
 
 
 class _Correlation(_WeightedLayer):
     """Shared forward and backward of Conv2d and QConv2d: one im2col and
     one GEMM over the batch's stacked planes with the kernel from
-    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grads``.
-    ``lead`` is the shape of the axes before (C, N, H, W): none for a real
-    batch, the four quaternion components for a quaternion one."""
+    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grad_w``
+    and ``grad_bias``. ``lead`` is the shape of the axes before
+    (C, N, H, W), and of the weight and bias axes before (F, C, k, k) and
+    (F,): none for a real layer, the four quaternion components for a
+    quaternion one."""
 
     lead = ()
 
-    def __init__(self, params_type, bank_shape, in_channels: int, out_channels: int,
-                 kernel_size: int, dtype):
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
+                 dtype=np.float32):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         shape = (out_channels, in_channels, kernel_size, kernel_size)
-        super().__init__(params_type, ((*bank_shape, *shape), (*bank_shape, out_channels)),
+        super().__init__((*self.lead, *shape), (*self.lead, out_channels),
                          fan_in=in_channels * kernel_size ** 2,
                          fan_out=out_channels * kernel_size ** 2, dtype=dtype)
 
@@ -378,7 +294,12 @@ class _Correlation(_WeightedLayer):
             raise ValueError(
                 f"{type(self).__name__} expects a {ndim}-d ({layout}) batch, got {x.shape}"
             )
-        _check_conv_input(x.shape[-4:], self.params.w.shape[-4:])
+        c, _, h, wd = x.shape[-4:]
+        k = self.kernel_size
+        if c != self.in_channels:
+            raise ValueError(f"input has {c} channels, kernel expects {self.in_channels}")
+        if h < k or wd < k:
+            raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
         out, cols = _correlate(x, w, bias)
         self._cache = (w, cols, x.shape)
@@ -416,38 +337,50 @@ class _Correlation(_WeightedLayer):
 
 
 class Conv2d(_Correlation):
-    """Real valid correlation of a (C, N, H, W) batch -> (F, N, OH, OW)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
-                 dtype=np.float32):
-        super().__init__(ConvParams, (), in_channels, out_channels, kernel_size, dtype)
+    """Real valid correlation of a (C, N, H, W) batch -> (F, N, OH, OW),
+    with an (F, C, k, k) kernel ``w`` and F biases."""
 
     def _kernel(self):
-        return self.params.w, self.params.bias
+        return self.w, self.bias
 
     def _fold(self, gw: np.ndarray, gbias: np.ndarray):
-        self.grads.w += gw
-        self.grads.bias += gbias
+        self.grad_w += gw
+        self.grad_bias += gbias
 
 
 class QConv2d(_Correlation):
-    """Quaternion correlation of a (4, C, N, H, W) batch -> (4, F, N, OH, OW)
-    as one block correlation over the 4C stacked planes. Its banks are
-    one (4, F, C, k, k) view; Glorot is component-wise, with fans counted
-    in quaternion channels."""
+    """Quaternion correlation of a (4, C, N, H, W) batch -> (4, F, N, OH, OW):
+    the Hamilton product of filter and input at every tap, plus the
+    quaternion bias, run as one block correlation over the 4C stacked
+    planes. ``w`` holds the four real kernel banks, one per quaternion
+    component of the filter, as one (4, F, C, k, k) view, and ``bias``
+    the F quaternion biases as (4, F). Glorot is component-wise, with
+    fans counted in quaternion channels."""
 
     lead = (4,)
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
-                 dtype=np.float32):
-        super().__init__(QConvParams, (4,), in_channels, out_channels, kernel_size, dtype)
-
     def _kernel(self):
-        return _block_kernel(self.params.w), self.params.bias.reshape(-1)
+        return _block_kernel(self.w), self.bias.reshape(-1)
 
     def _fold(self, gblock: np.ndarray, gbias: np.ndarray):
-        _fold_block(self.grads.w, gblock)
-        self.grads.bias += gbias.reshape(4, -1)
+        _fold_block(self.grad_w, gblock)
+        self.grad_bias += gbias.reshape(4, -1)
+
+
+def as_block_conv(layer: QConv2d) -> Conv2d:
+    """The real convolution equal to a quaternion one.
+
+    The quaternion convolution of C quaternion channels equals one real
+    convolution of the 4C stacked component planes with a (4F, 4C, k, k)
+    kernel whose 4x4 block structure carries the Hamilton signs, and the
+    4F component biases. This is the form ``QConv2d`` runs in; the
+    returned ``Conv2d`` owns copies of that kernel and bias, so it also
+    exports to real-conv runtimes.
+    """
+    conv = Conv2d(4 * layer.in_channels, 4 * layer.out_channels, layer.kernel_size,
+                  dtype=layer.theta.dtype)
+    conv.w[...], conv.bias[...] = layer._kernel()
+    return conv
 
 
 class MaxPool2d(Layer):
@@ -532,26 +465,24 @@ class Flatten(Layer):
 
 
 class Dense(_WeightedLayer):
-    """Single-output dense layer: (N, D) rows -> (N,) logits v @ w + b."""
+    """Single-output dense layer: (N, D) rows -> (N,) logits v @ w + bias,
+    with a (D,) weight vector ``w`` and a scalar ``bias``."""
 
     def __init__(self, in_features: int, dtype=np.float32):
         self.in_features = in_features
-        super().__init__(DenseParams, ((in_features,), ()), fan_in=in_features,
-                         fan_out=1, dtype=dtype)
+        super().__init__((in_features,), (), fan_in=in_features, fan_out=1, dtype=dtype)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        if v.ndim != 2 or v.shape[1:] != self.params.w.shape:
-            raise ValueError(
-                f"input length {v.shape} does not match weights {self.params.w.shape}"
-            )
+        if v.ndim != 2 or v.shape[1:] != self.w.shape:
+            raise ValueError(f"input length {v.shape} does not match weights {self.w.shape}")
         self._cache = v
-        return v @ self.params.w + self.params.b
+        return v @ self.w + self.bias
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         v = self._cache
-        self.grads.w += g @ v
-        self.grads.b += g.sum()
-        return np.outer(g, self.params.w)
+        self.grad_w += g @ v
+        self.grad_bias += g.sum()
+        return np.outer(g, self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -582,20 +513,6 @@ class ModelConfig:
     input_size: int
     in_channels: int
     layers: tuple[LayerSpec, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arithmetic": self.arithmetic,
-            "encoding": self.encoding,
-            "input_size": self.input_size,
-            "in_channels": self.in_channels,
-            "layers": [
-                {"kind": s.kind, "filters": s.filters, "kernel": s.kernel,
-                 "pool": s.pool}
-                for s in self.layers
-            ],
-        }
 
 
 def _conv_stack(conv_kind: str, filters) -> tuple[LayerSpec, ...]:
@@ -818,8 +735,9 @@ _HEADER = struct.Struct("<4sI32s")  # magic, version, config digest
 
 
 def config_digest(config: ModelConfig) -> bytes:
-    """sha256 over the canonical JSON form of the config."""
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    """sha256 over the canonical JSON form of the config: its fields, and
+    each layer spec's, as sorted-key JSON objects."""
+    blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).digest()
 
 

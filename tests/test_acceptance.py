@@ -13,8 +13,7 @@ import pytest
 import quatcnn
 from quatcnn.quat import Quaternion, I, J, K, ONE, add, hamilton, conjugate, norm
 from quatcnn.layers import (
-    Model, QConvParams, as_block_conv, conv2d_forward, qconv2d_forward,
-    Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
+    Model, as_block_conv, Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
     rvcnn_config, qvcnn_config, count_parameters, trace_shapes,
 )
 from quatcnn.train import Samples, train_model, run_gradient_verification
@@ -102,22 +101,23 @@ def test_criterion_3_qconv_oracle_equivalence():
         w = int(rng.integers(3, 7))
         x64 = rng.uniform(-1, 1, (4, c, h, w))
         mk = lambda: rng.uniform(-1, 1, (f, c, 3, 3))
-        p64 = QConvParams(w=np.stack([mk() for _ in range(4)]),
-                          bias=rng.uniform(-1, 1, (4, f)))
+        w64, bias64 = np.stack([mk() for _ in range(4)]), rng.uniform(-1, 1, (4, f))
         for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
             x = x64.astype(dtype)
-            p = QConvParams(w=p64.w.astype(dtype), bias=p64.bias.astype(dtype))
-            out = qconv2d_forward(x, p)
+            layer = QConv2d(c, f, 3, dtype=dtype)
+            layer.w[...], layer.bias[...] = w64, bias64
+            # the layer on a one-sample batch, as 100x100 training runs it
+            out = layer.forward(x[:, :, None])[:, :, 0]
             # route (a): per-pixel hamilton/add loop
-            assert norm_rel_err(out, qconv2d_oracle(x, p)) < tol
+            assert norm_rel_err(out, qconv2d_oracle(x, layer.w, layer.bias)) < tol
             # route (b): one real convolution of the stacked planes with
             # the sign-structured 4x4 block kernel
-            block = conv2d_forward(x.reshape(4 * c, h, w), as_block_conv(p))
+            block = as_block_conv(layer).forward(x.reshape(4 * c, 1, h, w))[:, 0]
             assert norm_rel_err(out.reshape(block.shape), block) < tol
             # route (c): sixteen real correlations summed with a sign
             # table of the test helpers' own, which the library's
             # block-GEMM kernel does not share
-            assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, p)) < tol
+            assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, layer.w, layer.bias)) < tol
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report(3, f"{n_configs} configs match all three oracles in both precisions ({elapsed:.1f}s)")

@@ -328,9 +328,14 @@ class TestPpmIO:
         (b"P3\n2 1\n255\n255 0 0  0 x 0\n", "non-numeric ascii sample"),
         (b"P6\ntwo 2\n255\n" + bytes(12), "non-numeric width, height or maxval"),
         (b"P3\n2 1\n25.5\n255 0 0  0 0 0\n", "non-numeric width, height or maxval"),
+        (b"P6\n-2 2\n255\n" + bytes(12), "width and height must be >= 1"),
+        (b"P3\n1 -1\n255\n0 0 0\n", "width and height must be >= 1"),
+        (b"P6\n0 0\n255\n", "width and height must be >= 1"),
+        (b"P3\n0 2\n255\n", "width and height must be >= 1"),
     ], ids=["p5", "maxval", "truncated-p6", "p3-sample-count", "p3-sample-above-255",
             "p3-negative-sample", "p3-non-numeric-sample", "non-numeric-width",
-            "non-numeric-maxval"])
+            "non-numeric-maxval", "negative-width", "negative-height", "zero-size",
+            "zero-width"])
     def test_rejects_bad_pixmaps(self, tmp_path, raw, match):
         path = tmp_path / "img.ppm"
         path.write_bytes(raw)

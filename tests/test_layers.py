@@ -7,8 +7,7 @@ import pytest
 from quatcnn import layers
 from quatcnn.quat import Quaternion, hamilton, add
 from quatcnn.layers import (
-    ConvParams, QConvParams, conv2d_forward, qconv2d_forward, as_block_conv,
-    Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
+    as_block_conv, Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
     rvcnn_config, qvcnn_config, config_from_name, CONFIG_NAMES,
     chunk_size, count_parameters, trace_shapes, Model, config_digest, save_model,
     load_model,
@@ -21,22 +20,32 @@ from testutil import (
 )
 
 
-def rand_qconv_params(rng, f, c, k, dtype=np.float64):
-    mk = lambda: rng.uniform(-1, 1, (f, c, k, k)).astype(dtype)
-    return QConvParams(w=np.stack([mk() for _ in range(4)]),
-                       bias=rng.uniform(-1, 1, (4, f)).astype(dtype))
+def rand_qconv(rng, f, c, k, dtype=np.float64):
+    """A QConv2d with uniform random kernel banks and bias."""
+    layer = QConv2d(c, f, k, dtype=dtype)
+    layer.w[...] = rng.uniform(-1, 1, layer.w.shape)
+    layer.bias[...] = rng.uniform(-1, 1, layer.bias.shape)
+    return layer
+
+
+def run_one(layer, x):
+    """``layer`` on a single (C, H, W) or (4, C, H, W) image, as the
+    one-sample batch that 100x100 training runs; the output has no
+    sample axis."""
+    return layer.forward(x[..., None, :, :])[..., 0, :, :]
 
 
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.arange(12.0).reshape(1, 3, 4)
-        p = ConvParams(w=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
-        assert np.array_equal(conv2d_forward(x, p), x)
+        layer = Conv2d(1, 1, 1, dtype=np.float64)
+        layer.w[...] = 1
+        assert np.array_equal(run_one(layer, x), x)
 
     def test_ones_kernel_counts_taps(self):
-        x = np.ones((1, 3, 3))
-        p = ConvParams(w=np.ones((1, 1, 3, 3)), bias=np.array([0.5]))
-        out = conv2d_forward(x, p)
+        layer = Conv2d(1, 1, 3, dtype=np.float64)
+        layer.w[...], layer.bias[...] = 1, 0.5
+        out = run_one(layer, np.ones((1, 3, 3)))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 9.5
 
@@ -47,16 +56,18 @@ class TestConv2d:
             c, f, k = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3
             h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
             x = rng.uniform(-1, 1, (c, h, w)).astype(dtype)
-            p = ConvParams(w=rng.uniform(-1, 1, (f, c, k, k)).astype(dtype),
-                           bias=rng.uniform(-1, 1, f).astype(dtype))
-            assert norm_rel_err(conv2d_forward(x, p), conv2d_oracle(x, p.w, p.bias)) < tol
+            layer = Conv2d(c, f, k, dtype=dtype)
+            layer.w[...] = rng.uniform(-1, 1, (f, c, k, k))
+            layer.bias[...] = rng.uniform(-1, 1, f)
+            expect = conv2d_oracle(x, layer.w, layer.bias)
+            assert norm_rel_err(run_one(layer, x), expect) < tol
 
     def test_shape_mismatch(self):
-        p = ConvParams(w=np.zeros((1, 2, 3, 3)), bias=np.zeros(1))
-        with pytest.raises(ValueError, match="channels"):
-            conv2d_forward(np.zeros((1, 5, 5)), p)
-        with pytest.raises(ValueError, match="smaller than kernel"):
-            conv2d_forward(np.zeros((2, 2, 2)), p)
+        layer = Conv2d(2, 1, 3)
+        with pytest.raises(ValueError, match="input has 1 channels, kernel expects 2"):
+            layer.forward(np.zeros((1, 1, 5, 5)))
+        with pytest.raises(ValueError, match="spatial size 2x2 smaller than kernel 3x3"):
+            layer.forward(np.zeros((2, 1, 2, 2)))
 
 
 class TestBatchedLayersPerSample:
@@ -68,26 +79,23 @@ class TestBatchedLayersPerSample:
         rng = np.random.default_rng(38)
         layer = Conv2d(2, 3, 3, dtype=dtype)
         layer.initialize(rng)
-        layer.params.bias[...] = rng.uniform(-1, 1, 3)
+        layer.bias[...] = rng.uniform(-1, 1, 3)
         x = rng.uniform(-1, 1, (2, 5, 7, 6)).astype(dtype)
         out = layer.forward(x)
         assert out.shape == (3, 5, 5, 4)
         for n in range(5):
-            expect = conv2d_oracle(x[:, n], layer.params.w, layer.params.bias)
+            expect = conv2d_oracle(x[:, n], layer.w, layer.bias)
             assert norm_rel_err(out[:, n], expect) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_qconv_layer_against_hamilton_sum_oracle(self, dtype, tol):
         rng = np.random.default_rng(39)
-        layer = QConv2d(2, 3, 3, dtype=dtype)
-        p = rand_qconv_params(rng, 3, 2, 3, dtype)
-        layer.params.w[...] = p.w
-        layer.params.bias[...] = p.bias
+        layer = rand_qconv(rng, 3, 2, 3, dtype)
         x = rng.uniform(-1, 1, (4, 2, 5, 6, 7)).astype(dtype)
         out = layer.forward(x)
         assert out.shape == (4, 3, 5, 4, 5)
         for n in range(5):
-            expect = qconv2d_hamilton_sum_oracle(x[:, :, n], p)
+            expect = qconv2d_hamilton_sum_oracle(x[:, :, n], layer.w, layer.bias)
             assert norm_rel_err(out[:, :, n], expect) < tol
 
     @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (4, 2, 3, 10, 9)])
@@ -150,7 +158,7 @@ class TestConvInputGradient:
         gx = layer.backward(g)
         oracle = conv_input_grad_oracle if kind == "conv" else qconv_input_grad_oracle
         assert gx.shape == x.shape and gx.dtype == dtype
-        assert norm_rel_err(gx, oracle(g, layer.params.w, (h, w))) < tol
+        assert norm_rel_err(gx, oracle(g, layer.w, (h, w))) < tol
 
     # the conv2 and conv3 planes of both architectures at 100x100, then
     # k = 1, 3, 5 on a 9x11 plane; N = 1 and 4
@@ -169,7 +177,7 @@ class TestConvInputGradient:
         x = rng.uniform(-1, 1, (*lead, n, h, w)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
         gx = layer.backward(g)
-        kernel = layer.params.w if kind == "conv" else as_block_conv(layer.params).w
+        kernel = layer.w if kind == "conv" else as_block_conv(layer).w
         planes, gmat = kernel.reshape(kernel.shape[0], -1), g.reshape(kernel.shape[0], -1)
         expect = col2im_oracle(planes.T @ gmat, (kernel.shape[1], n, h, w), k)
         assert np.array_equal(gx, expect.reshape(x.shape))
@@ -195,31 +203,28 @@ class TestQConv2d:
     def test_identity_quaternion_filter(self):
         rng = np.random.default_rng(21)
         x = rng.uniform(-1, 1, (4, 1, 4, 4))
-        w = np.zeros((4, 1, 1, 1, 1))
-        w[0] = 1.0
-        p = QConvParams(w=w, bias=np.zeros((4, 1)))
-        out = qconv2d_forward(x, p)
-        assert np.allclose(out, x)
+        layer = QConv2d(1, 1, 1, dtype=np.float64)
+        layer.w[0] = 1.0
+        assert np.allclose(run_one(layer, x), x)
 
     def test_single_j_tap_against_i_plane(self):
         # filter holds j at the center tap only; input is the constant
         # quaternion i; every output equals hamilton(j, i) = -k
-        w = np.zeros((4, 1, 1, 3, 3))
-        w[2, 0, 0, 1, 1] = 1.0
-        p = QConvParams(w=w, bias=np.zeros((4, 1)))
+        layer = QConv2d(1, 1, 3, dtype=np.float64)
+        layer.w[2, 0, 0, 1, 1] = 1.0
         data = np.zeros((4, 1, 5, 5))
         data[1] = 1.0
-        out = qconv2d_forward(data, p)
+        out = run_one(layer, data)
         assert np.allclose(out[0], 0) and np.allclose(out[1], 0)
         assert np.allclose(out[2], 0) and np.allclose(out[3], -1.0)
 
     def test_single_tap_reduces_to_hamilton_plus_bias(self):
         rng = np.random.default_rng(22)
-        p = rand_qconv_params(rng, 1, 1, 1)
+        layer = rand_qconv(rng, 1, 1, 1)
         x = rng.uniform(-1, 1, (4, 1, 1, 1))
-        out = qconv2d_forward(x, p)
-        wq = Quaternion(*(float(bank[0, 0, 0, 0]) for bank in p.w))
-        bq = Quaternion(*(float(p.bias[i, 0]) for i in range(4)))
+        out = run_one(layer, x)
+        wq = Quaternion(*(float(bank[0, 0, 0, 0]) for bank in layer.w))
+        bq = Quaternion(*(float(layer.bias[i, 0]) for i in range(4)))
         expect = add(hamilton(wq, quat_at(x, 0, 0, 0)), bq)
         assert_close(out[:, 0, 0, 0], expect.components(), 1e-12)
 
@@ -230,8 +235,9 @@ class TestQConv2d:
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
             x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
-            p = rand_qconv_params(rng, f, c, 3, dtype)
-            assert norm_rel_err(qconv2d_forward(x, p), qconv2d_oracle(x, p)) < tol
+            layer = rand_qconv(rng, f, c, 3, dtype)
+            expect = qconv2d_oracle(x, layer.w, layer.bias)
+            assert norm_rel_err(run_one(layer, x), expect) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_hamilton_sum_oracle(self, dtype, tol):
@@ -240,9 +246,9 @@ class TestQConv2d:
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
             x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
-            p = rand_qconv_params(rng, f, c, 3, dtype)
-            out = qconv2d_forward(x, p)
-            assert norm_rel_err(out, qconv2d_hamilton_sum_oracle(x, p)) < tol
+            layer = rand_qconv(rng, f, c, 3, dtype)
+            expect = qconv2d_hamilton_sum_oracle(x, layer.w, layer.bias)
+            assert norm_rel_err(run_one(layer, x), expect) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_block_real_convolution(self, dtype, tol):
@@ -251,41 +257,39 @@ class TestQConv2d:
             c, f = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
             x = rng.uniform(-1, 1, (4, c, h, w)).astype(dtype)
-            p = rand_qconv_params(rng, f, c, 3, dtype)
-            out = qconv2d_forward(x, p)
-            block = conv2d_forward(x.reshape(4 * c, h, w), as_block_conv(p))
+            layer = rand_qconv(rng, f, c, 3, dtype)
+            out = run_one(layer, x)
+            block = run_one(as_block_conv(layer), x.reshape(4 * c, h, w))
             assert norm_rel_err(out.reshape(block.shape), block) < tol
+
+    def test_block_conv_owns_the_block_kernel_and_bias(self):
+        layer = rand_qconv(np.random.default_rng(43), 2, 3, 3, np.float32)
+        block = as_block_conv(layer)
+        assert type(block) is Conv2d and block.theta.dtype == np.float32
+        assert block.w.shape == (8, 12, 3, 3) and block.bias.shape == (8,)
+        assert np.array_equal(block.bias, layer.bias.reshape(-1))
+        # block (comp 0, input component b) is bank b times the real row's sign
+        for b, sign in enumerate((1, -1, -1, -1)):
+            assert np.array_equal(block.w[:2, 3 * b:3 * b + 3], sign * layer.w[b])
+        before = block.theta.copy()
+        layer.theta[...] = 0
+        assert np.array_equal(block.theta, before)
 
     def test_linearity_zero_bias(self):
         rng = np.random.default_rng(25)
-        p = rand_qconv_params(rng, 2, 2, 3)
-        p.bias[...] = 0
+        layer = rand_qconv(rng, 2, 2, 3)
+        layer.bias[...] = 0
         x = rng.uniform(-1, 1, (4, 2, 6, 6))
         y = rng.uniform(-1, 1, (4, 2, 6, 6))
         a = 1.7
-        lhs = qconv2d_forward(a * x + y, p)
-        rhs = a * qconv2d_forward(x, p) + qconv2d_forward(y, p)
+        lhs = run_one(layer, a * x + y)
+        rhs = a * run_one(layer, x) + run_one(layer, y)
         assert norm_rel_err(lhs, rhs) < 1e-12
 
     def test_channel_mismatch(self):
-        rng = np.random.default_rng(26)
-        p = rand_qconv_params(rng, 1, 2, 3)
-        with pytest.raises(ValueError, match="channels"):
-            qconv2d_forward(np.zeros((4, 1, 5, 5)), p)
-
-    def test_rejects_wrong_leading_axis(self):
-        p = rand_qconv_params(np.random.default_rng(26), 1, 1, 3)
-        for bad in (np.zeros((3, 1, 5, 5)), np.zeros((4, 5, 5))):
-            with pytest.raises(ValueError, match=r"\(4, C, H, W\)"):
-                qconv2d_forward(bad, p)
-
-    def test_bank_shape_validation(self):
-        with pytest.raises(ValueError, match=r"\(4, F, C, k, k\)"):
-            QConvParams(w=np.zeros((3, 1, 1, 3, 3)), bias=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match=r"\(4, F, C, k, k\)"):
-            QConvParams(w=np.zeros((4, 1, 3, 3)), bias=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="bias"):
-            QConvParams(w=np.zeros((4, 2, 1, 3, 3)), bias=np.zeros((4, 1)))
+        layer = rand_qconv(np.random.default_rng(26), 1, 2, 3)
+        with pytest.raises(ValueError, match="input has 1 channels, kernel expects 2"):
+            layer.forward(np.zeros((4, 1, 1, 5, 5)))
 
 
 class TestMaxPool:
@@ -407,8 +411,8 @@ class TestRunOrder:
         # the first convolution's two filters copy +/- input channel 0, so
         # the first pool sees the windows written below
         first = model.layers[0]
-        first.params.w[...] = first.params.bias[...] = 0
-        first.params.w.reshape(-1, 2, *first.params.w.shape[-3:])[0, :, 0, 1, 1] = (1, -1)
+        first.w[...] = first.bias[...] = 0
+        first.w.reshape(-1, 2, *first.w.shape[-3:])[0, :, 0, 1, 1] = (1, -1)
         n = 3
         lead = (3,) if arithmetic == "real" else (4, 1)
         x = rng.integers(-3, 4, (*lead, n, 13, 13)).astype(dtype)
@@ -475,24 +479,24 @@ class TestFlatten:
 class TestDense:
     def test_one_hot_selects(self):
         layer = Dense(5, dtype=np.float64)
-        layer.params.w[3] = 1.0
+        layer.w[3] = 1.0
         v = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
         assert np.array_equal(layer.forward(v), [40.0, 4.0])
 
     def test_zero_vector_gives_bias(self):
         layer = Dense(4, dtype=np.float64)
-        layer.params.w[...] = 1.0
-        layer.params.b[...] = 0.75
+        layer.w[...] = 1.0
+        layer.bias[...] = 0.75
         assert np.array_equal(layer.forward(np.zeros((1, 4))), [0.75])
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(31)
         v = rng.uniform(-1, 1, (3, 64))
         layer = Dense(64, dtype=np.float64)
-        layer.params.w[...] = rng.uniform(-1, 1, 64)
-        layer.params.b[...] = rng.uniform(-1, 1)
-        p = layer.params
-        expect = [sum(float(a) * float(b) for a, b in zip(p.w, row)) + float(p.b) for row in v]
+        layer.w[...] = rng.uniform(-1, 1, 64)
+        layer.bias[...] = rng.uniform(-1, 1)
+        expect = [sum(float(a) * float(b) for a, b in zip(layer.w, row)) + float(layer.bias)
+                  for row in v]
         assert_close(layer.forward(v), expect, 1e-12)
 
     def test_length_mismatch(self):
@@ -622,7 +626,7 @@ class TestSerialization:
         assert data[8:40] == config_digest(model.config)
         assert len(data) == 40 + 4 * model.param_count
         arrays = [p for layer in model.layers if layer.param_count
-                  for p in per_array(layer.params)]
+                  for p in per_array(layer.w, layer.bias)]
         assert len(arrays) == 17  # four banks and a bias per qconv, then dense w and b
         blobs = b"".join(np.asarray(p, dtype="<f4").tobytes() for p in arrays)
         assert data[40:] == blobs
@@ -630,13 +634,13 @@ class TestSerialization:
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_layer_arrays_are_views_of_theta(self, tmp_path, name):
         model = Model(config_from_name(name, 24), rng=np.random.default_rng(39))
-        for flat, container in ((model.theta, "params"), (model.grad, "grads")):
+        for flat, names in ((model.theta, ("w", "bias")), (model.grad, ("grad_w", "grad_bias"))):
             base = flat.__array_interface__["data"][0]
             offset = 0
             for layer in model.layers:
                 if not layer.param_count:
                     continue
-                for arr in vars(getattr(layer, container)).values():
+                for arr in (getattr(layer, name) for name in names):
                     assert np.shares_memory(arr, flat)
                     assert arr.__array_interface__["data"][0] == base + offset * flat.itemsize
                     offset += arr.size

@@ -215,14 +215,14 @@ class TestBackwardClosedForms:
 
     def test_dense_closed_form(self):
         layer = Dense(3, dtype=np.float64)
-        layer.params.w[...] = [1.0, -2.0, 0.5]
+        layer.w[...] = [1.0, -2.0, 0.5]
         v = np.array([[4.0, 5.0, 6.0], [1.0, 0.0, -1.0]])
         layer.forward(v)
         layer.grad.fill(0)
         gv = layer.backward(np.array([2.0, -3.0]))
-        assert np.array_equal(layer.grads.w, 2.0 * v[0] - 3.0 * v[1])
-        assert layer.grads.b == -1.0
-        assert np.array_equal(gv, [2.0 * layer.params.w, -3.0 * layer.params.w])
+        assert np.array_equal(layer.grad_w, 2.0 * v[0] - 3.0 * v[1])
+        assert layer.grad_bias == -1.0
+        assert np.array_equal(gv, [2.0 * layer.w, -3.0 * layer.w])
 
     def test_maxpool_tie_routes_to_first_row_major(self):
         layer = MaxPool2d()
@@ -259,7 +259,7 @@ class TestGradCheck:
         model = Model(_tiny_config("real"), rng=rng, dtype=np.float64)
         # saturate one filter: its kernel taps get zero analytic gradient
         # and zero finite differences, which must be skipped, not scored
-        model.layers[0].params.bias[0] = -100.0
+        model.layers[0].bias[0] = -100.0
         x = rng.uniform(-1, 1, (3, 1, 12, 12))
         assert grad_check(model, Samples(x, [1]), num_samples=400, rng=rng) < 1e-4
 

@@ -136,17 +136,17 @@ def qconv_input_grad_oracle(g: np.ndarray, banks: np.ndarray, in_hw) -> np.ndarr
     return gx
 
 
-def per_array(container):
-    """The arrays of a layer's ``params`` or ``grads`` container as views,
-    one per weight bank or bias: a (4, F, C, k, k) quaternion bank array
-    gives its four banks."""
-    return [bank for arr in vars(container).values() for bank in (arr if arr.ndim == 5 else [arr])]
+def per_array(*arrays):
+    """A layer's weight and bias arrays (``w``, ``bias`` or ``grad_w``,
+    ``grad_bias``) as views, one per weight bank or bias: a
+    (4, F, C, k, k) quaternion bank array gives its four banks."""
+    return [bank for arr in arrays for bank in (arr if arr.ndim == 5 else [arr])]
 
 
 def grad_arrays(model):
     """Copies of a model's gradient arrays, per bank, in declaration order."""
     return [g.copy() for layer in model.layers if layer.param_count
-            for g in per_array(layer.grads)]
+            for g in per_array(layer.grad_w, layer.grad_bias)]
 
 
 def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
@@ -169,7 +169,8 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     layer.forward(x.copy())
     layer.grad.fill(0)
     gx = layer.backward(proj)
-    pairs = zip(per_array(layer.params), per_array(layer.grads)) if layer.param_count else ()
+    pairs = (zip(per_array(layer.w, layer.bias), per_array(layer.grad_w, layer.grad_bias))
+             if layer.param_count else ())
 
     worst = 0.0
 
@@ -208,10 +209,11 @@ def layer_fd_check(layer, x, rng, h=1e-6, n_samples=40, tol=1e-4):
     return worst
 
 
-def qconv2d_oracle(x, params) -> np.ndarray:
-    """Per-pixel quaternion convolution of a (4, C, H, W) input using
-    hamilton() and add() only."""
-    w0, w1, w2, w3 = params.w
+def qconv2d_oracle(x, banks, bias) -> np.ndarray:
+    """Per-pixel quaternion convolution of a (4, C, H, W) input with
+    (4, F, C, k, k) kernel banks and a (4, F) bias, using hamilton() and
+    add() only."""
+    w0, w1, w2, w3 = banks
     f_out, c_in, k, _ = w0.shape
     _, _, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
@@ -219,10 +221,7 @@ def qconv2d_oracle(x, params) -> np.ndarray:
     for f in range(f_out):
         for i in range(oh):
             for j in range(ow):
-                acc = Quaternion(
-                    float(params.bias[0, f]), float(params.bias[1, f]),
-                    float(params.bias[2, f]), float(params.bias[3, f]),
-                )
+                acc = Quaternion(*(float(bias[comp, f]) for comp in range(4)))
                 for c in range(c_in):
                     for di in range(k):
                         for dj in range(k):
@@ -237,18 +236,18 @@ def qconv2d_oracle(x, params) -> np.ndarray:
     return out
 
 
-def qconv2d_hamilton_sum_oracle(x, params) -> np.ndarray:
-    """Quaternion convolution of a (4, C, H, W) input as 16 real
-    correlations, one per pair of filter component a and input component
-    b, each added into output component e_a * e_b with its sign, both
-    read from _UNIT_TABLE (not from the library's sign table)."""
-    banks = params.w
+def qconv2d_hamilton_sum_oracle(x, banks, bias) -> np.ndarray:
+    """Quaternion convolution of a (4, C, H, W) input with (4, F, C, k, k)
+    kernel banks and a (4, F) bias as 16 real correlations, one per pair
+    of filter component a and input component b, each added into output
+    component e_a * e_b with its sign, both read from _UNIT_TABLE (not
+    from the library's sign table)."""
     f_out, _, k, _ = banks[0].shape
     _, _, h, w = x.shape
     out = np.zeros((4, f_out, h - k + 1, w - k + 1))
     for (a, b), (sign, unit) in _UNIT_TABLE.items():
         out[unit] += sign * conv2d_oracle(x[b], banks[a], np.zeros(f_out))
-    return out + np.asarray(params.bias, dtype=np.float64)[:, :, None, None]
+    return out + np.asarray(bias, dtype=np.float64)[:, :, None, None]
 
 
 def maxpool_oracle(x: np.ndarray, g: np.ndarray, window: int):
