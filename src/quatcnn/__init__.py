@@ -74,5 +74,8 @@ __version__ = "0.1.0"
 # What a seed computes. Bump it with any change after which a seed no
 # longer reproduces its results byte for byte; plan.json records it, so a
 # sweep is not resumed across such a change. 1 is every result before
-# 24x24 training ran in chunks of 8 samples.
-RESULTS_VERSION = 2
+# 24x24 training ran in chunks of 8 samples, 2 those chunks of 8, and 3
+# chunks of 16 with the weight gradients summed in blocks of 512 along
+# their inner dimension, which makes them the same at one and two BLAS
+# threads.
+RESULTS_VERSION = 3

@@ -599,13 +599,18 @@ def generate_synthetic_dataset(
     default), class 1 around ``blast_hue`` (bluish purple). Setting
     ``value`` to a degenerate range like (0.8, 0.8) yields the
     hue-separable-at-fixed-value task. A light mottled texture and
-    pixel noise keep the task from being a single-pixel lookup; a
-    negative ``noise`` raises ValueError.
+    pixel noise keep the task from being a single-pixel lookup. A
+    ``size`` below 1, a negative ``n`` or a negative ``noise`` raises
+    ValueError before the directory is made; ``n = 0`` writes nothing.
 
     Each call allocates its work arrays (image, noise, ellipse
     coordinates, mask) once and refills them per image. The bytes of
     every file are pinned by ``TestSyntheticData::test_bytes_are_pinned``.
     """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not noise >= 0.0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     out_dir = Path(out_dir)

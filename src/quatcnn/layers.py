@@ -25,13 +25,15 @@ GEMM per batch. The input gradient is the transposed GEMM on the output
 gradient zero-padded to the input width, scattered back with one
 contiguous add per tap over the flat (P, N, H*W) planes; the taps that
 wrap past a row's end fall on the pad columns and add exact zeros.
-The quaternion convolution runs on the same core as one
-real GEMM over the 4C stacked component planes, with the (4F, 4C, k, k)
-block kernel gathered from the banks through 4x4 bank and sign tables
-derived from the Hamilton sign pattern in ``_QCONV_TERMS``, once per
-batch; its weight gradient folds back into the banks through the
-inverse tables, once per batch. ``as_block_conv`` returns that block
-kernel as the equivalent ``Conv2d``.
+The weight gradient sums its long inner dimension (N*OH*OW) in fixed
+blocks of 512, added in order, so a trained model has the same bits at
+one and two BLAS threads. The quaternion convolution runs on the same
+core as one real GEMM over the 4C stacked component planes, with the
+(4F, 4C, k, k) block kernel gathered from the banks through 4x4 bank
+and sign tables derived from the Hamilton sign pattern in
+``_QCONV_TERMS``, once per batch; its weight gradient folds back into
+the banks through the inverse tables, once per batch. ``as_block_conv``
+returns that block kernel as the equivalent ``Conv2d``.
 
 Max pooling takes the maximum over whole rows, then over columns, with
 the stride equal to the window, so windows never overlap. The reference
@@ -51,10 +53,14 @@ any other keeps its first maximum.
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix fits in
 ``IM2COL_BUDGET`` bytes. A chunk's activations are kept until its
-backward pass, so this budget is what bounds training memory. It gives
-chunks of 8 at 24x24. At 100x100 one sample's conv2 patches (2.5 MB)
-already exceed it, so the paper-size path runs one sample per chunk
-and keeps the memory of an unbatched loop.
+backward pass, so this budget is what bounds training memory. The
+patches go into a buffer each convolution keeps from chunk to chunk,
+and the backward's input-gradient taps go over them once the weight
+gradient is taken. The budget gives chunks of 16 at 24x24, so a
+minibatch of 16 runs as one forward and one backward. At 100x100 one
+sample's conv2 patches (2.5 MB) already exceed it, so the paper-size
+path runs one sample per chunk and keeps the memory of an unbatched
+loop.
 
 ``save_model``/``load_model`` are the one writer and reader of the
 model container: a header (magic, version, config digest), then
@@ -116,26 +122,56 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 # correlation core, shared by the real and quaternion convolutions
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(C, N, H, W) -> (C*k*k, N*OH*OW) patch matrix for a valid correlation."""
+def _im2col(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """(C, N, H, W) -> (C*k*k, N*OH*OW) patch matrix for a valid
+    correlation, copied into the front of the flat buffer ``buf``."""
     c, n, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x, shape=(c, k, k, n, oh, ow), strides=(s0, s2, s3, s1, s2, s3)
     )
-    return windows.reshape(c * k * k, n * oh * ow)
+    cols = buf[:windows.size].reshape(windows.shape)
+    np.copyto(cols, windows)
+    return cols.reshape(c * k * k, n * oh * ow)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray):
+# The inner-dimension block of the weight-gradient GEMMs. Multithreaded
+# OpenBLAS sums a long inner dimension in another order than one thread
+# does; blocks of 512 are summed the same way at one and two threads.
+_K_BLOCK = 512
+
+
+def _weight_grad(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
+    """The (M, F) product ``cols @ gmat.T`` of the (M, K) patches and the
+    (F, K) output gradient, with the same sums at any BLAS thread count.
+    Below K = ``_K_BLOCK`` it is one GEMM. Otherwise each whole block of
+    K is one GEMM of a single ``matmul`` call, the block products are
+    added in block order, and the tail's GEMM is added last."""
+    (m, k), f = cols.shape, gmat.shape[0]
+    nb, tail = divmod(k, _K_BLOCK)
+    if not nb:
+        # the same dot products as gmat @ cols.T, and faster at 100x100
+        return cols @ gmat.T
+    ka = nb * _K_BLOCK
+    blocks = np.matmul(cols[:, :ka].reshape(m, nb, _K_BLOCK).transpose(1, 0, 2),
+                       gmat[:, :ka].reshape(f, nb, _K_BLOCK).transpose(1, 2, 0))
+    out = np.add.reduce(blocks, axis=0)
+    if tail:
+        out += cols[:, ka:] @ gmat[:, ka:].T
+    return out
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray, buf: np.ndarray):
     """Valid correlation of the (..., C, N, H, W) input's P stacked planes
     (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
-    as one GEMM over the im2col patches of all N samples. Returns the
-    (F, N, OH, OW) output and the patches."""
+    as one GEMM over the im2col patches of all N samples, which are
+    copied into ``buf``. Returns the (F, N, OH, OW) output and the
+    patches."""
     planes = x.reshape(-1, *x.shape[-3:])
     f, _, k, _ = w.shape
     n, h, wd = planes.shape[1:]
-    cols = _im2col(planes, k)
+    cols = _im2col(planes, k, buf)
     out = (w.reshape(f, -1) @ cols).reshape(f, n, h - k + 1, wd - k + 1)
     out += bias[:, None, None, None]
     return out, cols
@@ -216,11 +252,13 @@ class Layer:
     ``forward`` takes a batch, with the sample axis third from last
     before flattening, and caches what ``backward`` needs; ``backward``
     takes the output gradient, accumulates into ``grad`` (summed over
-    the batch) and returns the input gradient. A cache lives until the
-    next ``forward`` replaces it, so a training loop reuses the same
-    memory from chunk to chunk. ``theta`` and ``grad`` are the layer's
-    flat parameter and gradient vectors; they are empty for a
-    parameter-free layer.
+    the batch) and returns the input gradient. A cache serves one
+    ``backward`` and lives at most until the next ``forward``. A
+    convolution keeps its patches in a buffer that it reuses from batch
+    to batch, so a training loop does not allocate them per chunk, and
+    a max pool frees its cache before it allocates the next batch's.
+    ``theta`` and ``grad`` are the layer's flat parameter and gradient
+    vectors; they are empty for a parameter-free layer.
     """
 
     theta = grad = np.zeros(0)
@@ -286,6 +324,7 @@ class _Correlation(_WeightedLayer):
         super().__init__((*self.lead, *shape), (*self.lead, out_channels),
                          fan_in=in_channels * kernel_size ** 2,
                          fan_out=out_channels * kernel_size ** 2, dtype=dtype)
+        self._buf = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         ndim = len(self.lead) + 4
@@ -301,18 +340,28 @@ class _Correlation(_WeightedLayer):
         if h < k or wd < k:
             raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
-        out, cols = _correlate(x, w, bias)
+        # The patches, and the taps that backward writes over them: P*k*k
+        # rows of N*OH*W. The buffer is kept from batch to batch, so the
+        # largest arrays of a training step are not allocated per chunk.
+        size = w[0].size * x.shape[-3] * (h - k + 1) * wd
+        dtype = np.result_type(x, w)
+        if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
+            self._buf = np.empty(size, dtype)
+        out, cols = _correlate(x, w, bias, self._buf)
         self._cache = (w, cols, x.shape)
         return out.reshape(*x.shape[:-4], -1, *out.shape[1:])
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """``input_grad=False`` skips the input gradient and returns None,
-        as the model's first layer does."""
+        as the model's first layer does. Each forward takes one backward:
+        the input gradient's taps overwrite the cached patches."""
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a forward of its own")
         w, cols, x_shape = self._cache
+        self._cache = None
         f, k = w.shape[0], w.shape[-1]
         gmat = g.reshape(f, -1)
-        # the same dot products as gmat @ cols.T, and faster at 100x100
-        self._fold((cols @ gmat.T).T.reshape(w.shape), gmat.sum(axis=1))
+        self._fold(_weight_grad(cols, gmat).T.reshape(w.shape), gmat.sum(axis=1))
         if not input_grad:
             return None
         # With g zero-padded to the input width W, tap (di, dj) of flat
@@ -324,7 +373,10 @@ class _Correlation(_WeightedLayer):
         oh, ow = h - k + 1, wd - k + 1
         gpad = np.zeros((f, n, oh, wd), dtype=g.dtype)
         gpad[..., :ow] = g.reshape(f, n, oh, ow)
-        taps = (w.reshape(f, -1).T @ gpad.reshape(f, -1)).reshape(-1, k, k, n, oh * wd)
+        wt = w.reshape(f, -1).T
+        taps = self._buf[:wt.shape[0] * n * oh * wd].reshape(wt.shape[0], -1)
+        np.matmul(wt, gpad.reshape(f, -1), out=taps)
+        taps = taps.reshape(-1, k, k, n, oh * wd)
         gx = np.empty((taps.shape[0], n, h * wd), dtype=taps.dtype)
         gx[..., :oh * wd] = taps[:, 0, 0]
         gx[..., oh * wd:] = 0
@@ -393,6 +445,9 @@ class MaxPool2d(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # the previous batch's input and output go before this batch's
+        # are allocated, into the memory they free
+        self._cache = None
         row_max = reduce(np.maximum, _window_rows(x, self.window))
         out = reduce(np.maximum, [row_max[..., dj::self.window] for dj in range(self.window)])
         self._cache = (x, out)
@@ -615,9 +670,9 @@ def count_parameters(config: ModelConfig) -> tuple[list[int], int]:
 # Bytes of float32 im2col patches one chunk may build in its largest conv
 # layer. By trace_shapes, that layer is conv2 in all four reference
 # configs: 288 x 81 floats (93,312 bytes) per sample at 24x24, and
-# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget holds eight
-# 24x24 samples and less than one 100x100 sample.
-IM2COL_BUDGET = 8 * 93_312
+# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget (1,492,992
+# bytes) holds sixteen 24x24 samples and less than one 100x100 sample.
+IM2COL_BUDGET = 16 * 93_312
 
 
 def chunk_size(config: ModelConfig, batch_size: int) -> int:
@@ -625,7 +680,7 @@ def chunk_size(config: ModelConfig, batch_size: int) -> int:
     one forward and one backward: the most, up to ``batch_size``, whose
     largest per-layer float32 im2col matrix fits in ``IM2COL_BUDGET``,
     and at least one. For the four reference configs that is
-    min(batch_size, 8) at 24x24 and 1 at 100x100.
+    min(batch_size, 16) at 24x24 and 1 at 100x100.
     """
     planes = 4 if config.arithmetic == "quaternion" else 1
     channels, per_sample = config.in_channels, 0

@@ -230,7 +230,7 @@ class TestPlanValidation:
 class _StubModel:
     """Gives each sample of a (1, N, 1, 1) batch its one value as the logit."""
 
-    config = rvcnn_config(input_size=24)  # chunks of 8 samples
+    config = rvcnn_config(input_size=24)  # chunks of 16 samples
 
     def __init__(self):
         self.batch_sizes = []
@@ -258,15 +258,18 @@ class TestEvaluate:
         model = _StubModel()
         acc = evaluate(model, samples)
         assert abs(acc - 0.5) < 0.05
-        assert model.batch_sizes == [8] * 250
+        assert model.batch_sizes == [16] * 125
 
     def test_counts_each_sample_against_its_own_label(self):
-        # 10 samples in chunks of 8 and 2; the wrong ones are 2, 5 and 9
-        logits = [1.0, -1.0, -2.0, 3.0, -0.5, 0.5, 2.0, -3.0, 4.0, -4.0]
-        labels = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
+        # 20 samples in chunks of 16 and 4; the wrong ones are 2, 5, 9, 13
+        # and 18, so both chunks hold some
+        logits = [1.0, -1.0, -2.0, 3.0, -0.5, 0.5, 2.0, -3.0, 4.0, -4.0,
+                  0.25, -0.25, 1.5, 2.5, -1.5, 3.5, -2.5, 0.75, -0.75, 1.25]
+        labels = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1,
+                  1, 0, 1, 0, 0, 1, 0, 1, 1, 1]
         model = _StubModel()
-        assert evaluate(model, logit_samples(logits, labels)) == 7 / 10
-        assert model.batch_sizes == [8, 2]
+        assert evaluate(model, logit_samples(logits, labels)) == 15 / 20
+        assert model.batch_sizes == [16, 4]
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -814,6 +817,21 @@ class TestSyntheticData:
             generate_synthetic_dataset(tmp_path / "d", n=2, size=8, noise=noise)
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(size=0), "size must be >= 1, got 0"),
+        (dict(size=-4), "size must be >= 1, got -4"),
+        (dict(n=-1), "n must be >= 0, got -1"),
+        (dict(n=-3), "n must be >= 0, got -3"),
+    ], ids=["size-0", "size-negative", "n-minus-1", "n-minus-3"])
+    def test_bad_size_or_count_is_refused(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_dataset(tmp_path / "d", **{"n": 2, "size": 8, **kwargs})
+        assert not (tmp_path / "d").exists()
+
+    def test_no_images_is_valid(self, tmp_path):
+        assert generate_synthetic_dataset(tmp_path / "d", n=0, size=8) == []
+        assert list((tmp_path / "d").iterdir()) == []
+
     def test_classes_differ_in_hue(self, tmp_path):
         from quatcnn.encoding import load_image, rgb_to_hsv
 
@@ -919,6 +937,38 @@ class TestCli:
         assert runs[0] == runs[1]
         assert runs[0].count(b"\n") == 5  # header and one run per config
 
+    def test_model_bin_independent_of_blas_threads(self, tmp_path):
+        # Test accuracies are too coarse to show a last-bit difference, so
+        # compare the trained weights. The thread count is set in each
+        # interpreter, whatever the environment of the test run. At 24x24
+        # the 40 training samples run as chunks of 16, 16 and 8; at 100x100
+        # the 24 run one sample at a time.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            for size, n in ((24, 14), (100, 8)):
+                subprocess.run(
+                    [sys.executable, "-m", "quatcnn", "synth-data", "--n", str(n),
+                     "--size", str(size), "--seed", "3",
+                     "--out", str(tmp_path / f"data-{size}-{threads}")],
+                    env=env, check=True, capture_output=True,
+                )
+            for name, size in (("rvcnn-rgb", 24), ("qvcnn-hsv", 24), ("qvcnn-rgb", 100)):
+                out_dir = tmp_path / f"{name}-{size}-{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "quatcnn", "train", "--config", name,
+                     "--data", str(tmp_path / f"data-{size}-{threads}"),
+                     "--input-size", str(size), "--test-fraction", "0.25", "--epochs", "1",
+                     "--batch-size", "16", "--seed", "5", "--out", str(out_dir)],
+                    env=env, check=True, capture_output=True,
+                )
+                model = (out_dir / "model.bin").read_bytes()
+                digests.setdefault((name, size), []).append(hashlib.sha256(model).hexdigest())
+        differ = [case for case, (one, two) in digests.items() if one != two]
+        assert not differ, f"model.bin differs between one and two BLAS threads: {differ}"
+
     def test_data_env_var(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"
         cli.main(["synth-data", "--n", "8", "--size", "24", "--out", str(data)])
@@ -946,17 +996,21 @@ class TestCli:
          "no dataset directory: pass --data or set QUATCNN_DATA$"),
         (["sweep", "--data", "{tmp}/data", "--input-size", "24"],
          r".*Im001_0\.ppm: ascii samples must lie in \[0, 255\]$"),
+        (["synth-data", "--size", "0"], "size must be >= 1, got 0$"),
+        (["synth-data", "--n", "-3"], "n must be >= 0, got -3$"),
     ], ids=["bad-fraction", "missing-data-dir", "input-too-small", "missing-data",
-            "p3-sample-out-of-range"])
+            "p3-sample-out-of-range", "synth-size-0", "synth-negative-n"])
     def test_bad_input_exits_with_an_error(self, tmp_path, monkeypatch, argv, message):
         monkeypatch.delenv("QUATCNN_DATA", raising=False)
         if "{tmp}/data" in argv:
             data = make_fixture_dir(tmp_path)
             (data / "Im001_0.ppm").write_text("P3\n2 2\n255\n300" + " 0" * 11 + "\n")
-        if argv[0] in ("sweep", "train"):
+        if argv[0] in ("sweep", "train", "synth-data"):
             argv = argv + ["--out", "{tmp}/out"]
         with pytest.raises(SystemExit, match="^error: " + message):
             cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        if argv[0] == "synth-data":
+            assert not (tmp_path / "out").exists()
 
     def test_gradcheck_cli(self, capsys):
         assert cli.main(["gradcheck"]) == 0

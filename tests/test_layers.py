@@ -183,20 +183,64 @@ class TestConvInputGradient:
         assert np.array_equal(gx, expect.reshape(x.shape))
 
 
+class TestPatchBuffer:
+    """A convolution copies its patches into a buffer that it keeps from
+    batch to batch, and its backward writes the input-gradient taps over
+    them."""
+
+    @pytest.mark.parametrize("kind", ["conv", "qconv"])
+    def test_batches_of_any_size_match_a_fresh_layer(self, kind):
+        rng = np.random.default_rng(44)
+        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
+        buffers = []
+        for n in (4, 4, 1, 6):  # the same size again, a smaller one, a larger one
+            x = rng.uniform(-1, 1, (*lead, n, 9, 11)).astype(np.float32)
+            out = layer.forward(x)
+            g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+            layer.grad.fill(0)
+            gx = layer.backward(g)
+            fresh = type(layer)(2, 3, 3, dtype=np.float32)
+            fresh.theta[...] = layer.theta
+            assert np.array_equal(out, fresh.forward(x))
+            assert np.array_equal(gx, fresh.backward(g))
+            assert np.array_equal(layer.grad, fresh.grad)
+            buffers.append(layer._buf)
+            with pytest.raises(RuntimeError, match="needs a forward of its own"):
+                layer.backward(g)  # the taps have overwritten the patches
+        assert buffers[0] is buffers[1] is buffers[2] is not buffers[3]
+
+
+class TestWeightGradient:
+    # K below one block, exactly one, whole blocks only, whole blocks and a tail
+    @pytest.mark.parametrize("k", [100, 512, 1536, 1300])
+    def test_blocks_added_in_order(self, k):
+        rng = np.random.default_rng(43)
+        cols = rng.uniform(-1, 1, (27, k)).astype(np.float32)
+        gmat = rng.uniform(-1, 1, (32, k)).astype(np.float32)
+        got = layers._weight_grad(cols, gmat)
+        assert got.shape == (27, 32) and got.dtype == np.float32
+        assert_close(got, cols.astype(np.float64) @ gmat.T.astype(np.float64), 1e-5)
+        # one GEMM per 512 columns of K, added left to right
+        expect = cols[:, :512] @ gmat[:, :512].T
+        for lo in range(512, k, 512):
+            expect = expect + cols[:, lo:lo + 512] @ gmat[:, lo:lo + 512].T
+        assert np.array_equal(got, expect)
+
+
 class TestChunkSize:
-    # the docstring of chunk_size: min(batch_size, 8) at 24x24, 1 at 100x100
+    # the docstring of chunk_size: min(batch_size, 16) at 24x24, 1 at 100x100
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_reference_configs(self, name):
         small, paper = config_from_name(name, 24), config_from_name(name, 100)
-        for batch_size in (1, 3, 4, 8, 9, 16, 100):
-            assert chunk_size(small, batch_size) == min(batch_size, 8)
+        for batch_size in (1, 3, 4, 8, 9, 15, 16, 17, 32, 100):
+            assert chunk_size(small, batch_size) == min(batch_size, 16)
             assert chunk_size(paper, batch_size) == 1
 
     def test_depends_only_on_config_and_batch_size(self):
         assert list(inspect.signature(chunk_size).parameters) == ["config", "batch_size"]
-        first = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
-        again = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 20)]
-        assert first == again == [min(b, 8) for b in range(1, 20)]
+        first = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 36)]
+        again = [chunk_size(config_from_name("qvcnn-hsv", 24), b) for b in range(1, 36)]
+        assert first == again == [min(b, 16) for b in range(1, 36)]
 
 
 class TestQConv2d:
