@@ -144,21 +144,17 @@ _K_BLOCK = 512
 
 def _weight_grad(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """The (M, F) product ``cols @ gmat.T`` of the (M, K) patches and the
-    (F, K) output gradient, with the same sums at any BLAS thread count.
-    Below K = ``_K_BLOCK`` it is one GEMM. Otherwise each whole block of
-    K is one GEMM of a single ``matmul`` call, the block products are
-    added in block order, and the tail's GEMM is added last."""
+    (F, K) output gradient, with the same sums at one and two BLAS threads:
+    the GEMMs of K's whole ``_K_BLOCK``-wide blocks run in a single
+    ``matmul`` call and are added in block order, and their sum is added
+    to the GEMM of the tail, which below K = ``_K_BLOCK`` is all of K."""
     (m, k), f = cols.shape, gmat.shape[0]
-    nb, tail = divmod(k, _K_BLOCK)
-    if not nb:
-        # the same dot products as gmat @ cols.T, and faster at 100x100
-        return cols @ gmat.T
-    ka = nb * _K_BLOCK
-    blocks = np.matmul(cols[:, :ka].reshape(m, nb, _K_BLOCK).transpose(1, 0, 2),
-                       gmat[:, :ka].reshape(f, nb, _K_BLOCK).transpose(1, 2, 0))
-    out = np.add.reduce(blocks, axis=0)
-    if tail:
-        out += cols[:, ka:] @ gmat[:, ka:].T
+    ka = k // _K_BLOCK * _K_BLOCK
+    out = cols[:, ka:] @ gmat[:, ka:].T
+    if ka:  # summing no blocks would still allocate and add an (M, F) zero array
+        out += np.add.reduce(np.matmul(cols[:, :ka].reshape(m, -1, _K_BLOCK).transpose(1, 0, 2),
+                                       gmat[:, :ka].reshape(f, -1, _K_BLOCK).transpose(1, 2, 0)),
+                             axis=0)
     return out
 
 
@@ -375,7 +371,9 @@ class _Correlation(_WeightedLayer):
         gpad[..., :ow] = g.reshape(f, n, oh, ow)
         wt = w.reshape(f, -1).T
         taps = self._buf[:wt.shape[0] * n * oh * wd].reshape(wt.shape[0], -1)
-        np.matmul(wt, gpad.reshape(f, -1), out=taps)
+        if taps.dtype != np.result_type(wt, gpad):
+            taps = None  # a g of another dtype gets a fresh product in its own dtype
+        taps = np.matmul(wt, gpad.reshape(f, -1), out=taps)
         taps = taps.reshape(-1, k, k, n, oh * wd)
         gx = np.empty((taps.shape[0], n, h * wd), dtype=taps.dtype)
         gx[..., :oh * wd] = taps[:, 0, 0]

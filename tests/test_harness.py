@@ -945,21 +945,20 @@ class TestCli:
         # the 24 run one sample at a time.
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for size, n in ((24, 14), (100, 8)):
+            subprocess.run(
+                [sys.executable, "-m", "quatcnn", "synth-data", "--n", str(n),
+                 "--size", str(size), "--seed", "3", "--out", str(tmp_path / f"data-{size}")],
+                env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True,
+            )
         digests = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            for size, n in ((24, 14), (100, 8)):
-                subprocess.run(
-                    [sys.executable, "-m", "quatcnn", "synth-data", "--n", str(n),
-                     "--size", str(size), "--seed", "3",
-                     "--out", str(tmp_path / f"data-{size}-{threads}")],
-                    env=env, check=True, capture_output=True,
-                )
             for name, size in (("rvcnn-rgb", 24), ("qvcnn-hsv", 24), ("qvcnn-rgb", 100)):
                 out_dir = tmp_path / f"{name}-{size}-{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "quatcnn", "train", "--config", name,
-                     "--data", str(tmp_path / f"data-{size}-{threads}"),
+                     "--data", str(tmp_path / f"data-{size}"),
                      "--input-size", str(size), "--test-fraction", "0.25", "--epochs", "1",
                      "--batch-size", "16", "--seed", "5", "--out", str(out_dir)],
                     env=env, check=True, capture_output=True,

@@ -209,6 +209,23 @@ class TestPatchBuffer:
                 layer.backward(g)  # the taps have overwritten the patches
         assert buffers[0] is buffers[1] is buffers[2] is not buffers[3]
 
+    @pytest.mark.parametrize("kind", ["conv", "qconv"])
+    def test_input_gradient_keeps_the_dtype_of_g(self, kind):
+        # a float64 g on a float32 layer is not cast down into the buffer
+        rng = np.random.default_rng(45)
+        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
+        wide = type(layer)(2, 3, 3, dtype=np.float64)
+        wide.theta[...] = layer.theta
+        x = rng.uniform(-1, 1, (*lead, 4, 9, 11)).astype(np.float32)
+        g = rng.uniform(-1, 1, layer.forward(x).shape)
+        gx = layer.backward(g)
+        wide.forward(x.astype(np.float64))
+        assert gx.dtype == np.float64
+        assert_close(gx, wide.backward(g), 1e-12)
+        # the buffer still serves the layer's own dtype
+        out = layer.forward(x)
+        assert layer.backward(out).dtype == np.float32
+
 
 class TestWeightGradient:
     # K below one block, exactly one, whole blocks only, whole blocks and a tail
