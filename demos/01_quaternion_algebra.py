@@ -10,8 +10,7 @@ independent planes.
 
 import numpy as np
 
-from quatcnn import Quaternion, add, hamilton, conjugate, norm, split_complex
-from quatcnn.quat import I, J, K, ONE
+from quatcnn.quat import I, J, K, ONE, Quaternion, add, conjugate, hamilton, norm, split_complex
 
 print("== unit rules ==")
 for name, u in (("i", I), ("j", J), ("k", K)):

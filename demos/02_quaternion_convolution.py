@@ -14,7 +14,8 @@ returns; both routes are shown here against a literal per-pixel loop.
 
 import numpy as np
 
-from quatcnn import Quaternion, add, hamilton, QConv2d, as_block_conv
+from quatcnn.layers import QConv2d, as_block_conv
+from quatcnn.quat import Quaternion, add, hamilton
 
 rng = np.random.default_rng(3)
 channels, filters, k = 2, 3, 3

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from quatcnn import qvcnn_config, rvcnn_config, train_model
 from quatcnn.harness import generate_synthetic_dataset, load_manifest, \
     load_decoded_images, encode_input
-from quatcnn.train import Samples, run_gradient_verification
+from quatcnn.layers import qvcnn_config, rvcnn_config
+from quatcnn.train import Samples, run_gradient_verification, train_model
 
 print("== finite-difference gradient checks (double precision, h = 1e-6) ==")
 for name, err in run_gradient_verification(seed=0):

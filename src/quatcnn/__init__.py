@@ -4,70 +4,12 @@ Four-component quaternion algebra, quaternion and real convolutional
 layers with exact reverse-mode gradients, RGB/HSV quaternion input
 encodings, and a repeated-split experiment harness for the binary
 white-blood-cell classification task.
+
+Each public name is imported from its home module, whose ``__all__``
+lists it; the package holds only its modules and the two versions.
 """
 
-from .quat import (
-    Quaternion,
-    add,
-    hamilton,
-    conjugate,
-    norm,
-    split_complex,
-    recompose,
-)
-from .layers import (
-    glorot_uniform,
-    Conv2d,
-    QConv2d,
-    as_block_conv,
-    LayerSpec,
-    ModelConfig,
-    rvcnn_config,
-    qvcnn_config,
-    config_from_name,
-    CONFIG_NAMES,
-    count_parameters,
-    Model,
-    save_model,
-    load_model,
-)
-from .train import (
-    Samples,
-    bce_with_logits,
-    Adam,
-    grad_check,
-    train_model,
-    run_gradient_verification,
-)
-from .encoding import (
-    rgb_to_hsv,
-    encode_rgb_quaternion,
-    encode_hsv_quaternion,
-    concat_channels,
-    resize,
-    augment_flips,
-    read_ppm,
-    write_ppm,
-    load_image,
-)
-from .harness import (
-    DatasetManifest,
-    load_manifest,
-    split,
-    ExperimentPlan,
-    RunResult,
-    AggregateStats,
-    derive_seed,
-    encode_input,
-    evaluate,
-    load_decoded_images,
-    build_run_inputs,
-    run_single,
-    run_experiment,
-    aggregate,
-    emit_report,
-    generate_synthetic_dataset,
-)
+from . import encoding, harness, layers, quat, train
 
 __version__ = "0.1.0"
 

@@ -14,14 +14,15 @@ from pathlib import Path
 
 from . import harness, layers, train as training
 
+# the plan whose fields are the train and sweep defaults
+_DEFAULT = harness.ExperimentPlan()
+
 
 def _data_root(args) -> Path:
-    if args.data:
-        return Path(args.data)
-    env = os.environ.get("QUATCNN_DATA")
-    if env:
-        return Path(env)
-    raise ValueError("no dataset directory: pass --data or set QUATCNN_DATA")
+    root = args.data or os.environ.get("QUATCNN_DATA")
+    if not root:
+        raise ValueError("no dataset directory: pass --data or set QUATCNN_DATA")
+    return Path(root)
 
 
 def _add_data_args(p: argparse.ArgumentParser):
@@ -32,9 +33,9 @@ def _add_data_args(p: argparse.ArgumentParser):
 
 
 def _add_train_args(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--input-size", type=int, default=100,
+    p.add_argument("--epochs", type=int, default=_DEFAULT.epochs)
+    p.add_argument("--batch-size", type=int, default=_DEFAULT.batch_size)
+    p.add_argument("--input-size", type=int, default=_DEFAULT.input_size,
                    help="images are resized to this square size before encoding")
     p.add_argument("--no-augment", action="store_true",
                    help="skip the x4 flip expansion of the training split")
@@ -82,15 +83,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _sweep_plan(args) -> harness.ExperimentPlan:
     fractions = []
     for item in args.fractions.split(","):
         try:
             fractions.append(float(item))
         except ValueError:
             raise ValueError(f"--fractions: {item!r} is not a number") from None
-    plan = _plan(args, configs=tuple(args.configs), fractions=tuple(fractions),
+    return _plan(args, configs=tuple(args.configs), fractions=tuple(fractions),
                  runs=args.runs, jobs=args.jobs)
+
+
+def cmd_sweep(args) -> int:
+    plan = _sweep_plan(args)
     manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
     report = harness.run_experiment(plan, manifest, args.out)
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
@@ -126,10 +131,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    value = (0.65, 0.85) if args.fixed_value is None else (args.fixed_value,) * 2
+    fixed = {} if args.fixed_value is None else {"value": (args.fixed_value,) * 2}
     paths = harness.generate_synthetic_dataset(
         args.out, n=args.n, size=args.size, seed=args.seed,
-        healthy_hue=args.healthy_hue, blast_hue=args.blast_hue, value=value,
+        healthy_hue=args.healthy_hue, blast_hue=args.blast_hue, **fixed,
     )
     print(f"wrote {len(paths)} images to {args.out}")
     return 0
@@ -147,20 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--config", required=True, choices=layers.CONFIG_NAMES)
     p.add_argument("--test-fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULT.base_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep", help="repeated-split experiment over configurations")
     _add_data_args(p)
     _add_train_args(p)
-    p.add_argument("--configs", nargs="+", default=list(layers.CONFIG_NAMES),
+    p.add_argument("--configs", nargs="+", default=list(_DEFAULT.configs),
                    choices=layers.CONFIG_NAMES)
-    p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5",
+    p.add_argument("--fractions", default=",".join(map(str, _DEFAULT.fractions)),
                    help="comma-separated test fractions")
-    p.add_argument("--runs", type=int, default=100, help="simulations per cell")
+    p.add_argument("--runs", type=int, default=_DEFAULT.runs, help="simulations per cell")
     p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
-    p.add_argument("--seed", type=int, default=0, help="base seed of the sweep")
+    p.add_argument("--seed", type=int, default=_DEFAULT.base_seed, help="base seed of the sweep")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 

@@ -199,8 +199,6 @@ class ExperimentPlan:
 
     def __post_init__(self):
         for name in self.configs:
-            if name not in CONFIG_NAMES:
-                raise ValueError(f"unknown config {name!r}")
             trace_shapes(config_from_name(name, self.input_size))
         for f in self.fractions:
             if not 0.0 < f < 1.0:
@@ -253,17 +251,19 @@ def derive_seed(base_seed: int, config: str, fraction: float, run: int) -> int:
 # one run: split, augment the training side, encode, train, evaluate
 
 
-def encode_input(config: ModelConfig, image: np.ndarray, dtype=np.float32):
+def encode_input(config: ModelConfig, image: np.ndarray):
     """Turn a unit-interval RGB (H, W, 3) image or (N, H, W, 3) stack into
-    the input the config expects; a stack gives ``Samples.x``."""
+    the float32 input the config expects; a stack gives ``Samples.x``."""
+    if config.encoding not in ("rgb", "hsv"):
+        raise ValueError(f"encoding must be 'rgb' or 'hsv', got {config.encoding!r}")
     if config.encoding == "hsv":
         image = encoding.rgb_to_hsv(image)
         if config.arithmetic == "quaternion":
-            return encoding.encode_hsv_quaternion(image, dtype=dtype)
-        return encoding.concat_channels(image, dtype=dtype)
+            return encoding.encode_hsv_quaternion(image, dtype=np.float32)
+        return encoding.concat_channels(image, dtype=np.float32)
     if config.arithmetic == "quaternion":
-        return encoding.encode_rgb_quaternion(image, dtype=dtype)
-    return encoding.concat_channels(encoding._check_rgb(image), dtype=dtype)
+        return encoding.encode_rgb_quaternion(image, dtype=np.float32)
+    return encoding.concat_channels(encoding._check_rgb(image), dtype=np.float32)
 
 
 def evaluate(model, samples: Samples) -> float:

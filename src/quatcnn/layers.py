@@ -249,7 +249,8 @@ class Layer:
     before flattening, and caches what ``backward`` needs; ``backward``
     takes the output gradient, accumulates into ``grad`` (summed over
     the batch) and returns the input gradient. A cache serves one
-    ``backward`` and lives at most until the next ``forward``. A
+    ``backward`` and lives at most until the next ``forward``; a
+    ``backward`` with no forward of its own raises RuntimeError. A
     convolution keeps its patches in a buffer that it reuses from batch
     to batch, so a training loop does not allocate them per chunk, and
     a max pool frees its cache before it allocates the next batch's.
@@ -258,6 +259,7 @@ class Layer:
     """
 
     theta = grad = np.zeros(0)
+    _cache = None
 
     def bind(self, theta: np.ndarray, grad: np.ndarray):
         """Make the flat ``theta`` and ``grad`` (slices of the model's) the
@@ -270,6 +272,12 @@ class Layer:
     @property
     def param_count(self) -> int:
         return self.theta.size
+
+    def _forward_cache(self):
+        """What the last ``forward`` cached for ``backward``; raises if none."""
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a forward of its own")
+        return self._cache
 
 
 class _WeightedLayer(Layer):
@@ -284,7 +292,6 @@ class _WeightedLayer(Layer):
         self.fans = (fan_in, fan_out)
         n = math.prod(w_shape) + math.prod(bias_shape)
         self.bind(np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype))
-        self._cache = None
 
     def bind(self, theta: np.ndarray, grad: np.ndarray):
         super().bind(theta, grad)
@@ -351,9 +358,7 @@ class _Correlation(_WeightedLayer):
         """``input_grad=False`` skips the input gradient and returns None,
         as the model's first layer does. Each forward takes one backward:
         the input gradient's taps overwrite the cached patches."""
-        if self._cache is None:
-            raise RuntimeError(f"{type(self).__name__}.backward needs a forward of its own")
-        w, cols, x_shape = self._cache
+        w, cols, x_shape = self._forward_cache()
         self._cache = None
         f, k = w.shape[0], w.shape[-1]
         gmat = g.reshape(f, -1)
@@ -440,7 +445,6 @@ class MaxPool2d(Layer):
 
     def __init__(self, window: int = 2):
         self.window = window
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # the previous batch's input and output go before this batch's
@@ -462,7 +466,7 @@ class MaxPool2d(Layer):
         view of ``gx``. ``out`` may since have been rectified in place:
         windows with a positive maximum still match it, and the others
         carry a zero gradient."""
-        x, out = self._cache
+        x, out = self._forward_cache()
         gx = np.empty(x.shape, dtype=g.dtype)
         rows, cols = (self.window * size for size in out.shape[-2:])
         gx[..., rows:, :] = gx[..., cols:] = 0
@@ -487,15 +491,12 @@ class ReLU(Layer):
     rectifies its input in place, in a model a max pool's output, and
     returns it; the mask for ``backward`` is read from that output."""
 
-    def __init__(self):
-        self._out = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.maximum(x, 0, out=x)
+        self._cache = np.maximum(x, 0, out=x)
         return x
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return g * (self._out > 0)
+        return g * (self._forward_cache() > 0)
 
 
 class Flatten(Layer):
@@ -504,15 +505,12 @@ class Flatten(Layer):
     column, so index ((comp*C + c)*H + h)*W + w of row n holds plane comp
     of element (c, h, w) of sample n."""
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
         return np.moveaxis(x, -3, 0).reshape(x.shape[-3], -1)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        shape = self._shape
+        shape = self._forward_cache()
         moved = (shape[-3], *shape[:-3], *shape[-2:])
         return np.moveaxis(g.reshape(moved), 0, -3)
 
@@ -532,7 +530,7 @@ class Dense(_WeightedLayer):
         return v @ self.w + self.bias
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        v = self._cache
+        v = self._forward_cache()
         self.grad_w += g @ v
         self.grad_bias += g.sum()
         return np.outer(g, self.w)
@@ -579,23 +577,21 @@ def _conv_stack(conv_kind: str, filters) -> tuple[LayerSpec, ...]:
     return tuple(specs)
 
 
-def rvcnn_config(encoding: str = "rgb", input_size: int = 100,
-                 filters=(32, 64, 128)) -> ModelConfig:
+def rvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
     """Real-valued reference model: conv stacks of 32/64/128 filters."""
     return ModelConfig(
         name=f"rvcnn-{encoding}", arithmetic="real", encoding=encoding,
         input_size=input_size, in_channels=3,
-        layers=_conv_stack("conv", filters),
+        layers=_conv_stack("conv", (32, 64, 128)),
     )
 
 
-def qvcnn_config(encoding: str = "rgb", input_size: int = 100,
-                 filters=(8, 16, 32)) -> ModelConfig:
+def qvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
     """Quaternion model: a quarter of the real model's filters per layer."""
     return ModelConfig(
         name=f"qvcnn-{encoding}", arithmetic="quaternion", encoding=encoding,
         input_size=input_size, in_channels=1,
-        layers=_conv_stack("qconv", filters),
+        layers=_conv_stack("qconv", (8, 16, 32)),
     )
 
 
@@ -615,9 +611,14 @@ def trace_shapes(config: ModelConfig):
     """Return (spec, out_channels, out_h, out_w, flat_len) rows per layer
     in declaration order, not ``Model.run_order``, validating the spatial
     arithmetic; flat_len is the flattened length once a flatten layer
-    has run, else None. Raises ValueError on an inconsistent chain, or
-    if the first layer is not a convolution, the one layer whose input
-    gradient ``Model.backward`` may skip."""
+    has run, else None. Raises ValueError on an inconsistent chain or
+    arithmetic, on a convolution of the other arithmetic's kind, or if the
+    first layer is not a convolution, the one layer whose input gradient
+    ``Model.backward`` may skip."""
+    conv_kind = {"real": "conv", "quaternion": "qconv"}.get(config.arithmetic)
+    if conv_kind is None:
+        raise ValueError(f"inconsistent config: arithmetic must be 'real' or 'quaternion', "
+                         f"got {config.arithmetic!r}")
     if not config.layers or config.layers[0].kind not in ("conv", "qconv"):
         first = config.layers[0].kind if config.layers else "none"
         raise ValueError(f"inconsistent config: first layer must be conv or qconv, got {first}")
@@ -627,6 +628,9 @@ def trace_shapes(config: ModelConfig):
     out = []
     for spec in config.layers:
         if spec.kind in ("conv", "qconv"):
+            if spec.kind != conv_kind:
+                raise ValueError(f"inconsistent config: layers hold a {spec.kind} layer, "
+                                 f"but arithmetic is {config.arithmetic!r}")
             if h < spec.kernel or w < spec.kernel:
                 raise ValueError(
                     f"inconsistent config: {spec.kind} kernel {spec.kernel} "
@@ -819,9 +823,9 @@ def save_model(path, model: Model) -> None:
         fh.write(np.asarray(model.theta, dtype="<f4").tobytes())
 
 
-def load_model(path, config: ModelConfig, dtype=np.float32) -> Model:
-    """Rebuild a Model from the container; the config must match the
-    digest recorded at save time, and the blob must hold exactly its
+def load_model(path, config: ModelConfig) -> Model:
+    """Rebuild a float32 Model from the container; the config must match
+    the digest recorded at save time, and the blob must hold exactly its
     parameters."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -833,7 +837,7 @@ def load_model(path, config: ModelConfig, dtype=np.float32) -> Model:
         raise ValueError(f"unsupported container version {version}")
     if digest != config_digest(config):
         raise ValueError("config digest mismatch: file was saved from a different config")
-    model = Model(config, rng=None, dtype=dtype)
+    model = Model(config)
     blob = data[_HEADER.size:]
     if len(blob) < 4 * model.theta.size:
         raise ValueError("file truncated")

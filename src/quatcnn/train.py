@@ -88,18 +88,15 @@ def _bce(logits, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Adam:
-    """Adam with bias correction, updating the flat parameter vector
-    ``theta`` in place. A step allocates nothing: it works through two
-    preallocated scratch vectors, in the order of the expression
-    theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps)."""
+    """Adam with bias correction and fixed hyper-parameters, updating the
+    flat parameter vector ``theta`` in place. A step allocates nothing:
+    it works through two preallocated scratch vectors, in the order of
+    the expression theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps)."""
 
-    def __init__(self, theta: np.ndarray, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-7
+
+    def __init__(self, theta: np.ndarray):
         self.theta = theta
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -144,8 +141,8 @@ def _mean_loss(model: Model, data: Samples) -> float:
     return float(_bce(model.forward(data.x), data.y)[0].mean())
 
 
-def grad_check(model: Model, data: Samples, h: float = 1e-6,
-               num_samples: int = 200, rng: np.random.Generator | None = None) -> float:
+def grad_check(model: Model, data: Samples, num_samples: int = 200,
+               rng: np.random.Generator | None = None) -> float:
     """Max relative error of analytic gradients vs central differences.
 
     The loss is the mean BCE over ``data``, whose gradient comes from
@@ -159,6 +156,7 @@ def grad_check(model: Model, data: Samples, h: float = 1e-6,
     """
     if model.dtype != np.float64:
         raise ValueError("grad_check requires a float64 model (build it with dtype=np.float64)")
+    h = 1e-6
     rng = rng or np.random.default_rng(0)
     _minibatch(model, data, np.arange(len(data)), len(data))
     analytic = model.grad.copy()
@@ -193,8 +191,8 @@ class EpochMetrics:
 
 
 def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
-                batch_size: int = 16, seed: int = 0, lr: float = 1e-3,
-                dtype=np.float32, metrics_path=None) -> tuple[Model, list[EpochMetrics]]:
+                batch_size: int = 16, seed: int = 0,
+                metrics_path=None) -> tuple[Model, list[EpochMetrics]]:
     """Train a model from scratch on a labelled sample set.
 
     Deterministic given (seed, config, dataset): the seed drives both
@@ -218,8 +216,8 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
         raise ValueError("dataset contains a single class; need both labels")
 
     rng = np.random.default_rng(seed)
-    model = Model(config, rng=rng, dtype=dtype)
-    adam = Adam(model.theta, lr=lr)
+    model = Model(config, rng=rng)
+    adam = Adam(model.theta)
     chunk = chunk_size(config, batch_size)
 
     fh = None

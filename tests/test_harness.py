@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -325,6 +326,12 @@ class TestEncodeInput:
         rgb = encode_input(config_from_name("qvcnn-rgb", 24), img)
         hsv = encode_input(config_from_name("qvcnn-hsv", 24), img)
         assert not np.allclose(rgb, hsv)
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_unknown_encoding_is_refused(self, name):
+        config = dataclasses.replace(config_from_name(name, 24), encoding="lab")
+        with pytest.raises(ValueError, match="encoding must be 'rgb' or 'hsv', got 'lab'"):
+            encode_input(config, np.full((24, 24, 3), 0.5))
 
 
 class TestAugmentationLeakage:
@@ -1010,6 +1017,10 @@ class TestCli:
             cli.main([arg.format(tmp=tmp_path) for arg in argv])
         if argv[0] == "synth-data":
             assert not (tmp_path / "out").exists()
+
+    def test_sweep_defaults_are_the_default_plan(self):
+        args = cli.build_parser().parse_args(["sweep", "--out", "out"])
+        assert cli._sweep_plan(args) == ExperimentPlan()
 
     def test_gradcheck_cli(self, capsys):
         assert cli.main(["gradcheck"]) == 0
