@@ -2,7 +2,8 @@
 """The quaternion convolution and its two equivalent formulations.
 
 A quaternion feature map of C channels is a plain (4, C, H, W) array,
-one real plane per component; a batch of N of them is (4, C, N, H, W).
+one real plane per component; the layers take a batch of N of them as
+(4, C, H, W, N), with the sample axis last.
 A ``QConv2d`` layer holds four real kernel banks W0..W3 as one
 (4, F, C, k, k) array ``w``. At every tap of a valid cross-correlation
 the layer multiplies filter and input quaternions with the Hamilton
@@ -26,8 +27,8 @@ layer = QConv2d(channels, filters, k, dtype=np.float64)
 layer.w[...] = rng.uniform(-1, 1, layer.w.shape)
 layer.bias[...] = rng.uniform(-1, 1, layer.bias.shape)
 
-# a batch of one sample: the sample axis sits before the spatial axes
-out = layer.forward(x[:, :, None])[:, :, 0]
+# a batch of one sample: the sample axis sits last
+out = layer.forward(x[..., None])[..., 0]
 print("input  (4, C, H, W):", x.shape)
 print("output (4, F, OH, OW):", out.shape)
 
@@ -51,7 +52,7 @@ print("max |layer - per-pixel loop| =", np.max(np.abs(out - loop)))
 # route 2: one real convolution of the stacked planes
 block = as_block_conv(layer)
 print("block kernel shape:", block.w.shape, " (4F, 4C, k, k)")
-stacked = block.forward(x.reshape(4 * channels, 1, height, width))[:, 0]
+stacked = block.forward(x.reshape(4 * channels, height, width, 1))[..., 0]
 print("max |layer - block conv|     =",
       np.max(np.abs(out.reshape(stacked.shape) - stacked)))
 

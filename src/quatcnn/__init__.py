@@ -19,5 +19,7 @@ __version__ = "0.1.0"
 # 24x24 training ran in chunks of 8 samples, 2 those chunks of 8, and 3
 # chunks of 16 with the weight gradients summed in blocks of 512 along
 # their inner dimension, which makes them the same at one and two BLAS
-# threads.
-RESULTS_VERSION = 3
+# threads, and 4 those chunks with the sample axis last inside the
+# network, which sums each weight gradient over (row, column, sample)
+# instead of (sample, row, column); a chunk of one keeps its bits.
+RESULTS_VERSION = 4

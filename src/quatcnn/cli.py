@@ -7,6 +7,7 @@ The data root defaults to the QUATCNN_DATA environment variable when
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -16,6 +17,8 @@ from . import harness, layers, train as training
 
 # the plan whose fields are the train and sweep defaults
 _DEFAULT = harness.ExperimentPlan()
+# the parameters whose defaults are the synth-data defaults
+_SYNTH = inspect.signature(harness.generate_synthetic_dataset).parameters
 
 
 def _data_root(args) -> Path:
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("count-params", help="print per-layer parameter counts")
-    p.add_argument("--input-size", type=int, default=100)
+    p.add_argument("--input-size", type=int, default=layers.rvcnn_config().input_size)
     p.set_defaults(fn=cmd_count_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -178,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("synth-data", help="generate the synthetic fixture dataset")
-    p.add_argument("--n", type=int, default=260)
-    p.add_argument("--size", type=int, default=100)
+    p.add_argument("--n", type=int, default=_SYNTH["n"].default)
+    p.add_argument("--size", type=int, default=_SYNTH["size"].default)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--healthy-hue", type=float, default=330.0)
-    p.add_argument("--blast-hue", type=float, default=270.0)
+    p.add_argument("--healthy-hue", type=float, default=_SYNTH["healthy_hue"].default)
+    p.add_argument("--blast-hue", type=float, default=_SYNTH["blast_hue"].default)
     p.add_argument("--fixed-value", type=float, default=None,
                    help="pin the HSV value channel (hue-separable task)")
     p.set_defaults(fn=cmd_synth_data)

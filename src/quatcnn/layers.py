@@ -10,28 +10,29 @@ A weighted layer's ``w`` and ``bias`` are reshaped views of its slice of
 ``grad``; a quaternion layer's four weight banks are one (4, F, C, k, k)
 view. The layers are the one way to run a convolution.
 
-Layers run on batches of samples. The sample axis sits third from last,
-just before the spatial axes: a real batch is (C, N, H, W) and a
-quaternion batch (4, C, N, H, W). In this channel-major layout the
-im2col copy of a batch and the GEMM output need no transposes, and a
-batch of one costs what a single sample does. ``Flatten`` makes one
-(N, D) copy and ``Dense`` returns (N,) logits. ``Model.forward`` takes
-one such batch array, as ``train.Samples`` holds a whole split, and
-returns its (N,) logits.
+Layers run on batches of samples with the sample axis last: a real
+batch is (C, H, W, N) and a quaternion batch (4, C, H, W, N). In this
+layout the im2col copy of a batch and the GEMM output need no
+transposes, every run the im2col, col2im and pooling copies move is
+contiguous across the samples, and a batch of one costs what a single
+sample does. ``Flatten`` returns an (N, D) view and ``Dense`` returns
+(N,) logits. ``Model.forward`` takes one batch in the layout of
+``train.Samples``, with the sample axis third from last, moves that axis
+last once per batch and returns its (N,) logits.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
 GEMM per batch. The input gradient is the transposed GEMM on the output
 gradient zero-padded to the input width, scattered back with one
-contiguous add per tap over the flat (P, N, H*W) planes; the taps that
+contiguous add per tap over the flat (P, H*W*N) planes; the taps that
 wrap past a row's end fall on the pad columns and add exact zeros.
-The weight gradient sums its long inner dimension (N*OH*OW) in fixed
+The weight gradient sums its long inner dimension (OH*OW*N) in fixed
 blocks of 512, added in order, so a trained model has the same bits at
 one and two BLAS threads. The quaternion convolution runs on the same
 core as one real GEMM over the 4C stacked component planes, with the
 (4F, 4C, k, k) block kernel gathered from the banks through 4x4 bank
-and sign tables derived from the Hamilton sign pattern in
-``_QCONV_TERMS``, once per batch; its weight gradient folds back into
+and sign tables built from ``quat.hamilton`` on the four unit
+quaternions, once per batch; its weight gradient folds back into
 the banks through the inverse tables, once per batch. ``as_block_conv``
 returns that block kernel as the equivalent ``Conv2d``.
 
@@ -81,6 +82,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import quat
+
 __all__ = [
     "glorot_uniform",
     "Layer",
@@ -123,17 +126,18 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 def _im2col(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
-    """(C, N, H, W) -> (C*k*k, N*OH*OW) patch matrix for a valid
-    correlation, copied into the front of the flat buffer ``buf``."""
-    c, n, h, w = x.shape
+    """(C, H, W, N) -> (C*k*k, OH*OW*N) patch matrix for a valid
+    correlation, copied into the front of the flat buffer ``buf``; each
+    run it copies is OW*N contiguous floats."""
+    c, h, w, n = x.shape
     oh, ow = h - k + 1, w - k + 1
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(c, k, k, n, oh, ow), strides=(s0, s2, s3, s1, s2, s3)
+        x, shape=(c, k, k, oh, ow, n), strides=(s0, s1, s2, s1, s2, s3)
     )
     cols = buf[:windows.size].reshape(windows.shape)
     np.copyto(cols, windows)
-    return cols.reshape(c * k * k, n * oh * ow)
+    return cols.reshape(c * k * k, oh * ow * n)
 
 
 # The inner-dimension block of the weight-gradient GEMMs. Multithreaded
@@ -159,41 +163,36 @@ def _weight_grad(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray, buf: np.ndarray):
-    """Valid correlation of the (..., C, N, H, W) input's P stacked planes
+    """Valid correlation of the (..., C, H, W, N) input's P stacked planes
     (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
     as one GEMM over the im2col patches of all N samples, which are
-    copied into ``buf``. Returns the (F, N, OH, OW) output and the
+    copied into ``buf``. Returns the (F, OH, OW, N) output and the
     patches."""
     planes = x.reshape(-1, *x.shape[-3:])
     f, _, k, _ = w.shape
-    n, h, wd = planes.shape[1:]
+    h, wd, n = planes.shape[1:]
     cols = _im2col(planes, k, buf)
-    out = (w.reshape(f, -1) @ cols).reshape(f, n, h - k + 1, wd - k + 1)
+    out = (w.reshape(f, -1) @ cols).reshape(f, h - k + 1, wd - k + 1, n)
     out += bias[:, None, None, None]
     return out, cols
 
 
-# Hamilton product sign structure, written as the four-term expansion of
-# each output plane: out[c] = sum of sign * correlate(x[b], W[a]).
-_QCONV_TERMS = (
-    ((0, 0, 1.0), (1, 1, -1.0), (2, 2, -1.0), (3, 3, -1.0)),
-    ((0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, -1.0)),
-    ((0, 2, 1.0), (1, 3, -1.0), (2, 0, 1.0), (3, 1, 1.0)),
-    ((0, 3, 1.0), (1, 2, 1.0), (2, 1, -1.0), (3, 0, 1.0)),
-)
-
-
 def _hamilton_tables():
-    """``_QCONV_TERMS`` as 4x4 tables. Indexed [output component, input
-    component b]: the bank and sign of block (comp, b) of the block
-    kernel. Indexed [output component, bank a]: the input component whose
-    block gradient folds into bank a, and its sign."""
+    """The sign pattern of ``quat.hamilton`` as 4x4 tables. The product of
+    filter unit e_a and input unit e_b is sign * e_comp, so output plane
+    comp gets sign * correlate(x[b], W[a]). Indexed [output component,
+    input component b]: the bank a and sign of block (comp, b) of the
+    block kernel. Indexed [output component, bank a]: the input component
+    b whose block gradient folds into bank a, and its sign."""
     bank, plane = np.zeros((2, 4, 4), dtype=np.intp)
     sign, fold_sign = np.zeros((2, 4, 4), dtype=np.float32)
-    for comp, terms in enumerate(_QCONV_TERMS):
-        for a, b, s in terms:
-            bank[comp, b], sign[comp, b] = a, s
-            plane[comp, a], fold_sign[comp, a] = b, s
+    units = (quat.ONE, quat.I, quat.J, quat.K)
+    for a, filter_unit in enumerate(units):
+        for b, input_unit in enumerate(units):
+            product = quat.hamilton(filter_unit, input_unit).components()
+            comp = next(i for i, value in enumerate(product) if value)
+            bank[comp, b], sign[comp, b] = a, product[comp]
+            plane[comp, a], fold_sign[comp, a] = b, product[comp]
     return bank, sign, plane, fold_sign
 
 
@@ -222,20 +221,20 @@ def _fold_block(gw: np.ndarray, gblock: np.ndarray):
 
 
 def _window_rows(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The ``window`` strided views of (..., H, W), one per row offset of
-    a pooling window, each holding whole rows. Trailing rows and columns
-    that fill no whole window are dropped."""
-    h, w = x.shape[-2:]
+    """The ``window`` strided views of (..., H, W, N), one per row offset
+    of a pooling window, each holding whole rows. Trailing rows and
+    columns that fill no whole window are dropped."""
+    h, w = x.shape[-3:-1]
     if h < window or w < window:
         raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
     rows, cols = window * (h // window), window * (w // window)
-    return [x[..., di:rows:window, :cols] for di in range(window)]
+    return [x[..., di:rows:window, :cols, :] for di in range(window)]
 
 
 def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The window**2 strided views of (..., H, W), one per window offset in
-    row-major order; view d holds element d of every pooling window."""
-    return [row[..., dj::window] for row in _window_rows(x, window) for dj in range(window)]
+    """The window**2 strided views of (..., H, W, N), one per window offset
+    in row-major order; view d holds element d of every pooling window."""
+    return [row[..., dj::window, :] for row in _window_rows(x, window) for dj in range(window)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +244,8 @@ def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
 class Layer:
     """The interface every layer implements.
 
-    ``forward`` takes a batch, with the sample axis third from last
-    before flattening, and caches what ``backward`` needs; ``backward``
+    ``forward`` takes a batch, with the sample axis last before
+    flattening, and caches what ``backward`` needs; ``backward``
     takes the output gradient, accumulates into ``grad`` (summed over
     the batch) and returns the input gradient. A cache serves one
     ``backward`` and lives at most until the next ``forward``; a
@@ -312,7 +311,7 @@ class _Correlation(_WeightedLayer):
     one GEMM over the batch's stacked planes with the kernel from
     ``_kernel``; ``_fold`` adds that kernel's gradient into ``grad_w``
     and ``grad_bias``. ``lead`` is the shape of the axes before
-    (C, N, H, W), and of the weight and bias axes before (F, C, k, k) and
+    (C, H, W, N), and of the weight and bias axes before (F, C, k, k) and
     (F,): none for a real layer, the four quaternion components for a
     quaternion one."""
 
@@ -332,11 +331,11 @@ class _Correlation(_WeightedLayer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         ndim = len(self.lead) + 4
         if x.ndim != ndim or x.shape[:-4] != self.lead:
-            layout = ", ".join([*map(str, self.lead), "C", "N", "H", "W"])
+            layout = ", ".join([*map(str, self.lead), "C", "H", "W", "N"])
             raise ValueError(
                 f"{type(self).__name__} expects a {ndim}-d ({layout}) batch, got {x.shape}"
             )
-        c, _, h, wd = x.shape[-4:]
+        c, h, wd, n = x.shape[-4:]
         k = self.kernel_size
         if c != self.in_channels:
             raise ValueError(f"input has {c} channels, kernel expects {self.in_channels}")
@@ -344,9 +343,9 @@ class _Correlation(_WeightedLayer):
             raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
         # The patches, and the taps that backward writes over them: P*k*k
-        # rows of N*OH*W. The buffer is kept from batch to batch, so the
+        # rows of OH*W*N. The buffer is kept from batch to batch, so the
         # largest arrays of a training step are not allocated per chunk.
-        size = w[0].size * x.shape[-3] * (h - k + 1) * wd
+        size = w[0].size * (h - k + 1) * wd * n
         dtype = np.result_type(x, w)
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
             self._buf = np.empty(size, dtype)
@@ -366,33 +365,34 @@ class _Correlation(_WeightedLayer):
         if not input_grad:
             return None
         # With g zero-padded to the input width W, tap (di, dj) of flat
-        # output position t lands on flat input position t + di*W + dj. The
-        # taps that wrap past a row's end come from pad columns and add
+        # output position t lands on flat input position t + (di*W + dj)*N.
+        # The taps that wrap past a row's end come from pad columns and add
         # exact zeros, so each input element gets the nonzero terms of a
         # per-tap strided scatter in the same (di, dj) order.
-        n, h, wd = x_shape[-3:]
+        h, wd, n = x_shape[-3:]
         oh, ow = h - k + 1, wd - k + 1
-        gpad = np.zeros((f, n, oh, wd), dtype=g.dtype)
-        gpad[..., :ow] = g.reshape(f, n, oh, ow)
+        gpad = np.zeros((f, oh, wd, n), dtype=g.dtype)
+        gpad[:, :, :ow] = g.reshape(f, oh, ow, n)
         wt = w.reshape(f, -1).T
-        taps = self._buf[:wt.shape[0] * n * oh * wd].reshape(wt.shape[0], -1)
+        size = oh * wd * n
+        taps = self._buf[:wt.shape[0] * size].reshape(wt.shape[0], -1)
         if taps.dtype != np.result_type(wt, gpad):
             taps = None  # a g of another dtype gets a fresh product in its own dtype
         taps = np.matmul(wt, gpad.reshape(f, -1), out=taps)
-        taps = taps.reshape(-1, k, k, n, oh * wd)
-        gx = np.empty((taps.shape[0], n, h * wd), dtype=taps.dtype)
-        gx[..., :oh * wd] = taps[:, 0, 0]
-        gx[..., oh * wd:] = 0
+        taps = taps.reshape(-1, k, k, size)
+        gx = np.empty((taps.shape[0], h * wd * n), dtype=taps.dtype)
+        gx[:, :size] = taps[:, 0, 0]
+        gx[:, size:] = 0
         for d in range(1, k * k):
             di, dj = divmod(d, k)
-            start = di * wd + dj
-            span = min(oh * wd, h * wd - start)
-            gx[..., start:start + span] += taps[:, di, dj, :, :span]
+            start = (di * wd + dj) * n
+            span = min(size, gx.shape[1] - start)
+            gx[:, start:start + span] += taps[:, di, dj, :span]
         return gx.reshape(x_shape)
 
 
 class Conv2d(_Correlation):
-    """Real valid correlation of a (C, N, H, W) batch -> (F, N, OH, OW),
+    """Real valid correlation of a (C, H, W, N) batch -> (F, OH, OW, N),
     with an (F, C, k, k) kernel ``w`` and F biases."""
 
     def _kernel(self):
@@ -404,7 +404,7 @@ class Conv2d(_Correlation):
 
 
 class QConv2d(_Correlation):
-    """Quaternion correlation of a (4, C, N, H, W) batch -> (4, F, N, OH, OW):
+    """Quaternion correlation of a (4, C, H, W, N) batch -> (4, F, OH, OW, N):
     the Hamilton product of filter and input at every tap, plus the
     quaternion bias, run as one block correlation over the 4C stacked
     planes. ``w`` holds the four real kernel banks, one per quaternion
@@ -440,8 +440,8 @@ def as_block_conv(layer: QConv2d) -> Conv2d:
 
 class MaxPool2d(Layer):
     """Per-plane max pooling of a square ``window``, with stride
-    ``window``, over the last two axes of a real (C, N, H, W) or
-    quaternion (4, C, N, H, W) batch."""
+    ``window``, over the H and W axes of a real (C, H, W, N) or
+    quaternion (4, C, H, W, N) batch."""
 
     def __init__(self, window: int = 2):
         self.window = window
@@ -451,7 +451,7 @@ class MaxPool2d(Layer):
         # are allocated, into the memory they free
         self._cache = None
         row_max = reduce(np.maximum, _window_rows(x, self.window))
-        out = reduce(np.maximum, [row_max[..., dj::self.window] for dj in range(self.window)])
+        out = reduce(np.maximum, [row_max[..., dj::self.window, :] for dj in range(self.window)])
         self._cache = (x, out)
         return out
 
@@ -468,8 +468,8 @@ class MaxPool2d(Layer):
         carry a zero gradient."""
         x, out = self._forward_cache()
         gx = np.empty(x.shape, dtype=g.dtype)
-        rows, cols = (self.window * size for size in out.shape[-2:])
-        gx[..., rows:, :] = gx[..., cols:] = 0
+        rows, cols = (self.window * size for size in out.shape[-3:-1])
+        gx[..., rows:, :, :] = gx[..., cols:, :] = 0
         views = _pool_views(x, self.window)
         gviews = _pool_views(gx, self.window)
         free = np.ones(out.shape, dtype=bool)
@@ -500,19 +500,18 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
-    """Batch -> (N, D) real rows in C order. Each sample of a quaternion
-    (4, C, N, H, W) batch flattens component-major, then channel, row,
+    """Batch -> (N, D) real rows in C order: the transpose of the batch
+    reshaped to (D, N), a view. Each sample of a quaternion
+    (4, C, H, W, N) batch flattens component-major, then channel, row,
     column, so index ((comp*C + c)*H + h)*W + w of row n holds plane comp
     of element (c, h, w) of sample n."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
-        return np.moveaxis(x, -3, 0).reshape(x.shape[-3], -1)
+        return x.reshape(-1, x.shape[-1]).T
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        shape = self._forward_cache()
-        moved = (shape[-3], *shape[:-3], *shape[-2:])
-        return np.moveaxis(g.reshape(moved), 0, -3)
+        return g.T.reshape(self._forward_cache())
 
 
 class Dense(_WeightedLayer):
@@ -533,7 +532,9 @@ class Dense(_WeightedLayer):
         v = self._forward_cache()
         self.grad_w += g @ v
         self.grad_bias += g.sum()
-        return np.outer(g, self.w)
+        # the (N, D) transpose of a (D, N) array, which Flatten turns back
+        # into the sample-last batch without a copy
+        return np.outer(self.w, g).T
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +720,9 @@ class Model:
     slice. Forward keeps per-layer caches so one backward sweep
     accumulates the exact reverse-mode gradients into ``grad``, summed
     over the batch. A real model takes a (C, N, H, W) batch array and a
-    quaternion model a (4, C, N, H, W) one. ``run_order`` is ``layers``
+    quaternion model a (4, C, N, H, W) one, in the layout of
+    ``train.Samples``, and its layers run on the same batch with the
+    sample axis last. ``run_order`` is ``layers``
     with each ReLU that feeds a max pool moved after it; forward runs
     it, and backward its reverse.
     """
@@ -753,15 +756,16 @@ class Model:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,) logits of a batch whose sample axis is third from last.
-        The first layer, a convolution, checks the batch's layout and
-        only reads ``x``."""
+        The sample axis moves last in one copy in the model's dtype, which
+        a batch of one in that dtype does not need. The first layer, a
+        convolution, checks the batch's layout and only reads it."""
         spatial = x.shape[-2:]
         if spatial != (self.config.input_size, self.config.input_size):
             raise ValueError(
                 f"input spatial size {spatial} does not match configured "
                 f"{self.config.input_size}"
             )
-        h = x.astype(self.dtype, copy=False)
+        h = np.ascontiguousarray(np.moveaxis(x, -3, -1), self.dtype)
         for layer in self.run_order:
             h = layer.forward(h)
         return h

@@ -3,10 +3,12 @@
 A quaternion q = q0 + q1*i + q2*j + q3*k is stored as four real
 components. Feature maps are plain arrays with one real plane per
 component, component axis first: a quaternion-valued image of C
-channels is a (4, C, H, W) array, and a batch of N of them a
-(4, C, N, H, W) array. All layer arithmetic downstream reduces to real
-operations over these planes; the scalar ``Quaternion`` and
-``hamilton`` here are the reference they mirror.
+channels is a (4, C, H, W) array. A ``train.Samples`` holds N of them
+as a (4, C, N, H, W) array, and the layers run on batches with the
+sample axis last, (4, C, H, W, N). All layer arithmetic downstream
+reduces to real operations over these planes; the scalar ``Quaternion``
+and ``hamilton`` here are the reference they mirror, and the layers'
+sign tables are built from ``hamilton`` on the four units.
 
 ``Quaternion`` is a plain value with no operators: each operation is
 one free function (``add``, ``hamilton``, ``conjugate``, ``norm``).
@@ -56,8 +58,8 @@ def hamilton(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p (x) q.
 
     Non-commutative: i*j = k but j*i = -k. The sign pattern here is
-    the single source of truth the convolution layers mirror plane by
-    plane.
+    the single source of truth: the convolution layers build their
+    bank and sign tables from it.
     """
     return Quaternion(
         p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,

@@ -4,8 +4,10 @@ training loop.
 
 A split is one ``Samples``: a batch array holding every sample along its
 third-from-last axis, as ``Model.forward`` takes it, and an int label
-vector. A chunk of it is one ``take`` along that axis, and the loss and
-accuracy of a chunk are array expressions over its logits.
+vector. A chunk of it is one ``take`` along that axis, a block copy, and
+the loss and accuracy of a chunk are array expressions over its logits.
+``Model.forward`` moves a chunk's sample axis last, the layout its layers
+run in; a chunk of one needs no copy for that.
 
 Training runs in single precision; gradient checking builds its models
 in double precision (``Model(config, dtype=np.float64)``) so central

@@ -107,12 +107,12 @@ def test_criterion_3_qconv_oracle_equivalence():
             layer = QConv2d(c, f, 3, dtype=dtype)
             layer.w[...], layer.bias[...] = w64, bias64
             # the layer on a one-sample batch, as 100x100 training runs it
-            out = layer.forward(x[:, :, None])[:, :, 0]
+            out = layer.forward(x[..., None])[..., 0]
             # route (a): per-pixel hamilton/add loop
             assert norm_rel_err(out, qconv2d_oracle(x, layer.w, layer.bias)) < tol
             # route (b): one real convolution of the stacked planes with
             # the sign-structured 4x4 block kernel
-            block = as_block_conv(layer).forward(x.reshape(4 * c, 1, h, w))[:, 0]
+            block = as_block_conv(layer).forward(x.reshape(4 * c, h, w, 1))[..., 0]
             assert norm_rel_err(out.reshape(block.shape), block) < tol
             # route (c): sixteen real correlations summed with a sign
             # table of the test helpers' own, which the library's
@@ -130,13 +130,13 @@ def test_criterion_4_gradient_checks():
         rng = np.random.default_rng(3000 + rep)
         conv = Conv2d(2, 3, 3, dtype=np.float64)
         conv.initialize(rng)
-        layer_fd_check(conv, rng.uniform(-1, 1, (2, 1, 6, 6)), rng)
+        layer_fd_check(conv, rng.uniform(-1, 1, (2, 6, 6, 1)), rng)
         qconv = QConv2d(2, 2, 3, dtype=np.float64)
         qconv.initialize(rng)
-        layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 1, 6, 6)), rng)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 1, 6, 6)), rng)
-        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 1, 5, 5)), rng)
-        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 1, 4, 4)), rng)
+        layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 6, 6, 1)), rng)
+        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6, 1)), rng)
+        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5, 1)), rng)
+        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4, 1)), rng)
         dense = Dense(24, dtype=np.float64)
         dense.initialize(rng)
         layer_fd_check(dense, rng.uniform(-1, 1, (1, 24)), rng)
@@ -153,9 +153,10 @@ def test_criterion_4_gradient_checks():
 def test_criterion_5_shape_chain_12800():
     rng = np.random.default_rng(4000)
     flat_lengths = {}
-    # batches of one sample: real (C, N, H, W), quaternion (4, C, N, H, W)
-    for maker, shape in ((rvcnn_config, (3, 1, 100, 100)),
-                         (qvcnn_config, (4, 1, 1, 100, 100))):
+    # batches of one sample as the layers take them, sample axis last:
+    # real (C, H, W, N), quaternion (4, C, H, W, N)
+    for maker, shape in ((rvcnn_config, (3, 100, 100, 1)),
+                         (qvcnn_config, (4, 1, 100, 100, 1))):
         config = maker(input_size=100)
         model = Model(config, rng=rng)
         data = rng.uniform(0, 1, shape).astype(np.float32)
@@ -250,10 +251,12 @@ def test_criterion_9_hue_separable_substitute(tmp_path):
     data = tmp_path / "hue"
     generate_synthetic_dataset(data, n=60, size=24, seed=11, value=(0.8, 0.8))
     manifest = load_manifest(data)
+    # two workers: runs.csv is byte-identical to a serial sweep's, in
+    # about half the wall time
     plan = ExperimentPlan(
         configs=("qvcnn-hsv", "qvcnn-rgb", "rvcnn-rgb"), fractions=(0.3,),
         runs=10, epochs=25, base_seed=2024, batch_size=8, input_size=24,
-        augment=False,
+        augment=False, jobs=2,
     )
     report_out = run_experiment(plan, manifest, tmp_path / "out", log=lambda *_: None)
     means = {s.config: s.mean for s in report_out.stats}

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,7 +17,9 @@ from quatcnn.harness import (
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import CONFIG_NAMES, config_from_name, load_model, rvcnn_config
+from quatcnn.layers import (
+    CONFIG_NAMES, config_from_name, load_model, qvcnn_config, rvcnn_config,
+)
 from quatcnn.train import Samples, train_model
 import quatcnn
 from quatcnn import cli, harness
@@ -1021,6 +1024,15 @@ class TestCli:
     def test_sweep_defaults_are_the_default_plan(self):
         args = cli.build_parser().parse_args(["sweep", "--out", "out"])
         assert cli._sweep_plan(args) == ExperimentPlan()
+
+    def test_synth_data_and_count_params_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["synth-data", "--out", "out"])
+        library = inspect.signature(generate_synthetic_dataset).parameters
+        for name in ("n", "size", "healthy_hue", "blast_hue"):
+            assert getattr(args, name) == library[name].default
+        args = parser.parse_args(["count-params"])
+        assert args.input_size == rvcnn_config().input_size == qvcnn_config().input_size
 
     def test_gradcheck_cli(self, capsys):
         assert cli.main(["gradcheck"]) == 0

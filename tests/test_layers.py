@@ -16,7 +16,7 @@ from quatcnn.train import _tiny_config
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
-    conv_input_grad_oracle, qconv_input_grad_oracle, quat_at,
+    conv_input_grad_oracle, qconv_input_grad_oracle, quat_at, _UNIT_TABLE,
 )
 
 
@@ -32,7 +32,7 @@ def run_one(layer, x):
     """``layer`` on a single (C, H, W) or (4, C, H, W) image, as the
     one-sample batch that 100x100 training runs; the output has no
     sample axis."""
-    return layer.forward(x[..., None, :, :])[..., 0, :, :]
+    return layer.forward(x[..., None])[..., 0]
 
 
 class TestConv2d:
@@ -65,9 +65,9 @@ class TestConv2d:
     def test_shape_mismatch(self):
         layer = Conv2d(2, 1, 3)
         with pytest.raises(ValueError, match="input has 1 channels, kernel expects 2"):
-            layer.forward(np.zeros((1, 1, 5, 5)))
+            layer.forward(np.zeros((1, 5, 5, 1)))
         with pytest.raises(ValueError, match="spatial size 2x2 smaller than kernel 3x3"):
-            layer.forward(np.zeros((2, 1, 2, 2)))
+            layer.forward(np.zeros((2, 2, 2, 1)))
 
 
 class TestBatchedLayersPerSample:
@@ -80,25 +80,25 @@ class TestBatchedLayersPerSample:
         layer = Conv2d(2, 3, 3, dtype=dtype)
         layer.initialize(rng)
         layer.bias[...] = rng.uniform(-1, 1, 3)
-        x = rng.uniform(-1, 1, (2, 5, 7, 6)).astype(dtype)
+        x = rng.uniform(-1, 1, (2, 7, 6, 5)).astype(dtype)
         out = layer.forward(x)
-        assert out.shape == (3, 5, 5, 4)
+        assert out.shape == (3, 5, 4, 5)
         for n in range(5):
-            expect = conv2d_oracle(x[:, n], layer.w, layer.bias)
-            assert norm_rel_err(out[:, n], expect) < tol
+            expect = conv2d_oracle(x[..., n], layer.w, layer.bias)
+            assert norm_rel_err(out[..., n], expect) < tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_qconv_layer_against_hamilton_sum_oracle(self, dtype, tol):
         rng = np.random.default_rng(39)
         layer = rand_qconv(rng, 3, 2, 3, dtype)
-        x = rng.uniform(-1, 1, (4, 2, 5, 6, 7)).astype(dtype)
+        x = rng.uniform(-1, 1, (4, 2, 6, 7, 5)).astype(dtype)
         out = layer.forward(x)
-        assert out.shape == (4, 3, 5, 4, 5)
+        assert out.shape == (4, 3, 4, 5, 5)
         for n in range(5):
-            expect = qconv2d_hamilton_sum_oracle(x[:, :, n], layer.w, layer.bias)
-            assert norm_rel_err(out[:, :, n], expect) < tol
+            expect = qconv2d_hamilton_sum_oracle(x[..., n], layer.w, layer.bias)
+            assert norm_rel_err(out[..., n], expect) < tol
 
-    @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (4, 2, 3, 10, 9)])
+    @pytest.mark.parametrize("shape", [(3, 7, 7, 4), (4, 2, 10, 9, 3)])
     @pytest.mark.parametrize("values", ["uniform", "three-levels"])
     def test_maxpool_layer_against_argmax_oracle(self, shape, values):
         rng = np.random.default_rng(40)
@@ -110,21 +110,81 @@ class TestBatchedLayersPerSample:
         out = layer.forward(x)
         g = rng.uniform(-1, 1, out.shape)
         gx = layer.backward(g)
-        for n in range(shape[-3]):
-            expect_out, expect_gx = maxpool_oracle(x[..., n, :, :], g[..., n, :, :], 2)
-            assert np.array_equal(out[..., n, :, :], expect_out)
-            assert np.array_equal(gx[..., n, :, :], expect_gx)
+        for n in range(shape[-1]):
+            expect_out, expect_gx = maxpool_oracle(x[..., n], g[..., n], 2)
+            assert np.array_equal(out[..., n], expect_out)
+            assert np.array_equal(gx[..., n], expect_gx)
 
     def test_conv_layers_reject_unbatched_input(self):
-        with pytest.raises(ValueError, match=r"4-d \(C, N, H, W\) batch"):
+        with pytest.raises(ValueError, match=r"4-d \(C, H, W, N\) batch"):
             Conv2d(2, 3).forward(np.zeros((2, 6, 6)))
-        with pytest.raises(ValueError, match=r"5-d \(4, C, N, H, W\) batch"):
+        with pytest.raises(ValueError, match=r"5-d \(4, C, H, W, N\) batch"):
             QConv2d(2, 3).forward(np.zeros((4, 2, 6, 6)))
 
     def test_qconv_layer_rejects_a_first_axis_other_than_4(self):
         # a 5-d batch of 3 planes would otherwise reach the GEMM
-        with pytest.raises(ValueError, match=r"\(4, C, N, H, W\) batch, got \(3, 2, 1, 6, 6\)"):
-            QConv2d(2, 3).forward(np.zeros((3, 2, 1, 6, 6)))
+        with pytest.raises(ValueError, match=r"\(4, C, H, W, N\) batch, got \(3, 2, 6, 6, 1\)"):
+            QConv2d(2, 3).forward(np.zeros((3, 2, 6, 6, 1)))
+
+
+def _integer_layer(kind, rng):
+    """A float64 layer of ``kind`` with weights in {-1, 0, 1}, the shape
+    of one sample of its input, and where its input and output batches
+    hold their sample axis. Integer data keeps every sum exact, so a
+    batch must give the per-sample bits in any summation order."""
+    layer, shape, axes = {
+        "conv": (Conv2d(2, 3, 3, dtype=np.float64), (2, 7, 6), (-1, -1)),
+        "qconv": (QConv2d(2, 3, 3, dtype=np.float64), (4, 2, 7, 6), (-1, -1)),
+        "maxpool": (MaxPool2d(), (4, 2, 7, 6), (-1, -1)),
+        "relu": (ReLU(), (2, 5, 4), (-1, -1)),
+        "flatten": (Flatten(), (4, 2, 3, 2), (-1, 0)),
+        "dense": (Dense(12, dtype=np.float64), (12,), (0, 0)),
+    }[kind]
+    layer.theta[...] = rng.integers(-1, 2, layer.theta.size)
+    return layer, shape, axes
+
+
+class TestSampleLastBatches:
+    """A batch holds its samples on the last axis of every layer's input
+    and output before ``Flatten``; each layer's outputs, input gradients
+    and parameter gradients must be those of its samples one at a time,
+    stacked on that axis (and summed, for the parameters)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("kind", ["conv", "qconv", "maxpool", "relu", "flatten", "dense"])
+    def test_batch_is_its_samples_stacked(self, kind, n):
+        rng = np.random.default_rng(46)
+        layer, shape, (in_axis, out_axis) = _integer_layer(kind, rng)
+        # three levels give ties in many pooling windows
+        samples = rng.integers(-1, 2, (n, *shape)).astype(np.float64)
+        batch = np.stack(list(samples), axis=in_axis)
+        out = layer.forward(batch.copy())
+        g = rng.integers(-2, 3, out.shape).astype(np.float64)
+        layer.grad.fill(0)
+        gx = layer.backward(g)
+        grad = layer.grad.copy()
+        layer.grad.fill(0)
+        for i in range(n):
+            x_i = np.expand_dims(samples[i], in_axis)
+            g_i = np.take(g, [i], axis=out_axis)
+            out_i = layer.forward(x_i.copy())
+            gx_i = layer.backward(g_i)
+            assert np.array_equal(np.take(out, [i], axis=out_axis), out_i)
+            assert np.array_equal(np.take(gx, [i], axis=in_axis), gx_i)
+            if kind == "maxpool":  # ties go to the first maximum in row-major order
+                expect_out, expect_gx = maxpool_oracle(samples[i], g_i[..., 0], 2)
+                assert np.array_equal(out_i[..., 0], expect_out)
+                assert np.array_equal(gx_i[..., 0], expect_gx)
+        assert np.array_equal(layer.grad, grad)
+
+
+class TestHamiltonTables:
+    def test_tables_follow_the_unit_table(self):
+        # filter unit e_a times input unit e_b is sign * e_comp, by the test
+        # helpers' own table
+        for (a, b), (sign, comp) in _UNIT_TABLE.items():
+            assert layers._BANK[comp, b] == a and layers._SIGN[comp, b] == sign
+            assert layers._PLANE[comp, a] == b and layers._FOLD_SIGN[comp, a] == sign
 
 
 def _random_correlation(kind, c, f, k, dtype, rng):
@@ -153,7 +213,7 @@ class TestConvInputGradient:
     def test_matches_per_tap_oracle(self, kind, dtype, tol, c, f, h, w, k, n):
         rng = np.random.default_rng(41)
         layer, lead = _random_correlation(kind, c, f, k, dtype, rng)
-        x = rng.uniform(-1, 1, (*lead, n, h, w)).astype(dtype)
+        x = rng.uniform(-1, 1, (*lead, h, w, n)).astype(dtype)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(dtype)
         gx = layer.backward(g)
         oracle = conv_input_grad_oracle if kind == "conv" else qconv_input_grad_oracle
@@ -174,12 +234,12 @@ class TestConvInputGradient:
     def test_bit_identical_to_col2im_form(self, kind, c, f, h, w, k, n):
         rng = np.random.default_rng(42)
         layer, lead = _random_correlation(kind, c, f, k, np.float32, rng)
-        x = rng.uniform(-1, 1, (*lead, n, h, w)).astype(np.float32)
+        x = rng.uniform(-1, 1, (*lead, h, w, n)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
         gx = layer.backward(g)
         kernel = layer.w if kind == "conv" else as_block_conv(layer).w
         planes, gmat = kernel.reshape(kernel.shape[0], -1), g.reshape(kernel.shape[0], -1)
-        expect = col2im_oracle(planes.T @ gmat, (kernel.shape[1], n, h, w), k)
+        expect = col2im_oracle(planes.T @ gmat, (kernel.shape[1], h, w, n), k)
         assert np.array_equal(gx, expect.reshape(x.shape))
 
 
@@ -194,7 +254,7 @@ class TestPatchBuffer:
         layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
         buffers = []
         for n in (4, 4, 1, 6):  # the same size again, a smaller one, a larger one
-            x = rng.uniform(-1, 1, (*lead, n, 9, 11)).astype(np.float32)
+            x = rng.uniform(-1, 1, (*lead, 9, 11, n)).astype(np.float32)
             out = layer.forward(x)
             g = rng.uniform(-1, 1, out.shape).astype(np.float32)
             layer.grad.fill(0)
@@ -216,7 +276,7 @@ class TestPatchBuffer:
         layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
         wide = type(layer)(2, 3, 3, dtype=np.float64)
         wide.theta[...] = layer.theta
-        x = rng.uniform(-1, 1, (*lead, 4, 9, 11)).astype(np.float32)
+        x = rng.uniform(-1, 1, (*lead, 9, 11, 4)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape)
         gx = layer.backward(g)
         wide.forward(x.astype(np.float64))
@@ -350,20 +410,20 @@ class TestQConv2d:
     def test_channel_mismatch(self):
         layer = rand_qconv(np.random.default_rng(26), 1, 2, 3)
         with pytest.raises(ValueError, match="input has 1 channels, kernel expects 2"):
-            layer.forward(np.zeros((4, 1, 1, 5, 5)))
+            layer.forward(np.zeros((4, 1, 5, 5, 1)))
 
 
 class TestMaxPool:
     def test_two_by_two(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert np.array_equal(MaxPool2d().forward(x), np.array([[[4.0]]]))
+        assert np.array_equal(run_one(MaxPool2d(), x), np.array([[[4.0]]]))
 
     def test_constant_plane(self):
         x = np.full((2, 4, 4), 3.25)
-        assert np.array_equal(MaxPool2d().forward(x), np.full((2, 2, 2), 3.25))
+        assert np.array_equal(run_one(MaxPool2d(), x), np.full((2, 2, 2), 3.25))
 
     def test_odd_trailing_dropped(self):
-        out = MaxPool2d().forward(np.zeros((1, 49, 49)))
+        out = run_one(MaxPool2d(), np.zeros((1, 49, 49)))
         assert out.shape == (1, 24, 24)
         # the spatial chain that feeds the dense layer 12,800 values
         sizes = [100]
@@ -375,15 +435,15 @@ class TestMaxPool:
     def test_qtensor_kind_preserved(self):
         rng = np.random.default_rng(27)
         planes = rng.uniform(-1, 1, (4, 2, 4, 6))
-        out = MaxPool2d().forward(planes)
+        out = run_one(MaxPool2d(), planes)
         assert out.shape == (4, 2, 2, 3)
         # per-plane independence: plane p of the output pools plane p
         for comp in range(4):
-            assert np.array_equal(out[comp], MaxPool2d().forward(planes[comp]))
+            assert np.array_equal(out[comp], run_one(MaxPool2d(), planes[comp]))
 
     def test_degenerate_size_error(self):
         with pytest.raises(ValueError, match="pool window"):
-            MaxPool2d().forward(np.zeros((1, 1, 4)))
+            MaxPool2d().forward(np.zeros((1, 1, 4, 1)))
 
     # (shape, window): sizes that are no multiple of the window drop their
     # trailing rows/columns, among them the 47x47 and 21x21 planes of the
@@ -408,11 +468,11 @@ class TestMaxPool:
             x = rng.uniform(-1, 0, shape)
             x[..., window - 1::window, window - 1::window] = rng.uniform(1, 2)
         layer = MaxPool2d(window)
-        out = layer.forward(x)
+        out = run_one(layer, x)
         g = rng.uniform(-1, 1, out.shape)
         expect_out, expect_gx = maxpool_oracle(x, g, window)
         assert np.array_equal(out, expect_out)
-        gx = layer.backward(g)
+        gx = layer.backward(g[..., None])[..., 0]
         assert np.array_equal(gx, expect_gx)
         # dropped trailing rows and columns get exactly 0
         oh, ow = out.shape[-2:]
@@ -481,14 +541,16 @@ class TestRunOrder:
         # tie, max 0 at the first offset
         x.reshape(-1, n, 13, 13)[0, :, 1:3, 1:9] = [[-1, -2, -1, 0, 2, -1, 0, -1],
                                                    [-3, -1, 0, -2, 0, 2, -2, -3]]
-        pooled_in = first.forward(x).copy()
+        # the layers take the batch with its sample axis last
+        batch = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        pooled_in = first.forward(batch).copy()
         peaks = MaxPool2d().forward(pooled_in)
         ties = (np.stack(layers._pool_views(pooled_in, 2)) == peaks).sum(axis=0) > 1
         assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
         dlogits = rng.uniform(-1, 1, n).astype(dtype)
 
         model.zero_grads()
-        h, g = x, dlogits
+        h, g = batch, dlogits
         for layer in model.layers:
             h = layer.forward(h)
         for layer in reversed(model.layers):
@@ -511,8 +573,8 @@ class TestRunOrder:
 
 class TestFlatten:
     def test_dense_input_length(self):
-        assert Flatten().forward(np.zeros((4, 32, 1, 10, 10))).shape == (1, 12800)
-        assert Flatten().forward(np.zeros((128, 3, 10, 10))).shape == (3, 12800)
+        assert Flatten().forward(np.zeros((4, 32, 10, 10, 1))).shape == (1, 12800)
+        assert Flatten().forward(np.zeros((128, 10, 10, 3))).shape == (3, 12800)
 
     def test_zero(self):
         assert np.all(Flatten().forward(np.zeros((4, 1, 2, 2, 2))) == 0)
@@ -520,16 +582,16 @@ class TestFlatten:
     def test_documented_ordering(self):
         rng = np.random.default_rng(29)
         c, n, h, w = 2, 3, 3, 4
-        planes = rng.uniform(-1, 1, (4, c, n, h, w))
+        planes = rng.uniform(-1, 1, (4, c, h, w, n))
         v = Flatten().forward(planes)
         assert v.shape == (n, 4 * c * h * w)
         for comp, ci, ni, hi, wi in [(0, 0, 0, 0, 0), (1, 1, 2, 2, 3), (3, 0, 1, 1, 2)]:
             idx = ((comp * c + ci) * h + hi) * w + wi
-            assert v[ni, idx] == planes[comp, ci, ni, hi, wi]
+            assert v[ni, idx] == planes[comp, ci, hi, wi, ni]
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
-        planes = rng.uniform(-1, 1, (4, 3, 2, 5, 2))
+        planes = rng.uniform(-1, 1, (4, 3, 5, 2, 2))
         layer = Flatten()
         v = layer.forward(planes).copy()
         back = layer.backward(v)

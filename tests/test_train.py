@@ -174,29 +174,29 @@ class TestLayerGradients:
         rng = np.random.default_rng(100 + rep)
         layer = Conv2d(2, 3, 3, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, (2, 3, 6, 6)), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (2, 6, 6, 3)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_qconv(self, rep):
         rng = np.random.default_rng(200 + rep)
         layer = QConv2d(2, 2, 3, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, (4, 2, 3, 6, 6)), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (4, 2, 6, 6, 3)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_maxpool(self, rep):
         rng = np.random.default_rng(300 + rep)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 2, 6, 6)), rng)
+        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6, 2)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_relu(self, rep):
         rng = np.random.default_rng(400 + rep)
-        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 3, 5, 5)), rng)
+        layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5, 3)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_flatten(self, rep):
         rng = np.random.default_rng(500 + rep)
-        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 3, 4, 4)), rng)
+        layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4, 3)), rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_dense(self, rep):
@@ -227,19 +227,19 @@ class TestBackwardClosedForms:
 
     def test_maxpool_tie_routes_to_first_row_major(self):
         layer = MaxPool2d()
-        x = np.full((1, 2, 2), 5.0)
+        x = np.full((1, 2, 2, 1), 5.0)
         layer.forward(x)
-        g = layer.backward(np.array([[[1.0]]]))
-        assert g[0, 0, 0] == 1.0
+        g = layer.backward(np.array([[[[1.0]]]]))
+        assert g[0, 0, 0, 0] == 1.0
         assert np.all(g.reshape(-1)[1:] == 0)
 
     def test_maxpool_routes_to_argmax(self):
         layer = MaxPool2d()
-        x = np.array([[[1.0, 7.0], [7.0, 0.0]]])
+        x = np.array([[[1.0, 7.0], [7.0, 0.0]]])[..., None]
         layer.forward(x)
-        g = layer.backward(np.array([[[2.0]]]))
-        assert g[0, 0, 1] == 2.0  # (0, 1) precedes (1, 0) in row-major order
-        assert g[0, 1, 0] == 0.0
+        g = layer.backward(np.array([[[[2.0]]]]))
+        assert g[0, 0, 1, 0] == 2.0  # (0, 1) precedes (1, 0) in row-major order
+        assert g[0, 1, 0, 0] == 0.0
 
 
 class TestGradCheck:
@@ -516,7 +516,7 @@ class TestBatchedPath:
         g = dlogits
         for layer in reversed(model.run_order):
             g = layer.backward(g)
-        assert g.shape == x.shape
+        assert g.shape == np.moveaxis(x, -3, -1).shape  # the layers' sample-last layout
         assert np.array_equal(skipped, model.grad)
 
     @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
@@ -532,15 +532,33 @@ class TestBatchedPath:
             assert_close(logits[i], model.forward(x.take([i], axis=-3))[0], 1e-5)
         assert np.array_equal(x, before)  # a first-layer convolution only reads its input
 
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_a_chunk_of_one_reaches_the_first_convolution_uncopied(self, name):
+        rng = np.random.default_rng(79)
+        config = config_from_name(name, 24)
+        model = Model(config, rng=rng)
+        data = random_samples(config, 3, rng)
+        first, seen = model.run_order[0], []
+        first.forward = lambda h: seen.append(h) or type(first).forward(first, h)
+        for part in ([1], [0, 2]):
+            x = data.x.take(part, axis=-3)
+            model.forward(x)
+            batch = seen[-1]
+            assert batch.flags.c_contiguous
+            assert np.array_equal(batch, np.moveaxis(x, -3, -1))
+            # a chunk of one moves its sample axis last without a copy
+            assert np.shares_memory(batch, x) == (len(part) == 1)
+
     def test_forward_rejects_a_wrong_layout(self):
+        # the first convolution checks the batch once its sample axis is last
         rng = np.random.default_rng(77)
         real = Model(config_from_name("rvcnn-rgb", 24), rng=rng)
         quat = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
-        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d \(C, N, H, W\) batch"):
+        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d \(C, H, W, N\) batch"):
             real.forward(np.zeros((3, 24, 24), dtype=np.float32))  # one unbatched sample
         with pytest.raises(ValueError, match=r"Conv2d expects a 4-d"):
             real.forward(np.zeros((4, 1, 2, 24, 24), dtype=np.float32))
-        with pytest.raises(ValueError, match=r"QConv2d expects a 5-d \(4, C, N, H, W\)"):
+        with pytest.raises(ValueError, match=r"QConv2d expects a 5-d \(4, C, H, W, N\)"):
             quat.forward(np.zeros((3, 1, 2, 24, 24), dtype=np.float32))
         for model, shape in ((real, (3, 2, 20, 20)), (quat, (4, 1, 2, 24, 25))):
             with pytest.raises(ValueError, match="does not match configured 24"):

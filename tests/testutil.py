@@ -94,32 +94,32 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def col2im_oracle(cols: np.ndarray, shape, k: int) -> np.ndarray:
-    """Scatter-add a (C*k*k, N*OH*OW) patch-gradient matrix back onto a
-    (C, N, H, W) array: one strided add per tap (di, dj), in row-major
+    """Scatter-add a (C*k*k, OH*OW*N) patch-gradient matrix back onto a
+    (C, H, W, N) array: one strided add per tap (di, dj), in row-major
     tap order."""
-    c, n, h, w = shape
+    c, h, w, n = shape
     oh, ow = h - k + 1, w - k + 1
     out = np.zeros(shape, dtype=cols.dtype)
-    patches = cols.reshape(c, k, k, n, oh, ow)
+    patches = cols.reshape(c, k, k, oh, ow, n)
     for di in range(k):
         for dj in range(k):
-            out[..., di:di + oh, dj:dj + ow] += patches[:, di, dj]
+            out[:, di:di + oh, dj:dj + ow] += patches[:, di, dj]
     return out
 
 
 def conv_input_grad_oracle(g: np.ndarray, w: np.ndarray, in_hw) -> np.ndarray:
     """Input gradient of a valid correlation, one tap at a time: output
-    gradient (F, N, OH, OW) and kernel (F, C, k, k) give (C, N, H, W),
+    gradient (F, OH, OW, N) and kernel (F, C, k, k) give (C, H, W, N),
     where tap (di, dj) adds sum_f w[f, :, di, dj] * g[f] at offset
     (di, dj). Accumulates in float64."""
     f, c, k, _ = w.shape
-    _, n, oh, ow = g.shape
-    gx = np.zeros((c, n, *in_hw))
+    _, oh, ow, n = g.shape
+    gx = np.zeros((c, *in_hw, n))
     g64 = g.astype(np.float64)
     for di in range(k):
         for dj in range(k):
-            gx[..., di:di + oh, dj:dj + ow] += np.einsum(
-                "fc,fnij->cnij", w[:, :, di, dj].astype(np.float64), g64)
+            gx[:, di:di + oh, dj:dj + ow] += np.einsum(
+                "fc,fijn->cijn", w[:, :, di, dj].astype(np.float64), g64)
     return gx
 
 
@@ -128,9 +128,9 @@ def qconv_input_grad_oracle(g: np.ndarray, banks: np.ndarray, in_hw) -> np.ndarr
     e_a * e_b gets sign * correlate(x[b], W[a]) (signs and units from
     _UNIT_TABLE), so x[b] gets sign times the real input gradient of
     bank a under that component's output gradient. ``g`` is
-    (4, F, N, OH, OW), ``banks`` (4, F, C, k, k); returns (4, C, N, H, W)."""
+    (4, F, OH, OW, N), ``banks`` (4, F, C, k, k); returns (4, C, H, W, N)."""
     _, _, c, _, _ = banks.shape
-    gx = np.zeros((4, c, g.shape[2], *in_hw))
+    gx = np.zeros((4, c, *in_hw, g.shape[-1]))
     for (a, b), (sign, unit) in _UNIT_TABLE.items():
         gx[b] += sign * conv_input_grad_oracle(g[unit], banks[a], in_hw)
     return gx
