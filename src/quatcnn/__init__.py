@@ -21,5 +21,8 @@ __version__ = "0.1.0"
 # their inner dimension, which makes them the same at one and two BLAS
 # threads, and 4 those chunks with the sample axis last inside the
 # network, which sums each weight gradient over (row, column, sample)
-# instead of (sample, row, column); a chunk of one keeps its bits.
-RESULTS_VERSION = 4
+# instead of (sample, row, column); a chunk of one keeps its bits. 5
+# computes only the convolution outputs that a max pool reads, in
+# window-offset order, so each conv weight and bias gradient sums over
+# (offset row, offset column, row, column, sample), at 24x24 and 100x100.
+RESULTS_VERSION = 5

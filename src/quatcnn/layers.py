@@ -13,12 +13,12 @@ view. The layers are the one way to run a convolution.
 Layers run on batches of samples with the sample axis last: a real
 batch is (C, H, W, N) and a quaternion batch (4, C, H, W, N). In this
 layout the im2col copy of a batch and the GEMM output need no
-transposes, every run the im2col, col2im and pooling copies move is
-contiguous across the samples, and a batch of one costs what a single
-sample does. ``Flatten`` returns an (N, D) view and ``Dense`` returns
-(N,) logits. ``Model.forward`` takes one batch in the layout of
-``train.Samples``, with the sample axis third from last, moves that axis
-last once per batch and returns its (N,) logits.
+transposes, every run the im2col and col2im copies move is contiguous
+across the samples, and a batch of one costs what a single sample does.
+``Flatten`` returns an (N, D) view and ``Dense`` returns (N,) logits.
+``Model.forward`` takes one batch in the layout of ``train.Samples``,
+with the sample axis third from last, checks it as given, moves that
+axis last once per batch and returns its (N,) logits.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
@@ -26,6 +26,15 @@ GEMM per batch. The input gradient is the transposed GEMM on the output
 gradient zero-padded to the input width, scattered back with one
 contiguous add per tap over the flat (P, H*W*N) planes; the taps that
 wrap past a row's end fall on the pad columns and add exact zeros.
+In a ``Model``, a convolution that feeds a max pool of window p is
+pool-major: its im2col columns are the p*(OH//p) x p*(OW//p) output
+positions that the pool reads, in (window row offset, window column
+offset, row, column, sample) order, so the GEMM writes an
+(F, p, p, PH, PW, N) output, (4, F, p, p, PH, PW, N) for a quaternion
+layer. Its input gradient first puts the p*p offset blocks back into
+the raster zero-padded array with one strided copy each. A standalone
+convolution, p = 1, keeps the raster (F, OH, OW, N) output and the
+single im2col copy.
 The weight gradient sums its long inner dimension (OH*OW*N) in fixed
 blocks of 512, added in order, so a trained model has the same bits at
 one and two BLAS threads. The quaternion convolution runs on the same
@@ -36,14 +45,18 @@ quaternions, once per batch; its weight gradient folds back into
 the banks through the inverse tables, once per batch. ``as_block_conv``
 returns that block kernel as the equivalent ``Conv2d``.
 
-Max pooling takes the maximum over whole rows, then over columns, with
-the stride equal to the window, so windows never overlap. The reference
-configs use a 2x2 window and drop trailing odd rows/columns, which is
-what makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10
-and feed the dense layer exactly 12,800 values in both architectures.
-Its backward routes each window's gradient to the window's first
-maximum in row-major order, one pass over the window offsets, each
-writing straight into its strided view of the input gradient.
+Max pooling takes the maximum over the window**2 views of its input,
+one per window offset, with the stride equal to the window, so windows
+never overlap. The reference configs use a 2x2 window and drop
+trailing odd rows/columns, which is what makes a 100x100 input flow
+100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
+exactly 12,800 values in both architectures; a pool-major convolution
+does not compute the dropped rows and columns at all. Its backward
+routes each window's gradient to the window's first maximum in
+row-major order, one pass over the window offsets, each writing
+straight into its view of the input gradient, in the input's layout.
+On a pool-major batch those views are contiguous blocks, and on a
+raster batch strided views.
 
 ``Model`` runs a ReLU that feeds a max pool after the pool, on a quarter
 of the elements; configs and ``Model.layers`` keep declaration order.
@@ -52,12 +65,14 @@ window whose maximum is <= 0 gets a zero gradient in either order, and
 any other keeps its first maximum.
 
 How many samples go through at once is ``chunk_size``: the most, up to
-the batch size, whose largest per-layer float32 im2col matrix fits in
-``IM2COL_BUDGET`` bytes. A chunk's activations are kept until its
-backward pass, so this budget is what bounds training memory. The
-patches go into a buffer each convolution keeps from chunk to chunk,
-and the backward's input-gradient taps go over them once the weight
-gradient is taken. The budget gives chunks of 16 at 24x24, so a
+the batch size, whose largest per-layer float32 im2col matrix, counted
+over the full valid convolution output, fits in ``IM2COL_BUDGET`` bytes.
+A chunk's activations are kept until its backward pass, so this budget
+is what bounds training memory. The patches go into a buffer each
+convolution keeps from chunk to chunk, and the backward's
+input-gradient taps go over them once the weight gradient is taken; a
+pooled im2col's gathered planes are a temporary of the forward. The
+budget gives chunks of 16 at 24x24, so a
 minibatch of 16 runs as one forward and one backward. At 100x100 one
 sample's conv2 patches (2.5 MB) already exceed it, so the paper-size
 path runs one sample per chunk and keeps the memory of an unbatched
@@ -125,19 +140,34 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 # correlation core, shared by the real and quaternion convolutions
 
 
-def _im2col(x: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
-    """(C, H, W, N) -> (C*k*k, OH*OW*N) patch matrix for a valid
-    correlation, copied into the front of the flat buffer ``buf``; each
-    run it copies is OW*N contiguous floats."""
+def _im2col(x: np.ndarray, k: int, p: int, buf: np.ndarray) -> np.ndarray:
+    """(C, H, W, N) -> (C*k*k, p*p*PH*PW*N) patch matrix of a valid
+    correlation, copied into the front of the flat buffer ``buf``. Its
+    columns are the p*PH x p*PW output positions that a max pool of
+    window p reads (PH = OH//p, PW = OW//p), in (window row offset a,
+    window column offset b, PH, PW, N) order: column ((a*p + b)*PH + i)*PW
+    + j)*N + n holds the patch of output (p*i + a, p*j + b) of sample n.
+    At p = 1 that is raster (OH, OW, N) order, in one copy whose runs are
+    OW*N contiguous floats. At p > 1 the (k+p-1)**2 shifted input planes
+    are first gathered into one temporary array, so that the copy into
+    ``buf`` moves contiguous blocks of PH*PW*N floats."""
     c, h, w, n = x.shape
-    oh, ow = h - k + 1, w - k + 1
+    ph, pw = (h - k + 1) // p, (w - k + 1) // p
+    span = k + p - 1
     s0, s1, s2, s3 = x.strides
+    # plane (u, v) holds input element (u + p*i, v + p*j) at (i, j)
+    planes = np.lib.stride_tricks.as_strided(
+        x, shape=(c, span, span, ph, pw, n), strides=(s0, s1, s2, p * s1, p * s2, s3)
+    )
+    if p > 1:
+        planes = planes.copy()
+    t0, t1, t2, t3, t4, t5 = planes.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, shape=(c, k, k, oh, ow, n), strides=(s0, s1, s2, s1, s2, s3)
+        planes, shape=(c, k, k, p, p, ph, pw, n), strides=(t0, t1, t2, t1, t2, t3, t4, t5)
     )
     cols = buf[:windows.size].reshape(windows.shape)
     np.copyto(cols, windows)
-    return cols.reshape(c * k * k, oh * ow * n)
+    return cols.reshape(c * k * k, -1)
 
 
 # The inner-dimension block of the weight-gradient GEMMs. Multithreaded
@@ -162,18 +192,16 @@ def _weight_grad(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray, buf: np.ndarray):
+def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray, p: int, buf: np.ndarray):
     """Valid correlation of the (..., C, H, W, N) input's P stacked planes
     (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
     as one GEMM over the im2col patches of all N samples, which are
-    copied into ``buf``. Returns the (F, OH, OW, N) output and the
-    patches."""
-    planes = x.reshape(-1, *x.shape[-3:])
+    copied into ``buf``, in the column order of ``_im2col`` for a pool
+    window p. Returns the (F, p*p*PH*PW*N) output and the patches."""
     f, _, k, _ = w.shape
-    h, wd, n = planes.shape[1:]
-    cols = _im2col(planes, k, buf)
-    out = (w.reshape(f, -1) @ cols).reshape(f, h - k + 1, wd - k + 1, n)
-    out += bias[:, None, None, None]
+    cols = _im2col(x.reshape(-1, *x.shape[-3:]), k, p, buf)
+    out = w.reshape(f, -1) @ cols
+    out += bias[:, None]
     return out, cols
 
 
@@ -220,21 +248,20 @@ def _fold_block(gw: np.ndarray, gblock: np.ndarray):
         gw += term
 
 
-def _window_rows(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The ``window`` strided views of (..., H, W, N), one per row offset
-    of a pooling window, each holding whole rows. Trailing rows and
-    columns that fill no whole window are dropped."""
+def _pool_views(x: np.ndarray, window: int, pool_major: bool) -> list[np.ndarray]:
+    """The window**2 views of a batch, one per window offset in row-major
+    order; view d holds element d of every pooling window, as a
+    (..., PH, PW, N) array. Of a pool-major (..., window, window, PH, PW,
+    N) batch they are its contiguous blocks. Of a raster (..., H, W, N)
+    batch they are strided views, and trailing rows and columns that fill
+    no whole window are dropped."""
+    if pool_major:
+        return [x[..., a, b, :, :, :] for a in range(window) for b in range(window)]
     h, w = x.shape[-3:-1]
     if h < window or w < window:
         raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
     rows, cols = window * (h // window), window * (w // window)
-    return [x[..., di:rows:window, :cols, :] for di in range(window)]
-
-
-def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The window**2 strided views of (..., H, W, N), one per window offset
-    in row-major order; view d holds element d of every pooling window."""
-    return [row[..., dj::window, :] for row in _window_rows(x, window) for dj in range(window)]
+    return [x[..., a:rows:window, b:cols:window, :] for a in range(window) for b in range(window)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +343,9 @@ class _Correlation(_WeightedLayer):
     quaternion one."""
 
     lead = ()
+    # The window of the max pool that ``Model`` feeds this convolution's
+    # output to, or None for a standalone layer's raster output.
+    _pool = None
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
                  dtype=np.float32):
@@ -342,21 +372,27 @@ class _Correlation(_WeightedLayer):
         if h < k or wd < k:
             raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
+        p = self._pool or 1
+        oh, ow = h - k + 1, wd - k + 1
+        ph, pw = oh // p, ow // p
         # The patches, and the taps that backward writes over them: P*k*k
         # rows of OH*W*N. The buffer is kept from batch to batch, so the
         # largest arrays of a training step are not allocated per chunk.
-        size = w[0].size * (h - k + 1) * wd * n
+        size = w[0].size * oh * wd * n
         dtype = np.result_type(x, w)
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
             self._buf = np.empty(size, dtype)
-        out, cols = _correlate(x, w, bias, self._buf)
+        out, cols = _correlate(x, w, bias, p, self._buf)
         self._cache = (w, cols, x.shape)
-        return out.reshape(*x.shape[:-4], -1, *out.shape[1:])
+        if self._pool is None:
+            return out.reshape(*self.lead, -1, oh, ow, n)
+        return out.reshape(*self.lead, -1, p, p, ph, pw, n)
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """``input_grad=False`` skips the input gradient and returns None,
         as the model's first layer does. Each forward takes one backward:
-        the input gradient's taps overwrite the cached patches."""
+        the input gradient's taps overwrite the cached patches. ``g`` is in
+        the layout of the output, so its (F, K) matrix is a reshape."""
         w, cols, x_shape = self._forward_cache()
         self._cache = None
         f, k = w.shape[0], w.shape[-1]
@@ -364,15 +400,22 @@ class _Correlation(_WeightedLayer):
         self._fold(_weight_grad(cols, gmat).T.reshape(w.shape), gmat.sum(axis=1))
         if not input_grad:
             return None
-        # With g zero-padded to the input width W, tap (di, dj) of flat
-        # output position t lands on flat input position t + (di*W + dj)*N.
-        # The taps that wrap past a row's end come from pad columns and add
-        # exact zeros, so each input element gets the nonzero terms of a
-        # per-tap strided scatter in the same (di, dj) order.
+        # With g zero-padded to the raster input width W, tap (di, dj) of
+        # flat output position t lands on flat input position
+        # t + (di*W + dj)*N. The taps that wrap past a row's end come from
+        # pad columns and add exact zeros, so each input element gets the
+        # nonzero terms of a per-tap strided scatter in the same (di, dj)
+        # order. Output rows and columns that no pool window reads were not
+        # computed and stay zero in the pad.
         h, wd, n = x_shape[-3:]
+        p = self._pool or 1
         oh, ow = h - k + 1, wd - k + 1
+        ph, pw = oh // p, ow // p
         gpad = np.zeros((f, oh, wd, n), dtype=g.dtype)
-        gpad[:, :, :ow] = g.reshape(f, oh, ow, n)
+        offsets = g.reshape(f, p, p, ph, pw, n)
+        for a in range(p):
+            for b in range(p):
+                gpad[:, a:p * ph:p, b:p * pw:p] = offsets[:, a, b]
         wt = w.reshape(f, -1).T
         size = oh * wd * n
         taps = self._buf[:wt.shape[0] * size].reshape(wt.shape[0], -1)
@@ -441,7 +484,13 @@ def as_block_conv(layer: QConv2d) -> Conv2d:
 class MaxPool2d(Layer):
     """Per-plane max pooling of a square ``window``, with stride
     ``window``, over the H and W axes of a real (C, H, W, N) or
-    quaternion (4, C, H, W, N) batch."""
+    quaternion (4, C, H, W, N) batch. In a ``Model`` a pool that a
+    convolution feeds takes that convolution's pool-major
+    (..., window, window, PH, PW, N) output instead; both give the
+    (..., PH, PW, N) raster output."""
+
+    # set by ``Model`` for a pool whose input is pool-major
+    _pool_major = False
 
     def __init__(self, window: int = 2):
         self.window = window
@@ -450,28 +499,28 @@ class MaxPool2d(Layer):
         # the previous batch's input and output go before this batch's
         # are allocated, into the memory they free
         self._cache = None
-        row_max = reduce(np.maximum, _window_rows(x, self.window))
-        out = reduce(np.maximum, [row_max[..., dj::self.window, :] for dj in range(self.window)])
+        out = reduce(np.maximum, _pool_views(x, self.window, self._pool_major))
         self._cache = (x, out)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         """Route each window's gradient to its first maximum in row-major
-        order.
+        order, in the layout of the input.
 
         ``free`` marks the windows whose maximum is still unclaimed. A
         window's maximum is one of its elements, so at the last offset
         every free window hits. Windows own disjoint input elements, so
-        each offset writes its routed gradient straight into its strided
-        view of ``gx``. ``out`` may since have been rectified in place:
-        windows with a positive maximum still match it, and the others
-        carry a zero gradient."""
+        each offset writes its routed gradient straight into its view of
+        ``gx``. ``out`` may since have been rectified in place: windows
+        with a positive maximum still match it, and the others carry a
+        zero gradient."""
         x, out = self._forward_cache()
         gx = np.empty(x.shape, dtype=g.dtype)
-        rows, cols = (self.window * size for size in out.shape[-3:-1])
-        gx[..., rows:, :, :] = gx[..., cols:, :] = 0
-        views = _pool_views(x, self.window)
-        gviews = _pool_views(gx, self.window)
+        if not self._pool_major:
+            rows, cols = (self.window * size for size in out.shape[-3:-1])
+            gx[..., rows:, :, :] = gx[..., cols:, :] = 0
+        views = _pool_views(x, self.window, self._pool_major)
+        gviews = _pool_views(gx, self.window, self._pool_major)
         free = np.ones(out.shape, dtype=bool)
         hit = np.empty(out.shape, dtype=bool)
         for d, (view, gview) in enumerate(zip(views, gviews)):
@@ -671,19 +720,22 @@ def count_parameters(config: ModelConfig) -> tuple[list[int], int]:
 
 
 # Bytes of float32 im2col patches one chunk may build in its largest conv
-# layer. By trace_shapes, that layer is conv2 in all four reference
-# configs: 288 x 81 floats (93,312 bytes) per sample at 24x24, and
-# 288 x 2,209 floats (2,544,768 bytes) at 100x100. This budget (1,492,992
-# bytes) holds sixteen 24x24 samples and less than one 100x100 sample.
+# layer, counted over the full valid output. By trace_shapes, that layer
+# is conv2 in all four reference configs: 288 x 81 floats (93,312 bytes)
+# per sample at 24x24, and 288 x 2,209 floats (2,544,768 bytes) at
+# 100x100. This budget (1,492,992 bytes) holds sixteen 24x24 samples and
+# less than one 100x100 sample. conv2's pool-major patches are smaller:
+# 288 x 64 and 288 x 2,116 floats per sample.
 IM2COL_BUDGET = 16 * 93_312
 
 
 def chunk_size(config: ModelConfig, batch_size: int) -> int:
     """How many samples of a ``batch_size`` batch go through the model in
     one forward and one backward: the most, up to ``batch_size``, whose
-    largest per-layer float32 im2col matrix fits in ``IM2COL_BUDGET``,
-    and at least one. For the four reference configs that is
-    min(batch_size, 16) at 24x24 and 1 at 100x100.
+    largest per-layer float32 im2col matrix, counted over the full valid
+    output, fits in ``IM2COL_BUDGET``, and at least one. For the four
+    reference configs that is min(batch_size, 16) at 24x24 and 1 at
+    100x100.
     """
     planes = 4 if config.arithmetic == "quaternion" else 1
     channels, per_sample = config.in_channels, 0
@@ -747,6 +799,9 @@ class Model:
             relu, pool = self.run_order[i:i + 2]
             if isinstance(relu, ReLU) and isinstance(pool, MaxPool2d):
                 self.run_order[i:i + 2] = pool, relu
+        for conv, pool in zip(self.run_order, self.run_order[1:]):
+            if isinstance(conv, _Correlation) and isinstance(pool, MaxPool2d):
+                conv._pool, pool._pool_major = pool.window, True
         if rng is not None:
             self.initialize(rng)
 
@@ -755,10 +810,16 @@ class Model:
             layer.initialize(rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """(N,) logits of a batch whose sample axis is third from last.
-        The sample axis moves last in one copy in the model's dtype, which
-        a batch of one in that dtype does not need. The first layer, a
-        convolution, checks the batch's layout and only reads it."""
+        """(N,) logits of a real (C, N, H, W) or quaternion (4, C, N, H, W)
+        batch, whose layout is checked as given. The sample axis moves last
+        in one copy in the model's dtype, which a batch of one in that dtype
+        does not need; the first layer, a convolution, only reads it."""
+        lead = (4,) if self.config.arithmetic == "quaternion" else ()
+        ndim, c = len(lead) + 4, self.config.in_channels
+        if x.ndim != ndim or x.shape[:-4] != lead or x.shape[-4] != c:
+            layout = ", ".join([*map(str, lead), "C", "N", "H", "W"])
+            raise ValueError(f"{self.config.name} takes a {ndim}-d ({layout}) batch with "
+                             f"C = {c}, got {x.shape}")
         spatial = x.shape[-2:]
         if spatial != (self.config.input_size, self.config.input_size):
             raise ValueError(

@@ -543,9 +543,15 @@ class TestRunOrder:
                                                    [-3, -1, 0, -2, 0, 2, -2, -3]]
         # the layers take the batch with its sample axis last
         batch = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        # the first pool receives the convolution's pool-major output: 13 ->
+        # 11 -> the 10x10 positions its 2x2 windows read, as (2, 2, 5, 5, N)
+        # per filter
+        pool = model.layers[2]
         pooled_in = first.forward(batch).copy()
-        peaks = MaxPool2d().forward(pooled_in)
-        ties = (np.stack(layers._pool_views(pooled_in, 2)) == peaks).sum(axis=0) > 1
+        assert pool._pool_major and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
+        offsets = np.stack(layers._pool_views(pooled_in, 2, pool._pool_major))
+        peaks = offsets.max(axis=0)
+        ties = (offsets == peaks).sum(axis=0) > 1
         assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
         dlogits = rng.uniform(-1, 1, n).astype(dtype)
 
@@ -569,6 +575,177 @@ class TestRunOrder:
         assert model.grad.tobytes() == grad.tobytes()
         for got, expect in zip((logits, grad, g), want, strict=True):
             assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def _pool3_config(arithmetic):
+    """Pools of window 3 and 2 after convolutions whose outputs are no
+    multiple of the window: 16 -> 14, cropped to 12 -> 4 -> 2 -> 1."""
+    conv = "qconv" if arithmetic == "quaternion" else "conv"
+    return ModelConfig(
+        name=f"pool3-{arithmetic}", arithmetic=arithmetic, encoding="rgb", input_size=16,
+        in_channels=1 if arithmetic == "quaternion" else 3,
+        layers=(LayerSpec(conv, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=3),
+                LayerSpec(conv, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=2),
+                LayerSpec("flatten"), LayerSpec("dense", 1)),
+    )
+
+
+def _raster_twin(model):
+    """Fresh standalone layers with the model's parameters, in its run
+    order: each convolution gives its raster output and each pool takes
+    it."""
+    twin = []
+    for layer in model.run_order:
+        if isinstance(layer, (Conv2d, QConv2d)):
+            fresh = type(layer)(layer.in_channels, layer.out_channels, layer.kernel_size,
+                                dtype=model.dtype)
+        elif isinstance(layer, MaxPool2d):
+            fresh = MaxPool2d(layer.window)
+        elif isinstance(layer, Dense):
+            fresh = Dense(layer.in_features, dtype=model.dtype)
+        else:
+            fresh = type(layer)()
+        fresh.theta[...] = layer.theta
+        twin.append(fresh)
+    return twin
+
+
+def _conv_conv_pool_config():
+    """A convolution that feeds another convolution, which stays raster,
+    before one that feeds a pool: 9 -> 7 -> 5, cropped to 4 -> 2."""
+    return ModelConfig(
+        name="conv-conv-pool", arithmetic="real", encoding="rgb", input_size=9, in_channels=3,
+        layers=(LayerSpec("conv", 2), LayerSpec("relu"), LayerSpec("conv", 2),
+                LayerSpec("relu"), LayerSpec("maxpool", pool=2),
+                LayerSpec("flatten"), LayerSpec("dense", 1)),
+    )
+
+
+POOL_MAJOR_CONFIGS = {
+    "real-13": lambda: _tiny_config("real", input_size=13),
+    "quaternion-13": lambda: _tiny_config("quaternion", input_size=13),
+    "real-12": lambda: _tiny_config("real", input_size=12),
+    "real-pool3": lambda: _pool3_config("real"),
+    "quaternion-pool3": lambda: _pool3_config("quaternion"),
+    "real-conv-conv-pool": _conv_conv_pool_config,
+}
+
+
+class TestPoolMajor:
+    """In a ``Model`` each convolution that feeds a max pool computes only
+    the positions the pool reads, in window-offset order; the result must
+    be that of the same layers run standalone on raster batches."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("name", list(POOL_MAJOR_CONFIGS))
+    @pytest.mark.parametrize("values", ["integer", "uniform"])
+    def test_model_matches_its_layers_run_standalone(self, values, name, n):
+        rng = np.random.default_rng(81)
+        config = POOL_MAJOR_CONFIGS[name]()
+        lead = (4,) if config.arithmetic == "quaternion" else ()
+        shape = (*lead, config.in_channels, n, config.input_size, config.input_size)
+        if values == "integer":
+            # weights in {-1, 0, 1} and three input levels: every sum is
+            # exact, so the gradients must agree bit for bit too, and many
+            # pooling windows hold ties
+            model = Model(config, dtype=np.float64)
+            model.theta[...] = rng.integers(-1, 2, model.theta.size)
+            x = rng.integers(-1, 2, shape).astype(np.float64)
+            dlogits, tol = rng.integers(-2, 3, n).astype(np.float64), 0
+        else:
+            model = Model(config)
+            model.theta[...] = rng.uniform(-0.5, 0.5, model.theta.size)
+            x = rng.uniform(-1, 1, shape).astype(np.float32)
+            dlogits, tol = rng.uniform(-1, 1, n).astype(np.float32), 1e-5
+        twin = _raster_twin(model)
+
+        model.zero_grads()
+        h = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        pool_inputs = []
+        for layer in model.run_order:
+            if isinstance(layer, MaxPool2d):
+                assert layer._pool_major
+                pool_inputs.append(h)
+            h = layer.forward(h)
+        logits = h
+        g = dlogits
+        for layer in reversed(model.run_order):
+            g = layer.backward(g)
+        gx, grad = g, model.grad.copy()
+
+        h = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        for layer in twin:
+            if isinstance(layer, MaxPool2d):
+                pooled = pool_inputs.pop(0)
+                window = layer.window
+                # the same values, in window-offset order, with the rows and
+                # columns that fill no whole window left out
+                assert pooled.shape[-5:-3] == (window, window) and h.ndim == pooled.ndim - 2
+                for view, offset in zip(layers._pool_views(h, window, False),
+                                        layers._pool_views(pooled, window, True)):
+                    assert norm_rel_err(view, offset) <= tol
+            h = layer.forward(h)
+        assert logits.dtype == h.dtype
+        if tol:
+            # a small GEMM's BLAS edge kernels may round an output column
+            # by where it sits, so float data agrees to rounding
+            assert norm_rel_err(logits, h) < tol
+        else:
+            assert logits.tobytes() == h.tobytes()
+        g = dlogits
+        for layer in reversed(twin):
+            g = layer.backward(g)
+        twin_grad = np.concatenate([layer.grad for layer in twin])
+        assert gx.shape == g.shape == np.moveaxis(x, -3, -1).shape
+        if tol:
+            assert norm_rel_err(grad, twin_grad) < tol and norm_rel_err(gx, g) < tol
+        else:
+            assert np.array_equal(grad, twin_grad) and np.array_equal(gx, g)
+
+    @pytest.mark.parametrize("name", ["real-13", "quaternion-13", "real-pool3"])
+    def test_ties_route_to_the_first_maximum(self, name):
+        # the first pool's windows, taken from the pool-major batch it
+        # receives, against the argmax oracle on the raster conv output
+        rng = np.random.default_rng(82)
+        config = POOL_MAJOR_CONFIGS[name]()
+        model = Model(config, dtype=np.float64)
+        model.theta[...] = rng.integers(-1, 2, model.theta.size)
+        lead = (4,) if config.arithmetic == "quaternion" else ()
+        size = config.input_size
+        batch = rng.integers(-1, 2, (*lead, config.in_channels, size, size, 3)).astype(np.float64)
+        conv, pool = model.layers[0], model.layers[2]
+        raster = _raster_twin(model)[0].forward(batch)
+        pooled_in = conv.forward(batch)
+        out = pool.forward(pooled_in)
+        g = rng.uniform(-1, 1, out.shape)
+        gx = pool.backward(g)
+        assert gx.shape == pooled_in.shape
+        offsets = np.stack(layers._pool_views(pooled_in, pool.window, True))
+        assert ((offsets == out).sum(axis=0) > 1).any()  # the batch holds ties
+        graster = np.zeros_like(raster)
+        for view, offset in zip(layers._pool_views(graster, pool.window, False),
+                                layers._pool_views(gx, pool.window, True)):
+            view[...] = offset
+        for i in range(3):
+            expect_out, expect_gx = maxpool_oracle(raster[..., i], g[..., i], pool.window)
+            assert np.array_equal(out[..., i], expect_out)
+            assert np.array_equal(graster[..., i], expect_gx)
+
+    def test_only_a_convolution_before_a_pool_is_pool_major(self):
+        first, _, second, *_ = Model(_conv_conv_pool_config()).layers
+        assert first._pool is None and second._pool == 2
+        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(83))
+        convs = [layer for layer in model.layers if isinstance(layer, QConv2d)]
+        assert [conv._pool for conv in convs] == [2, 2, 2]
+        assert all(pool._pool_major for pool in model.layers if isinstance(pool, MaxPool2d))
+        x = np.random.default_rng(84).uniform(-1, 1, (4, 1, 24, 24, 2)).astype(np.float32)
+        assert convs[0].forward(x).shape == (4, 8, 2, 2, 11, 11, 2)
+        # standalone, and the real convolution that as_block_conv returns,
+        # keep the raster layout
+        block = as_block_conv(convs[0])
+        assert block._pool is None
+        assert block.forward(x.reshape(4, 24, 24, 2)).shape == (32, 22, 22, 2)
+        assert QConv2d(1, 8).forward(x).shape == (4, 8, 22, 22, 2)
 
 
 class TestFlatten:

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -263,6 +264,18 @@ class TestGradCheck:
         model.layers[0].bias[0] = -100.0
         x = rng.uniform(-1, 1, (3, 1, 12, 12))
         assert grad_check(model, Samples(x, [1]), num_samples=400, rng=rng) < 1e-4
+
+    @pytest.mark.parametrize("arithmetic", ["real", "quaternion"])
+    def test_conv_outputs_cropped_for_their_pools(self, arithmetic):
+        # at 13x13 the convolutions' 11x11 and 3x3 outputs are no multiple
+        # of the pool window, so each computes only the 10x10 and 2x2
+        # positions its pool reads
+        rng = np.random.default_rng(43)
+        config = _tiny_config(arithmetic, input_size=13)
+        model = Model(config, rng=rng, dtype=np.float64)
+        lead = (4,) if arithmetic == "quaternion" else ()
+        x = rng.uniform(-1, 1, (*lead, config.in_channels, 2, 13, 13))
+        assert grad_check(model, Samples(x, [0, 1]), rng=rng) < 1e-4
 
     def test_requires_double(self):
         model = Model(_tiny_config("real"), rng=np.random.default_rng(0))
@@ -550,16 +563,23 @@ class TestBatchedPath:
             assert np.shares_memory(batch, x) == (len(part) == 1)
 
     def test_forward_rejects_a_wrong_layout(self):
-        # the first convolution checks the batch once its sample axis is last
+        # the model checks the batch as the caller passed it, before its
+        # sample axis moves, and names that shape
         rng = np.random.default_rng(77)
         real = Model(config_from_name("rvcnn-rgb", 24), rng=rng)
         quat = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
-        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d \(C, H, W, N\) batch"):
-            real.forward(np.zeros((3, 24, 24), dtype=np.float32))  # one unbatched sample
-        with pytest.raises(ValueError, match=r"Conv2d expects a 4-d"):
-            real.forward(np.zeros((4, 1, 2, 24, 24), dtype=np.float32))
-        with pytest.raises(ValueError, match=r"QConv2d expects a 5-d \(4, C, H, W, N\)"):
-            quat.forward(np.zeros((3, 1, 2, 24, 24), dtype=np.float32))
+        real_layout = r"rvcnn-rgb takes a 4-d \(C, N, H, W\) batch with C = 3, got "
+        quat_layout = r"qvcnn-rgb takes a 5-d \(4, C, N, H, W\) batch with C = 1, got "
+        for model, shape, layout in (
+            (real, (3, 24, 24), real_layout),  # one unbatched sample
+            (real, (4, 1, 2, 24, 24), real_layout),
+            (real, (1, 2, 24, 24), real_layout),  # a channel count of another config
+            (quat, (3, 2, 24, 24), quat_layout),  # one unbatched sample's planes
+            (quat, (3, 1, 2, 24, 24), quat_layout),
+            (quat, (4, 3, 2, 24, 24), quat_layout),
+        ):
+            with pytest.raises(ValueError, match=layout + re.escape(str(shape)) + "$"):
+                model.forward(np.zeros(shape, dtype=np.float32))
         for model, shape in ((real, (3, 2, 20, 20)), (quat, (4, 1, 2, 24, 25))):
             with pytest.raises(ValueError, match="does not match configured 24"):
                 model.forward(np.zeros(shape, dtype=np.float32))
@@ -569,12 +589,12 @@ class TestTrainingMemory:
     """tracemalloc sees numpy's buffers, so the peak of one epoch shows
     what a chunk keeps alive. Parameters, gradients and both Adam moments
     take 16 bytes per parameter. At 24x24 a full chunk of 16 samples
-    peaks at 4.63 (rvcnn) and 4.46 (qvcnn) times IM2COL_BUDGET on top of
+    peaks at 4.58 (rvcnn) and 4.41 (qvcnn) times IM2COL_BUDGET on top of
     that: each convolution's buffer of patches and taps, conv outputs,
     pooled maps and block kernels, the backward's gradient matrices and
     Adam's two scratch vectors (8 bytes per parameter). The bound allows
     4.75 budgets. Without the reused conv buffers, a chunk of 16 peaks
-    at 5.25 and 5.31 budgets."""
+    at 5.25 and 5.31 budgets (measured with raster conv outputs)."""
 
     @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
     def test_epoch_peak_within_chunk_budget(self, name):
