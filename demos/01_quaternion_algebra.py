@@ -10,7 +10,7 @@ independent planes.
 
 import numpy as np
 
-from quatcnn.quat import I, J, K, ONE, Quaternion, add, conjugate, hamilton, norm, split_complex
+from quatcnn.quat import I, J, K, ONE, Quaternion, add, conjugate, hamilton, norm
 
 print("== unit rules ==")
 for name, u in (("i", I), ("j", J), ("k", K)):
@@ -29,10 +29,6 @@ print("|p| * |q| =", norm(p) * norm(q))
 print("|p * q|   =", norm(hamilton(p, q)), " (norms multiply)")
 print("p * conj(p) =", hamilton(p, conjugate(p)).components(),
       " (norm squared on the real axis)")
-
-print("\n== the complex pair view ==")
-z0, z1 = split_complex(p)
-print(f"p = ({z0}) + ({z1}) j")
 
 print("\n== the 4x4 real matrix behind left multiplication ==")
 # hamilton(p, .) is linear, so it has a real matrix: column b holds

@@ -25,4 +25,7 @@ __version__ = "0.1.0"
 # computes only the convolution outputs that a max pool reads, in
 # window-offset order, so each conv weight and bias gradient sums over
 # (offset row, offset column, row, column, sample), at 24x24 and 100x100.
-RESULTS_VERSION = 5
+# 6 adds each convolution's bias to the pooled maxima and takes its bias
+# gradient from the weight-gradient GEMM over a row of ones, in blocks of
+# 512, so gradients move by float rounding; logits keep their bits.
+RESULTS_VERSION = 6

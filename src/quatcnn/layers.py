@@ -35,34 +35,43 @@ layer. Its input gradient first puts the p*p offset blocks back into
 the raster zero-padded array with one strided copy each. A standalone
 convolution, p = 1, keeps the raster (F, OH, OW, N) output and the
 single im2col copy.
-The weight gradient sums its long inner dimension (OH*OW*N) in fixed
-blocks of 512, added in order, so a trained model has the same bits at
-one and two BLAS threads. The quaternion convolution runs on the same
-core as one real GEMM over the 4C stacked component planes, with the
-(4F, 4C, k, k) block kernel gathered from the banks through 4x4 bank
-and sign tables built from ``quat.hamilton`` on the four unit
-quaternions, once per batch; its weight gradient folds back into
-the banks through the inverse tables, once per batch. ``as_block_conv``
+The patch matrix carries one extra row of ones, which the forward GEMM
+does not read, so the weight-gradient GEMM yields the bias gradient as
+its last row. That GEMM sums its long inner dimension (OH*OW*N) in
+fixed blocks of 512, added in order, so a trained model has the same
+bits at one and two BLAS threads. The quaternion convolution runs on
+the same core as one real GEMM over the 4C stacked component planes,
+with the (4F, 4C, k, k) block kernel gathered from the banks through
+4x4 bank and sign tables built from ``quat.hamilton`` on the four unit
+quaternions, once per batch; its weight gradient folds back into the
+banks through the inverse tables, once per batch. ``as_block_conv``
 returns that block kernel as the equivalent ``Conv2d``.
 
 Max pooling takes the maximum over the window**2 views of its input,
-one per window offset, with the stride equal to the window, so windows
-never overlap. The reference configs use a 2x2 window and drop
-trailing odd rows/columns, which is what makes a 100x100 input flow
-100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and feed the dense layer
-exactly 12,800 values in both architectures; a pool-major convolution
-does not compute the dropped rows and columns at all. Its backward
+one per window offset, into one array in offset order, with the stride
+equal to the window, so windows never overlap. The reference configs
+use a 2x2 window and drop trailing odd rows/columns, which is what
+makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and
+feed the dense layer exactly 12,800 values in both architectures; a
+pool-major convolution does not compute the dropped rows and columns
+at all. Its backward
 routes each window's gradient to the window's first maximum in
 row-major order, one pass over the window offsets, each writing
 straight into its view of the input gradient, in the input's layout.
 On a pool-major batch those views are contiguous blocks, and on a
 raster batch strided views.
 
-``Model`` runs a ReLU that feeds a max pool after the pool, on a quarter
-of the elements; configs and ``Model.layers`` keep declaration order.
-This is exact: ReLU is monotone, so it commutes with the maximum. A
-window whose maximum is <= 0 gets a zero gradient in either order, and
-any other keeps its first maximum.
+In a ``Model``, a pool-major convolution adds no bias: its pool adds
+the bias to the maxima, a quarter of the elements, and then applies
+the ReLU that feeds the pool, in place. That ReLU leaves
+``Model.run_order``; configs and ``Model.layers`` keep declaration
+order. The logits keep their bits: rounding is monotone, so adding a
+per-channel constant commutes with the maximum and with ReLU. The
+pool's backward starts with the windows whose maximum exceeds minus
+the bias, which is exactly fl(max + bias) > 0, and routes each one's
+gradient to its first maximum before the bias; a window whose elements
+the bias rounds to one value sends it to its maximum, not to its first
+element. The pool caches its input and the maxima before the bias.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
@@ -92,7 +101,6 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -141,16 +149,17 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 
 
 def _im2col(x: np.ndarray, k: int, p: int, buf: np.ndarray) -> np.ndarray:
-    """(C, H, W, N) -> (C*k*k, p*p*PH*PW*N) patch matrix of a valid
-    correlation, copied into the front of the flat buffer ``buf``. Its
-    columns are the p*PH x p*PW output positions that a max pool of
-    window p reads (PH = OH//p, PW = OW//p), in (window row offset a,
-    window column offset b, PH, PW, N) order: column ((a*p + b)*PH + i)*PW
-    + j)*N + n holds the patch of output (p*i + a, p*j + b) of sample n.
-    At p = 1 that is raster (OH, OW, N) order, in one copy whose runs are
-    OW*N contiguous floats. At p > 1 the (k+p-1)**2 shifted input planes
-    are first gathered into one temporary array, so that the copy into
-    ``buf`` moves contiguous blocks of PH*PW*N floats."""
+    """(C, H, W, N) -> (C*k*k + 1, p*p*PH*PW*N) patch matrix of a valid
+    correlation, copied into the front of the flat buffer ``buf``; its
+    last row is ones, so the weight-gradient GEMM also yields the bias
+    gradient. Its columns are the p*PH x p*PW output positions that a max
+    pool of window p reads (PH = OH//p, PW = OW//p), in (window row offset
+    a, window column offset b, PH, PW, N) order: column ((a*p + b)*PH +
+    i)*PW + j)*N + n holds the patch of output (p*i + a, p*j + b) of
+    sample n. At p = 1 that is raster (OH, OW, N) order, in one copy whose
+    runs are OW*N contiguous floats. At p > 1 the (k+p-1)**2 shifted input
+    planes are first gathered into one temporary array, so that the copy
+    into ``buf`` moves contiguous blocks of PH*PW*N floats."""
     c, h, w, n = x.shape
     ph, pw = (h - k + 1) // p, (w - k + 1) // p
     span = k + p - 1
@@ -165,9 +174,11 @@ def _im2col(x: np.ndarray, k: int, p: int, buf: np.ndarray) -> np.ndarray:
     windows = np.lib.stride_tricks.as_strided(
         planes, shape=(c, k, k, p, p, ph, pw, n), strides=(t0, t1, t2, t1, t2, t3, t4, t5)
     )
-    cols = buf[:windows.size].reshape(windows.shape)
-    np.copyto(cols, windows)
-    return cols.reshape(c * k * k, -1)
+    rows, size = c * k * k, p * p * ph * pw * n
+    cols = buf[:(rows + 1) * size].reshape(rows + 1, size)
+    np.copyto(cols[:rows].reshape(windows.shape), windows)
+    cols[rows] = 1
+    return cols
 
 
 # The inner-dimension block of the weight-gradient GEMMs. Multithreaded
@@ -192,17 +203,16 @@ def _weight_grad(cols: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, bias: np.ndarray, p: int, buf: np.ndarray):
+def _correlate(x: np.ndarray, w: np.ndarray, p: int, buf: np.ndarray):
     """Valid correlation of the (..., C, H, W, N) input's P stacked planes
-    (P = C times the leading sizes) with a (F, P, k, k) kernel plus bias,
-    as one GEMM over the im2col patches of all N samples, which are
+    (P = C times the leading sizes) with a (F, P, k, k) kernel, without
+    bias, as one GEMM over the im2col patches of all N samples, which are
     copied into ``buf``, in the column order of ``_im2col`` for a pool
-    window p. Returns the (F, p*p*PH*PW*N) output and the patches."""
+    window p. Returns the (F, p*p*PH*PW*N) output and the patches with
+    their row of ones, which the GEMM does not read."""
     f, _, k, _ = w.shape
     cols = _im2col(x.reshape(-1, *x.shape[-3:]), k, p, buf)
-    out = w.reshape(f, -1) @ cols
-    out += bias[:, None]
-    return out, cols
+    return w.reshape(f, -1) @ cols[:-1], cols
 
 
 def _hamilton_tables():
@@ -375,29 +385,34 @@ class _Correlation(_WeightedLayer):
         p = self._pool or 1
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
-        # The patches, and the taps that backward writes over them: P*k*k
-        # rows of OH*W*N. The buffer is kept from batch to batch, so the
-        # largest arrays of a training step are not allocated per chunk.
-        size = w[0].size * oh * wd * n
+        # The patches and their row of ones, P*k*k + 1 rows of p*p*PH*PW*N,
+        # and the taps that backward writes over them, P*k*k rows of
+        # OH*W*N. The buffer is kept from batch to batch, so the largest
+        # arrays of a training step are not allocated per chunk.
+        size = max(w[0].size * oh * wd, (w[0].size + 1) * p * p * ph * pw) * n
         dtype = np.result_type(x, w)
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
             self._buf = np.empty(size, dtype)
-        out, cols = _correlate(x, w, bias, p, self._buf)
+        out, cols = _correlate(x, w, p, self._buf)
         self._cache = (w, cols, x.shape)
         if self._pool is None:
+            out += bias[:, None]
             return out.reshape(*self.lead, -1, oh, ow, n)
+        # the pool adds the bias to its maxima
         return out.reshape(*self.lead, -1, p, p, ph, pw, n)
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """``input_grad=False`` skips the input gradient and returns None,
         as the model's first layer does. Each forward takes one backward:
         the input gradient's taps overwrite the cached patches. ``g`` is in
-        the layout of the output, so its (F, K) matrix is a reshape."""
+        the layout of the output, so its (F, K) matrix is a reshape. The
+        patches' row of ones makes the last row of the weight-gradient
+        GEMM the bias gradient."""
         w, cols, x_shape = self._forward_cache()
         self._cache = None
         f, k = w.shape[0], w.shape[-1]
-        gmat = g.reshape(f, -1)
-        self._fold(_weight_grad(cols, gmat).T.reshape(w.shape), gmat.sum(axis=1))
+        grads = _weight_grad(cols, g.reshape(f, -1))
+        self._fold(grads[:-1].T.reshape(w.shape), grads[-1])
         if not input_grad:
             return None
         # With g zero-padded to the raster input width W, tap (di, dj) of
@@ -486,21 +501,40 @@ class MaxPool2d(Layer):
     ``window``, over the H and W axes of a real (C, H, W, N) or
     quaternion (4, C, H, W, N) batch. In a ``Model`` a pool that a
     convolution feeds takes that convolution's pool-major
-    (..., window, window, PH, PW, N) output instead; both give the
-    (..., PH, PW, N) raster output."""
+    (..., window, window, PH, PW, N) output instead, which has no bias,
+    and adds the bias to its maxima; a pool that a ReLU feeds then
+    rectifies them in place. Both layouts give the (..., PH, PW, N)
+    raster output."""
 
-    # set by ``Model`` for a pool whose input is pool-major
+    # set by ``Model``: whether the input is pool-major, the convolution
+    # whose bias the pool adds, and whether it applies the ReLU that
+    # feeds it
     _pool_major = False
+    _conv = None
+    _relu = False
 
     def __init__(self, window: int = 2):
         self.window = window
 
+    def _bias(self):
+        """The feeding convolution's bias, broadcast over (PH, PW, N), or 0."""
+        return 0 if self._conv is None else self._conv.bias[..., None, None, None]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # the previous batch's input and output go before this batch's
+        # the previous batch's input and maxima go before this batch's
         # are allocated, into the memory they free
         self._cache = None
-        out = reduce(np.maximum, _pool_views(x, self.window, self._pool_major))
-        self._cache = (x, out)
+        views = _pool_views(x, self.window, self._pool_major)
+        # in offset order, into one array: max(-0, +0) depends on the order
+        peak = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+        for view in views[2:]:
+            np.maximum(peak, view, out=peak)
+        self._cache = (x, peak)
+        if self._conv is None and not self._relu:
+            return peak
+        out = np.add(peak, self._bias())
+        if self._relu:
+            np.maximum(out, 0, out=out)
         return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -511,25 +545,27 @@ class MaxPool2d(Layer):
         window's maximum is one of its elements, so at the last offset
         every free window hits. Windows own disjoint input elements, so
         each offset writes its routed gradient straight into its view of
-        ``gx``. ``out`` may since have been rectified in place: windows
-        with a positive maximum still match it, and the others carry a
-        zero gradient."""
-        x, out = self._forward_cache()
+        ``gx``. Behind a ReLU, a window starts free only if its rectified
+        output is positive: max + bias > 0 in exact arithmetic, which
+        rounding keeps, so the test is max > -bias."""
+        x, peak = self._forward_cache()
         gx = np.empty(x.shape, dtype=g.dtype)
         if not self._pool_major:
-            rows, cols = (self.window * size for size in out.shape[-3:-1])
+            rows, cols = (self.window * size for size in peak.shape[-3:-1])
             gx[..., rows:, :, :] = gx[..., cols:, :] = 0
         views = _pool_views(x, self.window, self._pool_major)
         gviews = _pool_views(gx, self.window, self._pool_major)
-        free = np.ones(out.shape, dtype=bool)
-        hit = np.empty(out.shape, dtype=bool)
+        if self._relu:
+            free = np.greater(peak, np.negative(self._bias()))
+        else:
+            free = np.ones(peak.shape, dtype=bool)
+        hit = np.empty(peak.shape, dtype=bool)
         for d, (view, gview) in enumerate(zip(views, gviews)):
             if d == len(views) - 1:
                 hit = free
             else:
-                np.equal(view, out, out=hit)
-                if d:
-                    hit &= free
+                np.equal(view, peak, out=hit)
+                hit &= free
                 free ^= hit
             np.multiply(g, hit, out=gview)
         return gx
@@ -537,8 +573,9 @@ class MaxPool2d(Layer):
 
 class ReLU(Layer):
     """Element-wise max(0, .), applied to every plane. ``forward``
-    rectifies its input in place, in a model a max pool's output, and
-    returns it; the mask for ``backward`` is read from that output."""
+    rectifies its input in place and returns it; the mask for
+    ``backward`` is read from that output. In a ``Model`` a ReLU that
+    feeds a max pool runs inside the pool instead."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = np.maximum(x, 0, out=x)
@@ -774,9 +811,9 @@ class Model:
     over the batch. A real model takes a (C, N, H, W) batch array and a
     quaternion model a (4, C, N, H, W) one, in the layout of
     ``train.Samples``, and its layers run on the same batch with the
-    sample axis last. ``run_order`` is ``layers``
-    with each ReLU that feeds a max pool moved after it; forward runs
-    it, and backward its reverse.
+    sample axis last. ``run_order`` is ``layers`` without each ReLU
+    that feeds a max pool, which that pool applies; forward runs it, and
+    backward its reverse.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
@@ -794,14 +831,17 @@ class Model:
         for layer, theta, grad in zip(self.layers, np.split(self.theta, cuts),
                                       np.split(self.grad, cuts)):
             layer.bind(theta, grad)
-        self.run_order = list(self.layers)
-        for i in range(len(self.run_order) - 1):
-            relu, pool = self.run_order[i:i + 2]
-            if isinstance(relu, ReLU) and isinstance(pool, MaxPool2d):
-                self.run_order[i:i + 2] = pool, relu
-        for conv, pool in zip(self.run_order, self.run_order[1:]):
-            if isinstance(conv, _Correlation) and isinstance(pool, MaxPool2d):
-                conv._pool, pool._pool_major = pool.window, True
+        # the first layer is a convolution, so every pool has a layer before it
+        self.run_order: list[Layer] = []
+        for layer in self.layers:
+            if isinstance(layer, MaxPool2d):
+                if isinstance(self.run_order[-1], ReLU):
+                    self.run_order.pop()
+                    layer._relu = True
+                conv = self.run_order[-1]
+                if isinstance(conv, _Correlation):
+                    conv._pool, layer._pool_major, layer._conv = layer.window, True, conv
+            self.run_order.append(layer)
         if rng is not None:
             self.initialize(rng)
 

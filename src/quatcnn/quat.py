@@ -25,8 +25,6 @@ __all__ = [
     "hamilton",
     "conjugate",
     "norm",
-    "split_complex",
-    "recompose",
 ]
 
 
@@ -77,16 +75,3 @@ def conjugate(q: Quaternion) -> Quaternion:
 def norm(q: Quaternion) -> float:
     """Euclidean norm sqrt(q0^2 + q1^2 + q2^2 + q3^2)."""
     return math.sqrt(q.q0 * q.q0 + q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3)
-
-
-def split_complex(q: Quaternion) -> tuple[complex, complex]:
-    """Regroup q into the complex pair (z0, z1) with q = z0 + z1*j.
-
-    z0 = q0 + q1*i and z1 = q2 + q3*i (Cayley-Dickson form).
-    """
-    return complex(q.q0, q.q1), complex(q.q2, q.q3)
-
-
-def recompose(z0: complex, z1: complex) -> Quaternion:
-    """Inverse of split_complex: (z0, z1) -> z0 + z1*j."""
-    return Quaternion(z0.real, z0.imag, z1.real, z1.imag)

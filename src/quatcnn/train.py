@@ -274,14 +274,19 @@ def _tiny_config(arithmetic: str, input_size: int = 12) -> ModelConfig:
 
 def run_gradient_verification(seed: int = 0, num_samples: int = 200) -> list[tuple[str, float]]:
     """Finite-difference checks for tiny end-to-end models of both
-    arithmetics, three random instances each. Returns (name, max
-    relative error) rows; every error should sit below 1e-4."""
+    arithmetics, three random instances each, with biases uniform in
+    [-0.5, 0.5] instead of Glorot's zeros, so that the checks cover each
+    pool's bias add and gradient mask at a nonzero bias. Returns (name,
+    max relative error) rows; every error should sit below 1e-4."""
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, float]] = []
     for arithmetic in ("real", "quaternion"):
         config = _tiny_config(arithmetic)
         for rep in range(3):
             model = Model(config, rng=rng, dtype=np.float64)
+            for layer in model.layers:
+                if layer.param_count:
+                    layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
             if arithmetic == "quaternion":
                 x = rng.uniform(-1, 1, size=(4, 1, 1, 12, 12))
             else:

@@ -502,8 +502,9 @@ class TestReLU:
 
 
 class TestRunOrder:
-    """``Model`` runs each ReLU after the max pool it feeds; the result
-    must be the bits of a pass in declaration order."""
+    """``Model`` runs each ReLU inside the max pool it feeds, after the
+    maximum and the feeding convolution's bias; the result must be the
+    bits of a pass in declaration order through standalone layers."""
 
     def test_relu_runs_after_the_pool_it_feeds(self):
         for name in CONFIG_NAMES:
@@ -511,7 +512,11 @@ class TestRunOrder:
             conv = type(model.layers[0])
             assert [type(layer) for layer in model.layers] == \
                 [conv, ReLU, MaxPool2d] * 3 + [Flatten, Dense]
-            assert model.run_order == [model.layers[i] for i in (0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 10)]
+            # the pools apply the ReLUs, which leave the run order
+            assert model.run_order == [model.layers[i] for i in (0, 2, 3, 5, 6, 8, 9, 10)]
+            for i in (2, 5, 8):
+                pool = model.layers[i]
+                assert pool._relu and pool._conv is model.layers[i - 2]
 
     def test_reference_digests_keep_the_declaration_order(self):
         # the configs as declared (conv -> relu -> maxpool), whose digest
@@ -553,15 +558,20 @@ class TestRunOrder:
         peaks = offsets.max(axis=0)
         ties = (offsets == peaks).sum(axis=0) > 1
         assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
-        dlogits = rng.uniform(-1, 1, n).astype(dtype)
+        # integer-valued, like every other input here: each sum is exact,
+        # so the gradients must agree bit for bit with layers that sum in
+        # another order
+        dlogits = rng.integers(-2, 3, n).astype(dtype)
 
-        model.zero_grads()
+        # fresh standalone layers in declaration order: raster conv with
+        # bias, ReLU, raster pool
+        twin = _raster_twin(model)
         h, g = batch, dlogits
-        for layer in model.layers:
+        for layer in twin:
             h = layer.forward(h)
-        for layer in reversed(model.layers):
+        for layer in reversed(twin):
             g = layer.backward(g)
-        want = (h, model.grad.copy(), g)
+        want = (h, np.concatenate([layer.grad for layer in twin if layer.param_count]), g)
 
         model.zero_grads()
         logits = model.forward(x)
@@ -591,11 +601,11 @@ def _pool3_config(arithmetic):
 
 
 def _raster_twin(model):
-    """Fresh standalone layers with the model's parameters, in its run
-    order: each convolution gives its raster output and each pool takes
-    it."""
+    """Fresh standalone layers with the model's parameters, in
+    declaration order: each convolution gives its raster output with its
+    bias, each ReLU rectifies it, and each pool takes the result."""
     twin = []
-    for layer in model.run_order:
+    for layer in model.layers:
         if isinstance(layer, (Conv2d, QConv2d)):
             fresh = type(layer)(layer.in_channels, layer.out_channels, layer.kernel_size,
                                 dtype=model.dtype)
@@ -608,6 +618,14 @@ def _raster_twin(model):
         fresh.theta[...] = layer.theta
         twin.append(fresh)
     return twin
+
+
+def _without_bias(conv):
+    """A standalone copy of ``conv`` with its weights and a zero bias: its
+    raster output is what a pool-major convolution computes."""
+    fresh = type(conv)(conv.in_channels, conv.out_channels, conv.kernel_size, dtype=conv.w.dtype)
+    fresh.w[...] = conv.w
+    return fresh
 
 
 def _conv_conv_pool_config():
@@ -633,8 +651,10 @@ POOL_MAJOR_CONFIGS = {
 
 class TestPoolMajor:
     """In a ``Model`` each convolution that feeds a max pool computes only
-    the positions the pool reads, in window-offset order; the result must
-    be that of the same layers run standalone on raster batches."""
+    the positions the pool reads, in window-offset order and without its
+    bias, which the pool adds to its maxima before the ReLU; the result
+    must be that of the same layers run standalone on raster batches, in
+    declaration order."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     @pytest.mark.parametrize("name", list(POOL_MAJOR_CONFIGS))
@@ -675,13 +695,16 @@ class TestPoolMajor:
 
         h = np.ascontiguousarray(np.moveaxis(x, -3, -1))
         for layer in twin:
+            if isinstance(layer, (Conv2d, QConv2d)):
+                raster = _without_bias(layer).forward(h)
             if isinstance(layer, MaxPool2d):
                 pooled = pool_inputs.pop(0)
                 window = layer.window
-                # the same values, in window-offset order, with the rows and
-                # columns that fill no whole window left out
-                assert pooled.shape[-5:-3] == (window, window) and h.ndim == pooled.ndim - 2
-                for view, offset in zip(layers._pool_views(h, window, False),
+                # the raster conv output before the bias, in window-offset
+                # order, with the rows and columns that fill no whole window
+                # left out
+                assert pooled.shape[-5:-3] == (window, window) and raster.ndim == pooled.ndim - 2
+                for view, offset in zip(layers._pool_views(raster, window, False),
                                         layers._pool_views(pooled, window, True)):
                     assert norm_rel_err(view, offset) <= tol
             h = layer.forward(h)
@@ -706,6 +729,8 @@ class TestPoolMajor:
     def test_ties_route_to_the_first_maximum(self, name):
         # the first pool's windows, taken from the pool-major batch it
         # receives, against the argmax oracle on the raster conv output
+        # before the bias; the pool adds the bias and rectifies, so only
+        # windows with max + bias > 0 pass a gradient
         rng = np.random.default_rng(82)
         config = POOL_MAJOR_CONFIGS[name]()
         model = Model(config, dtype=np.float64)
@@ -714,21 +739,25 @@ class TestPoolMajor:
         size = config.input_size
         batch = rng.integers(-1, 2, (*lead, config.in_channels, size, size, 3)).astype(np.float64)
         conv, pool = model.layers[0], model.layers[2]
-        raster = _raster_twin(model)[0].forward(batch)
+        assert pool._relu and pool._conv is conv
+        raster = _without_bias(conv).forward(batch)
         pooled_in = conv.forward(batch)
         out = pool.forward(pooled_in)
         g = rng.uniform(-1, 1, out.shape)
         gx = pool.backward(g)
         assert gx.shape == pooled_in.shape
+        bias = conv.bias[..., None, None, None]
         offsets = np.stack(layers._pool_views(pooled_in, pool.window, True))
-        assert ((offsets == out).sum(axis=0) > 1).any()  # the batch holds ties
+        peaks = offsets.max(axis=0)
+        live = peaks + bias > 0
+        assert (live & ((offsets == peaks).sum(axis=0) > 1)).any()  # ties that pass a gradient
         graster = np.zeros_like(raster)
         for view, offset in zip(layers._pool_views(graster, pool.window, False),
                                 layers._pool_views(gx, pool.window, True)):
             view[...] = offset
         for i in range(3):
-            expect_out, expect_gx = maxpool_oracle(raster[..., i], g[..., i], pool.window)
-            assert np.array_equal(out[..., i], expect_out)
+            expect_peak, expect_gx = maxpool_oracle(raster[..., i], (g * live)[..., i], pool.window)
+            assert np.array_equal(out[..., i], np.maximum(expect_peak + bias[..., 0], 0))
             assert np.array_equal(graster[..., i], expect_gx)
 
     def test_only_a_convolution_before_a_pool_is_pool_major(self):
@@ -746,6 +775,103 @@ class TestPoolMajor:
         assert block._pool is None
         assert block.forward(x.reshape(4, 24, 24, 2)).shape == (32, 22, 22, 2)
         assert QConv2d(1, 8).forward(x).shape == (4, 8, 22, 22, 2)
+
+
+class TestPoolBias:
+    """A pool-major convolution leaves its bias to the pool it feeds,
+    which adds it to the maxima and then rectifies them."""
+
+    @pytest.mark.parametrize("size, n", [(24, 1), (24, 2), (24, 16), (100, 1)])
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_logits_match_a_declaration_order_pass_bit_for_bit(self, name, size, n):
+        # Glorot leaves the biases at 0, which any bias placement passes
+        rng = np.random.default_rng(85)
+        config = config_from_name(name, size)
+        model = Model(config, rng=rng)
+        for layer in model.layers:
+            if layer.param_count:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        lead = (4,) if config.arithmetic == "quaternion" else ()
+        x = rng.uniform(0, 1, (*lead, config.in_channels, n, size, size)).astype(np.float32)
+        # raster conv with bias, then ReLU, then raster pool
+        h = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        for layer in _raster_twin(model):
+            h = layer.forward(h)
+        logits = model.forward(x)
+        assert logits.dtype == h.dtype == np.float32
+        assert logits.tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_pool_without_a_relu_and_a_relu_without_a_convolution(self, n):
+        # conv -> pool: the pool adds the bias and does not rectify; relu ->
+        # pool after a pool: the second pool rectifies a raster batch and
+        # adds no bias. Integer data keeps every sum exact.
+        config = ModelConfig(
+            name="conv-pool-relu-pool", arithmetic="real", encoding="rgb", input_size=13,
+            in_channels=3,
+            layers=(LayerSpec("conv", 2), LayerSpec("maxpool", pool=2), LayerSpec("relu"),
+                    LayerSpec("maxpool", pool=2), LayerSpec("flatten"), LayerSpec("dense", 1)),
+        )
+        rng = np.random.default_rng(86)
+        model = Model(config, dtype=np.float64)
+        model.theta[...] = rng.integers(-1, 2, model.theta.size)
+        first, second = (layer for layer in model.layers if isinstance(layer, MaxPool2d))
+        assert (first._conv, first._relu, first._pool_major) == (model.layers[0], False, True)
+        assert (second._conv, second._relu, second._pool_major) == (None, True, False)
+        assert ReLU not in map(type, model.run_order)
+        x = rng.integers(-2, 3, (3, n, 13, 13)).astype(np.float64)
+        dlogits = rng.integers(-2, 3, n).astype(np.float64)
+        twin = _raster_twin(model)
+        h, g = np.ascontiguousarray(np.moveaxis(x, -3, -1)), dlogits
+        for layer in twin:
+            h = layer.forward(h)
+        for layer in reversed(twin):
+            g = layer.backward(g)
+        model.zero_grads()
+        assert model.forward(x).tobytes() == h.tobytes()
+        model.backward(dlogits)
+        assert np.array_equal(model.grad, np.concatenate([layer.grad for layer in twin]))
+
+    def test_a_bias_that_rounds_a_window_flat_routes_to_its_maximum(self):
+        # a 1x1 identity convolution, so the pool sees the input itself
+        config = ModelConfig(
+            name="identity-pool", arithmetic="real", encoding="rgb", input_size=4, in_channels=2,
+            layers=(LayerSpec("conv", 2, kernel=1), LayerSpec("relu"), LayerSpec("maxpool", pool=2),
+                    LayerSpec("flatten"), LayerSpec("dense", 1)),
+        )
+        model = Model(config)
+        conv, pool = model.run_order[:2]
+        conv.w[...] = np.eye(2).reshape(2, 2, 1, 1)
+        bias = np.array([2.0 ** 24, -0.375])
+        conv.bias[...] = bias
+        # 2x2 windows; in float32 the bias 2**24 rounds every element of
+        # channel 0's first window to 2**24, and channel 1's second window
+        # has max + bias == 0
+        x = np.array([[[0.25, 0.5, -1, -2], [0, 0, -3, -4], [3, 1, 0, 0], [2, 3, 0, 0]],
+                      [[0.25, 0.5, 0.25, 0.375], [0, 0, 0.125, 0],
+                       [-1, -1, 0.5, 1], [-1, -1, 1, 0.5]]])
+        assert np.all(np.float32(x[0, :2, :2]) + np.float32(2.0 ** 24) == np.float32(2.0 ** 24))
+        g = np.array([[[1.0, -0.5], [0.25, 2.0]], [[-1.5, 0.75], [1.25, -0.25]]])
+        out = pool.forward(conv.forward(x[..., None].astype(np.float32)))
+        gx = conv.backward(pool.backward(g[..., None].astype(np.float32)))[..., 0]
+
+        peaks = x.reshape(2, 2, 2, 2, 2).max(axis=(2, 4))
+        expect_out = np.maximum(np.float32(peaks) + np.float32(bias)[:, None, None], 0)
+        assert np.array_equal(out[..., 0], expect_out)
+        live = peaks + bias[:, None, None] > 0
+        assert live.tolist() == [[[True, True], [True, True]], [[True, False], [False, True]]]
+        # each live window's gradient goes to its first maximum before the
+        # bias: the 0.5, not the 0.25 that leads the flat window
+        expect_gx = np.zeros_like(x)
+        for c, i, j in zip(*np.nonzero(live)):
+            window = x[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            a, b = divmod(int(np.argmax(window)), 2)
+            expect_gx[c, 2 * i + a, 2 * j + b] = g[c, i, j]
+        assert expect_gx[0, 0, 1] == g[0, 0, 0]
+        assert np.array_equal(gx, expect_gx)
+        # the bias gradient is the output gradient summed over the live windows
+        assert np.array_equal(conv.grad_bias, (g * live).sum(axis=(1, 2)))
+        assert np.array_equal(conv.grad_w[..., 0, 0], np.einsum("chw,dhw->cd", expect_gx, x))
 
 
 class TestFlatten:

@@ -2,7 +2,7 @@ import numpy as np
 
 from quatcnn.quat import (
     Quaternion, I, J, K, ONE,
-    add, hamilton, conjugate, norm, split_complex, recompose,
+    add, hamilton, conjugate, norm,
 )
 from testutil import assert_close, hamilton_oracle, quat_at, random_quaternion
 
@@ -124,21 +124,6 @@ class TestConjugate:
                 comps(conjugate(hamilton(p, q))),
                 comps(hamilton(conjugate(q), conjugate(p))), TOL,
             )
-
-
-class TestSplitComplex:
-    def test_regrouping(self):
-        z0, z1 = split_complex(Quaternion(1, 2, 3, 4))
-        assert (z0, z1) == (1 + 2j, 3 + 4j)
-
-    def test_zero(self):
-        assert split_complex(Quaternion(0, 0, 0, 0)) == (0j, 0j)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(10)
-        for _ in range(1000):
-            q = random_quaternion(rng)
-            assert comps(recompose(*split_complex(q))) == comps(q)
 
 
 class TestComponentPlanes:
