@@ -32,5 +32,5 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\n{'config':<12} {'mean':>7} {'std':>7} {'q25':>7} {'q75':>7}")
     for s in report.stats:
         print(f"{s.config:<12} {s.mean:>7.3f} {s.std:>7.3f} {s.q25:>7.3f} {s.q75:>7.3f}")
-    print("\nreports written: runs.csv, stats.csv, summary.json")
+    print("\nwritten: plan.json, runs.csv, stats.csv")
     print("re-running the same plan would skip all completed runs (resume)")

@@ -30,9 +30,6 @@ def _data_root(args) -> Path:
 
 def _add_data_args(p: argparse.ArgumentParser):
     p.add_argument("--data", help="dataset directory (default: $QUATCNN_DATA)")
-    p.add_argument("--manifest-mode", choices=("filename", "csv"),
-                   default="filename",
-                   help="label source: filename convention (Im001_1.ext) or manifest.csv")
 
 
 def _add_train_args(p: argparse.ArgumentParser):
@@ -57,7 +54,7 @@ def _plan(args, **fields) -> harness.ExperimentPlan:
 
 def cmd_train(args) -> int:
     plan = _plan(args, configs=(args.config,), fractions=(args.test_fraction,), runs=1)
-    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
+    manifest = harness.load_manifest(_data_root(args))
     (config_name,), (fraction,) = plan.configs, plan.fractions
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,7 +96,7 @@ def _sweep_plan(args) -> harness.ExperimentPlan:
 
 def cmd_sweep(args) -> int:
     plan = _sweep_plan(args)
-    manifest = harness.load_manifest(_data_root(args), args.manifest_mode)
+    manifest = harness.load_manifest(_data_root(args))
     report = harness.run_experiment(plan, manifest, args.out)
     print(f"\n{report.n_executed} runs executed, {report.n_skipped} resumed; "
           f"reports in {args.out}")

@@ -17,7 +17,6 @@ refused.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import multiprocessing
@@ -80,7 +79,24 @@ class DatasetManifest:
     checksum: str
 
 
-def _finish_manifest(root: Path, entries: list[ManifestEntry]) -> DatasetManifest:
+def load_manifest(root) -> DatasetManifest:
+    """Build a manifest from a dataset directory, labelling each image by
+    a trailing ``_0``/``_1`` before the file extension (the ALL-IDB2
+    naming convention, e.g. Im001_1.tif)."""
+    root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"dataset root {root} does not exist")
+    entries: list[ManifestEntry] = []
+    for path in sorted(root.iterdir()):
+        if path.suffix.lower() not in IMAGE_EXTENSIONS or not path.is_file():
+            continue
+        stem = path.stem
+        if len(stem) < 2 or stem[-2] != "_" or stem[-1] not in "01":
+            raise ValueError(
+                f"{path.name}: cannot parse label; expected a trailing _0 or _1 "
+                "before the extension"
+            )
+        entries.append(ManifestEntry(path=path, label=int(stem[-1]), id=stem))
     if not entries:
         raise ValueError(f"{root}: no labeled images found")
     labels = {e.label for e in entries}
@@ -98,57 +114,6 @@ def _finish_manifest(root: Path, entries: list[ManifestEntry]) -> DatasetManifes
     listing = "\n".join(f"{e.path.name},{e.label}" for e in entries)
     checksum = hashlib.sha256(listing.encode("utf-8")).hexdigest()
     return DatasetManifest(root=root, entries=tuple(entries), checksum=checksum)
-
-
-def load_manifest(root, mode: str = "filename") -> DatasetManifest:
-    """Build a manifest from a dataset directory.
-
-    ``filename`` mode parses a trailing ``_0``/``_1`` before the file
-    extension as the label (the ALL-IDB2 naming convention, e.g.
-    Im001_1.tif). ``csv`` mode reads ``manifest.csv`` with header
-    ``path,label`` and paths relative to the root.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise ValueError(f"dataset root {root} does not exist")
-    entries: list[ManifestEntry] = []
-    if mode == "filename":
-        for path in sorted(root.iterdir()):
-            if path.suffix.lower() not in IMAGE_EXTENSIONS or not path.is_file():
-                continue
-            stem = path.stem
-            if len(stem) < 2 or stem[-2] != "_" or stem[-1] not in "01":
-                raise ValueError(
-                    f"{path.name}: cannot parse label; expected a trailing _0 or _1 "
-                    "before the extension"
-                )
-            entries.append(ManifestEntry(path=path, label=int(stem[-1]), id=stem))
-    elif mode == "csv":
-        csv_path = root / "manifest.csv"
-        if not csv_path.is_file():
-            raise ValueError(f"{csv_path} not found")
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["path", "label"]:
-                raise ValueError(f"{csv_path}:1: expected header 'path,label'")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise ValueError(f"{csv_path}:{lineno}: expected 2 columns")
-                rel, label_text = row
-                if label_text not in ("0", "1"):
-                    raise ValueError(
-                        f"{csv_path}:{lineno}: label must be 0 or 1, got {label_text!r}"
-                    )
-                path = root / rel
-                if not path.is_file():
-                    raise ValueError(f"{csv_path}:{lineno}: {path} does not exist")
-                entries.append(
-                    ManifestEntry(path=path, label=int(label_text), id=Path(rel).stem)
-                )
-    else:
-        raise ValueError(f"unknown manifest mode {mode!r}")
-    return _finish_manifest(root, entries)
 
 
 def split(manifest: DatasetManifest, test_fraction: float, seed: int,
@@ -545,8 +510,8 @@ def _atomic_write(path: Path, text: str):
 
 
 def emit_report(results, stats, out_dir) -> None:
-    """Write runs.csv, stats.csv, and summary.json (a JSON mirror of
-    stats.csv) atomically, overwriting previous reports."""
+    """Write runs.csv and stats.csv atomically, overwriting previous
+    reports."""
     results = list(results)
     if not results:
         raise ValueError("no results to report")
@@ -563,14 +528,6 @@ def emit_report(results, stats, out_dir) -> None:
             repr(s.q25), repr(s.q75),
         ]))
     _atomic_write(out_dir / "stats.csv", "\n".join(lines) + "\n")
-
-    payload = [
-        {"config": s.config, "fraction": s.fraction, "n": s.n, "mean": s.mean,
-         "std": s.std, "q25": s.q25, "q75": s.q75}
-        for s in stats
-    ]
-    _atomic_write(out_dir / "summary.json",
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,14 @@ GEMM per batch. The input gradient is the transposed GEMM on the output
 gradient zero-padded to the input width, scattered back with one
 contiguous add per tap over the flat (P, H*W*N) planes; the taps that
 wrap past a row's end fall on the pad columns and add exact zeros.
-In a ``Model``, a convolution that feeds a max pool of window p is
-pool-major: its im2col columns are the p*(OH//p) x p*(OW//p) output
-positions that the pool reads, in (window row offset, window column
-offset, row, column, sample) order, so the GEMM writes an
-(F, p, p, PH, PW, N) output, (4, F, p, p, PH, PW, N) for a quaternion
-layer. Its input gradient first puts the p*p offset blocks back into
-the raster zero-padded array with one strided copy each. A standalone
+A ``Model`` is a chain of (convolution, ReLU, max pool) blocks, and in
+it each convolution is pool-major: for its block's pool of window p,
+its im2col columns are the p*(OH//p) x p*(OW//p) output positions that
+the pool reads, in (window row offset, window column offset, row,
+column, sample) order, so the GEMM writes an (F, p, p, PH, PW, N)
+output, (4, F, p, p, PH, PW, N) for a quaternion layer. Its input
+gradient first puts the p*p offset blocks back into the raster
+zero-padded array with one strided copy each. A standalone
 convolution, p = 1, keeps the raster (F, OH, OW, N) output and the
 single im2col copy.
 The patch matrix carries one extra row of ones, which the forward GEMM
@@ -61,17 +62,19 @@ straight into its view of the input gradient, in the input's layout.
 On a pool-major batch those views are contiguous blocks, and on a
 raster batch strided views.
 
-In a ``Model``, a pool-major convolution adds no bias: its pool adds
+In a ``Model``, a convolution adds no bias: the pool of its block adds
 the bias to the maxima, a quarter of the elements, and then applies
-the ReLU that feeds the pool, in place. That ReLU leaves
-``Model.run_order``; configs and ``Model.layers`` keep declaration
-order. The logits keep their bits: rounding is monotone, so adding a
-per-channel constant commutes with the maximum and with ReLU. The
-pool's backward starts with the windows whose maximum exceeds minus
-the bias, which is exactly fl(max + bias) > 0, and routes each one's
-gradient to its first maximum before the bias; a window whose elements
-the bias rounds to one value sends it to its maximum, not to its first
-element. The pool caches its input and the maxima before the bias.
+the block's ReLU in place, so the ReLUs leave ``Model.run_order``;
+configs and ``Model.layers`` keep declaration order. The logits keep
+their bits: rounding is monotone, so adding a per-channel constant
+commutes with the maximum and with ReLU. The pool's backward starts
+with the windows whose maximum exceeds minus the bias, which is
+exactly fl(max + bias) > 0, and routes each one's gradient to its
+first maximum before the bias; a window whose elements the bias rounds
+to one value sends it to its maximum, not to its first element. The
+pool caches its input and the maxima before the bias. Standalone
+layers run in declaration order give the same result, with a raster
+convolution output, its bias and a separate ReLU.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
@@ -353,8 +356,8 @@ class _Correlation(_WeightedLayer):
     quaternion one."""
 
     lead = ()
-    # The window of the max pool that ``Model`` feeds this convolution's
-    # output to, or None for a standalone layer's raster output.
+    # The window of the max pool of this convolution's block in a
+    # ``Model``, or None for a standalone layer's raster output.
     _pool = None
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -499,43 +502,33 @@ def as_block_conv(layer: QConv2d) -> Conv2d:
 class MaxPool2d(Layer):
     """Per-plane max pooling of a square ``window``, with stride
     ``window``, over the H and W axes of a real (C, H, W, N) or
-    quaternion (4, C, H, W, N) batch. In a ``Model`` a pool that a
-    convolution feeds takes that convolution's pool-major
-    (..., window, window, PH, PW, N) output instead, which has no bias,
-    and adds the bias to its maxima; a pool that a ReLU feeds then
-    rectifies them in place. Both layouts give the (..., PH, PW, N)
-    raster output."""
+    quaternion (4, C, H, W, N) batch. In a ``Model`` the pool of a block
+    takes its convolution's pool-major (..., window, window, PH, PW, N)
+    output instead, which has no bias, adds the bias to its maxima and
+    applies the block's ReLU to them in place. Both layouts give the
+    (..., PH, PW, N) raster output."""
 
-    # set by ``Model``: whether the input is pool-major, the convolution
-    # whose bias the pool adds, and whether it applies the ReLU that
-    # feeds it
-    _pool_major = False
+    # set by ``Model``: the convolution of the pool's block, whose
+    # pool-major output the pool takes and whose bias it adds
     _conv = None
-    _relu = False
 
     def __init__(self, window: int = 2):
         self.window = window
-
-    def _bias(self):
-        """The feeding convolution's bias, broadcast over (PH, PW, N), or 0."""
-        return 0 if self._conv is None else self._conv.bias[..., None, None, None]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # the previous batch's input and maxima go before this batch's
         # are allocated, into the memory they free
         self._cache = None
-        views = _pool_views(x, self.window, self._pool_major)
+        views = _pool_views(x, self.window, self._conv is not None)
         # in offset order, into one array: max(-0, +0) depends on the order
         peak = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
         for view in views[2:]:
             np.maximum(peak, view, out=peak)
         self._cache = (x, peak)
-        if self._conv is None and not self._relu:
+        if self._conv is None:
             return peak
-        out = np.add(peak, self._bias())
-        if self._relu:
-            np.maximum(out, 0, out=out)
-        return out
+        out = np.add(peak, self._conv.bias[..., None, None, None])
+        return np.maximum(out, 0, out=out)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         """Route each window's gradient to its first maximum in row-major
@@ -545,20 +538,20 @@ class MaxPool2d(Layer):
         window's maximum is one of its elements, so at the last offset
         every free window hits. Windows own disjoint input elements, so
         each offset writes its routed gradient straight into its view of
-        ``gx``. Behind a ReLU, a window starts free only if its rectified
+        ``gx``. In a ``Model``, a window starts free only if its rectified
         output is positive: max + bias > 0 in exact arithmetic, which
         rounding keeps, so the test is max > -bias."""
         x, peak = self._forward_cache()
+        pool_major = self._conv is not None
         gx = np.empty(x.shape, dtype=g.dtype)
-        if not self._pool_major:
-            rows, cols = (self.window * size for size in peak.shape[-3:-1])
-            gx[..., rows:, :, :] = gx[..., cols:, :] = 0
-        views = _pool_views(x, self.window, self._pool_major)
-        gviews = _pool_views(gx, self.window, self._pool_major)
-        if self._relu:
-            free = np.greater(peak, np.negative(self._bias()))
+        if pool_major:
+            free = np.greater(peak, np.negative(self._conv.bias[..., None, None, None]))
         else:
             free = np.ones(peak.shape, dtype=bool)
+            rows, cols = (self.window * size for size in peak.shape[-3:-1])
+            gx[..., rows:, :, :] = gx[..., cols:, :] = 0
+        views = _pool_views(x, self.window, pool_major)
+        gviews = _pool_views(gx, self.window, pool_major)
         hit = np.empty(peak.shape, dtype=bool)
         for d, (view, gview) in enumerate(zip(views, gviews)):
             if d == len(views) - 1:
@@ -574,8 +567,8 @@ class MaxPool2d(Layer):
 class ReLU(Layer):
     """Element-wise max(0, .), applied to every plane. ``forward``
     rectifies its input in place and returns it; the mask for
-    ``backward`` is read from that output. In a ``Model`` a ReLU that
-    feeds a max pool runs inside the pool instead."""
+    ``backward`` is read from that output. In a ``Model`` each ReLU runs
+    inside the max pool of its block instead."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = np.maximum(x, 0, out=x)
@@ -698,26 +691,28 @@ def trace_shapes(config: ModelConfig):
     """Return (spec, out_channels, out_h, out_w, flat_len) rows per layer
     in declaration order, not ``Model.run_order``, validating the spatial
     arithmetic; flat_len is the flattened length once a flatten layer
-    has run, else None. Raises ValueError on an inconsistent chain or
-    arithmetic, on a convolution of the other arithmetic's kind, or if the
-    first layer is not a convolution, the one layer whose input gradient
-    ``Model.backward`` may skip."""
+    has run, else None.
+
+    The one network shape is k >= 1 blocks of (convolution, ReLU, max
+    pool), then flatten and dense, with ``conv`` layers for a real model
+    and ``qconv`` layers for a quaternion one. Raises ValueError on any
+    other chain, on an arithmetic other than real or quaternion, and on a
+    kernel or pool window that does not fit its input."""
     conv_kind = {"real": "conv", "quaternion": "qconv"}.get(config.arithmetic)
     if conv_kind is None:
         raise ValueError(f"inconsistent config: arithmetic must be 'real' or 'quaternion', "
                          f"got {config.arithmetic!r}")
-    if not config.layers or config.layers[0].kind not in ("conv", "qconv"):
-        first = config.layers[0].kind if config.layers else "none"
-        raise ValueError(f"inconsistent config: first layer must be conv or qconv, got {first}")
+    kinds = [spec.kind for spec in config.layers]
+    blocks = (len(kinds) - 2) // 3
+    if blocks < 1 or kinds != [conv_kind, "relu", "maxpool"] * blocks + ["flatten", "dense"]:
+        raise ValueError(f"inconsistent config: layers must be ({conv_kind}, relu, maxpool) "
+                         f"* k + (flatten, dense) with k >= 1, got ({', '.join(kinds)})")
     channels = config.in_channels
     h = w = config.input_size
     flat: int | None = None
     out = []
     for spec in config.layers:
-        if spec.kind in ("conv", "qconv"):
-            if spec.kind != conv_kind:
-                raise ValueError(f"inconsistent config: layers hold a {spec.kind} layer, "
-                                 f"but arithmetic is {config.arithmetic!r}")
+        if spec.kind == conv_kind:
             if h < spec.kernel or w < spec.kernel:
                 raise ValueError(
                     f"inconsistent config: {spec.kind} kernel {spec.kernel} "
@@ -735,11 +730,6 @@ def trace_shapes(config: ModelConfig):
         elif spec.kind == "flatten":
             per_channel = 4 if config.arithmetic == "quaternion" else 1
             flat = per_channel * channels * h * w
-        elif spec.kind == "dense":
-            if flat is None:
-                raise ValueError("inconsistent config: dense before flatten")
-        elif spec.kind != "relu":
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
         out.append((spec, channels, h, w, flat))
     return out
 
@@ -811,9 +801,10 @@ class Model:
     over the batch. A real model takes a (C, N, H, W) batch array and a
     quaternion model a (4, C, N, H, W) one, in the layout of
     ``train.Samples``, and its layers run on the same batch with the
-    sample axis last. ``run_order`` is ``layers`` without each ReLU
-    that feeds a max pool, which that pool applies; forward runs it, and
-    backward its reverse.
+    sample axis last. ``run_order`` is ``layers`` without the ReLUs:
+    the max pool of each block takes its convolution's pool-major output,
+    adds that convolution's bias and applies the block's ReLU. Forward
+    runs ``run_order``, and backward its reverse.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
@@ -831,17 +822,11 @@ class Model:
         for layer, theta, grad in zip(self.layers, np.split(self.theta, cuts),
                                       np.split(self.grad, cuts)):
             layer.bind(theta, grad)
-        # the first layer is a convolution, so every pool has a layer before it
-        self.run_order: list[Layer] = []
-        for layer in self.layers:
-            if isinstance(layer, MaxPool2d):
-                if isinstance(self.run_order[-1], ReLU):
-                    self.run_order.pop()
-                    layer._relu = True
-                conv = self.run_order[-1]
-                if isinstance(conv, _Correlation):
-                    conv._pool, layer._pool_major, layer._conv = layer.window, True, conv
-            self.run_order.append(layer)
+        self.run_order = [layer for layer, spec in zip(self.layers, config.layers)
+                          if spec.kind != "relu"]
+        # trace_shapes admits only (conv, relu, maxpool) blocks, then flatten and dense
+        for conv, pool in zip(self.layers[::3], self.layers[2::3]):
+            conv._pool, pool._conv = pool.window, conv
         if rng is not None:
             self.initialize(rng)
 

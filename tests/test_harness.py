@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,60 +47,28 @@ class TestLoadManifest:
         img = np.zeros((4, 4, 3), dtype=np.uint8)
         write_ppm(tmp_path / "Im001_1.ppm", img)
         write_ppm(tmp_path / "Im002_0.ppm", img)
-        man = load_manifest(tmp_path, "filename")
+        man = load_manifest(tmp_path)
         assert len(man.entries) == 2
         assert {e.label for e in man.entries} == {0, 1}
         assert {e.id for e in man.entries} == {"Im001_1", "Im002_0"}
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(ValueError, match="no labeled images"):
-            load_manifest(tmp_path, "filename")
+            load_manifest(tmp_path)
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
-            load_manifest(tmp_path / "nope", "filename")
+            load_manifest(tmp_path / "nope")
 
     def test_single_class(self, tmp_path):
         write_ppm(tmp_path / "Im001_1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="both classes"):
-            load_manifest(tmp_path, "filename")
+            load_manifest(tmp_path)
 
     def test_unparsable_filename(self, tmp_path):
         write_ppm(tmp_path / "cell7.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="cannot parse label"):
-            load_manifest(tmp_path, "filename")
-
-    def test_csv_mode(self, tmp_path):
-        img = np.zeros((4, 4, 3), dtype=np.uint8)
-        write_ppm(tmp_path / "a.ppm", img)
-        write_ppm(tmp_path / "b.ppm", img)
-        (tmp_path / "manifest.csv").write_text("path,label\na.ppm,1\nb.ppm,0\n")
-        man = load_manifest(tmp_path, "csv")
-        assert [e.label for e in man.entries] == [1, 0]
-
-    def test_csv_bad_label_reports_line(self, tmp_path):
-        write_ppm(tmp_path / "a.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
-        (tmp_path / "manifest.csv").write_text("path,label\na.ppm,2\n")
-        with pytest.raises(ValueError, match=":2: label"):
-            load_manifest(tmp_path, "csv")
-
-    def test_csv_missing_file_reports_line(self, tmp_path):
-        (tmp_path / "manifest.csv").write_text("path,label\nmissing.ppm,1\n")
-        with pytest.raises(ValueError, match=":2:.*does not exist"):
-            load_manifest(tmp_path, "csv")
-
-    def test_csv_duplicate_id_rejected(self, tmp_path):
-        img = np.zeros((4, 4, 3), dtype=np.uint8)
-        (tmp_path / "sub").mkdir()
-        for rel in ("Im001_0.ppm", "sub/Im001_0.ppm", "Im002_1.ppm"):
-            write_ppm(tmp_path / rel, img)
-        (tmp_path / "manifest.csv").write_text(
-            "path,label\nIm001_0.ppm,0\nsub/Im001_0.ppm,0\nIm002_1.ppm,1\n"
-        )
-        with pytest.raises(ValueError, match="duplicate sample id 'Im001_0'") as exc:
-            load_manifest(tmp_path, "csv")
-        assert str(tmp_path / "Im001_0.ppm") in str(exc.value)
-        assert str(tmp_path / "sub" / "Im001_0.ppm") in str(exc.value)
+            load_manifest(tmp_path)
 
     def test_filename_duplicate_id_rejected(self, tmp_path):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
@@ -106,7 +76,7 @@ class TestLoadManifest:
         write_ppm(tmp_path / "Im002_1.ppm", img)
         (tmp_path / "Im001_0.png").write_bytes(b"")
         with pytest.raises(ValueError, match="duplicate sample id 'Im001_0'") as exc:
-            load_manifest(tmp_path, "filename")
+            load_manifest(tmp_path)
         assert "Im001_0.png" in str(exc.value) and "Im001_0.ppm" in str(exc.value)
 
     def test_checksum_tracks_listing(self, tmp_path):
@@ -475,12 +445,6 @@ class TestEmitReport:
         stats_lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
         assert stats_lines[0] == "config,fraction,n,mean,std,q25,q75"
         assert len(stats_lines) == 2
-        payload = json.loads((tmp_path / "summary.json").read_text())
-        assert payload == [{
-            "config": "qvcnn-rgb", "fraction": 0.2, "n": 2,
-            "mean": stats[0].mean, "std": stats[0].std,
-            "q25": stats[0].q25, "q75": stats[0].q75,
-        }]
 
     def test_stats_row_count(self, tmp_path):
         results = []
@@ -543,6 +507,13 @@ class TestRunExperiment:
         for r in report.results:
             assert 0.0 <= r.test_accuracy <= 1.0
             assert r.wall_time > 0.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_output_dir_holds_the_plan_and_two_reports(self, tmp_path, jobs):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(jobs=jobs), man, out, log=lambda *_: None)
+        assert sorted(path.name for path in out.iterdir()) == ["plan.json", "runs.csv", "stats.csv"]
 
     def test_resume_skips_everything(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
@@ -858,6 +829,27 @@ class TestSyntheticData:
 
 
 class TestCli:
+    # the flags each command's --help lists; --manifest-mode is gone
+    _SHARED_FLAGS = {"--data", "--epochs", "--batch-size", "--input-size", "--no-augment",
+                     "--no-stratify", "--seed", "--out", "--help"}
+    _FLAGS = {
+        "train": {*_SHARED_FLAGS, "--config", "--test-fraction"},
+        "sweep": {*_SHARED_FLAGS, "--configs", "--fractions", "--runs", "--jobs"},
+        "count-params": {"--input-size", "--help"},
+        "gradcheck": {"--seed", "--help"},
+        "synth-data": {"--n", "--size", "--out", "--seed", "--healthy-hue", "--blast-hue",
+                       "--fixed-value", "--help"},
+    }
+
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    def test_each_command_takes_its_flags(self, command):
+        parser = cli.build_parser()
+        (commands,) = (action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == set(self._FLAGS)
+        assert set(re.findall(r"--[a-z][a-z-]*", commands[command].format_help())) \
+            == self._FLAGS[command]
+
     def test_count_params_golden(self, capsys):
         assert cli.main(["count-params"]) == 0
         out = capsys.readouterr().out
@@ -915,7 +907,6 @@ class TestCli:
         assert code == 0
         assert (out_dir / "runs.csv").exists()
         assert (out_dir / "stats.csv").exists()
-        assert (out_dir / "summary.json").exists()
 
     def test_sweep_resume_under_another_plan_exits_with_an_error(self, tmp_path):
         data = make_fixture_dir(tmp_path, n=8, size=24)

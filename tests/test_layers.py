@@ -1,4 +1,5 @@
 import inspect
+import re
 import struct
 
 import numpy as np
@@ -26,6 +27,13 @@ def rand_qconv(rng, f, c, k, dtype=np.float64):
     layer.w[...] = rng.uniform(-1, 1, layer.w.shape)
     layer.bias[...] = rng.uniform(-1, 1, layer.bias.shape)
     return layer
+
+
+def _refusal(conv_kind, *kinds):
+    """The pattern of the one message that refuses a chain of layer kinds
+    other than the (conv_kind, relu, maxpool) blocks and flatten, dense."""
+    return re.escape(f"inconsistent config: layers must be ({conv_kind}, relu, maxpool) * k "
+                     f"+ (flatten, dense) with k >= 1, got ({', '.join(kinds)})")
 
 
 def run_one(layer, x):
@@ -502,9 +510,10 @@ class TestReLU:
 
 
 class TestRunOrder:
-    """``Model`` runs each ReLU inside the max pool it feeds, after the
-    maximum and the feeding convolution's bias; the result must be the
-    bits of a pass in declaration order through standalone layers."""
+    """``Model`` runs the ReLU of each (conv, relu, maxpool) block inside
+    the block's max pool, after the maximum and the convolution's bias;
+    the result must be the bits of a pass in declaration order through
+    standalone layers."""
 
     def test_relu_runs_after_the_pool_it_feeds(self):
         for name in CONFIG_NAMES:
@@ -516,7 +525,7 @@ class TestRunOrder:
             assert model.run_order == [model.layers[i] for i in (0, 2, 3, 5, 6, 8, 9, 10)]
             for i in (2, 5, 8):
                 pool = model.layers[i]
-                assert pool._relu and pool._conv is model.layers[i - 2]
+                assert pool._conv is model.layers[i - 2] and pool._conv._pool == pool.window
 
     def test_reference_digests_keep_the_declaration_order(self):
         # the configs as declared (conv -> relu -> maxpool), whose digest
@@ -553,8 +562,8 @@ class TestRunOrder:
         # per filter
         pool = model.layers[2]
         pooled_in = first.forward(batch).copy()
-        assert pool._pool_major and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
-        offsets = np.stack(layers._pool_views(pooled_in, 2, pool._pool_major))
+        assert pool._conv is first and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
+        offsets = np.stack(layers._pool_views(pooled_in, 2, True))
         peaks = offsets.max(axis=0)
         ties = (offsets == peaks).sum(axis=0) > 1
         assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
@@ -628,30 +637,18 @@ def _without_bias(conv):
     return fresh
 
 
-def _conv_conv_pool_config():
-    """A convolution that feeds another convolution, which stays raster,
-    before one that feeds a pool: 9 -> 7 -> 5, cropped to 4 -> 2."""
-    return ModelConfig(
-        name="conv-conv-pool", arithmetic="real", encoding="rgb", input_size=9, in_channels=3,
-        layers=(LayerSpec("conv", 2), LayerSpec("relu"), LayerSpec("conv", 2),
-                LayerSpec("relu"), LayerSpec("maxpool", pool=2),
-                LayerSpec("flatten"), LayerSpec("dense", 1)),
-    )
-
-
 POOL_MAJOR_CONFIGS = {
     "real-13": lambda: _tiny_config("real", input_size=13),
     "quaternion-13": lambda: _tiny_config("quaternion", input_size=13),
     "real-12": lambda: _tiny_config("real", input_size=12),
     "real-pool3": lambda: _pool3_config("real"),
     "quaternion-pool3": lambda: _pool3_config("quaternion"),
-    "real-conv-conv-pool": _conv_conv_pool_config,
 }
 
 
 class TestPoolMajor:
-    """In a ``Model`` each convolution that feeds a max pool computes only
-    the positions the pool reads, in window-offset order and without its
+    """In a ``Model`` each convolution computes only the positions its
+    block's max pool reads, in window-offset order and without its
     bias, which the pool adds to its maxima before the ReLU; the result
     must be that of the same layers run standalone on raster batches, in
     declaration order."""
@@ -684,7 +681,7 @@ class TestPoolMajor:
         pool_inputs = []
         for layer in model.run_order:
             if isinstance(layer, MaxPool2d):
-                assert layer._pool_major
+                assert layer._conv is not None
                 pool_inputs.append(h)
             h = layer.forward(h)
         logits = h
@@ -739,7 +736,7 @@ class TestPoolMajor:
         size = config.input_size
         batch = rng.integers(-1, 2, (*lead, config.in_channels, size, size, 3)).astype(np.float64)
         conv, pool = model.layers[0], model.layers[2]
-        assert pool._relu and pool._conv is conv
+        assert pool._conv is conv
         raster = _without_bias(conv).forward(batch)
         pooled_in = conv.forward(batch)
         out = pool.forward(pooled_in)
@@ -761,12 +758,11 @@ class TestPoolMajor:
             assert np.array_equal(graster[..., i], expect_gx)
 
     def test_only_a_convolution_before_a_pool_is_pool_major(self):
-        first, _, second, *_ = Model(_conv_conv_pool_config()).layers
-        assert first._pool is None and second._pool == 2
         model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(83))
         convs = [layer for layer in model.layers if isinstance(layer, QConv2d)]
+        pools = [layer for layer in model.layers if isinstance(layer, MaxPool2d)]
         assert [conv._pool for conv in convs] == [2, 2, 2]
-        assert all(pool._pool_major for pool in model.layers if isinstance(pool, MaxPool2d))
+        assert [pool._conv for pool in pools] == convs
         x = np.random.default_rng(84).uniform(-1, 1, (4, 1, 24, 24, 2)).astype(np.float32)
         assert convs[0].forward(x).shape == (4, 8, 2, 2, 11, 11, 2)
         # standalone, and the real convolution that as_block_conv returns,
@@ -800,37 +796,6 @@ class TestPoolBias:
         logits = model.forward(x)
         assert logits.dtype == h.dtype == np.float32
         assert logits.tobytes() == h.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_a_pool_without_a_relu_and_a_relu_without_a_convolution(self, n):
-        # conv -> pool: the pool adds the bias and does not rectify; relu ->
-        # pool after a pool: the second pool rectifies a raster batch and
-        # adds no bias. Integer data keeps every sum exact.
-        config = ModelConfig(
-            name="conv-pool-relu-pool", arithmetic="real", encoding="rgb", input_size=13,
-            in_channels=3,
-            layers=(LayerSpec("conv", 2), LayerSpec("maxpool", pool=2), LayerSpec("relu"),
-                    LayerSpec("maxpool", pool=2), LayerSpec("flatten"), LayerSpec("dense", 1)),
-        )
-        rng = np.random.default_rng(86)
-        model = Model(config, dtype=np.float64)
-        model.theta[...] = rng.integers(-1, 2, model.theta.size)
-        first, second = (layer for layer in model.layers if isinstance(layer, MaxPool2d))
-        assert (first._conv, first._relu, first._pool_major) == (model.layers[0], False, True)
-        assert (second._conv, second._relu, second._pool_major) == (None, True, False)
-        assert ReLU not in map(type, model.run_order)
-        x = rng.integers(-2, 3, (3, n, 13, 13)).astype(np.float64)
-        dlogits = rng.integers(-2, 3, n).astype(np.float64)
-        twin = _raster_twin(model)
-        h, g = np.ascontiguousarray(np.moveaxis(x, -3, -1)), dlogits
-        for layer in twin:
-            h = layer.forward(h)
-        for layer in reversed(twin):
-            g = layer.backward(g)
-        model.zero_grads()
-        assert model.forward(x).tobytes() == h.tobytes()
-        model.backward(dlogits)
-        assert np.array_equal(model.grad, np.concatenate([layer.grad for layer in twin]))
 
     def test_a_bias_that_rounds_a_window_flat_routes_to_its_maximum(self):
         # a 1x1 identity convolution, so the pool sees the input itself
@@ -962,18 +927,21 @@ class TestCountParameters:
         assert abs(qv / rv - 0.343) < 0.001
 
     def test_trivial_conv(self):
+        # one block of a 1x1 convolution with one filter: 2x2 -> 2x2 -> 1x1
         config = ModelConfig(
-            name="one", arithmetic="real", encoding="rgb", input_size=1,
-            in_channels=1, layers=(LayerSpec("conv", filters=1, kernel=1),),
+            name="one", arithmetic="real", encoding="rgb", input_size=2, in_channels=1,
+            layers=(LayerSpec("conv", filters=1, kernel=1), LayerSpec("relu"),
+                    LayerSpec("maxpool", pool=2), LayerSpec("flatten"), LayerSpec("dense", 1)),
         )
-        assert count_parameters(config) == ([2], 2)
+        assert count_parameters(config) == ([2, 2], 4)
 
     @pytest.mark.parametrize("size,specs,match", [
         (4, rvcnn_config().layers, "conv kernel 3 does not fit input 1x1"),
-        (5, (LayerSpec("conv", 1), LayerSpec("maxpool", pool=4)),
+        (5, (LayerSpec("conv", 1), LayerSpec("relu"), LayerSpec("maxpool", pool=4),
+             LayerSpec("flatten"), LayerSpec("dense", 1)),
          "pool window 4 does not fit input 3x3"),
-        (5, (LayerSpec("conv", 1), LayerSpec("dense", 1)), "dense before flatten"),
-        (5, (LayerSpec("conv", 1), LayerSpec("avgpool")), "unknown layer kind 'avgpool'"),
+        (5, (LayerSpec("conv", 1), LayerSpec("dense", 1)), _refusal("conv", "conv", "dense")),
+        (5, (LayerSpec("conv", 1), LayerSpec("avgpool")), _refusal("conv", "conv", "avgpool")),
     ], ids=["conv-too-big", "pool-too-big", "dense-before-flatten", "unknown-kind"])
     def test_inconsistent_config_raises(self, size, specs, match):
         config = ModelConfig(
@@ -999,23 +967,24 @@ class TestShapeChain:
     # rectifies its input in place: a first layer that is no convolution
     # would return no input gradient it owes and could overwrite the
     # caller's batch
-    @pytest.mark.parametrize("size,specs,first", [
-        (24, (), "none"),
-        (24, (LayerSpec("relu"), *rvcnn_config().layers), "relu"),
-        (48, (LayerSpec("maxpool"), *rvcnn_config().layers), "maxpool"),
+    @pytest.mark.parametrize("size,specs", [
+        (24, ()),
+        (24, (LayerSpec("relu"), *rvcnn_config().layers)),
+        (48, (LayerSpec("maxpool"), *rvcnn_config().layers)),
     ], ids=["no-layers", "relu-first", "maxpool-first"])
-    def test_first_layer_must_be_a_convolution(self, size, specs, first):
+    def test_first_layer_must_be_a_convolution(self, size, specs):
         config = ModelConfig(name="bad", arithmetic="real", encoding="rgb",
                              input_size=size, in_channels=3, layers=specs)
-        match = f"first layer must be conv or qconv, got {first}"
+        match = _refusal("conv", *(spec.kind for spec in specs))
         with pytest.raises(ValueError, match=match):
             trace_shapes(config)
         with pytest.raises(ValueError, match=match):
             Model(config)
 
     @pytest.mark.parametrize("arithmetic,conv,match", [
-        ("real", "qconv", "layers hold a qconv layer, but arithmetic is 'real'"),
-        ("quaternion", "conv", "layers hold a conv layer, but arithmetic is 'quaternion'"),
+        ("real", "qconv", _refusal("conv", *["qconv", "relu", "maxpool"] * 2, "flatten", "dense")),
+        ("quaternion", "conv",
+         _refusal("qconv", *["conv", "relu", "maxpool"] * 2, "flatten", "dense")),
         ("complex", "conv", "arithmetic must be 'real' or 'quaternion', got 'complex'"),
     ], ids=["qconv-under-real", "conv-under-quaternion", "complex"])
     def test_fields_that_contradict_each_other_raise(self, arithmetic, conv, match):
@@ -1024,6 +993,28 @@ class TestShapeChain:
                              layers=layers._conv_stack(conv, (2, 2)))
         for check in (trace_shapes, Model, lambda c: chunk_size(c, 16)):
             with pytest.raises(ValueError, match=match):
+                check(config)
+
+    # the first three are chains a Model once wired and no config builds:
+    # a convolution feeding another convolution, a pool without a ReLU
+    # followed by a ReLU that no convolution feeds, and a block without
+    # its ReLU
+    @pytest.mark.parametrize("arithmetic,kinds", [
+        ("real", ("conv", "relu", "conv", "relu", "maxpool", "flatten", "dense")),
+        ("real", ("conv", "maxpool", "relu", "maxpool", "flatten", "dense")),
+        ("real", ("conv", "maxpool", "flatten", "dense")),
+        ("real", ("flatten", "dense")),
+        ("real", ("conv", "relu", "maxpool", "flatten")),
+        ("real", ("conv", "relu", "maxpool", "flatten", "dense", "relu")),
+        ("quaternion", ("conv", "relu", "maxpool", "flatten", "dense")),
+    ], ids=["conv-conv-pool", "conv-pool-relu-pool", "no-relu", "no-blocks", "no-dense",
+            "layer-after-dense", "conv-under-quaternion"])
+    def test_only_conv_relu_pool_blocks_are_accepted(self, arithmetic, kinds):
+        conv_kind = "qconv" if arithmetic == "quaternion" else "conv"
+        config = ModelConfig(name="bad", arithmetic=arithmetic, encoding="rgb", input_size=13,
+                             in_channels=3, layers=tuple(LayerSpec(kind, 2) for kind in kinds))
+        for check in (trace_shapes, Model, lambda c: chunk_size(c, 16)):
+            with pytest.raises(ValueError, match=_refusal(conv_kind, *kinds)):
                 check(config)
 
     def test_config_from_name(self):
