@@ -22,20 +22,29 @@ axis last once per batch and returns its (N,) logits.
 
 Real convolutions are valid cross-correlations (no kernel flip, no
 padding, stride 1) built on an im2col + matmul core: one im2col and one
-GEMM per batch. The input gradient is the transposed GEMM on the output
-gradient zero-padded to the input width, scattered back with one
-contiguous add per tap over the flat (P, H*W*N) planes; the taps that
-wrap past a row's end fall on the pad columns and add exact zeros.
+GEMM per batch.
 A ``Model`` is a chain of (convolution, ReLU, max pool) blocks, and in
 it each convolution is pool-major: for its block's pool of window p,
 its im2col columns are the p*(OH//p) x p*(OW//p) output positions that
 the pool reads, in (window row offset, window column offset, row,
 column, sample) order, so the GEMM writes an (F, p, p, PH, PW, N)
-output, (4, F, p, p, PH, PW, N) for a quaternion layer. Its input
-gradient first puts the p*p offset blocks back into the raster
-zero-padded array with one strided copy each. A standalone
+output, (4, F, p, p, PH, PW, N) for a quaternion layer. A standalone
 convolution, p = 1, keeps the raster (F, OH, OW, N) output and the
 single im2col copy.
+The input gradient is the transposed GEMM on the output gradient in
+raster order, with the p*p offset blocks put back by one strided copy
+each, scattered back with one add per tap, in one of two forms. The
+compact form runs on just the p*PH x p*PW positions the pool reads and
+adds each tap into a zeroed input gradient as one 2-D strided add. The
+flat form runs on the output gradient zero-padded to OH rows of the
+input width and adds each tap as one contiguous add over the flat
+(P, H*W*N) planes; the taps that wrap past a row's end, and those of
+positions no pool reads, fall on the pad and add exact zeros. The
+compact form skips that pad, (W - p*PW)*N floats per pooled row, but
+its adds pay per row; it runs where the pad is 12 floats or more, so
+at 24x24 on chunks of 4 or more (conv2) and 8 or more (conv3), and the
+100x100 path keeps the flat form. Both sum the same products in the
+same tap order and give the same bits.
 The patch matrix carries one extra row of ones, which the forward GEMM
 does not read, so the weight-gradient GEMM yields the bias gradient as
 its last row. That GEMM sums its long inner dimension (OH*OW*N) in
@@ -215,7 +224,35 @@ def _correlate(x: np.ndarray, w: np.ndarray, p: int, buf: np.ndarray):
     their row of ones, which the GEMM does not read."""
     f, _, k, _ = w.shape
     cols = _im2col(x.reshape(-1, *x.shape[-3:]), k, p, buf)
+    # The GEMM skips the row of ones. Reading it would add the bias here
+    # (K = P*k*k + 1), but OpenBLAS 0.3.31 sgemm sums some inner sizes in
+    # another order at two threads than at one: K = 500, 513, 577, 600, 700
+    # and 769 give other bits, K = 27, 28, 256, 288, 289, 384, 400, 511,
+    # 512, 576, 640 and 768 the same. conv3 would run at K = 577, and a
+    # trained model would depend on the BLAS thread count.
     return w.reshape(f, -1) @ cols[:-1], cols
+
+
+# The fewest floats of pad per pooled row, (W - p*PW)*N, at which a
+# convolution's input gradient leaves out the output positions its pool
+# does not read. Below it, the flat form's contiguous shifted adds cost
+# less than the nine 2-D adds of short rows; at 24x24 that holds for
+# chunks of 1-2 (conv2) and 1-4 (conv3) samples, and at 100x100 always.
+_PAD_FLOATS = 12
+
+
+def _grad_raster(h: int, w: int, k: int, p: int, n: int) -> tuple[int, int]:
+    """(rows, columns) of the output-gradient raster on which the input
+    gradient of a k x k correlation of an (H, W) input, pooled by window
+    p, runs its taps GEMM for N samples: the p*PH x p*PW positions that
+    the pool reads, or, where they leave fewer than ``_PAD_FLOATS``
+    floats of pad per row, the OH x W zero-padded raster of the flat
+    form."""
+    oh, ow = h - k + 1, w - k + 1
+    cols = p * (ow // p)
+    if (w - cols) * n < _PAD_FLOATS:
+        return oh, w
+    return p * (oh // p), cols
 
 
 def _hamilton_tables():
@@ -389,9 +426,9 @@ class _Correlation(_WeightedLayer):
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
         # The patches and their row of ones, P*k*k + 1 rows of p*p*PH*PW*N,
-        # and the taps that backward writes over them, P*k*k rows of
-        # OH*W*N. The buffer is kept from batch to batch, so the largest
-        # arrays of a training step are not allocated per chunk.
+        # and the taps that backward writes over them, P*k*k rows of at
+        # most OH*W*N. The buffer is kept from batch to batch, so the
+        # largest arrays of a training step are not allocated per chunk.
         size = max(w[0].size * oh * wd, (w[0].size + 1) * p * p * ph * pw) * n
         dtype = np.result_type(x, w)
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
@@ -418,28 +455,42 @@ class _Correlation(_WeightedLayer):
         self._fold(grads[:-1].T.reshape(w.shape), grads[-1])
         if not input_grad:
             return None
-        # With g zero-padded to the raster input width W, tap (di, dj) of
-        # flat output position t lands on flat input position
-        # t + (di*W + dj)*N. The taps that wrap past a row's end come from
-        # pad columns and add exact zeros, so each input element gets the
-        # nonzero terms of a per-tap strided scatter in the same (di, dj)
-        # order. Output rows and columns that no pool window reads were not
-        # computed and stay zero in the pad.
+        # The taps GEMM runs on g put back in raster order, with each of
+        # the p*p offset blocks in one strided copy, in one of two forms
+        # that ``_grad_raster`` picks from the shapes alone:
+        # - compact: the p*PH x p*PW positions the pool reads, and one 2-D
+        #   strided add per tap (di, dj) into a zeroed input gradient.
+        # - flat: g zero-padded to OH rows of the input width W, so tap
+        #   (di, dj) of flat output position t lands on flat input position
+        #   t + (di*W + dj)*N, one contiguous add per tap. The taps that
+        #   wrap past a row's end, and those of the positions no pool
+        #   window reads, come from the pad and add exact zeros.
+        # Either way each input element sums the same nonzero products in
+        # the same (di, dj) order, so both give the same bits.
         h, wd, n = x_shape[-3:]
         p = self._pool or 1
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
-        gpad = np.zeros((f, oh, wd, n), dtype=g.dtype)
+        rows, cols = _grad_raster(h, wd, k, p, n)
+        flat = cols == wd  # the compact raster is narrower than the input
+        graster = (np.zeros if flat else np.empty)((f, rows, cols, n), dtype=g.dtype)
         offsets = g.reshape(f, p, p, ph, pw, n)
         for a in range(p):
             for b in range(p):
-                gpad[:, a:p * ph:p, b:p * pw:p] = offsets[:, a, b]
+                graster[:, a:p * ph:p, b:p * pw:p] = offsets[:, a, b]
         wt = w.reshape(f, -1).T
-        size = oh * wd * n
+        size = rows * cols * n
         taps = self._buf[:wt.shape[0] * size].reshape(wt.shape[0], -1)
-        if taps.dtype != np.result_type(wt, gpad):
+        if taps.dtype != np.result_type(wt, graster):
             taps = None  # a g of another dtype gets a fresh product in its own dtype
-        taps = np.matmul(wt, gpad.reshape(f, -1), out=taps)
+        taps = np.matmul(wt, graster.reshape(f, -1), out=taps)
+        if not flat:
+            taps = taps.reshape(-1, k, k, rows, cols, n)
+            gx = np.zeros((taps.shape[0], h, wd, n), dtype=taps.dtype)
+            for di in range(k):
+                for dj in range(k):
+                    gx[:, di:di + rows, dj:dj + cols] += taps[:, di, dj]
+            return gx.reshape(x_shape)
         taps = taps.reshape(-1, k, k, size)
         gx = np.empty((taps.shape[0], h * wd * n), dtype=taps.dtype)
         gx[:, :size] = taps[:, 0, 0]

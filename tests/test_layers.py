@@ -206,6 +206,23 @@ def _random_correlation(kind, c, f, k, dtype, rng):
     return layer, lead
 
 
+def _raster_scatter(g, f, p, oh, ow):
+    """The (F, OH, OW, N) raster of an output gradient ``g`` of F planes:
+    g itself at p = 1, and at p > 1 its pool-major (F, p, p, PH, PW, N)
+    offset blocks put back on the positions a pool of window p reads,
+    with zeros elsewhere."""
+    n = g.shape[-1]
+    if p == 1:
+        return g.reshape(f, oh, ow, n)
+    ph, pw = oh // p, ow // p
+    raster = np.zeros((f, oh, ow, n), dtype=g.dtype)
+    offsets = g.reshape(f, p, p, ph, pw, n)
+    for a in range(p):
+        for b in range(p):
+            raster[:, a:p * ph:p, b:p * pw:p] = offsets[:, a, b]
+    return raster
+
+
 class TestConvInputGradient:
     """The input gradient of Conv2d and QConv2d: against a per-tap oracle,
     and bit for bit against the transposed GEMM scattered by the
@@ -228,27 +245,64 @@ class TestConvInputGradient:
         assert gx.shape == x.shape and gx.dtype == dtype
         assert norm_rel_err(gx, oracle(g, layer.w, (h, w))) < tol
 
-    # the conv2 and conv3 planes of both architectures at 100x100, then
-    # k = 1, 3, 5 on a 9x11 plane; N = 1 and 4
-    @pytest.mark.parametrize("kind,c,f,h,w,k,n", [
-        ("conv", 32, 64, 49, 49, 3, 1), ("conv", 32, 64, 49, 49, 3, 4),
-        ("conv", 64, 128, 23, 23, 3, 1), ("conv", 64, 128, 23, 23, 3, 4),
-        ("qconv", 8, 16, 49, 49, 3, 1), ("qconv", 8, 16, 49, 49, 3, 4),
-        ("qconv", 16, 32, 23, 23, 3, 1), ("qconv", 16, 32, 23, 23, 3, 4),
-        ("conv", 4, 6, 9, 11, 1, 4), ("conv", 4, 6, 9, 11, 3, 1),
-        ("conv", 4, 6, 9, 11, 5, 4), ("qconv", 2, 3, 9, 11, 1, 1),
-        ("qconv", 2, 3, 9, 11, 3, 4), ("qconv", 2, 3, 9, 11, 5, 1),
-    ])
-    def test_bit_identical_to_col2im_form(self, kind, c, f, h, w, k, n):
+    # (kind, C, F, H, W, k, p, N). Standalone (p = 1): the conv2 and conv3
+    # planes of both architectures at 100x100, then k = 1, 3, 5 on a 9x11
+    # plane, at N = 1 and 4, and k = 3 at N = 8. Pooled (p = 2): conv2 (OW = 9) and conv3
+    # (OW = 2) at 24x24 for N = 1, 2, 8, 16, and at 100x100 (OW = 47, 21)
+    # for N = 1; p = 3 on 10x12 (OW = 10) and 9x11 (OW = 9) planes.
+    BIT_CASES = [
+        ("conv", 32, 64, 49, 49, 3, 1, 1), ("conv", 32, 64, 49, 49, 3, 1, 4),
+        ("conv", 64, 128, 23, 23, 3, 1, 1), ("conv", 64, 128, 23, 23, 3, 1, 4),
+        ("qconv", 8, 16, 49, 49, 3, 1, 1), ("qconv", 8, 16, 49, 49, 3, 1, 4),
+        ("qconv", 16, 32, 23, 23, 3, 1, 1), ("qconv", 16, 32, 23, 23, 3, 1, 4),
+        ("conv", 4, 6, 9, 11, 1, 1, 4), ("conv", 4, 6, 9, 11, 3, 1, 1),
+        ("conv", 4, 6, 9, 11, 5, 1, 4), ("qconv", 2, 3, 9, 11, 1, 1, 1),
+        ("qconv", 2, 3, 9, 11, 3, 1, 4), ("qconv", 2, 3, 9, 11, 5, 1, 1),
+        ("conv", 4, 6, 9, 11, 3, 1, 8),
+        *[(kind, c, f, h, h, 3, 2, n)
+          for kind, c, f, h in (("conv", 32, 64, 11), ("conv", 64, 128, 4),
+                                ("qconv", 8, 16, 11), ("qconv", 16, 32, 4))
+          for n in (1, 2, 8, 16)],
+        ("conv", 32, 64, 49, 49, 3, 2, 1), ("conv", 64, 128, 23, 23, 3, 2, 1),
+        ("qconv", 8, 16, 49, 49, 3, 2, 1), ("qconv", 16, 32, 23, 23, 3, 2, 1),
+        ("conv", 4, 6, 10, 12, 3, 3, 1), ("conv", 4, 6, 10, 12, 3, 3, 8),
+        ("qconv", 2, 3, 9, 11, 3, 3, 1), ("qconv", 2, 3, 9, 11, 3, 3, 8),
+    ]
+
+    @pytest.mark.parametrize("kind,c,f,h,w,k,p,n", BIT_CASES)
+    def test_bit_identical_to_col2im_form(self, kind, c, f, h, w, k, p, n):
+        # a pooled layer's pool-major g is scattered onto the raster
+        # (F, OH, OW, N) output, zero where the pool reads nothing; a signed
+        # zero must match too
         rng = np.random.default_rng(42)
         layer, lead = _random_correlation(kind, c, f, k, np.float32, rng)
+        layer._pool = p if p > 1 else None
         x = rng.uniform(-1, 1, (*lead, h, w, n)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
         gx = layer.backward(g)
         kernel = layer.w if kind == "conv" else as_block_conv(layer).w
-        planes, gmat = kernel.reshape(kernel.shape[0], -1), g.reshape(kernel.shape[0], -1)
-        expect = col2im_oracle(planes.T @ gmat, (kernel.shape[1], h, w, n), k)
-        assert np.array_equal(gx, expect.reshape(x.shape))
+        planes = kernel.reshape(kernel.shape[0], -1)
+        gmat = _raster_scatter(g, kernel.shape[0], p, h - k + 1, w - k + 1)
+        expect = col2im_oracle(planes.T @ gmat.reshape(kernel.shape[0], -1),
+                               (kernel.shape[1], h, w, n), k)
+        assert gx.shape == x.shape and gx.tobytes() == expect.tobytes()
+
+    def test_bit_cases_run_both_forms(self):
+        # each pool window runs the flat and the compact form above
+        forms = {(p, layers._grad_raster(h, w, k, p, n)[1] == w)
+                 for _, _, _, h, w, k, p, n in self.BIT_CASES if k == 3}
+        assert forms == {(p, flat) for p in (1, 2, 3) for flat in (True, False)}
+
+    # (H = W, N) -> the raster the taps GEMM runs on, for the p = 2, k = 3
+    # convolutions of the reference configs: the pad (W - 2*PW)*N is 3N
+    # for conv2 at 24x24 and 2N for conv3, and 3 for both at 100x100
+    @pytest.mark.parametrize("h,n,raster", [
+        (11, 1, (9, 11)), (11, 2, (9, 11)), (11, 4, (8, 8)), (11, 16, (8, 8)),
+        (4, 1, (2, 4)), (4, 4, (2, 4)), (4, 8, (2, 2)), (4, 16, (2, 2)),
+        (49, 1, (47, 49)), (23, 1, (21, 23)),
+    ])
+    def test_form_follows_the_pad_per_pooled_row(self, h, n, raster):
+        assert layers._grad_raster(h, h, 3, 2, n) == raster
 
 
 class TestPatchBuffer:
@@ -256,10 +310,14 @@ class TestPatchBuffer:
     batch to batch, and its backward writes the input-gradient taps over
     them."""
 
+    # standalone, the sizes run the flat form but the last; pooled by 2,
+    # the compact form but the third
+    @pytest.mark.parametrize("pool", [None, 2])
     @pytest.mark.parametrize("kind", ["conv", "qconv"])
-    def test_batches_of_any_size_match_a_fresh_layer(self, kind):
+    def test_batches_of_any_size_match_a_fresh_layer(self, kind, pool):
         rng = np.random.default_rng(44)
         layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
+        layer._pool = pool
         buffers = []
         for n in (4, 4, 1, 6):  # the same size again, a smaller one, a larger one
             x = rng.uniform(-1, 1, (*lead, 9, 11, n)).astype(np.float32)
@@ -268,7 +326,7 @@ class TestPatchBuffer:
             layer.grad.fill(0)
             gx = layer.backward(g)
             fresh = type(layer)(2, 3, 3, dtype=np.float32)
-            fresh.theta[...] = layer.theta
+            fresh.theta[...], fresh._pool = layer.theta, pool
             assert np.array_equal(out, fresh.forward(x))
             assert np.array_equal(gx, fresh.backward(g))
             assert np.array_equal(layer.grad, fresh.grad)
@@ -276,6 +334,29 @@ class TestPatchBuffer:
             with pytest.raises(RuntimeError, match="needs a forward of its own"):
                 layer.backward(g)  # the taps have overwritten the patches
         assert buffers[0] is buffers[1] is buffers[2] is not buffers[3]
+
+    # pooled by 2 on a 9x11 plane, the pad is 3N floats per pooled row:
+    # N = 1 runs the flat form on the 7 x 11 zero-padded raster, N = 6
+    # the compact form on the 6 x 8 positions the pool reads
+    @pytest.mark.parametrize("n,raster", [(1, (7, 11)), (6, (6, 8))])
+    @pytest.mark.parametrize("kind", ["conv", "qconv"])
+    def test_taps_overwrite_the_patches_in_both_forms(self, kind, n, raster):
+        rng = np.random.default_rng(47)
+        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
+        layer._pool = 2
+        x = rng.uniform(-1, 1, (*lead, 9, 11, n)).astype(np.float32)
+        g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
+        buf = layer._buf
+        layer.backward(g)
+        assert layer._buf is buf
+        kernel = layer.w if kind == "conv" else as_block_conv(layer).w
+        f = kernel.shape[0]
+        rows, cols = raster
+        assert layers._grad_raster(9, 11, 3, 2, n) == raster
+        gpad = np.zeros((f, rows, cols, n), dtype=np.float32)
+        gpad[:, :6, :8] = _raster_scatter(g, f, 2, 7, 9)[:, :6, :8]
+        taps = kernel.reshape(f, -1).T @ gpad.reshape(f, -1)
+        assert buf[:taps.size].tobytes() == taps.tobytes()
 
     @pytest.mark.parametrize("kind", ["conv", "qconv"])
     def test_input_gradient_keeps_the_dtype_of_g(self, kind):
