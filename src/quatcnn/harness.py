@@ -168,6 +168,13 @@ class ExperimentPlan:
         for f in self.fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"test fractions must be in (0, 1), got {f}")
+        # a cell is keyed by (config, repr(fraction), run), so a repeat would
+        # train the same cell again
+        for field, keys in (("config", list(self.configs)),
+                            ("fraction", [repr(f) for f in self.fractions])):
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {field} in the plan: {', '.join(repeated)}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.epochs < 0:
@@ -443,8 +450,12 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     "__main__":``. A directory written under other ``_PLAN_FIELDS``, another
     manifest or another ``RESULTS_VERSION`` raises ``ValueError`` before
     anything runs; more runs, configs or fractions, or other ``jobs``,
-    resume. Finishes by re-emitting the canonical, sorted report.
+    resume. A fraction that leaves either side of the manifest's split
+    empty raises ``ValueError`` before anything is written. Finishes by
+    re-emitting the canonical, sorted report.
     """
+    for fraction in plan.fractions:  # split's counts do not depend on the seed
+        split(manifest, fraction, plan.base_seed, plan.stratify)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_plan(plan, manifest, out_dir)

@@ -2,9 +2,10 @@
 two reference architectures, and the model container.
 
 Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
-the one shape rule for a config, and ``Model`` builds each layer from
-one kind -> constructor table. A model's parameters are one flat
-``theta`` and their gradients one flat ``grad``, in declaration order.
+the one shape rule for a config, and ``Model`` builds each (convolution,
+ReLU, max pool) block, then flatten and dense, from its rows. A model's
+parameters are one flat ``theta`` and their gradients one flat
+``grad``, in declaration order.
 A weighted layer's ``w`` and ``bias`` are reshaped views of its slice of
 ``theta``, and its ``grad_w`` and ``grad_bias`` the same views of
 ``grad``; a quaternion layer's four weight banks are one (4, F, C, k, k)
@@ -57,33 +58,34 @@ quaternions, once per batch; its weight gradient folds back into the
 banks through the inverse tables, once per batch. ``as_block_conv``
 returns that block kernel as the equivalent ``Conv2d``.
 
-Max pooling takes the maximum over the window**2 views of its input,
+A max pool is built with the convolution of its block, which it sets
+to its window, and takes only that convolution's pool-major output. It
+takes the maximum over the window**2 contiguous blocks of that output,
 one per window offset, into one array in offset order, with the stride
 equal to the window, so windows never overlap. The reference configs
 use a 2x2 window and drop trailing odd rows/columns, which is what
 makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and
 feed the dense layer exactly 12,800 values in both architectures; a
 pool-major convolution does not compute the dropped rows and columns
-at all. Its backward
-routes each window's gradient to the window's first maximum in
-row-major order, one pass over the window offsets, each writing
-straight into its view of the input gradient, in the input's layout.
-On a pool-major batch those views are contiguous blocks, and on a
-raster batch strided views.
+at all, and its input gradient takes nothing from them. The pool's
+backward routes each window's gradient to the window's first maximum
+in row-major order, one pass over the window offsets, each writing
+straight into its block of the input gradient.
 
-In a ``Model``, a convolution adds no bias: the pool of its block adds
-the bias to the maxima, a quarter of the elements, and then applies
-the block's ReLU in place, so the ReLUs leave ``Model.run_order``;
-configs and ``Model.layers`` keep declaration order. The logits keep
-their bits: rounding is monotone, so adding a per-channel constant
-commutes with the maximum and with ReLU. The pool's backward starts
-with the windows whose maximum exceeds minus the bias, which is
-exactly fl(max + bias) > 0, and routes each one's gradient to its
-first maximum before the bias; a window whose elements the bias rounds
-to one value sends it to its maximum, not to its first element. The
-pool caches its input and the maxima before the bias. Standalone
-layers run in declaration order give the same result, with a raster
-convolution output, its bias and a separate ReLU.
+A pool-major convolution adds no bias: the pool of its block adds the
+bias to the maxima, a quarter of the elements, and then applies the
+block's ReLU in place, so the ReLUs leave ``Model.run_order``; configs
+and ``Model.layers`` keep declaration order. The logits keep their
+bits: rounding is monotone, so adding a per-channel constant commutes
+with the maximum and with ReLU. The pool's backward starts with the
+windows whose maximum exceeds minus the bias, which is exactly
+fl(max + bias) > 0, and routes each one's gradient to its first
+maximum before the bias; a window whose elements the bias rounds to
+one value sends it to its maximum, not to its first element. The pool
+caches its input and the maxima before the bias. A pass in declaration
+order through raster convolutions with their bias, a ReLU and a raster
+max pool gives the same result; the tests build that reference from
+standalone convolutions and their own pooling oracle.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
@@ -298,20 +300,11 @@ def _fold_block(gw: np.ndarray, gblock: np.ndarray):
         gw += term
 
 
-def _pool_views(x: np.ndarray, window: int, pool_major: bool) -> list[np.ndarray]:
-    """The window**2 views of a batch, one per window offset in row-major
-    order; view d holds element d of every pooling window, as a
-    (..., PH, PW, N) array. Of a pool-major (..., window, window, PH, PW,
-    N) batch they are its contiguous blocks. Of a raster (..., H, W, N)
-    batch they are strided views, and trailing rows and columns that fill
-    no whole window are dropped."""
-    if pool_major:
-        return [x[..., a, b, :, :, :] for a in range(window) for b in range(window)]
-    h, w = x.shape[-3:-1]
-    if h < window or w < window:
-        raise ValueError(f"spatial size {h}x{w} smaller than pool window {window}")
-    rows, cols = window * (h // window), window * (w // window)
-    return [x[..., a:rows:window, b:cols:window, :] for a in range(window) for b in range(window)]
+def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
+    """The window**2 contiguous (..., PH, PW, N) blocks of a pool-major
+    (..., window, window, PH, PW, N) batch, one per window offset in
+    row-major order; block d holds element d of every pooling window."""
+    return [x[..., a, b, :, :, :] for a in range(window) for b in range(window)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +386,8 @@ class _Correlation(_WeightedLayer):
     quaternion one."""
 
     lead = ()
-    # The window of the max pool of this convolution's block in a
-    # ``Model``, or None for a standalone layer's raster output.
+    # The window of the max pool of this convolution's block, which that
+    # ``MaxPool2d`` sets, or None for a standalone layer's raster output.
     _pool = None
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
@@ -552,32 +545,27 @@ def as_block_conv(layer: QConv2d) -> Conv2d:
 
 class MaxPool2d(Layer):
     """Per-plane max pooling of a square ``window``, with stride
-    ``window``, over the H and W axes of a real (C, H, W, N) or
-    quaternion (4, C, H, W, N) batch. In a ``Model`` the pool of a block
-    takes its convolution's pool-major (..., window, window, PH, PW, N)
-    output instead, which has no bias, adds the bias to its maxima and
-    applies the block's ReLU to them in place. Both layouts give the
-    (..., PH, PW, N) raster output."""
+    ``window``, of the pool-major output of the convolution ``conv`` of
+    its block: a real (F, window, window, PH, PW, N) or quaternion
+    (4, F, window, window, PH, PW, N) batch without the bias, which the
+    pool adds to its maxima before it applies the block's ReLU to them
+    in place. Building the pool sets ``conv`` to that window. The output
+    is the (..., PH, PW, N) raster of the rectified maxima."""
 
-    # set by ``Model``: the convolution of the pool's block, whose
-    # pool-major output the pool takes and whose bias it adds
-    _conv = None
-
-    def __init__(self, window: int = 2):
-        self.window = window
+    def __init__(self, conv: _Correlation, window: int = 2):
+        self._conv, self.window = conv, window
+        conv._pool = window
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # the previous batch's input and maxima go before this batch's
         # are allocated, into the memory they free
         self._cache = None
-        views = _pool_views(x, self.window, self._conv is not None)
+        views = _pool_views(x, self.window)
         # in offset order, into one array: max(-0, +0) depends on the order
         peak = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
         for view in views[2:]:
             np.maximum(peak, view, out=peak)
         self._cache = (x, peak)
-        if self._conv is None:
-            return peak
         out = np.add(peak, self._conv.bias[..., None, None, None])
         return np.maximum(out, 0, out=out)
 
@@ -588,21 +576,14 @@ class MaxPool2d(Layer):
         ``free`` marks the windows whose maximum is still unclaimed. A
         window's maximum is one of its elements, so at the last offset
         every free window hits. Windows own disjoint input elements, so
-        each offset writes its routed gradient straight into its view of
-        ``gx``. In a ``Model``, a window starts free only if its rectified
-        output is positive: max + bias > 0 in exact arithmetic, which
-        rounding keeps, so the test is max > -bias."""
+        each offset writes its routed gradient straight into its block of
+        ``gx``. A window starts free only if its rectified output is
+        positive: max + bias > 0 in exact arithmetic, which rounding
+        keeps, so the test is max > -bias."""
         x, peak = self._forward_cache()
-        pool_major = self._conv is not None
         gx = np.empty(x.shape, dtype=g.dtype)
-        if pool_major:
-            free = np.greater(peak, np.negative(self._conv.bias[..., None, None, None]))
-        else:
-            free = np.ones(peak.shape, dtype=bool)
-            rows, cols = (self.window * size for size in peak.shape[-3:-1])
-            gx[..., rows:, :, :] = gx[..., cols:, :] = 0
-        views = _pool_views(x, self.window, pool_major)
-        gviews = _pool_views(gx, self.window, pool_major)
+        free = np.greater(peak, np.negative(self._conv.bias[..., None, None, None]))
+        views, gviews = _pool_views(x, self.window), _pool_views(gx, self.window)
         hit = np.empty(peak.shape, dtype=bool)
         for d, (view, gview) in enumerate(zip(views, gviews)):
             if d == len(views) - 1:
@@ -829,17 +810,6 @@ def chunk_size(config: ModelConfig, batch_size: int) -> int:
 # ---------------------------------------------------------------------------
 # the sequential model
 
-# layer kind -> constructor(spec, in_channels, flat_len, dtype); the kinds
-# and their shape rules are validated by trace_shapes
-_LAYER_BUILDERS = {
-    "conv": lambda spec, c, flat, dtype: Conv2d(c, spec.filters, spec.kernel, dtype),
-    "qconv": lambda spec, c, flat, dtype: QConv2d(c, spec.filters, spec.kernel, dtype),
-    "relu": lambda spec, c, flat, dtype: ReLU(),
-    "maxpool": lambda spec, c, flat, dtype: MaxPool2d(spec.pool),
-    "flatten": lambda spec, c, flat, dtype: Flatten(),
-    "dense": lambda spec, c, flat, dtype: Dense(flat, dtype),
-}
-
 
 class Model:
     """Sequential network built from a ModelConfig.
@@ -862,22 +832,23 @@ class Model:
                  dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
+        # trace_shapes admits only (conv, relu, maxpool) blocks, then flatten and dense
+        rows = trace_shapes(config)
+        conv_type = QConv2d if config.arithmetic == "quaternion" else Conv2d
         self.layers: list[Layer] = []
         in_channels = config.in_channels
-        for spec, channels, _, _, flat in trace_shapes(config):
-            self.layers.append(_LAYER_BUILDERS[spec.kind](spec, in_channels, flat, dtype))
+        for (spec, channels, *_), (pool, *_) in zip(rows[:-2:3], rows[2::3]):
+            conv = conv_type(in_channels, spec.filters, spec.kernel, dtype)
+            self.layers += [conv, ReLU(), MaxPool2d(conv, pool.pool)]
             in_channels = channels
+        self.layers += [Flatten(), Dense(rows[-1][4], dtype)]
         cuts = np.cumsum([layer.param_count for layer in self.layers])
         self.theta = np.zeros(cuts[-1], dtype=self.dtype)
         self.grad = np.zeros_like(self.theta)
         for layer, theta, grad in zip(self.layers, np.split(self.theta, cuts),
                                       np.split(self.grad, cuts)):
             layer.bind(theta, grad)
-        self.run_order = [layer for layer, spec in zip(self.layers, config.layers)
-                          if spec.kind != "relu"]
-        # trace_shapes admits only (conv, relu, maxpool) blocks, then flatten and dense
-        for conv, pool in zip(self.layers[::3], self.layers[2::3]):
-            conv._pool, pool._conv = pool.window, conv
+        self.run_order = [layer for layer in self.layers if not isinstance(layer, ReLU)]
         if rng is not None:
             self.initialize(rng)
 

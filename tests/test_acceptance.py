@@ -24,7 +24,7 @@ from quatcnn.harness import (
 )
 from testutil import (
     assert_close, norm_rel_err, random_quaternion,
-    qconv2d_oracle, qconv2d_hamilton_sum_oracle, layer_fd_check,
+    qconv2d_oracle, qconv2d_hamilton_sum_oracle, layer_fd_check, pool_major,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -134,7 +134,9 @@ def test_criterion_4_gradient_checks():
         qconv = QConv2d(2, 2, 3, dtype=np.float64)
         qconv.initialize(rng)
         layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 6, 6, 1)), rng)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6, 1)), rng)
+        # the pool of a convolution, on that convolution's pool-major output
+        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64))
+        layer_fd_check(pool, pool_major(rng.uniform(-1, 1, (3, 6, 6, 1)), 2), rng)
         layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5, 1)), rng)
         layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4, 1)), rng)
         dense = Dense(24, dtype=np.float64)

@@ -200,6 +200,21 @@ class TestPlanValidation:
             ExperimentPlan(configs=("rvcnn-rgb",), input_size=4)
         ExperimentPlan(configs=("rvcnn-rgb",), input_size=24)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(configs=("rvcnn-rgb",) * 2), "duplicate config in the plan: rvcnn-rgb$"),
+        (dict(configs=("qvcnn-rgb", "rvcnn-rgb", "qvcnn-rgb", "rvcnn-rgb")),
+         "duplicate config in the plan: qvcnn-rgb, rvcnn-rgb$"),
+        (dict(fractions=(0.5, 0.5)), "duplicate fraction in the plan: 0.5$"),
+        (dict(fractions=(0.3, 0.1 + 0.2, 0.30)), "duplicate fraction in the plan: 0.3$"),
+    ], ids=["config", "two-configs", "fraction", "fraction-by-repr"])
+    def test_duplicates_are_refused(self, fields, message):
+        # each would train its cells again under the same keys
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(**fields)
+
+    def test_fractions_that_differ_in_repr_are_distinct(self):
+        assert ExperimentPlan(fractions=(0.3, 0.1 + 0.2)).fractions == (0.3, 0.30000000000000004)
+
 
 class _StubModel:
     """Gives each sample of a (1, N, 1, 1) batch its one value as the logit."""
@@ -514,6 +529,24 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(smoke_plan(jobs=jobs), man, out, log=lambda *_: None)
         assert sorted(path.name for path in out.iterdir()) == ["plan.json", "runs.csv", "stats.csv"]
+
+    def test_a_duplicate_config_or_fraction_runs_nothing(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        with pytest.raises(ValueError, match="duplicate"):
+            run_experiment(smoke_plan(configs=("rvcnn-rgb",) * 2, fractions=(0.5, 0.5), runs=1),
+                           man, tmp_path / "out", log=lambda *_: None)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fraction_with_an_empty_side_runs_nothing(self, tmp_path, jobs):
+        # 0.01 of 10 images per class rounds to no test image; it is refused
+        # before the 0.5 runs, and before plan.json or runs.csv is written
+        man = load_manifest(make_fixture_dir(tmp_path, n=20))
+        ran = []
+        with pytest.raises(ValueError, match=r"test fraction 0\.01 leaves an empty side"):
+            run_experiment(smoke_plan(fractions=(0.5, 0.01), runs=1, jobs=jobs), man,
+                           tmp_path / "out", log=ran.append)
+        assert ran == [] and not (tmp_path / "out").exists()
 
     def test_resume_skips_everything(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
@@ -994,12 +1027,14 @@ class TestCli:
         (["count-params", "--input-size", "5"], ""),
         (["train", "--config", "rvcnn-rgb"],
          "no dataset directory: pass --data or set QUATCNN_DATA$"),
-        (["sweep", "--data", "{tmp}/data", "--input-size", "24"],
+        (["sweep", "--data", "{tmp}/data", "--input-size", "24", "--fractions", "0.5"],
          r".*Im001_0\.ppm: ascii samples must lie in \[0, 255\]$"),
         (["synth-data", "--size", "0"], "size must be >= 1, got 0$"),
         (["synth-data", "--n", "-3"], "n must be >= 0, got -3$"),
+        (["sweep", "--configs", "rvcnn-rgb", "rvcnn-rgb"],
+         "duplicate config in the plan: rvcnn-rgb$"),
     ], ids=["bad-fraction", "missing-data-dir", "input-too-small", "missing-data",
-            "p3-sample-out-of-range", "synth-size-0", "synth-negative-n"])
+            "p3-sample-out-of-range", "synth-size-0", "synth-negative-n", "duplicate-config"])
     def test_bad_input_exits_with_an_error(self, tmp_path, monkeypatch, argv, message):
         monkeypatch.delenv("QUATCNN_DATA", raising=False)
         if "{tmp}/data" in argv:

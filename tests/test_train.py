@@ -15,7 +15,9 @@ from quatcnn.train import (
     Adam, Samples, bce_with_logits, grad_check, train_model, _minibatch,
     run_gradient_verification, _tiny_config,
 )
-from testutil import assert_close, bce_oracle, grad_arrays, layer_fd_check
+from testutil import (
+    assert_close, bce_oracle, grad_arrays, layer_fd_check, pool_major, from_pool_major,
+)
 
 
 class TestGlorot:
@@ -187,7 +189,11 @@ class TestLayerGradients:
     @pytest.mark.parametrize("rep", range(3))
     def test_maxpool(self, rep):
         rng = np.random.default_rng(300 + rep)
-        layer_fd_check(MaxPool2d(), rng.uniform(-1, 1, (3, 6, 6, 2)), rng)
+        # the pool-major blocks of a 6x6 plane, pooled with a bias
+        x = pool_major(rng.uniform(-1, 1, (3, 6, 6, 2)), 2)
+        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64))
+        pool._conv.bias[...] = rng.uniform(-0.5, 0.5, 3)
+        layer_fd_check(pool, x, rng)
 
     @pytest.mark.parametrize("rep", range(3))
     def test_relu(self, rep):
@@ -227,18 +233,18 @@ class TestBackwardClosedForms:
         assert np.array_equal(gv, [2.0 * layer.w, -3.0 * layer.w])
 
     def test_maxpool_tie_routes_to_first_row_major(self):
-        layer = MaxPool2d()
+        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64))
         x = np.full((1, 2, 2, 1), 5.0)
-        layer.forward(x)
-        g = layer.backward(np.array([[[[1.0]]]]))
+        layer.forward(pool_major(x, 2))
+        g = from_pool_major(layer.backward(np.array([[[[1.0]]]])))
         assert g[0, 0, 0, 0] == 1.0
         assert np.all(g.reshape(-1)[1:] == 0)
 
     def test_maxpool_routes_to_argmax(self):
-        layer = MaxPool2d()
+        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64))
         x = np.array([[[1.0, 7.0], [7.0, 0.0]]])[..., None]
-        layer.forward(x)
-        g = layer.backward(np.array([[[[2.0]]]]))
+        layer.forward(pool_major(x, 2))
+        g = from_pool_major(layer.backward(np.array([[[[2.0]]]])))
         assert g[0, 0, 1, 0] == 2.0  # (0, 1) precedes (1, 0) in row-major order
         assert g[0, 1, 0, 0] == 0.0
 

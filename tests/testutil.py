@@ -10,10 +10,19 @@ and scatters gradients with np.add.at. ``col2im_oracle`` is the
 nine-strided-add scatter the library used before its row-shifted form,
 kept to pin that form bit for bit; ``bce_oracle`` is, likewise, the
 one-logit scalar loss the library used before its array form.
+
+``pool_major`` and ``from_pool_major`` move a sample-last batch between
+the raster layout and the pool-major one that a ``MaxPool2d`` takes.
+``DeclarationOrderPass`` is the reference a ``Model`` is checked
+against: its blocks run in declaration order as standalone raster
+convolutions with their bias (which the convolution tests check
+against the loop oracles), ``np.maximum(., 0)`` and ``maxpool_oracle``,
+so no pool code of the library checks itself.
 """
 
 import numpy as np
 
+from quatcnn.layers import Dense, MaxPool2d
 from quatcnn.quat import Quaternion, add, hamilton
 
 
@@ -271,3 +280,83 @@ def maxpool_oracle(x: np.ndarray, g: np.ndarray, window: int):
     np.add.at(gx, (pi, oi * window + idx // window, oj * window + idx % window),
               g.reshape(p, oh, ow))
     return out.reshape(*lead, oh, ow), gx.reshape(x.shape)
+
+
+def pool_major(x: np.ndarray, window: int) -> np.ndarray:
+    """The pool-major (..., p, p, PH, PW, N) copy of a raster (..., H, W, N)
+    batch for windows of p = ``window``: block (a, b) holds element (a, b)
+    of every window, and the trailing rows and columns that fill no whole
+    window are left out."""
+    ph, pw = (size // window for size in x.shape[-3:-1])
+    return np.stack([np.stack([x[..., a:window * ph:window, b:window * pw:window, :]
+                               for b in range(window)], axis=-4)
+                     for a in range(window)], axis=-5)
+
+
+def from_pool_major(x: np.ndarray, hw=None) -> np.ndarray:
+    """The raster (..., H, W, N) batch of a pool-major (..., p, p, PH, PW, N)
+    one: block (a, b) goes back on rows a, a + p, ... and columns b, b + p,
+    ..., and the trailing rows and columns that no window reads hold
+    zeros. (H, W) defaults to (p*PH, p*PW)."""
+    p, _, ph, pw, n = x.shape[-5:]
+    h, w = hw or (p * ph, p * pw)
+    out = np.zeros((*x.shape[:-5], h, w, n), dtype=x.dtype)
+    for a in range(p):
+        for b in range(p):
+            out[..., a:p * ph:p, b:p * pw:p, :] = x[..., a, b, :, :, :]
+    return out
+
+
+def _sample_last_pool(y: np.ndarray, window: int, g=None):
+    """``maxpool_oracle`` on a sample-last (..., H, W, N) batch, for a
+    sample-last output gradient ``g`` (zeros when None)."""
+    y = np.moveaxis(y, -1, 0)
+    if g is None:
+        g = np.zeros((*y.shape[:-2], y.shape[-2] // window, y.shape[-1] // window), y.dtype)
+    else:
+        g = np.moveaxis(g, -1, 0)
+    out, gx = maxpool_oracle(y, g, window)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1)), np.moveaxis(gx, 0, -1)
+
+
+class DeclarationOrderPass:
+    """A ``Model``'s layers run in declaration order, without its pools: per
+    block, a fresh standalone copy of its convolution with the model's
+    weights and bias gives the raster output with the bias, then
+    ``np.maximum(., 0)`` and ``maxpool_oracle``; then the flatten and a
+    fresh copy of the dense layer. ``forward`` takes a sample-last batch
+    and returns the logits; ``backward`` returns the parameter gradient,
+    in the order of ``model.theta``, and the input gradient.
+    ``conv_inputs`` holds each block's input from the last forward."""
+
+    def __init__(self, model):
+        self.convs, self.windows = [], []
+        for layer in model.layers:
+            if isinstance(layer, MaxPool2d):
+                conv = layer._conv
+                fresh = type(conv)(conv.in_channels, conv.out_channels, conv.kernel_size,
+                                   dtype=model.dtype)
+                fresh.theta[...] = conv.theta
+                self.convs.append(fresh)
+                self.windows.append(layer.window)
+        dense = model.layers[-1]
+        self.dense = Dense(dense.in_features, dtype=model.dtype)
+        self.dense.theta[...] = dense.theta
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.conv_inputs, self.rectified = [], []
+        for conv, window in zip(self.convs, self.windows):
+            self.conv_inputs.append(x)
+            y = np.maximum(conv.forward(x), 0)
+            self.rectified.append(y)
+            x, _ = _sample_last_pool(y, window)
+        self.pooled_shape = x.shape
+        return self.dense.forward(x.reshape(-1, x.shape[-1]).T)
+
+    def backward(self, dlogits: np.ndarray):
+        g = self.dense.backward(dlogits).T.reshape(self.pooled_shape)
+        for conv, window, y in zip(self.convs[::-1], self.windows[::-1], self.rectified[::-1]):
+            _, g = _sample_last_pool(y, window, g)
+            g = conv.backward(g * (y > 0))
+        grad = np.concatenate([*(conv.grad for conv in self.convs), self.dense.grad])
+        return grad, g
