@@ -59,8 +59,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    decoded = harness.load_decoded_images(manifest, plan.input_size)
     seed, config, train_inputs, test_inputs = harness._prepare_run(
-        config_name, manifest, fraction, 0, plan
+        config_name, manifest, fraction, 0, plan, decoded
     )
     model, metrics = training.train_model(
         config, train_inputs, epochs=plan.epochs, batch_size=plan.batch_size,

@@ -1,8 +1,8 @@
 """Experiment harness: dataset manifests, stratified repeated splits,
 the sweep over model/encoding configurations, and report emission.
 
-Images are decoded once per sweep (or worker); a run encodes each side
-of its split in one call and flips the encoded training array x4.
+Images are decoded once per sweep, workers included; a run encodes each
+side of its split in one call and flips the encoded training array x4.
 
 A sweep cell is one (config, test fraction); each of its runs derives a
 seed from a stable hash of (base seed, config, fraction, run), so
@@ -240,7 +240,9 @@ def encode_input(config: ModelConfig, image: np.ndarray):
 
 def evaluate(model, samples: Samples) -> float:
     """Fraction of samples whose sign-thresholded logit matches the label.
-    Forward passes run in chunks of ``chunk_size(model.config, n)``."""
+    Forward passes run in chunks of ``chunk_size(model.config, n)``. A
+    non-finite logit raises ValueError naming the config and the first
+    sample that gave one."""
     n = len(samples)
     if not n:
         raise ValueError("cannot evaluate on an empty sample set")
@@ -249,6 +251,10 @@ def evaluate(model, samples: Samples) -> float:
     for lo in range(0, n, chunk):
         part = np.arange(lo, min(lo + chunk, n))
         logits = model.forward(samples.x.take(part, axis=-3))
+        bad = np.flatnonzero(~np.isfinite(logits))
+        if bad.size:
+            raise ValueError(f"{model.config.name}: non-finite logit {logits[bad[0]]} "
+                             f"for sample {lo + bad[0]}")
         correct += int(np.count_nonzero((logits > 0) == (samples.y[part] == 1)))
     return correct / n
 
@@ -285,12 +291,10 @@ def build_run_inputs(config: ModelConfig, decoded: Decoded,
 
 
 def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
-                 run: int, plan: ExperimentPlan, decoded: Decoded | None = None):
+                 run: int, plan: ExperimentPlan, decoded: Decoded):
     """Seed, config and encoded (train, test) inputs of one plan cell."""
     seed = derive_seed(plan.base_seed, config_name, fraction, run)
     config = config_from_name(config_name, plan.input_size)
-    if decoded is None:
-        decoded = load_decoded_images(manifest, plan.input_size)
     train_ids, test_ids = split(manifest, fraction, seed, stratify=plan.stratify)
     _, train_inputs, test_inputs = build_run_inputs(config, decoded, train_ids, test_ids,
                                                     augment=plan.augment)
@@ -298,8 +302,8 @@ def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
 
 
 def run_single(config_name: str, manifest: DatasetManifest, fraction: float,
-               run: int, plan: ExperimentPlan, decoded: Decoded | None = None) -> RunResult:
-    """Execute one (config, fraction, run) cell of a plan."""
+               run: int, plan: ExperimentPlan, decoded: Decoded) -> RunResult:
+    """Execute one (config, fraction, run) cell of a plan on ``decoded``."""
     started = time.perf_counter()
     seed, config, train_inputs, test_inputs = _prepare_run(
         config_name, manifest, fraction, run, plan, decoded
@@ -331,14 +335,12 @@ class ExperimentReport:
 
 _RUNS_HEADER = "config,fraction,run,seed,test_accuracy,train_accuracy\n"
 
-# worker-process dataset cache, filled once per worker by _pool_init
+# a worker's manifest, plan and decoded images, set once by _pool_init
 _POOL_STATE: dict = {}
 
 
-def _pool_init(manifest: DatasetManifest, plan: ExperimentPlan):
-    _POOL_STATE["manifest"] = manifest
-    _POOL_STATE["plan"] = plan
-    _POOL_STATE["decoded"] = load_decoded_images(manifest, plan.input_size)
+def _pool_init(manifest: DatasetManifest, plan: ExperimentPlan, decoded: Decoded):
+    _POOL_STATE.update(manifest=manifest, plan=plan, decoded=decoded)
 
 
 def _pool_run(task: tuple[str, float, int]) -> RunResult:
@@ -355,9 +357,9 @@ _WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 
 
 @contextmanager
-def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan):
+def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan, decoded: Decoded):
     """A pool of ``plan.jobs`` spawned worker processes, each running one
-    BLAS thread and holding the decoded dataset. The workers start with
+    BLAS thread and holding a copy of ``decoded``. The workers start with
     ``_WORKER_BLAS_ENV`` in their environment; this process's
     ``os.environ`` is restored when the pool closes. If the block raises,
     the runs not yet started are cancelled, so the error reaches the
@@ -367,7 +369,7 @@ def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan):
     try:
         with ProcessPoolExecutor(
             max_workers=plan.jobs, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_init, initargs=(manifest, plan),
+            initializer=_pool_init, initargs=(manifest, plan, decoded),
         ) as pool:
             try:
                 yield pool
@@ -419,15 +421,22 @@ def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) 
     """Record the plan in ``<out_dir>/plan.json`` on the first write; on a
     resume, raise if the runs there were computed under another plan or
     another ``RESULTS_VERSION``. A ``plan.json`` without the version
-    predates it, so it reads as version 1."""
+    predates it, so it reads as version 1, and so do the runs of a
+    ``runs.csv`` without any ``plan.json``: such a directory is refused."""
     from . import RESULTS_VERSION  # the package attribute, read at call time
 
     current = {name: getattr(plan, name) for name in _PLAN_FIELDS}
     current["checksum"] = manifest.checksum
     current["results_version"] = RESULTS_VERSION
     path = out_dir / "plan.json"
-    stored = ({"results_version": 1} | json.loads(path.read_text(encoding="utf-8"))
-              if path.exists() else current)
+    if path.exists():
+        stored = {"results_version": 1} | json.loads(path.read_text(encoding="utf-8"))
+    elif (out_dir / "runs.csv").exists():
+        raise ValueError(f"{out_dir} holds runs.csv but no plan.json, so its runs predate "
+                         f"plan.json (results_version 1 -> {RESULTS_VERSION}); "
+                         "use a new output directory")
+    else:
+        stored = current
     changed = [f"{k} {stored.get(k)!r} -> {v!r}" for k, v in current.items()
                if stored.get(k) != v]
     if changed:
@@ -442,12 +451,12 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
 
     Completed runs are appended to ``<out_dir>/runs.csv`` immediately,
     so an interrupted sweep resumes where it stopped; keys already in
-    the file are skipped. When ``plan.jobs`` > 1 runs execute in spawned
-    worker processes with one BLAS thread each (each loads the dataset
-    once); all writes stay in this process. Spawned workers import the
-    calling script's main module, so a script that calls this with
-    ``jobs`` > 1 keeps its top-level code under ``if __name__ ==
-    "__main__":``. A directory written under other ``_PLAN_FIELDS``, another
+    the file are skipped. The images are decoded once, here; when
+    ``plan.jobs`` > 1 runs execute in spawned worker processes, which
+    receive them, with one BLAS thread each; all writes stay in this
+    process. Spawned workers import the calling script's main module, so
+    a script that calls this with ``jobs`` > 1 keeps its top-level code
+    under ``if __name__ == "__main__":``. A directory written under other ``_PLAN_FIELDS``, another
     manifest or another ``RESULTS_VERSION`` raises ``ValueError`` before
     anything runs; more runs, configs or fractions, or other ``jobs``,
     resume. A fraction that leaves either side of the manifest's split
@@ -480,13 +489,13 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
                 f"({result.wall_time:.1f}s)"
             )
 
+        decoded = load_decoded_images(manifest, plan.input_size) if tasks else {}
         if tasks and plan.jobs > 1:
-            with _worker_pool(manifest, plan) as pool:
+            with _worker_pool(manifest, plan, decoded) as pool:
                 futures = [pool.submit(_pool_run, t) for t in tasks]
                 for fut in as_completed(futures):
                     record(fut.result())
-        elif tasks:
-            decoded = load_decoded_images(manifest, plan.input_size)
+        else:
             for config_name, fraction, run in tasks:
                 record(run_single(config_name, manifest, fraction, run, plan, decoded))
 
@@ -568,8 +577,10 @@ def generate_synthetic_dataset(
     ``value`` to a degenerate range like (0.8, 0.8) yields the
     hue-separable-at-fixed-value task. A light mottled texture and
     pixel noise keep the task from being a single-pixel lookup. A
-    ``size`` below 1, a negative ``n`` or a negative ``noise`` raises
-    ValueError before the directory is made; ``n = 0`` writes nothing.
+    ``size`` below 1, a negative ``n``, a negative or non-finite
+    ``noise`` or ``hue_jitter``, a non-finite hue, or a ``saturation`` or
+    ``value`` range other than 0 <= lo <= hi <= 1 raises ValueError
+    before the directory is made; ``n = 0`` writes nothing.
 
     Each call allocates its work arrays (image, noise, ellipse
     coordinates, mask) once and refills them per image. The bytes of
@@ -579,8 +590,16 @@ def generate_synthetic_dataset(
         raise ValueError(f"size must be >= 1, got {size}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
+    for name, hue in (("healthy_hue", healthy_hue), ("blast_hue", blast_hue)):
+        if not np.isfinite(hue):
+            raise ValueError(f"{name} must be finite, got {hue}")
+    if not 0.0 <= hue_jitter < np.inf:
+        raise ValueError(f"hue_jitter must be >= 0 and finite, got {hue_jitter}")
+    for name, (lo, hi) in (("saturation", saturation), ("value", value)):
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"{name} must be a range 0 <= lo <= hi <= 1, got ({lo}, {hi})")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

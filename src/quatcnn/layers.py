@@ -3,9 +3,9 @@ two reference architectures, and the model container.
 
 Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
 the one shape rule for a config, and ``Model`` builds each (convolution,
-ReLU, max pool) block, then flatten and dense, from its rows. A model's
-parameters are one flat ``theta`` and their gradients one flat
-``grad``, in declaration order.
+ReLU, max pool) block, then flatten and dense, from its rows and the
+convolution class of its arithmetic. A model's parameters are one flat
+``theta`` and their gradients one flat ``grad``, in declaration order.
 A weighted layer's ``w`` and ``bias`` are reshaped views of its slice of
 ``theta``, and its ``grad_w`` and ``grad_bias`` the same views of
 ``grad``; a quaternion layer's four weight banks are one (4, F, C, k, k)
@@ -16,7 +16,7 @@ batch is (C, H, W, N) and a quaternion batch (4, C, H, W, N). In this
 layout the im2col copy of a batch and the GEMM output need no
 transposes, every run the im2col and col2im copies move is contiguous
 across the samples, and a batch of one costs what a single sample does.
-``Flatten`` returns an (N, D) view and ``Dense`` returns (N,) logits.
+``Flatten`` returns a (D, N) view and ``Dense`` returns (N,) logits.
 ``Model.forward`` takes one batch in the layout of ``train.Samples``,
 with the sample axis third from last, checks it as given, moves that
 axis last once per batch and returns its (N,) logits.
@@ -30,8 +30,8 @@ its im2col columns are the p*(OH//p) x p*(OW//p) output positions that
 the pool reads, in (window row offset, window column offset, row,
 column, sample) order, so the GEMM writes an (F, p, p, PH, PW, N)
 output, (4, F, p, p, PH, PW, N) for a quaternion layer. A standalone
-convolution, p = 1, keeps the raster (F, OH, OW, N) output and the
-single im2col copy.
+convolution, built without a pool window, runs as p = 1 and keeps the
+raster (F, OH, OW, N) output with its bias and the single im2col copy.
 The input gradient is the transposed GEMM on the output gradient in
 raster order, with the p*p offset blocks put back by one strided copy
 each, scattered back with one add per tap, in one of two forms. The
@@ -58,8 +58,8 @@ quaternions, once per batch; its weight gradient folds back into the
 banks through the inverse tables, once per batch. ``as_block_conv``
 returns that block kernel as the equivalent ``Conv2d``.
 
-A max pool is built with the convolution of its block, which it sets
-to its window, and takes only that convolution's pool-major output. It
+A max pool reads its window and bias from its block's convolution, built
+with that window, and takes only the convolution's pool-major output. It
 takes the maximum over the window**2 contiguous blocks of that output,
 one per window offset, into one array in offset order, with the stride
 equal to the window, so windows never overlap. The reference configs
@@ -90,16 +90,18 @@ standalone convolutions and their own pooling oracle.
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
 over the full valid convolution output, fits in ``IM2COL_BUDGET`` bytes.
-A chunk's activations are kept until its backward pass, so this budget
-is what bounds training memory. The patches go into a buffer each
-convolution keeps from chunk to chunk, and the backward's
-input-gradient taps go over them once the weight gradient is taken; a
-pooled im2col's gathered planes are a temporary of the forward. The
-budget gives chunks of 16 at 24x24, so a
+The budget fixes only the chunk size; it does not bound the memory of
+a step. The patches go into a buffer each convolution keeps from chunk
+to chunk, and the backward's input-gradient taps go over them once the
+weight gradient is taken, so that buffer holds the larger of the two:
+conv2's is 1,824,768 bytes at 24x24 (chunk 16) and 2,653,056 bytes at
+100x100 in both architectures. A pooled im2col's gathered planes are a
+temporary of the forward. The budget gives chunks of 16 at 24x24, so a
 minibatch of 16 runs as one forward and one backward. At 100x100 one
 sample's conv2 patches (2.5 MB) already exceed it, so the paper-size
-path runs one sample per chunk and keeps the memory of an unbatched
-loop.
+path runs one sample per chunk. The budget stays fixed: another value
+would move the chunk sizes, and with them the summation order and the
+results.
 
 ``save_model``/``load_model`` are the one writer and reader of the
 model container: a header (magic, version, config digest), then
@@ -314,8 +316,8 @@ def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
 class Layer:
     """The interface every layer implements.
 
-    ``forward`` takes a batch, with the sample axis last before
-    flattening, and caches what ``backward`` needs; ``backward``
+    ``forward`` takes a batch, with the sample axis last, and caches
+    what ``backward`` needs; ``backward``
     takes the output gradient, accumulates into ``grad`` (summed over
     the batch) and returns the input gradient. A cache serves one
     ``backward`` and lives at most until the next ``forward``; a
@@ -383,18 +385,16 @@ class _Correlation(_WeightedLayer):
     and ``grad_bias``. ``lead`` is the shape of the axes before
     (C, H, W, N), and of the weight and bias axes before (F, C, k, k) and
     (F,): none for a real layer, the four quaternion components for a
-    quaternion one."""
-
-    lead = ()
-    # The window of the max pool of this convolution's block, which that
-    # ``MaxPool2d`` sets, or None for a standalone layer's raster output.
-    _pool = None
+    quaternion one; ``kind`` is its ``LayerSpec`` kind. ``pool``, fixed
+    when the layer is built, is the window of its block's max pool, which
+    adds the bias; None gives a standalone layer's raster output with it."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
-                 dtype=np.float32):
+                 dtype=np.float32, *, pool: int | None = None):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
+        self.pool = pool
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         super().__init__((*self.lead, *shape), (*self.lead, out_channels),
                          fan_in=in_channels * kernel_size ** 2,
@@ -415,7 +415,7 @@ class _Correlation(_WeightedLayer):
         if h < k or wd < k:
             raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
-        p = self._pool or 1
+        p = self.pool or 1
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
         # The patches and their row of ones, P*k*k + 1 rows of p*p*PH*PW*N,
@@ -428,7 +428,7 @@ class _Correlation(_WeightedLayer):
             self._buf = np.empty(size, dtype)
         out, cols = _correlate(x, w, p, self._buf)
         self._cache = (w, cols, x.shape)
-        if self._pool is None:
+        if self.pool is None:
             out += bias[:, None]
             return out.reshape(*self.lead, -1, oh, ow, n)
         # the pool adds the bias to its maxima
@@ -461,7 +461,7 @@ class _Correlation(_WeightedLayer):
         # Either way each input element sums the same nonzero products in
         # the same (di, dj) order, so both give the same bits.
         h, wd, n = x_shape[-3:]
-        p = self._pool or 1
+        p = self.pool or 1
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
         rows, cols = _grad_raster(h, wd, k, p, n)
@@ -500,6 +500,8 @@ class Conv2d(_Correlation):
     """Real valid correlation of a (C, H, W, N) batch -> (F, OH, OW, N),
     with an (F, C, k, k) kernel ``w`` and F biases."""
 
+    kind, lead = "conv", ()
+
     def _kernel(self):
         return self.w, self.bias
 
@@ -517,7 +519,7 @@ class QConv2d(_Correlation):
     the F quaternion biases as (4, F). Glorot is component-wise, with
     fans counted in quaternion channels."""
 
-    lead = (4,)
+    kind, lead = "qconv", (4,)
 
     def _kernel(self):
         return _block_kernel(self.w), self.bias.reshape(-1)
@@ -544,17 +546,21 @@ def as_block_conv(layer: QConv2d) -> Conv2d:
 
 
 class MaxPool2d(Layer):
-    """Per-plane max pooling of a square ``window``, with stride
-    ``window``, of the pool-major output of the convolution ``conv`` of
-    its block: a real (F, window, window, PH, PW, N) or quaternion
+    """Per-plane max pooling of the pool-major output of the convolution
+    ``conv`` of its block, with ``conv.pool`` as square window and stride:
+    a real (F, window, window, PH, PW, N) or quaternion
     (4, F, window, window, PH, PW, N) batch without the bias, which the
-    pool adds to its maxima before it applies the block's ReLU to them
-    in place. Building the pool sets ``conv`` to that window. The output
-    is the (..., PH, PW, N) raster of the rectified maxima."""
+    pool adds to its maxima before it applies the block's ReLU to them in
+    place. The output is the (..., PH, PW, N) raster of the rectified
+    maxima. A ``conv`` built without a window raises ValueError."""
 
-    def __init__(self, conv: _Correlation, window: int = 2):
-        self._conv, self.window = conv, window
-        conv._pool = window
+    def __init__(self, conv: _Correlation):
+        if conv.pool is None:
+            raise ValueError(f"MaxPool2d needs a convolution built with a pool window, "
+                             f"got a {type(conv).__name__} with pool=None")
+        self.conv = conv
+
+    window = property(lambda self: self.conv.pool)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # the previous batch's input and maxima go before this batch's
@@ -566,7 +572,7 @@ class MaxPool2d(Layer):
         for view in views[2:]:
             np.maximum(peak, view, out=peak)
         self._cache = (x, peak)
-        out = np.add(peak, self._conv.bias[..., None, None, None])
+        out = np.add(peak, self.conv.bias[..., None, None, None])
         return np.maximum(out, 0, out=out)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -582,7 +588,7 @@ class MaxPool2d(Layer):
         keeps, so the test is max > -bias."""
         x, peak = self._forward_cache()
         gx = np.empty(x.shape, dtype=g.dtype)
-        free = np.greater(peak, np.negative(self._conv.bias[..., None, None, None]))
+        free = np.greater(peak, np.negative(self.conv.bias[..., None, None, None]))
         views, gviews = _pool_views(x, self.window), _pool_views(gx, self.window)
         hit = np.empty(peak.shape, dtype=bool)
         for d, (view, gview) in enumerate(zip(views, gviews)):
@@ -611,41 +617,38 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
-    """Batch -> (N, D) real rows in C order: the transpose of the batch
-    reshaped to (D, N), a view. Each sample of a quaternion
-    (4, C, H, W, N) batch flattens component-major, then channel, row,
-    column, so index ((comp*C + c)*H + h)*W + w of row n holds plane comp
-    of element (c, h, w) of sample n."""
+    """Batch -> the (D, N) matrix of its samples' columns, a view. Each
+    sample of a quaternion (4, C, H, W, N) batch flattens component-major,
+    then channel, row, column, so index ((comp*C + c)*H + h)*W + w of
+    column n holds plane comp of element (c, h, w) of sample n."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
-        return x.reshape(-1, x.shape[-1]).T
+        return x.reshape(-1, x.shape[-1])
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return g.T.reshape(self._forward_cache())
+        return g.reshape(self._forward_cache())
 
 
 class Dense(_WeightedLayer):
-    """Single-output dense layer: (N, D) rows -> (N,) logits v @ w + bias,
-    with a (D,) weight vector ``w`` and a scalar ``bias``."""
+    """Single-output dense layer: a (D, N) matrix -> (N,) logits
+    w @ v + bias, with a (D,) weight vector ``w`` and a scalar ``bias``."""
 
     def __init__(self, in_features: int, dtype=np.float32):
         self.in_features = in_features
         super().__init__((in_features,), (), fan_in=in_features, fan_out=1, dtype=dtype)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        if v.ndim != 2 or v.shape[1:] != self.w.shape:
+        if v.ndim != 2 or v.shape[:1] != self.w.shape:
             raise ValueError(f"input length {v.shape} does not match weights {self.w.shape}")
         self._cache = v
-        return v @ self.w + self.bias
+        return self.w @ v + self.bias
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         v = self._forward_cache()
-        self.grad_w += g @ v
+        self.grad_w += v @ g
         self.grad_bias += g.sum()
-        # the (N, D) transpose of a (D, N) array, which Flatten turns back
-        # into the sample-last batch without a copy
-        return np.outer(self.w, g).T
+        return np.outer(self.w, g)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +722,9 @@ def config_from_name(name: str, input_size: int = 100) -> ModelConfig:
     return qvcnn_config(encoding, input_size)
 
 
+_CONVOLUTIONS = {"real": Conv2d, "quaternion": QConv2d}  # by arithmetic
+
+
 def trace_shapes(config: ModelConfig):
     """Return (spec, out_channels, out_h, out_w, flat_len) rows per layer
     in declaration order, not ``Model.run_order``, validating the spatial
@@ -730,21 +736,21 @@ def trace_shapes(config: ModelConfig):
     and ``qconv`` layers for a quaternion one. Raises ValueError on any
     other chain, on an arithmetic other than real or quaternion, and on a
     kernel or pool window that does not fit its input."""
-    conv_kind = {"real": "conv", "quaternion": "qconv"}.get(config.arithmetic)
-    if conv_kind is None:
+    conv = _CONVOLUTIONS.get(config.arithmetic)
+    if conv is None:
         raise ValueError(f"inconsistent config: arithmetic must be 'real' or 'quaternion', "
                          f"got {config.arithmetic!r}")
     kinds = [spec.kind for spec in config.layers]
     blocks = (len(kinds) - 2) // 3
-    if blocks < 1 or kinds != [conv_kind, "relu", "maxpool"] * blocks + ["flatten", "dense"]:
-        raise ValueError(f"inconsistent config: layers must be ({conv_kind}, relu, maxpool) "
+    if blocks < 1 or kinds != [conv.kind, "relu", "maxpool"] * blocks + ["flatten", "dense"]:
+        raise ValueError(f"inconsistent config: layers must be ({conv.kind}, relu, maxpool) "
                          f"* k + (flatten, dense) with k >= 1, got ({', '.join(kinds)})")
     channels = config.in_channels
     h = w = config.input_size
     flat: int | None = None
     out = []
     for spec in config.layers:
-        if spec.kind == conv_kind:
+        if spec.kind == conv.kind:
             if h < spec.kernel or w < spec.kernel:
                 raise ValueError(
                     f"inconsistent config: {spec.kind} kernel {spec.kernel} "
@@ -760,8 +766,7 @@ def trace_shapes(config: ModelConfig):
                 )
             h, w = h // spec.pool, w // spec.pool
         elif spec.kind == "flatten":
-            per_channel = 4 if config.arithmetic == "quaternion" else 1
-            flat = per_channel * channels * h * w
+            flat = math.prod(conv.lead) * channels * h * w
         out.append((spec, channels, h, w, flat))
     return out
 
@@ -796,15 +801,13 @@ def chunk_size(config: ModelConfig, batch_size: int) -> int:
     reference configs that is min(batch_size, 16) at 24x24 and 1 at
     100x100.
     """
-    planes = 4 if config.arithmetic == "quaternion" else 1
+    convs = trace_shapes(config)[:-2:3]
+    planes = math.prod(_CONVOLUTIONS[config.arithmetic].lead)
     channels, per_sample = config.in_channels, 0
-    for spec, out_channels, h, w, _ in trace_shapes(config):
-        if spec.kind in ("conv", "qconv"):
-            rows = planes * channels * spec.kernel ** 2
-            per_sample = max(per_sample, 4 * rows * h * w)
+    for spec, out_channels, h, w, _ in convs:
+        per_sample = max(per_sample, 4 * planes * channels * spec.kernel ** 2 * h * w)
         channels = out_channels
-    fits = IM2COL_BUDGET // per_sample if per_sample else batch_size
-    return max(1, min(batch_size, fits))
+    return max(1, min(batch_size, IM2COL_BUDGET // per_sample))
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +837,12 @@ class Model:
         self.dtype = np.dtype(dtype)
         # trace_shapes admits only (conv, relu, maxpool) blocks, then flatten and dense
         rows = trace_shapes(config)
-        conv_type = QConv2d if config.arithmetic == "quaternion" else Conv2d
+        conv_type = _CONVOLUTIONS[config.arithmetic]
         self.layers: list[Layer] = []
         in_channels = config.in_channels
         for (spec, channels, *_), (pool, *_) in zip(rows[:-2:3], rows[2::3]):
-            conv = conv_type(in_channels, spec.filters, spec.kernel, dtype)
-            self.layers += [conv, ReLU(), MaxPool2d(conv, pool.pool)]
+            conv = conv_type(in_channels, spec.filters, spec.kernel, dtype, pool=pool.pool)
+            self.layers += [conv, ReLU(), MaxPool2d(conv)]
             in_channels = channels
         self.layers += [Flatten(), Dense(rows[-1][4], dtype)]
         cuts = np.cumsum([layer.param_count for layer in self.layers])
@@ -861,7 +864,7 @@ class Model:
         batch, whose layout is checked as given. The sample axis moves last
         in one copy in the model's dtype, which a batch of one in that dtype
         does not need; the first layer, a convolution, only reads it."""
-        lead = (4,) if self.config.arithmetic == "quaternion" else ()
+        lead = self.layers[0].lead
         ndim, c = len(lead) + 4, self.config.in_channels
         if x.ndim != ndim or x.shape[:-4] != lead or x.shape[-4] != c:
             layout = ", ".join([*map(str, lead), "C", "N", "H", "W"])
@@ -938,7 +941,7 @@ def save_model(path, model: Model) -> None:
 def load_model(path, config: ModelConfig) -> Model:
     """Rebuild a float32 Model from the container; the config must match
     the digest recorded at save time, and the blob must hold exactly its
-    parameters."""
+    parameters, each finite."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("file truncated")
@@ -955,5 +958,9 @@ def load_model(path, config: ModelConfig) -> Model:
         raise ValueError("file truncated")
     if len(blob) > 4 * model.theta.size:
         raise ValueError("trailing bytes after parameter blob")
-    model.theta[...] = np.frombuffer(blob, dtype="<f4")
+    theta = np.frombuffer(blob, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"non-finite parameter {theta[bad[0]]} at index {bad[0]}")
+    model.theta[...] = theta
     return model

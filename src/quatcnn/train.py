@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, ModelConfig, _conv_stack, chunk_size
+from .layers import _CONVOLUTIONS, Model, ModelConfig, _conv_stack, chunk_size
 
 __all__ = [
     "Samples",
@@ -263,12 +263,11 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
 
 
 def _tiny_config(arithmetic: str, input_size: int = 12) -> ModelConfig:
-    conv = "qconv" if arithmetic == "quaternion" else "conv"
     return ModelConfig(
         name=f"tiny-{arithmetic}", arithmetic=arithmetic, encoding="rgb",
         input_size=input_size,
         in_channels=1 if arithmetic == "quaternion" else 3,
-        layers=_conv_stack(conv, (2, 2)),
+        layers=_conv_stack(_CONVOLUTIONS[arithmetic].kind, (2, 2)),
     )
 
 

@@ -135,13 +135,13 @@ def test_criterion_4_gradient_checks():
         qconv.initialize(rng)
         layer_fd_check(qconv, rng.uniform(-1, 1, (4, 2, 6, 6, 1)), rng)
         # the pool of a convolution, on that convolution's pool-major output
-        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64))
+        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64, pool=2))
         layer_fd_check(pool, pool_major(rng.uniform(-1, 1, (3, 6, 6, 1)), 2), rng)
         layer_fd_check(ReLU(), rng.uniform(-1, 1, (2, 5, 5, 1)), rng)
         layer_fd_check(Flatten(), rng.uniform(-1, 1, (2, 4, 4, 1)), rng)
         dense = Dense(24, dtype=np.float64)
         dense.initialize(rng)
-        layer_fd_check(dense, rng.uniform(-1, 1, (1, 24)), rng)
+        layer_fd_check(dense, rng.uniform(-1, 1, (24, 1)), rng)
     # tiny end-to-end models of both arithmetics
     rows = run_gradient_verification(seed=0, num_samples=200)
     worst = max(err for _, err in rows)

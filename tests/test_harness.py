@@ -20,7 +20,7 @@ from quatcnn.harness import (
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
 from quatcnn.layers import (
-    CONFIG_NAMES, config_from_name, load_model, qvcnn_config, rvcnn_config,
+    CONFIG_NAMES, Model, config_from_name, load_model, qvcnn_config, rvcnn_config,
 )
 from quatcnn.train import Samples, train_model
 import quatcnn
@@ -263,6 +263,23 @@ class TestEvaluate:
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate(_StubModel(), logit_samples([], []))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_logit_is_refused(self, bad):
+        # sample 17 sits in the second chunk of 16
+        logits = [1.0] * 20
+        logits[17] = logits[19] = bad
+        with pytest.raises(ValueError, match=rf"^rvcnn-rgb: non-finite logit {bad} for sample 17$"):
+            evaluate(_StubModel(), logit_samples(logits, [1] * 20))
+
+    def test_a_nan_model_gets_no_accuracy(self, tmp_path):
+        # every logit NaN: counted as class 0, it would score 6/8 here
+        config = rvcnn_config(input_size=24)
+        model = Model(config)
+        model.theta[...] = np.nan
+        samples = Samples(np.zeros((3, 8, 24, 24), np.float32), [0] * 6 + [1] * 2)
+        with pytest.raises(ValueError, match="^rvcnn-rgb: non-finite logit nan for sample 0$"):
+            evaluate(model, samples)
 
 
 FLIPS = (lambda img: img, lambda img: img[:, ::-1], lambda img: img[::-1],
@@ -626,15 +643,29 @@ class TestRunExperiment:
             run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_a_directory_without_plan_json_is_adopted(self, tmp_path):
+    def test_a_directory_with_runs_but_no_plan_json_is_refused(self, tmp_path, monkeypatch):
+        # its runs predate plan.json, so they are of results version 1
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         out = tmp_path / "out"
         run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
-        plan = (out / "plan.json").read_bytes()
         (out / "plan.json").unlink()
-        report = run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
-        assert report.n_skipped == 1 and report.n_executed == 1
-        assert (out / "plan.json").read_bytes() == plan
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match=rf"holds runs.csv but no plan.json.*"
+                                             rf"\(results_version 1 -> {quatcnn.RESULTS_VERSION}\)"):
+            run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_an_existing_directory_without_runs_or_plan_starts_fresh(self, tmp_path):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        out.mkdir()
+        report = run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        assert report.n_skipped == 0 and report.n_executed == 1
+        assert sorted(p.name for p in out.iterdir()) == ["plan.json", "runs.csv", "stats.csv"]
 
     def test_more_runs_configs_fractions_and_jobs_resume(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
@@ -659,7 +690,7 @@ class TestRunExperiment:
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         plan = smoke_plan()
         report = run_experiment(plan, man, tmp_path / "out", log=lambda *_: None)
-        alone = run_single("qvcnn-rgb", man, 0.25, 0, plan)
+        alone = run_single("qvcnn-rgb", man, 0.25, 0, plan, load_decoded_images(man, 24))
         row = next(r for r in report.results if r.run == 0)
         assert alone.test_accuracy == row.test_accuracy
         assert alone.train_accuracy == row.train_accuracy
@@ -739,13 +770,31 @@ class TestWorkerPool:
 
     _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_images_are_decoded_once(self, tmp_path, monkeypatch, jobs):
+        # the image files are gone once this process has decoded them, so
+        # a worker that decoded them again would fail
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        sizes = []
+
+        def decode_then_delete(manifest, input_size):
+            decoded = load_decoded_images(manifest, input_size)
+            sizes.append(input_size)
+            for entry in manifest.entries:
+                entry.path.unlink()
+            return decoded
+        monkeypatch.setattr(harness, "load_decoded_images", decode_then_delete)
+        report = run_experiment(smoke_plan(jobs=jobs), man, tmp_path / "out",
+                                log=lambda *_: None)
+        assert sizes == [24] and report.n_executed == 2
+
     def test_workers_see_one_blas_thread(self, tmp_path, monkeypatch):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        with harness._worker_pool(man, smoke_plan(jobs=2)) as pool:
+        with harness._worker_pool(man, smoke_plan(jobs=2), {}) as pool:
             futures = [pool.submit(os.getenv, name) for name in self._BLAS_VARS]
             seen = [fut.result(timeout=120) for fut in futures]
         assert seen == ["1", "1", "1"]
@@ -756,7 +805,7 @@ class TestWorkerPool:
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         before = dict(os.environ)
         with pytest.raises(_Interrupt):
-            with harness._worker_pool(man, smoke_plan(jobs=2)):
+            with harness._worker_pool(man, smoke_plan(jobs=2), {}):
                 assert os.environ["OMP_NUM_THREADS"] == "1"
                 raise _Interrupt
         assert dict(os.environ) == before
@@ -825,7 +874,7 @@ class TestSyntheticData:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == expected
 
-    @pytest.mark.parametrize("noise", [-0.01, -1.0, float("nan")])
+    @pytest.mark.parametrize("noise", [-0.01, -1.0, float("nan"), float("inf")])
     def test_negative_or_nan_noise_is_refused(self, tmp_path, noise):
         with pytest.raises(ValueError, match="noise must be >= 0"):
             generate_synthetic_dataset(tmp_path / "d", n=2, size=8, noise=noise)
@@ -841,6 +890,28 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=message):
             generate_synthetic_dataset(tmp_path / "d", **{"n": 2, "size": 8, **kwargs})
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(healthy_hue=float("nan")), "healthy_hue must be finite, got nan"),
+        (dict(blast_hue=float("inf")), "blast_hue must be finite, got inf"),
+        (dict(hue_jitter=-1.0), r"hue_jitter must be >= 0 and finite, got -1.0"),
+        (dict(hue_jitter=float("nan")), "hue_jitter must be >= 0 and finite, got nan"),
+        (dict(hue_jitter=float("inf")), "hue_jitter must be >= 0 and finite, got inf"),
+        (dict(value=(1.5, 1.5)), r"value must be a range 0 <= lo <= hi <= 1, got \(1.5, 1.5\)"),
+        (dict(value=(float("nan"),) * 2), r"value must be a range .*, got \(nan, nan\)"),
+        (dict(saturation=(0.7, 0.45)), r"saturation must be a range .*, got \(0.7, 0.45\)"),
+        (dict(saturation=(-0.1, 0.5)), r"saturation must be a range .*, got \(-0.1, 0.5\)"),
+    ], ids=["nan-healthy-hue", "inf-blast-hue", "negative-jitter", "nan-jitter", "inf-jitter",
+            "value-above-1", "nan-value", "saturation-reversed", "saturation-below-0"])
+    def test_bad_hue_or_color_range_is_refused(self, tmp_path, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_dataset(tmp_path / "d", **{"n": 2, "size": 8, **kwargs})
+        assert not (tmp_path / "d").exists()
+
+    def test_edges_of_the_ranges_are_valid(self, tmp_path):
+        paths = generate_synthetic_dataset(tmp_path / "d", n=2, size=8, hue_jitter=0.0,
+                                           saturation=(0.0, 1.0), value=(1.0, 1.0))
+        assert len(paths) == 2
 
     def test_no_images_is_valid(self, tmp_path):
         assert generate_synthetic_dataset(tmp_path / "d", n=0, size=8) == []
@@ -1033,8 +1104,13 @@ class TestCli:
         (["synth-data", "--n", "-3"], "n must be >= 0, got -3$"),
         (["sweep", "--configs", "rvcnn-rgb", "rvcnn-rgb"],
          "duplicate config in the plan: rvcnn-rgb$"),
+        (["synth-data", "--fixed-value", "1.5"],
+         r"value must be a range 0 <= lo <= hi <= 1, got \(1.5, 1.5\)$"),
+        (["synth-data", "--fixed-value", "nan"], r"value must be a range .*, got \(nan, nan\)$"),
+        (["synth-data", "--blast-hue", "nan"], "blast_hue must be finite, got nan$"),
     ], ids=["bad-fraction", "missing-data-dir", "input-too-small", "missing-data",
-            "p3-sample-out-of-range", "synth-size-0", "synth-negative-n", "duplicate-config"])
+            "p3-sample-out-of-range", "synth-size-0", "synth-negative-n", "duplicate-config",
+            "synth-value-above-1", "synth-nan-value", "synth-nan-hue"])
     def test_bad_input_exits_with_an_error(self, tmp_path, monkeypatch, argv, message):
         monkeypatch.delenv("QUATCNN_DATA", raising=False)
         if "{tmp}/data" in argv:

@@ -49,9 +49,9 @@ def pool_on(lead, window=2, bias=0.0, dtype=np.float64):
     pool-major (window, window, PH, PW, N) ones are ``lead``, (C,) or
     (4, C): the pool of a 1x1 convolution of C filters, a Conv2d or a
     QConv2d, whose bias is ``bias``."""
-    conv = (QConv2d if len(lead) == 2 else Conv2d)(1, lead[-1], 1, dtype=dtype)
+    conv = (QConv2d if len(lead) == 2 else Conv2d)(1, lead[-1], 1, dtype=dtype, pool=window)
     conv.bias[...] = bias
-    return MaxPool2d(conv, window)
+    return MaxPool2d(conv)
 
 
 def pool_against_oracle(pool, x, g):
@@ -61,7 +61,7 @@ def pool_against_oracle(pool, x, g):
     sample, with the pool's bias and ReLU applied to the oracle's maxima
     and its gradient passed only where they are positive. Returns the
     raster input gradient and the windows that passed a gradient."""
-    window, bias = pool.window, pool._conv.bias[..., None, None]
+    window, bias = pool.window, pool.conv.bias[..., None, None]
     out = pool.forward(pool_major(x, window))
     gx = from_pool_major(pool.backward(g), x.shape[-3:-1])
     live = np.zeros(out.shape, dtype=bool)
@@ -165,39 +165,38 @@ class TestBatchedLayersPerSample:
 
 
 def _integer_layer(kind, rng):
-    """A float64 layer of ``kind`` with weights in {-1, 0, 1}, the shape
-    of one sample of its input, and where its input and output batches
-    hold their sample axis. Integer data keeps every sum exact, so a
+    """A float64 layer of ``kind`` with weights in {-1, 0, 1} and the shape
+    of one sample of its input. Integer data keeps every sum exact, so a
     batch must give the per-sample bits in any summation order."""
-    layer, shape, axes = {
-        "conv": (Conv2d(2, 3, 3, dtype=np.float64), (2, 7, 6), (-1, -1)),
-        "qconv": (QConv2d(2, 3, 3, dtype=np.float64), (4, 2, 7, 6), (-1, -1)),
+    layer, shape = {
+        "conv": (Conv2d(2, 3, 3, dtype=np.float64), (2, 7, 6)),
+        "qconv": (QConv2d(2, 3, 3, dtype=np.float64), (4, 2, 7, 6)),
         # the pool-major (2, 2, 3, 3) blocks of a 6x6 quaternion plane
-        "maxpool": (pool_on((4, 2)), (4, 2, 2, 2, 3, 3), (-1, -1)),
-        "relu": (ReLU(), (2, 5, 4), (-1, -1)),
-        "flatten": (Flatten(), (4, 2, 3, 2), (-1, 0)),
-        "dense": (Dense(12, dtype=np.float64), (12,), (0, 0)),
+        "maxpool": (pool_on((4, 2)), (4, 2, 2, 2, 3, 3)),
+        "relu": (ReLU(), (2, 5, 4)),
+        "flatten": (Flatten(), (4, 2, 3, 2)),
+        "dense": (Dense(12, dtype=np.float64), (12,)),
     }[kind]
     layer.theta[...] = rng.integers(-1, 2, layer.theta.size)
     if kind == "maxpool":  # the bias of the pool's convolution
-        layer._conv.bias[...] = rng.integers(-1, 2, layer._conv.bias.shape)
-    return layer, shape, axes
+        layer.conv.bias[...] = rng.integers(-1, 2, layer.conv.bias.shape)
+    return layer, shape
 
 
 class TestSampleLastBatches:
     """A batch holds its samples on the last axis of every layer's input
-    and output before ``Flatten``; each layer's outputs, input gradients
-    and parameter gradients must be those of its samples one at a time,
-    stacked on that axis (and summed, for the parameters)."""
+    and output; each layer's outputs, input gradients and parameter
+    gradients must be those of its samples one at a time, stacked on that
+    axis (and summed, for the parameters)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     @pytest.mark.parametrize("kind", ["conv", "qconv", "maxpool", "relu", "flatten", "dense"])
     def test_batch_is_its_samples_stacked(self, kind, n):
         rng = np.random.default_rng(46)
-        layer, shape, (in_axis, out_axis) = _integer_layer(kind, rng)
+        layer, shape = _integer_layer(kind, rng)
         # three levels give ties in many pooling windows
         samples = rng.integers(-1, 2, (n, *shape)).astype(np.float64)
-        batch = np.stack(list(samples), axis=in_axis)
+        batch = np.stack(list(samples), axis=-1)
         out = layer.forward(batch.copy())
         g = rng.integers(-2, 3, out.shape).astype(np.float64)
         layer.grad.fill(0)
@@ -205,12 +204,12 @@ class TestSampleLastBatches:
         grad = layer.grad.copy()
         layer.grad.fill(0)
         for i in range(n):
-            x_i = np.expand_dims(samples[i], in_axis)
-            g_i = np.take(g, [i], axis=out_axis)
+            x_i = samples[i][..., None]
+            g_i = g[..., i:i + 1]
             out_i = layer.forward(x_i.copy())
             gx_i = layer.backward(g_i)
-            assert np.array_equal(np.take(out, [i], axis=out_axis), out_i)
-            assert np.array_equal(np.take(gx, [i], axis=in_axis), gx_i)
+            assert np.array_equal(out[..., i:i + 1], out_i)
+            assert np.array_equal(gx[..., i:i + 1], gx_i)
             if kind == "maxpool":  # ties go to the first maximum in row-major order
                 pool_against_oracle(layer, from_pool_major(x_i), g_i)
         assert np.array_equal(layer.grad, grad)
@@ -225,13 +224,13 @@ class TestHamiltonTables:
             assert layers._PLANE[comp, a] == b and layers._FOLD_SIGN[comp, a] == sign
 
 
-def _random_correlation(kind, c, f, k, dtype, rng):
-    """A Conv2d or QConv2d with uniform random weights and bias, and the
-    leading axes of its input batch."""
+def _random_correlation(kind, c, f, k, dtype, rng, pool=None):
+    """A Conv2d or QConv2d of pool window ``pool`` with uniform random
+    weights and bias, and the leading axes of its input batch."""
     if kind == "conv":
-        layer, lead = Conv2d(c, f, k, dtype=dtype), (c,)
+        layer, lead = Conv2d(c, f, k, dtype=dtype, pool=pool), (c,)
     else:
-        layer, lead = QConv2d(c, f, k, dtype=dtype), (4, c)
+        layer, lead = QConv2d(c, f, k, dtype=dtype, pool=pool), (4, c)
     layer.theta[...] = rng.uniform(-1, 1, layer.theta.size)
     return layer, lead
 
@@ -296,8 +295,8 @@ class TestConvInputGradient:
         # (F, OH, OW, N) output, zero where the pool reads nothing; a signed
         # zero must match too
         rng = np.random.default_rng(42)
-        layer, lead = _random_correlation(kind, c, f, k, np.float32, rng)
-        layer._pool = p if p > 1 else None
+        layer, lead = _random_correlation(kind, c, f, k, np.float32, rng,
+                                          pool=p if p > 1 else None)
         x = rng.uniform(-1, 1, (*lead, h, w, n)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
         gx = layer.backward(g)
@@ -337,8 +336,7 @@ class TestPatchBuffer:
     @pytest.mark.parametrize("kind", ["conv", "qconv"])
     def test_batches_of_any_size_match_a_fresh_layer(self, kind, pool):
         rng = np.random.default_rng(44)
-        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
-        layer._pool = pool
+        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng, pool=pool)
         buffers = []
         for n in (4, 4, 1, 6):  # the same size again, a smaller one, a larger one
             x = rng.uniform(-1, 1, (*lead, 9, 11, n)).astype(np.float32)
@@ -346,8 +344,8 @@ class TestPatchBuffer:
             g = rng.uniform(-1, 1, out.shape).astype(np.float32)
             layer.grad.fill(0)
             gx = layer.backward(g)
-            fresh = type(layer)(2, 3, 3, dtype=np.float32)
-            fresh.theta[...], fresh._pool = layer.theta, pool
+            fresh = type(layer)(2, 3, 3, dtype=np.float32, pool=pool)
+            fresh.theta[...] = layer.theta
             assert np.array_equal(out, fresh.forward(x))
             assert np.array_equal(gx, fresh.backward(g))
             assert np.array_equal(layer.grad, fresh.grad)
@@ -363,8 +361,7 @@ class TestPatchBuffer:
     @pytest.mark.parametrize("kind", ["conv", "qconv"])
     def test_taps_overwrite_the_patches_in_both_forms(self, kind, n, raster):
         rng = np.random.default_rng(47)
-        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng)
-        layer._pool = 2
+        layer, lead = _random_correlation(kind, 2, 3, 3, np.float32, rng, pool=2)
         x = rng.uniform(-1, 1, (*lead, 9, 11, n)).astype(np.float32)
         g = rng.uniform(-1, 1, layer.forward(x).shape).astype(np.float32)
         buf = layer._buf
@@ -541,16 +538,23 @@ class TestMaxPool:
         x = np.full((2, 4, 4), 3.25)
         assert np.array_equal(pool_one(pool_on((2,)), x), np.full((2, 2, 2), 3.25))
 
-    def test_building_sets_the_window_of_the_convolution(self):
-        conv = Conv2d(1, 3)
-        pool = MaxPool2d(conv, 3)
-        assert pool._conv is conv and conv._pool == pool.window == 3
+    def test_the_window_is_that_of_the_convolution(self):
+        conv = Conv2d(1, 3, pool=3)
+        pool = MaxPool2d(conv)
+        assert pool.conv is conv and conv.pool == pool.window == 3
+
+    @pytest.mark.parametrize("conv", [Conv2d(1, 3), QConv2d(1, 2)], ids=["Conv2d", "QConv2d"])
+    def test_a_convolution_built_without_a_window_is_refused(self, conv):
+        with pytest.raises(ValueError, match=rf"^MaxPool2d needs a convolution built with a "
+                                             rf"pool window, got a {type(conv).__name__} "
+                                             rf"with pool=None$"):
+            MaxPool2d(conv)
 
     def test_odd_trailing_dropped(self):
         # a 49x49 convolution output: the pool-major convolution leaves out
         # the last row and column, and the pool gives 24x24
         pool = pool_on((1,))
-        assert pool.forward(pool._conv.forward(np.zeros((1, 49, 49, 1)))).shape == (1, 24, 24, 1)
+        assert pool.forward(pool.conv.forward(np.zeros((1, 49, 49, 1)))).shape == (1, 24, 24, 1)
         # the spatial chain that feeds the dense layer 12,800 values
         sizes = [100]
         for _ in range(3):
@@ -637,7 +641,7 @@ class TestRunOrder:
             assert model.run_order == [model.layers[i] for i in (0, 2, 3, 5, 6, 8, 9, 10)]
             for i in (2, 5, 8):
                 pool = model.layers[i]
-                assert pool._conv is model.layers[i - 2] and pool._conv._pool == pool.window
+                assert pool.conv is model.layers[i - 2] and pool.window == 2
 
     def test_reference_digests_keep_the_declaration_order(self):
         # the configs as declared (conv -> relu -> maxpool), whose digest
@@ -674,7 +678,7 @@ class TestRunOrder:
         # per filter
         pool = model.layers[2]
         pooled_in = first.forward(batch).copy()
-        assert pool._conv is first and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
+        assert pool.conv is first and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
         offsets = np.stack(layers._pool_views(pooled_in, 2))
         peaks = offsets.max(axis=0)
         ties = (offsets == peaks).sum(axis=0) > 1
@@ -769,7 +773,7 @@ class TestPoolMajor:
         pool_inputs = []
         for layer in model.run_order:
             if isinstance(layer, MaxPool2d):
-                assert layer._conv is not None
+                assert layer.conv is not None
                 pool_inputs.append(h)
             h = layer.forward(h)
         logits = h
@@ -817,7 +821,7 @@ class TestPoolMajor:
         size = config.input_size
         batch = rng.integers(-1, 2, (*lead, config.in_channels, size, size, 3)).astype(np.float64)
         conv, pool = model.layers[0], model.layers[2]
-        assert pool._conv is conv
+        assert pool.conv is conv
         raster = _without_bias(conv).forward(batch)
         pooled_in = conv.forward(batch)
         out = pool.forward(pooled_in)
@@ -839,14 +843,14 @@ class TestPoolMajor:
         model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(83))
         convs = [layer for layer in model.layers if isinstance(layer, QConv2d)]
         pools = [layer for layer in model.layers if isinstance(layer, MaxPool2d)]
-        assert [conv._pool for conv in convs] == [2, 2, 2]
-        assert [pool._conv for pool in pools] == convs
+        assert [conv.pool for conv in convs] == [2, 2, 2]
+        assert [pool.conv for pool in pools] == convs
         x = np.random.default_rng(84).uniform(-1, 1, (4, 1, 24, 24, 2)).astype(np.float32)
         assert convs[0].forward(x).shape == (4, 8, 2, 2, 11, 11, 2)
         # standalone, and the real convolution that as_block_conv returns,
         # keep the raster layout
         block = as_block_conv(convs[0])
-        assert block._pool is None
+        assert block.pool is None
         assert block.forward(x.reshape(4, 24, 24, 2)).shape == (32, 22, 22, 2)
         assert QConv2d(1, 8).forward(x).shape == (4, 8, 22, 22, 2)
 
@@ -917,8 +921,8 @@ class TestPoolBias:
 
 class TestFlatten:
     def test_dense_input_length(self):
-        assert Flatten().forward(np.zeros((4, 32, 10, 10, 1))).shape == (1, 12800)
-        assert Flatten().forward(np.zeros((128, 10, 10, 3))).shape == (3, 12800)
+        assert Flatten().forward(np.zeros((4, 32, 10, 10, 1))).shape == (12800, 1)
+        assert Flatten().forward(np.zeros((128, 10, 10, 3))).shape == (12800, 3)
 
     def test_zero(self):
         assert np.all(Flatten().forward(np.zeros((4, 1, 2, 2, 2))) == 0)
@@ -928,10 +932,10 @@ class TestFlatten:
         c, n, h, w = 2, 3, 3, 4
         planes = rng.uniform(-1, 1, (4, c, h, w, n))
         v = Flatten().forward(planes)
-        assert v.shape == (n, 4 * c * h * w)
+        assert v.shape == (4 * c * h * w, n)
         for comp, ci, ni, hi, wi in [(0, 0, 0, 0, 0), (1, 1, 2, 2, 3), (3, 0, 1, 1, 2)]:
             idx = ((comp * c + ci) * h + hi) * w + wi
-            assert v[ni, idx] == planes[comp, ci, hi, wi, ni]
+            assert v[idx, ni] == planes[comp, ci, hi, wi, ni]
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
@@ -947,28 +951,28 @@ class TestDense:
     def test_one_hot_selects(self):
         layer = Dense(5, dtype=np.float64)
         layer.w[3] = 1.0
-        v = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+        v = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0]]).T
         assert np.array_equal(layer.forward(v), [40.0, 4.0])
 
     def test_zero_vector_gives_bias(self):
         layer = Dense(4, dtype=np.float64)
         layer.w[...] = 1.0
         layer.bias[...] = 0.75
-        assert np.array_equal(layer.forward(np.zeros((1, 4))), [0.75])
+        assert np.array_equal(layer.forward(np.zeros((4, 1))), [0.75])
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(31)
-        v = rng.uniform(-1, 1, (3, 64))
+        v = rng.uniform(-1, 1, (3, 64)).T
         layer = Dense(64, dtype=np.float64)
         layer.w[...] = rng.uniform(-1, 1, 64)
         layer.bias[...] = rng.uniform(-1, 1)
-        expect = [sum(float(a) * float(b) for a, b in zip(layer.w, row)) + float(layer.bias)
-                  for row in v]
+        expect = [sum(float(a) * float(b) for a, b in zip(layer.w, column)) + float(layer.bias)
+                  for column in v.T]
         assert_close(layer.forward(v), expect, 1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            Dense(4).forward(np.zeros((1, 3)))
+            Dense(4).forward(np.zeros((3, 1)))
         with pytest.raises(ValueError, match="length"):
             Dense(4).forward(np.zeros(4))
 
@@ -976,9 +980,9 @@ class TestDense:
 @pytest.mark.parametrize("layer,g", [
     (Conv2d(1, 1, 1), np.ones((1, 1, 2, 2))),
     (QConv2d(1, 1, 1), np.ones((4, 1, 1, 2, 2))),
-    (MaxPool2d(Conv2d(1, 1, 1), 2), np.ones((1, 1, 2, 2))),
+    (MaxPool2d(Conv2d(1, 1, 1, pool=2)), np.ones((1, 1, 2, 2))),
     (ReLU(), np.ones((1, 1, 2, 2))),
-    (Flatten(), np.ones((1, 4))),
+    (Flatten(), np.ones((4, 1))),
     (Dense(3), np.ones(2)),
 ], ids=["Conv2d", "QConv2d", "MaxPool2d", "ReLU", "Flatten", "Dense"])
 def test_backward_needs_a_forward(layer, g):
@@ -1167,6 +1171,15 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(path, model)
         assert path.read_bytes()[40:] == model.theta.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_parameter_is_refused(self, tmp_path, bad):
+        model = Model(rvcnn_config(input_size=24))
+        model.theta[[7, 900]] = bad
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        with pytest.raises(ValueError, match=f"^non-finite parameter {bad} at index 7$"):
+            load_model(path, rvcnn_config(input_size=24))
 
     def test_reads_a_file_built_from_the_documented_layout(self, tmp_path):
         config = rvcnn_config(input_size=24)

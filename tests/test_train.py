@@ -191,8 +191,8 @@ class TestLayerGradients:
         rng = np.random.default_rng(300 + rep)
         # the pool-major blocks of a 6x6 plane, pooled with a bias
         x = pool_major(rng.uniform(-1, 1, (3, 6, 6, 2)), 2)
-        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64))
-        pool._conv.bias[...] = rng.uniform(-0.5, 0.5, 3)
+        pool = MaxPool2d(Conv2d(1, 3, 1, dtype=np.float64, pool=2))
+        pool.conv.bias[...] = rng.uniform(-0.5, 0.5, 3)
         layer_fd_check(pool, x, rng)
 
     @pytest.mark.parametrize("rep", range(3))
@@ -210,7 +210,7 @@ class TestLayerGradients:
         rng = np.random.default_rng(600 + rep)
         layer = Dense(20, dtype=np.float64)
         layer.initialize(rng)
-        layer_fd_check(layer, rng.uniform(-1, 1, (3, 20)), rng)
+        layer_fd_check(layer, rng.uniform(-1, 1, (20, 3)), rng)
 
 
 class TestBackwardClosedForms:
@@ -224,16 +224,16 @@ class TestBackwardClosedForms:
     def test_dense_closed_form(self):
         layer = Dense(3, dtype=np.float64)
         layer.w[...] = [1.0, -2.0, 0.5]
-        v = np.array([[4.0, 5.0, 6.0], [1.0, 0.0, -1.0]])
+        v = np.array([[4.0, 5.0, 6.0], [1.0, 0.0, -1.0]]).T
         layer.forward(v)
         layer.grad.fill(0)
         gv = layer.backward(np.array([2.0, -3.0]))
-        assert np.array_equal(layer.grad_w, 2.0 * v[0] - 3.0 * v[1])
+        assert np.array_equal(layer.grad_w, 2.0 * v[:, 0] - 3.0 * v[:, 1])
         assert layer.grad_bias == -1.0
-        assert np.array_equal(gv, [2.0 * layer.w, -3.0 * layer.w])
+        assert np.array_equal(gv.T, [2.0 * layer.w, -3.0 * layer.w])
 
     def test_maxpool_tie_routes_to_first_row_major(self):
-        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64))
+        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64, pool=2))
         x = np.full((1, 2, 2, 1), 5.0)
         layer.forward(pool_major(x, 2))
         g = from_pool_major(layer.backward(np.array([[[[1.0]]]])))
@@ -241,7 +241,7 @@ class TestBackwardClosedForms:
         assert np.all(g.reshape(-1)[1:] == 0)
 
     def test_maxpool_routes_to_argmax(self):
-        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64))
+        layer = MaxPool2d(Conv2d(1, 1, 1, dtype=np.float64, pool=2))
         x = np.array([[[1.0, 7.0], [7.0, 0.0]]])[..., None]
         layer.forward(pool_major(x, 2))
         g = from_pool_major(layer.backward(np.array([[[[2.0]]]])))

@@ -333,7 +333,7 @@ class DeclarationOrderPass:
         self.convs, self.windows = [], []
         for layer in model.layers:
             if isinstance(layer, MaxPool2d):
-                conv = layer._conv
+                conv = layer.conv
                 fresh = type(conv)(conv.in_channels, conv.out_channels, conv.kernel_size,
                                    dtype=model.dtype)
                 fresh.theta[...] = conv.theta
@@ -351,10 +351,10 @@ class DeclarationOrderPass:
             self.rectified.append(y)
             x, _ = _sample_last_pool(y, window)
         self.pooled_shape = x.shape
-        return self.dense.forward(x.reshape(-1, x.shape[-1]).T)
+        return self.dense.forward(x.reshape(-1, x.shape[-1]))
 
     def backward(self, dlogits: np.ndarray):
-        g = self.dense.backward(dlogits).T.reshape(self.pooled_shape)
+        g = self.dense.backward(dlogits).reshape(self.pooled_shape)
         for conv, window, y in zip(self.convs[::-1], self.windows[::-1], self.rectified[::-1]):
             _, g = _sample_last_pool(y, window, g)
             g = conv.backward(g * (y > 0))
