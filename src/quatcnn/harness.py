@@ -249,13 +249,13 @@ def evaluate(model, samples: Samples) -> float:
     chunk = chunk_size(model.config, n)
     correct = 0
     for lo in range(0, n, chunk):
-        part = np.arange(lo, min(lo + chunk, n))
-        logits = model.forward(samples.x.take(part, axis=-3))
+        # a view: Model.forward makes the chunk's one copy
+        logits = model.forward(samples.x[..., lo:lo + chunk, :, :])
         bad = np.flatnonzero(~np.isfinite(logits))
         if bad.size:
             raise ValueError(f"{model.config.name}: non-finite logit {logits[bad[0]]} "
                              f"for sample {lo + bad[0]}")
-        correct += int(np.count_nonzero((logits > 0) == (samples.y[part] == 1)))
+        correct += int(np.count_nonzero((logits > 0) == (samples.y[lo:lo + chunk] == 1)))
     return correct / n
 
 

@@ -1,15 +1,17 @@
 """Network layers: forward passes, reverse-mode backward passes, the
 two reference architectures, and the model container.
 
-Every layer implements the one ``Layer`` interface. ``trace_shapes`` is
-the one shape rule for a config, and ``Model`` builds each (convolution,
-ReLU, max pool) block, then flatten and dense, from its rows and the
-convolution class of its arithmetic. A model's parameters are one flat
-``theta`` and their gradients one flat ``grad``, in declaration order.
-A weighted layer's ``w`` and ``bias`` are reshaped views of its slice of
-``theta``, and its ``grad_w`` and ``grad_bias`` the same views of
-``grad``; a quaternion layer's four weight banks are one (4, F, C, k, k)
-view. The layers are the one way to run a convolution.
+Every layer implements the one ``Layer`` interface. The reference
+architectures are rows of ``_ARCHITECTURES``, which one builder makes
+into configs. ``trace_shapes`` is the one shape rule for a config, and
+``Model`` builds each (convolution, ReLU, max pool) block, then flatten
+and dense, from its rows and the convolution class of its arithmetic.
+A model's parameters are one flat ``theta`` and their gradients one flat
+``grad``, in declaration order. A weighted layer's ``w`` and ``bias``
+are reshaped views of its slice of ``theta``, and its ``grad_w`` and
+``grad_bias`` the same views of ``grad``; a quaternion layer's four
+weight banks are one (4, F, C, k, k) view. The layers are the one way
+to run a convolution.
 
 Layers run on batches of samples with the sample axis last: a real
 batch is (C, H, W, N) and a quaternion batch (4, C, H, W, N). In this
@@ -385,7 +387,8 @@ class _Correlation(_WeightedLayer):
     and ``grad_bias``. ``lead`` is the shape of the axes before
     (C, H, W, N), and of the weight and bias axes before (F, C, k, k) and
     (F,): none for a real layer, the four quaternion components for a
-    quaternion one; ``kind`` is its ``LayerSpec`` kind. ``pool``, fixed
+    quaternion one; ``kind`` is its ``LayerSpec`` kind, and
+    ``image_channels`` an encoded image's channels. ``pool``, fixed
     when the layer is built, is the window of its block's max pool, which
     adds the bias; None gives a standalone layer's raster output with it."""
 
@@ -500,7 +503,7 @@ class Conv2d(_Correlation):
     """Real valid correlation of a (C, H, W, N) batch -> (F, OH, OW, N),
     with an (F, C, k, k) kernel ``w`` and F biases."""
 
-    kind, lead = "conv", ()
+    kind, lead, image_channels = "conv", (), 3
 
     def _kernel(self):
         return self.w, self.bias
@@ -519,7 +522,7 @@ class QConv2d(_Correlation):
     the F quaternion biases as (4, F). Glorot is component-wise, with
     fans counted in quaternion channels."""
 
-    kind, lead = "qconv", (4,)
+    kind, lead, image_channels = "qconv", (4,), 1
 
     def _kernel(self):
         return _block_kernel(self.w), self.bias.reshape(-1)
@@ -692,37 +695,40 @@ def _conv_stack(conv_kind: str, filters) -> tuple[LayerSpec, ...]:
     return tuple(specs)
 
 
+_CONVOLUTIONS = {"real": Conv2d, "quaternion": QConv2d}  # by arithmetic
+
+# The two reference architectures, by name prefix: arithmetic and the
+# filters of each block.
+_ARCHITECTURES = {"rvcnn": ("real", (32, 64, 128)), "qvcnn": ("quaternion", (8, 16, 32))}
+CONFIG_NAMES = tuple(f"{prefix}-{encoding}" for prefix in _ARCHITECTURES
+                     for encoding in ("rgb", "hsv"))
+
+
+def _build_config(name: str, encoding: str, input_size: int, arithmetic: str,
+                  filters) -> ModelConfig:
+    """The config of (convolution, ReLU, max pool) blocks of ``filters`` in
+    the convolution class of ``arithmetic``, which gives the kind and channels."""
+    conv = _CONVOLUTIONS[arithmetic]
+    return ModelConfig(name=name, arithmetic=arithmetic, encoding=encoding,
+                       input_size=input_size, in_channels=conv.image_channels,
+                       layers=_conv_stack(conv.kind, filters))
+
+
 def rvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
     """Real-valued reference model: conv stacks of 32/64/128 filters."""
-    return ModelConfig(
-        name=f"rvcnn-{encoding}", arithmetic="real", encoding=encoding,
-        input_size=input_size, in_channels=3,
-        layers=_conv_stack("conv", (32, 64, 128)),
-    )
+    return _build_config(f"rvcnn-{encoding}", encoding, input_size, *_ARCHITECTURES["rvcnn"])
 
 
 def qvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
     """Quaternion model: a quarter of the real model's filters per layer."""
-    return ModelConfig(
-        name=f"qvcnn-{encoding}", arithmetic="quaternion", encoding=encoding,
-        input_size=input_size, in_channels=1,
-        layers=_conv_stack("qconv", (8, 16, 32)),
-    )
-
-
-CONFIG_NAMES = ("rvcnn-rgb", "rvcnn-hsv", "qvcnn-rgb", "qvcnn-hsv")
+    return _build_config(f"qvcnn-{encoding}", encoding, input_size, *_ARCHITECTURES["qvcnn"])
 
 
 def config_from_name(name: str, input_size: int = 100) -> ModelConfig:
-    kind, _, encoding = name.partition("-")
     if name not in CONFIG_NAMES:
         raise ValueError(f"unknown config {name!r}, expected one of {CONFIG_NAMES}")
-    if kind == "rvcnn":
-        return rvcnn_config(encoding, input_size)
-    return qvcnn_config(encoding, input_size)
-
-
-_CONVOLUTIONS = {"real": Conv2d, "quaternion": QConv2d}  # by arithmetic
+    prefix, _, encoding = name.partition("-")
+    return _build_config(name, encoding, input_size, *_ARCHITECTURES[prefix])
 
 
 def trace_shapes(config: ModelConfig):
@@ -734,8 +740,10 @@ def trace_shapes(config: ModelConfig):
     The one network shape is k >= 1 blocks of (convolution, ReLU, max
     pool), then flatten and dense, with ``conv`` layers for a real model
     and ``qconv`` layers for a quaternion one. Raises ValueError on any
-    other chain, on an arithmetic other than real or quaternion, and on a
-    kernel or pool window that does not fit its input."""
+    other chain, on an arithmetic other than real or quaternion, on an
+    input channel count, filter count, kernel or pool window below 1, on
+    a dense layer of other than one output, and on a kernel or pool window
+    that does not fit its input."""
     conv = _CONVOLUTIONS.get(config.arithmetic)
     if conv is None:
         raise ValueError(f"inconsistent config: arithmetic must be 'real' or 'quaternion', "
@@ -745,12 +753,20 @@ def trace_shapes(config: ModelConfig):
     if blocks < 1 or kinds != [conv.kind, "relu", "maxpool"] * blocks + ["flatten", "dense"]:
         raise ValueError(f"inconsistent config: layers must be ({conv.kind}, relu, maxpool) "
                          f"* k + (flatten, dense) with k >= 1, got ({', '.join(kinds)})")
+
+    def positive(field: str, value: int):
+        if value < 1:
+            raise ValueError(f"inconsistent config: {field} must be >= 1, got {value}")
+
     channels = config.in_channels
+    positive("in_channels", channels)
     h = w = config.input_size
     flat: int | None = None
     out = []
     for spec in config.layers:
         if spec.kind == conv.kind:
+            positive(f"{spec.kind} filters", spec.filters)
+            positive(f"{spec.kind} kernel", spec.kernel)
             if h < spec.kernel or w < spec.kernel:
                 raise ValueError(
                     f"inconsistent config: {spec.kind} kernel {spec.kernel} "
@@ -759,6 +775,7 @@ def trace_shapes(config: ModelConfig):
             channels = spec.filters
             h, w = h - spec.kernel + 1, w - spec.kernel + 1
         elif spec.kind == "maxpool":
+            positive("maxpool pool", spec.pool)
             if h < spec.pool or w < spec.pool:
                 raise ValueError(
                     f"inconsistent config: pool window {spec.pool} "
@@ -767,6 +784,9 @@ def trace_shapes(config: ModelConfig):
             h, w = h // spec.pool, w // spec.pool
         elif spec.kind == "flatten":
             flat = math.prod(conv.lead) * channels * h * w
+        elif spec.kind == "dense" and spec.filters != 1:
+            raise ValueError(f"inconsistent config: dense filters must be 1 (one logit), "
+                             f"got {spec.filters}")
         out.append((spec, channels, h, w, flat))
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import _CONVOLUTIONS, Model, ModelConfig, _conv_stack, chunk_size
+from .layers import Model, ModelConfig, _build_config, chunk_size
 
 __all__ = [
     "Samples",
@@ -263,12 +263,7 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
 
 
 def _tiny_config(arithmetic: str, input_size: int = 12) -> ModelConfig:
-    return ModelConfig(
-        name=f"tiny-{arithmetic}", arithmetic=arithmetic, encoding="rgb",
-        input_size=input_size,
-        in_channels=1 if arithmetic == "quaternion" else 3,
-        layers=_conv_stack(_CONVOLUTIONS[arithmetic].kind, (2, 2)),
-    )
+    return _build_config(f"tiny-{arithmetic}", "rgb", input_size, arithmetic, (2, 2))
 
 
 def run_gradient_verification(seed: int = 0, num_samples: int = 200) -> list[tuple[str, float]]:
@@ -286,10 +281,8 @@ def run_gradient_verification(seed: int = 0, num_samples: int = 200) -> list[tup
             for layer in model.layers:
                 if layer.param_count:
                     layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
-            if arithmetic == "quaternion":
-                x = rng.uniform(-1, 1, size=(4, 1, 1, 12, 12))
-            else:
-                x = rng.uniform(-1, 1, size=(3, 1, 12, 12))
+            size = config.input_size
+            x = rng.uniform(-1, 1, (*model.layers[0].lead, config.in_channels, 1, size, size))
             label = int(rng.integers(0, 2))
             err = grad_check(model, Samples(x, [label]), num_samples=num_samples, rng=rng)
             rows.append((f"{arithmetic}-model-{rep}", err))

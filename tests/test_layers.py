@@ -710,12 +710,12 @@ class TestRunOrder:
 def _pool3_config(arithmetic):
     """Pools of window 3 and 2 after convolutions whose outputs are no
     multiple of the window: 16 -> 14, cropped to 12 -> 4 -> 2 -> 1."""
-    conv = "qconv" if arithmetic == "quaternion" else "conv"
+    conv = layers._CONVOLUTIONS[arithmetic]
     return ModelConfig(
         name=f"pool3-{arithmetic}", arithmetic=arithmetic, encoding="rgb", input_size=16,
-        in_channels=1 if arithmetic == "quaternion" else 3,
-        layers=(LayerSpec(conv, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=3),
-                LayerSpec(conv, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=2),
+        in_channels=conv.image_channels,
+        layers=(LayerSpec(conv.kind, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=3),
+                LayerSpec(conv.kind, 2), LayerSpec("relu"), LayerSpec("maxpool", pool=2),
                 LayerSpec("flatten"), LayerSpec("dense", 1)),
     )
 
@@ -990,6 +990,12 @@ def test_backward_needs_a_forward(layer, g):
         layer.backward(g)
 
 
+def _block(filters=1, kernel=3, pool=2, logits=1):
+    """One real (conv, relu, maxpool) block, then flatten and dense."""
+    return (LayerSpec("conv", filters, kernel), LayerSpec("relu"), LayerSpec("maxpool", pool=pool),
+            LayerSpec("flatten"), LayerSpec("dense", logits))
+
+
 class TestCountParameters:
     def test_rvcnn_golden(self):
         counts, total = count_parameters(rvcnn_config())
@@ -1015,21 +1021,31 @@ class TestCountParameters:
         )
         assert count_parameters(config) == ([2, 2], 4)
 
-    @pytest.mark.parametrize("size,specs,match", [
-        (4, rvcnn_config().layers, "conv kernel 3 does not fit input 1x1"),
-        (5, (LayerSpec("conv", 1), LayerSpec("relu"), LayerSpec("maxpool", pool=4),
-             LayerSpec("flatten"), LayerSpec("dense", 1)),
-         "pool window 4 does not fit input 3x3"),
-        (5, (LayerSpec("conv", 1), LayerSpec("dense", 1)), _refusal("conv", "conv", "dense")),
-        (5, (LayerSpec("conv", 1), LayerSpec("avgpool")), _refusal("conv", "conv", "avgpool")),
-    ], ids=["conv-too-big", "pool-too-big", "dense-before-flatten", "unknown-kind"])
-    def test_inconsistent_config_raises(self, size, specs, match):
+    @pytest.mark.parametrize("size,channels,specs,match", [
+        (4, 3, rvcnn_config().layers, "conv kernel 3 does not fit input 1x1"),
+        (5, 3, _block(pool=4), "pool window 4 does not fit input 3x3"),
+        (5, 3, (LayerSpec("conv", 1), LayerSpec("dense", 1)), _refusal("conv", "conv", "dense")),
+        (5, 3, (LayerSpec("conv", 1), LayerSpec("avgpool")),
+         _refusal("conv", "conv", "avgpool")),
+        (5, 3, _block(pool=0), "maxpool pool must be >= 1, got 0"),
+        (5, 3, _block(pool=-1), "maxpool pool must be >= 1, got -1"),
+        (5, 3, _block(kernel=0), "conv kernel must be >= 1, got 0"),
+        (5, 3, _block(kernel=-2), "conv kernel must be >= 1, got -2"),
+        (5, 3, _block(filters=0), "conv filters must be >= 1, got 0"),
+        (5, 3, _block(filters=-1), "conv filters must be >= 1, got -1"),
+        (5, 0, _block(), "in_channels must be >= 1, got 0"),
+        (5, 3, _block(logits=5), r"dense filters must be 1 \(one logit\), got 5"),
+    ], ids=["conv-too-big", "pool-too-big", "dense-before-flatten", "unknown-kind",
+            "pool-0", "pool-negative", "kernel-0", "kernel-negative", "filters-0",
+            "filters-negative", "in-channels-0", "dense-of-5"])
+    def test_inconsistent_config_raises(self, size, channels, specs, match):
         config = ModelConfig(
             name="bad", arithmetic="real", encoding="rgb", input_size=size,
-            in_channels=3, layers=specs,
+            in_channels=channels, layers=specs,
         )
-        with pytest.raises(ValueError, match=match):
-            count_parameters(config)
+        for check in (count_parameters, trace_shapes, Model, lambda c: chunk_size(c, 16)):
+            with pytest.raises(ValueError, match=match):
+                check(config)
 
     def test_hsv_variants_same_counts(self):
         assert count_parameters(rvcnn_config("hsv")) == count_parameters(rvcnn_config("rgb"))
@@ -1098,7 +1114,8 @@ class TestShapeChain:
                 check(config)
 
     def test_config_from_name(self):
-        for name in ("rvcnn-rgb", "rvcnn-hsv", "qvcnn-rgb", "qvcnn-hsv"):
+        assert CONFIG_NAMES == ("rvcnn-rgb", "rvcnn-hsv", "qvcnn-rgb", "qvcnn-hsv")
+        for name in CONFIG_NAMES:
             config = config_from_name(name)
             assert config.name == name
         with pytest.raises(ValueError, match="unknown config"):
