@@ -17,7 +17,7 @@ import numpy as np
 
 from quatcnn.harness import generate_synthetic_dataset, load_manifest, \
     load_decoded_images, encode_input
-from quatcnn.layers import qvcnn_config, rvcnn_config
+from quatcnn.layers import config_from_name
 from quatcnn.train import Samples, run_gradient_verification, train_model
 
 print("== finite-difference gradient checks (double precision, h = 1e-6) ==")
@@ -31,8 +31,8 @@ with tempfile.TemporaryDirectory() as tmp:
     manifest = load_manifest(data_dir)
     images, labels = zip(*load_decoded_images(manifest, 24).values())
 
-    for maker in (qvcnn_config, rvcnn_config):
-        config = maker("rgb", input_size=24)
+    for name in ("qvcnn-rgb", "rvcnn-rgb"):
+        config = config_from_name(name, 24)
         samples = Samples(encode_input(config, np.stack(images)), labels)
         model, metrics = train_model(config, samples, epochs=20, batch_size=16, seed=0)
         trace = " ".join(f"{m.train_acc:.2f}" for m in metrics[:12])

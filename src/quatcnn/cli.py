@@ -17,8 +17,9 @@ from . import harness, layers, train as training
 
 # the plan whose fields are the train and sweep defaults
 _DEFAULT = harness.ExperimentPlan()
-# the parameters whose defaults are the synth-data defaults
+# the parameters whose defaults are the synth-data and gradcheck defaults
 _SYNTH = inspect.signature(harness.generate_synthetic_dataset).parameters
+_GRADCHECK = inspect.signature(training.run_gradient_verification).parameters
 
 
 def _data_root(args) -> Path:
@@ -76,9 +77,8 @@ def cmd_train(args) -> int:
         "test_accuracy": test_acc,
         "n_train": len(train_inputs), "n_test": len(test_inputs),
     }
-    (out / "result.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with layers.atomic_write(out / "result.json") as fh:
+        fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"test accuracy {test_acc:.4f} "
           f"(train {result['train_accuracy']}, model -> {out / 'model.bin'})")
     return 0
@@ -109,8 +109,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    for maker in (layers.rvcnn_config, layers.qvcnn_config):
-        config = maker(input_size=args.input_size)
+    for name in ("rvcnn-rgb", "qvcnn-rgb"):
+        config = layers.config_from_name(name, args.input_size)
         model = layers.Model(config)
         print(f"{config.name} (input {args.input_size}x{args.input_size}):")
         for spec, layer in zip(config.layers, model.layers):
@@ -165,24 +165,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default=",".join(map(str, _DEFAULT.fractions)),
                    help="comma-separated test fractions")
     p.add_argument("--runs", type=int, default=_DEFAULT.runs, help="simulations per cell")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    p.add_argument("--jobs", type=int, default=_DEFAULT.jobs, help="concurrent runs")
     p.add_argument("--seed", type=int, default=_DEFAULT.base_seed, help="base seed of the sweep")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("count-params", help="print per-layer parameter counts")
-    p.add_argument("--input-size", type=int, default=layers.rvcnn_config().input_size)
+    p.add_argument("--input-size", type=int,
+                   default=layers.config_from_name("rvcnn-rgb").input_size)
     p.set_defaults(fn=cmd_count_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_GRADCHECK["seed"].default)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("synth-data", help="generate the synthetic fixture dataset")
     p.add_argument("--n", type=int, default=_SYNTH["n"].default)
     p.add_argument("--size", type=int, default=_SYNTH["size"].default)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_SYNTH["seed"].default)
     p.add_argument("--healthy-hue", type=float, default=_SYNTH["healthy_hue"].default)
     p.add_argument("--blast-hue", type=float, default=_SYNTH["blast_hue"].default)
     p.add_argument("--fixed-value", type=float, default=None,

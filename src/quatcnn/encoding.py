@@ -113,8 +113,9 @@ def concat_channels(img: np.ndarray, dtype=np.float64) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(img, -1, 0), dtype=dtype)
 
 
-def resize(img: np.ndarray, target: tuple[int, int] = (100, 100)) -> np.ndarray:
-    """Bilinear resize of an (H, W) or (H, W, C) image.
+def resize(img: np.ndarray, target: tuple[int, int]) -> np.ndarray:
+    """Bilinear resize of an (H, W) or (H, W, C) image to the (rows, columns)
+    of ``target``.
 
     Pixel centers are aligned via src = (dst + 0.5) * scale - 0.5, so a
     same-size resize is the identity. Output is clipped to the source

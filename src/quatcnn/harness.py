@@ -85,7 +85,8 @@ def load_manifest(root) -> DatasetManifest:
     naming convention, e.g. Im001_1.tif)."""
     root = Path(root)
     if not root.is_dir():
-        raise ValueError(f"dataset root {root} does not exist")
+        reason = "is not a directory" if root.exists() else "does not exist"
+        raise ValueError(f"dataset root {root} {reason}")
     entries: list[ManifestEntry] = []
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in IMAGE_EXTENSIONS or not path.is_file():

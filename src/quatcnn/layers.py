@@ -46,8 +46,10 @@ positions no pool reads, fall on the pad and add exact zeros. The
 compact form skips that pad, (W - p*PW)*N floats per pooled row, but
 its adds pay per row; it runs where the pad is 12 floats or more, so
 at 24x24 on chunks of 4 or more (conv2) and 8 or more (conv3), and the
-100x100 path keeps the flat form. Both sum the same products in the
-same tap order and give the same bits.
+100x100 path keeps the flat form. Both add the taps in the same order,
+but from GEMMs of other shapes, which Haswell sgemm (unlike SkylakeX
+and Sandybridge) rounds otherwise: there ``_PAD_FLOATS`` moves results,
+as ``IM2COL_BUDGET`` does.
 The patch matrix carries one extra row of ones, which the forward GEMM
 does not read, so the weight-gradient GEMM yields the bias gradient as
 its last row. That GEMM sums its long inner dimension (OH*OW*N) in
@@ -77,17 +79,18 @@ straight into its block of the input gradient.
 A pool-major convolution adds no bias: the pool of its block adds the
 bias to the maxima, a quarter of the elements, and then applies the
 block's ReLU in place, so the ReLUs leave ``Model.run_order``; configs
-and ``Model.layers`` keep declaration order. The logits keep their
-bits: rounding is monotone, so adding a per-channel constant commutes
-with the maximum and with ReLU. The pool's backward starts with the
-windows whose maximum exceeds minus the bias, which is exactly
-fl(max + bias) > 0, and routes each one's gradient to its first
+and ``Model.layers`` keep declaration order. On the same convolution
+output the bits are kept: rounding is monotone, so adding a per-channel
+constant commutes with the maximum and with ReLU. The pool's backward
+starts with the windows whose maximum exceeds minus the bias, which is
+exactly fl(max + bias) > 0, and routes each one's gradient to its first
 maximum before the bias; a window whose elements the bias rounds to
 one value sends it to its maximum, not to its first element. The pool
 caches its input and the maxima before the bias. A pass in declaration
 order through raster convolutions with their bias, a ReLU and a raster
-max pool gives the same result; the tests build that reference from
-standalone convolutions and their own pooling oracle.
+max pool gives the same logits, bit for bit where BLAS rounds a GEMM
+alike at both shapes (not Haswell sgemm); the tests build that
+reference from standalone convolutions and their own pooling oracle.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
@@ -137,8 +140,6 @@ __all__ = [
     "Dense",
     "LayerSpec",
     "ModelConfig",
-    "rvcnn_config",
-    "qvcnn_config",
     "config_from_name",
     "CONFIG_NAMES",
     "trace_shapes",
@@ -253,7 +254,7 @@ def _grad_raster(h: int, w: int, k: int, p: int, n: int) -> tuple[int, int]:
     p, runs its taps GEMM for N samples: the p*PH x p*PW positions that
     the pool reads, or, where they leave fewer than ``_PAD_FLOATS``
     floats of pad per row, the OH x W zero-padded raster of the flat
-    form."""
+    form. Haswell sgemm rounds the two forms' GEMMs differently."""
     oh, ow = h - k + 1, w - k + 1
     cols = p * (ow // p)
     if (w - cols) * n < _PAD_FLOATS:
@@ -461,8 +462,8 @@ class _Correlation(_WeightedLayer):
         #   t + (di*W + dj)*N, one contiguous add per tap. The taps that
         #   wrap past a row's end, and those of the positions no pool
         #   window reads, come from the pad and add exact zeros.
-        # Either way each input element sums the same nonzero products in
-        # the same (di, dj) order, so both give the same bits.
+        # Either way each input element adds its taps in the same (di, dj)
+        # order; the taps' bits are the GEMM's (see ``_grad_raster``).
         h, wd, n = x_shape[-3:]
         p = self.pool or 1
         oh, ow = h - k + 1, wd - k + 1
@@ -698,7 +699,8 @@ def _conv_stack(conv_kind: str, filters) -> tuple[LayerSpec, ...]:
 _CONVOLUTIONS = {"real": Conv2d, "quaternion": QConv2d}  # by arithmetic
 
 # The two reference architectures, by name prefix: arithmetic and the
-# filters of each block.
+# filters of each block; a quaternion filter is four real planes, so
+# qvcnn has a quarter of rvcnn's filters and the same planes per layer.
 _ARCHITECTURES = {"rvcnn": ("real", (32, 64, 128)), "qvcnn": ("quaternion", (8, 16, 32))}
 CONFIG_NAMES = tuple(f"{prefix}-{encoding}" for prefix in _ARCHITECTURES
                      for encoding in ("rgb", "hsv"))
@@ -714,17 +716,11 @@ def _build_config(name: str, encoding: str, input_size: int, arithmetic: str,
                        layers=_conv_stack(conv.kind, filters))
 
 
-def rvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
-    """Real-valued reference model: conv stacks of 32/64/128 filters."""
-    return _build_config(f"rvcnn-{encoding}", encoding, input_size, *_ARCHITECTURES["rvcnn"])
-
-
-def qvcnn_config(encoding: str = "rgb", input_size: int = 100) -> ModelConfig:
-    """Quaternion model: a quarter of the real model's filters per layer."""
-    return _build_config(f"qvcnn-{encoding}", encoding, input_size, *_ARCHITECTURES["qvcnn"])
-
-
 def config_from_name(name: str, input_size: int = 100) -> ModelConfig:
+    """The reference config ``name`` of ``CONFIG_NAMES``, an architecture
+    (rvcnn: real, 32/64/128 filters; qvcnn: quaternion, 8/16/32) and an
+    encoding (rgb or hsv), for inputs of ``input_size`` squared, by
+    default the paper's 100x100; any other name raises ValueError."""
     if name not in CONFIG_NAMES:
         raise ValueError(f"unknown config {name!r}, expected one of {CONFIG_NAMES}")
     prefix, _, encoding = name.partition("-")

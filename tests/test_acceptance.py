@@ -14,7 +14,7 @@ import quatcnn
 from quatcnn.quat import Quaternion, I, J, K, ONE, add, hamilton, conjugate, norm
 from quatcnn.layers import (
     Model, as_block_conv, Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense,
-    rvcnn_config, qvcnn_config, count_parameters, trace_shapes,
+    config_from_name, count_parameters, trace_shapes,
 )
 from quatcnn.train import Samples, train_model, run_gradient_verification
 from quatcnn.encoding import rgb_to_hsv, encode_rgb_quaternion, encode_hsv_quaternion
@@ -43,8 +43,8 @@ def fixture_dataset(tmp_path_factory):
 
 def test_criterion_1_parameter_count_goldens():
     started = time.perf_counter()
-    rv_counts, rv_total = count_parameters(rvcnn_config())
-    qv_counts, qv_total = count_parameters(qvcnn_config())
+    rv_counts, rv_total = count_parameters(config_from_name("rvcnn-rgb"))
+    qv_counts, qv_total = count_parameters(config_from_name("qvcnn-rgb"))
     assert rv_counts == [896, 18496, 73856, 12801]
     assert rv_total == 106049
     assert qv_counts == [320, 4672, 18560, 12801]
@@ -157,9 +157,9 @@ def test_criterion_5_shape_chain_12800():
     flat_lengths = {}
     # batches of one sample as the layers take them, sample axis last:
     # real (C, H, W, N), quaternion (4, C, H, W, N)
-    for maker, shape in ((rvcnn_config, (3, 100, 100, 1)),
-                         (qvcnn_config, (4, 1, 100, 100, 1))):
-        config = maker(input_size=100)
+    for name, shape in (("rvcnn-rgb", (3, 100, 100, 1)),
+                        ("qvcnn-rgb", (4, 1, 100, 100, 1))):
+        config = config_from_name(name, 100)
         model = Model(config, rng=rng)
         data = rng.uniform(0, 1, shape).astype(np.float32)
         for layer in model.layers:
@@ -212,8 +212,8 @@ def test_criterion_7_overfit_smoke(fixture_dataset):
     assert len(manifest.entries) == 20
     decoded = load_decoded_images(manifest, 24)
     first_perfect = {}
-    for maker in (qvcnn_config, rvcnn_config):
-        config = maker("rgb", input_size=24)
+    for name in ("qvcnn-rgb", "rvcnn-rgb"):
+        config = config_from_name(name, 24)
         images, labels = zip(*decoded.values())
         data = Samples(encode_input(config, np.stack(images)), labels)
         _, metrics = train_model(config, data, epochs=30, batch_size=16, seed=0)
@@ -265,8 +265,8 @@ def test_criterion_9_hue_separable_substitute(tmp_path):
     assert means["qvcnn-hsv"] >= means["qvcnn-rgb"] - 0.02
     assert abs(means["qvcnn-rgb"] - means["rvcnn-rgb"]) <= 0.03
 
-    _, rv_total = count_parameters(rvcnn_config())
-    _, qv_total = count_parameters(qvcnn_config())
+    _, rv_total = count_parameters(config_from_name("rvcnn-rgb"))
+    _, qv_total = count_parameters(config_from_name("qvcnn-rgb"))
     ratio = qv_total / rv_total
     assert 0.33 < ratio < 0.35  # the quaternion model uses about 34%
 

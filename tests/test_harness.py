@@ -1,7 +1,9 @@
 import argparse
+import builtins
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -19,10 +21,8 @@ from quatcnn.harness import (
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import (
-    CONFIG_NAMES, Model, config_from_name, load_model, qvcnn_config, rvcnn_config,
-)
-from quatcnn.train import Samples, train_model
+from quatcnn.layers import CONFIG_NAMES, Model, config_from_name, load_model
+from quatcnn.train import Samples, run_gradient_verification, train_model
 import quatcnn
 from quatcnn import cli, harness
 
@@ -59,6 +59,11 @@ class TestLoadManifest:
     def test_missing_root(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
             load_manifest(tmp_path / "nope")
+
+    def test_root_that_is_a_file(self, tmp_path):
+        write_ppm(tmp_path / "Im001_1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"^dataset root .*Im001_1\.ppm is not a directory$"):
+            load_manifest(tmp_path / "Im001_1.ppm")
 
     def test_single_class(self, tmp_path):
         write_ppm(tmp_path / "Im001_1.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
@@ -219,7 +224,7 @@ class TestPlanValidation:
 class _StubModel:
     """Gives each sample of a (1, N, 1, 1) batch its one value as the logit."""
 
-    config = rvcnn_config(input_size=24)  # chunks of 16 samples
+    config = config_from_name("rvcnn-rgb", 24)  # chunks of 16 samples
 
     def __init__(self):
         self.batch_sizes = []
@@ -274,7 +279,7 @@ class TestEvaluate:
 
     def test_a_nan_model_gets_no_accuracy(self, tmp_path):
         # every logit NaN: counted as class 0, it would score 6/8 here
-        config = rvcnn_config(input_size=24)
+        config = config_from_name("rvcnn-rgb", 24)
         model = Model(config)
         model.theta[...] = np.nan
         samples = Samples(np.zeros((3, 8, 24, 24), np.float32), [0] * 6 + [1] * 2)
@@ -954,12 +959,42 @@ class TestCli:
         assert set(re.findall(r"--[a-z][a-z-]*", commands[command].format_help())) \
             == self._FLAGS[command]
 
-    def test_count_params_golden(self, capsys):
-        assert cli.main(["count-params"]) == 0
-        out = capsys.readouterr().out
-        for token in ("896", "18,496", "73,856", "12,801", "106,049",
-                      "320", "4,672", "18,560", "36,353"):
-            assert token in out
+    # the whole output of count-params, at the paper's 100x100 and at 24x24
+    _COUNT_PARAMS = {
+        (): """\
+rvcnn-rgb (input 100x100):
+  conv            896
+  conv         18,496
+  conv         73,856
+  dense        12,801
+  total       106,049
+qvcnn-rgb (input 100x100):
+  qconv           320
+  qconv         4,672
+  qconv        18,560
+  dense        12,801
+  total        36,353
+""",
+        ("--input-size", "24"): """\
+rvcnn-rgb (input 24x24):
+  conv            896
+  conv         18,496
+  conv         73,856
+  dense           129
+  total        93,377
+qvcnn-rgb (input 24x24):
+  qconv           320
+  qconv         4,672
+  qconv        18,560
+  dense           129
+  total        23,681
+""",
+    }
+
+    @pytest.mark.parametrize("flags", list(_COUNT_PARAMS), ids=["default", "input-size-24"])
+    def test_count_params_golden(self, capsys, flags):
+        assert cli.main(["count-params", *flags]) == 0
+        assert capsys.readouterr().out == self._COUNT_PARAMS[flags]
 
     @pytest.mark.parametrize("fixed", ["0", "0.8"])
     def test_synth_data_fixed_value(self, tmp_path, capsys, fixed):
@@ -998,6 +1033,33 @@ class TestCli:
         assert evaluate(model, test) == result["test_accuracy"]
         trained, _ = train_model(config, train, epochs=2, batch_size=16, seed=result["seed"])
         assert np.array_equal(model.theta, trained.theta)
+
+    def test_a_failed_result_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        argv = ["train", "--config", "rvcnn-rgb", "--data", str(data), "--test-fraction", "0.25",
+                "--epochs", "1", "--input-size", "24", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        path = tmp_path / "run" / "result.json"
+        before = path.read_bytes()
+
+        real_open = builtins.open
+
+        def open_closed(file, mode="r", *args, **kwargs):
+            # result.json, or a temporary file beside it, opened for writing
+            # comes back closed: the file is there, but writing it fails
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).name.startswith("result.json"):
+                fh.close()
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_closed)
+        monkeypatch.setattr(io, "open", open_closed)
+        with pytest.raises(SystemExit, match="^error: I/O operation on closed file"):
+            cli.main(argv)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == \
+            ["metrics.csv", "model.bin", "result.json"]
 
     def test_sweep(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -1131,10 +1193,15 @@ class TestCli:
         parser = cli.build_parser()
         args = parser.parse_args(["synth-data", "--out", "out"])
         library = inspect.signature(generate_synthetic_dataset).parameters
-        for name in ("n", "size", "healthy_hue", "blast_hue"):
+        for name in ("n", "size", "seed", "healthy_hue", "blast_hue"):
             assert getattr(args, name) == library[name].default
         args = parser.parse_args(["count-params"])
-        assert args.input_size == rvcnn_config().input_size == qvcnn_config().input_size
+        assert args.input_size == config_from_name("rvcnn-rgb").input_size \
+            == config_from_name("qvcnn-rgb").input_size
+        args = parser.parse_args(["gradcheck"])
+        assert args.seed == inspect.signature(run_gradient_verification).parameters["seed"].default
+        args = parser.parse_args(["sweep", "--out", "out"])
+        assert args.jobs == ExperimentPlan().jobs
 
     def test_gradcheck_cli(self, capsys):
         assert cli.main(["gradcheck"]) == 0

@@ -9,7 +9,7 @@ from quatcnn import layers
 from quatcnn.quat import Quaternion, hamilton, add
 from quatcnn.layers import (
     as_block_conv, Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
-    rvcnn_config, qvcnn_config, config_from_name, CONFIG_NAMES,
+    config_from_name, CONFIG_NAMES,
     chunk_size, count_parameters, trace_shapes, Model, config_digest, save_model,
     load_model,
 )
@@ -18,7 +18,7 @@ from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
     conv_input_grad_oracle, qconv_input_grad_oracle, quat_at, _UNIT_TABLE, pool_major,
-    from_pool_major, DeclarationOrderPass,
+    from_pool_major, DeclarationOrderPass, _sample_last_pool,
 )
 
 
@@ -246,7 +246,9 @@ def _raster_scatter(g, f, p, oh, ow):
 class TestConvInputGradient:
     """The input gradient of Conv2d and QConv2d: against a per-tap oracle,
     and bit for bit against the transposed GEMM scattered by the
-    nine-strided-add ``col2im_oracle``."""
+    nine-strided-add ``col2im_oracle``. Some OpenBLAS kernels (Haswell
+    sgemm) round a float32 GEMM by the shapes of its operands, so that
+    GEMM runs on the raster that the layer's own taps GEMM takes."""
 
     # (C, F, H, W, k, N); channels are quaternion channels for qconv
     @pytest.mark.parametrize("c,f,h,w,k,n", [
@@ -292,8 +294,10 @@ class TestConvInputGradient:
     @pytest.mark.parametrize("kind,c,f,h,w,k,p,n", BIT_CASES)
     def test_bit_identical_to_col2im_form(self, kind, c, f, h, w, k, p, n):
         # a pooled layer's pool-major g is scattered onto the raster
-        # (F, OH, OW, N) output, zero where the pool reads nothing; a signed
-        # zero must match too
+        # (F, OH, OW, N) output, zero where the pool reads nothing, and
+        # then onto the layer's own (rows, cols) raster: the flat form's
+        # OH x W, whose pad columns' zero taps are dropped here, or the
+        # compact form's p*PH x p*PW; a signed zero must match too
         rng = np.random.default_rng(42)
         layer, lead = _random_correlation(kind, c, f, k, np.float32, rng,
                                           pool=p if p > 1 else None)
@@ -302,9 +306,15 @@ class TestConvInputGradient:
         gx = layer.backward(g)
         kernel = layer.w if kind == "conv" else as_block_conv(layer).w
         planes = kernel.reshape(kernel.shape[0], -1)
-        gmat = _raster_scatter(g, kernel.shape[0], p, h - k + 1, w - k + 1)
-        expect = col2im_oracle(planes.T @ gmat.reshape(kernel.shape[0], -1),
-                               (kernel.shape[1], h, w, n), k)
+        oh, ow = h - k + 1, w - k + 1
+        rows, cols = layers._grad_raster(h, w, k, p, n)
+        r, s = min(rows, oh), min(cols, ow)
+        gmat = np.zeros((kernel.shape[0], rows, cols, n), dtype=np.float32)
+        gmat[:, :r, :s] = _raster_scatter(g, kernel.shape[0], p, oh, ow)[:, :r, :s]
+        taps = (planes.T @ gmat.reshape(kernel.shape[0], -1)).reshape(-1, rows, cols, n)
+        patches = np.zeros((taps.shape[0], oh, ow, n), dtype=np.float32)
+        patches[:, :r, :s] = taps[:, :r, :s]
+        expect = col2im_oracle(patches.reshape(taps.shape[0], -1), (kernel.shape[1], h, w, n), k)
         assert gx.shape == x.shape and gx.tobytes() == expect.tobytes()
 
     def test_bit_cases_run_both_forms(self):
@@ -840,7 +850,7 @@ class TestPoolMajor:
             assert np.array_equal(graster[..., i], expect_gx)
 
     def test_only_a_convolution_before_a_pool_is_pool_major(self):
-        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(83))
+        model = Model(config_from_name("qvcnn-rgb", 24), rng=np.random.default_rng(83))
         convs = [layer for layer in model.layers if isinstance(layer, QConv2d)]
         pools = [layer for layer in model.layers if isinstance(layer, MaxPool2d)]
         assert [conv.pool for conv in convs] == [2, 2, 2]
@@ -862,6 +872,13 @@ class TestPoolBias:
     @pytest.mark.parametrize("size, n", [(24, 1), (24, 2), (24, 16), (100, 1)])
     @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_logits_match_a_declaration_order_pass_bit_for_bit(self, name, size, n):
+        # Each block in declaration order on the float32 output of the
+        # model's own pool-major convolution: its raster plus the bias,
+        # then ReLU, then the argmax pool oracle, must give the pool's bits,
+        # and a fresh dense layer on the last block the logits' bits. The
+        # raster convolutions of DeclarationOrderPass run GEMMs of other
+        # shapes, which some OpenBLAS kernels (Haswell sgemm) round
+        # otherwise, so the logits agree with that pass to rounding.
         # Glorot leaves the biases at 0, which any bias placement passes
         rng = np.random.default_rng(85)
         config = config_from_name(name, size)
@@ -871,11 +888,21 @@ class TestPoolBias:
                 layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
         lead = (4,) if config.arithmetic == "quaternion" else ()
         x = rng.uniform(0, 1, (*lead, config.in_channels, n, size, size)).astype(np.float32)
-        # raster conv with bias, then ReLU, then the argmax pool oracle
-        h = DeclarationOrderPass(model).forward(np.ascontiguousarray(np.moveaxis(x, -3, -1)))
+        batch = np.ascontiguousarray(np.moveaxis(x, -3, -1))
+        reference = DeclarationOrderPass(model)
+        h = batch
+        for conv, pool in zip(model.run_order[:-2:2], model.run_order[1:-2:2], strict=True):
+            assert pool.conv is conv
+            out = conv.forward(h)
+            rectified = np.maximum(from_pool_major(out) + conv.bias[..., None, None, None], 0)
+            expect, _ = _sample_last_pool(rectified, pool.window)
+            h = pool.forward(out)
+            assert h.dtype == expect.dtype == np.float32 and h.tobytes() == expect.tobytes()
+        want = reference.dense.forward(h.reshape(-1, n))
         logits = model.forward(x)
-        assert logits.dtype == h.dtype == np.float32
-        assert logits.tobytes() == h.tobytes()
+        assert logits.dtype == want.dtype == np.float32
+        assert logits.tobytes() == want.tobytes()
+        assert norm_rel_err(logits, reference.forward(batch)) < 1e-4
 
     def test_a_bias_that_rounds_a_window_flat_routes_to_its_maximum(self):
         # a 1x1 identity convolution, so the pool sees the input itself
@@ -998,18 +1025,18 @@ def _block(filters=1, kernel=3, pool=2, logits=1):
 
 class TestCountParameters:
     def test_rvcnn_golden(self):
-        counts, total = count_parameters(rvcnn_config())
+        counts, total = count_parameters(config_from_name("rvcnn-rgb"))
         assert counts == [896, 18496, 73856, 12801]
         assert total == 106049
 
     def test_qvcnn_golden(self):
-        counts, total = count_parameters(qvcnn_config())
+        counts, total = count_parameters(config_from_name("qvcnn-rgb"))
         assert counts == [320, 4672, 18560, 12801]
         assert total == 36353
 
     def test_parameter_ratio_about_a_third(self):
-        _, rv = count_parameters(rvcnn_config())
-        _, qv = count_parameters(qvcnn_config())
+        _, rv = count_parameters(config_from_name("rvcnn-rgb"))
+        _, qv = count_parameters(config_from_name("qvcnn-rgb"))
         assert abs(qv / rv - 0.343) < 0.001
 
     def test_trivial_conv(self):
@@ -1022,7 +1049,7 @@ class TestCountParameters:
         assert count_parameters(config) == ([2, 2], 4)
 
     @pytest.mark.parametrize("size,channels,specs,match", [
-        (4, 3, rvcnn_config().layers, "conv kernel 3 does not fit input 1x1"),
+        (4, 3, config_from_name("rvcnn-rgb").layers, "conv kernel 3 does not fit input 1x1"),
         (5, 3, _block(pool=4), "pool window 4 does not fit input 3x3"),
         (5, 3, (LayerSpec("conv", 1), LayerSpec("dense", 1)), _refusal("conv", "conv", "dense")),
         (5, 3, (LayerSpec("conv", 1), LayerSpec("avgpool")),
@@ -1048,14 +1075,16 @@ class TestCountParameters:
                 check(config)
 
     def test_hsv_variants_same_counts(self):
-        assert count_parameters(rvcnn_config("hsv")) == count_parameters(rvcnn_config("rgb"))
-        assert count_parameters(qvcnn_config("hsv")) == count_parameters(qvcnn_config("rgb"))
+        assert (count_parameters(config_from_name("rvcnn-hsv"))
+                == count_parameters(config_from_name("rvcnn-rgb")))
+        assert (count_parameters(config_from_name("qvcnn-hsv"))
+                == count_parameters(config_from_name("qvcnn-rgb")))
 
 
 class TestShapeChain:
-    @pytest.mark.parametrize("maker", [rvcnn_config, qvcnn_config])
-    def test_dense_sees_12800(self, maker):
-        rows = trace_shapes(maker(input_size=100))
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_dense_sees_12800(self, name):
+        rows = trace_shapes(config_from_name(name, 100))
         flat = [row[4] for row in rows if row[0].kind == "flatten"][0]
         assert flat == 12800
 
@@ -1065,8 +1094,8 @@ class TestShapeChain:
     # caller's batch
     @pytest.mark.parametrize("size,specs", [
         (24, ()),
-        (24, (LayerSpec("relu"), *rvcnn_config().layers)),
-        (48, (LayerSpec("maxpool"), *rvcnn_config().layers)),
+        (24, (LayerSpec("relu"), *config_from_name("rvcnn-rgb").layers)),
+        (48, (LayerSpec("maxpool"), *config_from_name("rvcnn-rgb").layers)),
     ], ids=["no-layers", "relu-first", "maxpool-first"])
     def test_first_layer_must_be_a_convolution(self, size, specs):
         config = ModelConfig(name="bad", arithmetic="real", encoding="rgb",
@@ -1125,7 +1154,7 @@ class TestShapeChain:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(32)
-        config = qvcnn_config(input_size=24)
+        config = config_from_name("qvcnn-rgb", 24)
         model = Model(config, rng=rng)
         path = tmp_path / "model.bin"
         save_model(path, model)
@@ -1134,11 +1163,11 @@ class TestSerialization:
 
     def test_digest_mismatch(self, tmp_path):
         rng = np.random.default_rng(33)
-        model = Model(qvcnn_config(input_size=24), rng=rng)
+        model = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
         path = tmp_path / "model.bin"
         save_model(path, model)
         with pytest.raises(ValueError, match="digest"):
-            load_model(path, rvcnn_config(input_size=24))
+            load_model(path, config_from_name("rvcnn-rgb", 24))
 
     @pytest.mark.parametrize("corrupt,match", [
         (lambda data: data[:len(data) // 2], "truncated"),
@@ -1149,15 +1178,15 @@ class TestSerialization:
     ], ids=["truncated", "bad-magic", "version", "trailing-bytes"])
     def test_corrupt_file(self, tmp_path, corrupt, match):
         rng = np.random.default_rng(34)
-        model = Model(qvcnn_config(input_size=24), rng=rng)
+        model = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
         path = tmp_path / "model.bin"
         save_model(path, model)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ValueError, match=match):
-            load_model(path, qvcnn_config(input_size=24))
+            load_model(path, config_from_name("qvcnn-rgb", 24))
 
     def test_container_layout(self, tmp_path):
-        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(37))
+        model = Model(config_from_name("qvcnn-rgb", 24), rng=np.random.default_rng(37))
         path = tmp_path / "model.bin"
         save_model(path, model)
         data = path.read_bytes()
@@ -1191,15 +1220,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_a_non_finite_parameter_is_refused(self, tmp_path, bad):
-        model = Model(rvcnn_config(input_size=24))
+        model = Model(config_from_name("rvcnn-rgb", 24))
         model.theta[[7, 900]] = bad
         path = tmp_path / "model.bin"
         save_model(path, model)
         with pytest.raises(ValueError, match=f"^non-finite parameter {bad} at index 7$"):
-            load_model(path, rvcnn_config(input_size=24))
+            load_model(path, config_from_name("rvcnn-rgb", 24))
 
     def test_reads_a_file_built_from_the_documented_layout(self, tmp_path):
-        config = rvcnn_config(input_size=24)
+        config = config_from_name("rvcnn-rgb", 24)
         _, total = count_parameters(config)
         theta = np.random.default_rng(36).standard_normal(total)
         path = tmp_path / "model.bin"
@@ -1210,7 +1239,7 @@ class TestSerialization:
         assert np.array_equal(loaded.theta, theta.astype(np.float32))
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        model = Model(qvcnn_config(input_size=24), rng=np.random.default_rng(38))
+        model = Model(config_from_name("qvcnn-rgb", 24), rng=np.random.default_rng(38))
         path = tmp_path / "model.bin"
         save_model(path, model)
         before = path.read_bytes()
