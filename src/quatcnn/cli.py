@@ -57,13 +57,12 @@ def cmd_train(args) -> int:
     plan = _plan(args, configs=(args.config,), fractions=(args.test_fraction,), runs=1)
     manifest = harness.load_manifest(_data_root(args))
     (config_name,), (fraction,) = plan.configs, plan.fractions
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     decoded = harness.load_decoded_images(manifest, plan.input_size)
     seed, config, train_inputs, test_inputs = harness._prepare_run(
         config_name, manifest, fraction, 0, plan, decoded
     )
+    out = Path(args.out)  # made once the request is known to be good
+    out.mkdir(parents=True, exist_ok=True)
     model, metrics = training.train_model(
         config, train_inputs, epochs=plan.epochs, batch_size=plan.batch_size,
         seed=seed, metrics_path=out / "metrics.csv",
@@ -77,8 +76,8 @@ def cmd_train(args) -> int:
         "test_accuracy": test_acc,
         "n_train": len(train_inputs), "n_test": len(test_inputs),
     }
-    with layers.atomic_write(out / "result.json") as fh:
-        fh.write((json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    layers.atomic_write(out / "result.json",
+                        (json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"test accuracy {test_acc:.4f} "
           f"(train {result['train_accuracy']}, model -> {out / 'model.bin'})")
     return 0

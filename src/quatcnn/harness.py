@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding
-from .encoding import augment_flips, load_image, resize
+from .encoding import resize  # also by name: perfbench's tests read harness.resize
 from .layers import (
     CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
 )
@@ -164,6 +164,9 @@ class ExperimentPlan:
     jobs: int = 1
 
     def __post_init__(self):
+        for field in ("configs", "fractions"):
+            if not getattr(self, field):
+                raise ValueError(f"{field} must not be empty")
         for name in self.configs:
             trace_shapes(config_from_name(name, self.input_size))
         for f in self.fractions:
@@ -266,7 +269,8 @@ Decoded = dict[str, tuple[np.ndarray, int]]
 def load_decoded_images(manifest: DatasetManifest, input_size: int) -> Decoded:
     """Decode and resize every manifest entry once: sample id -> (float64
     (H, W, 3) image, label)."""
-    return {entry.id: (resize(load_image(entry.path), (input_size, input_size)), entry.label)
+    return {entry.id: (resize(encoding.load_image(entry.path), (input_size, input_size)),
+                       entry.label)
             for entry in manifest.entries}
 
 
@@ -286,7 +290,7 @@ def build_run_inputs(config: ModelConfig, decoded: Decoded,
     train_x, train_y = encoded(train_ids)
     sources = list(train_ids)
     if augment:
-        train_x, train_y = augment_flips(train_x), np.repeat(train_y, 4)
+        train_x, train_y = encoding.augment_flips(train_x), np.repeat(train_y, 4)
         sources = np.repeat(sources, 4).tolist()
     return sources, Samples(train_x, train_y), Samples(*encoded(test_ids))
 
@@ -410,7 +414,8 @@ def _runs_line(r: RunResult) -> str:
 
 
 def _write_runs_csv(path: Path, results) -> None:
-    _atomic_write(path, _RUNS_HEADER + "".join(_runs_line(r) for r in results))
+    text = _RUNS_HEADER + "".join(_runs_line(r) for r in results)
+    atomic_write(path, text.encode("utf-8"))
 
 
 # the plan fields that change what a run computes; runs, configs,
@@ -419,11 +424,12 @@ _PLAN_FIELDS = ("epochs", "base_seed", "batch_size", "input_size", "augment", "s
 
 
 def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) -> None:
-    """Record the plan in ``<out_dir>/plan.json`` on the first write; on a
-    resume, raise if the runs there were computed under another plan or
-    another ``RESULTS_VERSION``. A ``plan.json`` without the version
-    predates it, so it reads as version 1, and so do the runs of a
-    ``runs.csv`` without any ``plan.json``: such a directory is refused."""
+    """Raise if the runs in ``out_dir`` were computed under another plan or
+    another ``RESULTS_VERSION``; else write the plan to
+    ``<out_dir>/plan.json`` through ``atomic_write``. A ``plan.json``
+    without the version predates it, so it reads as version 1, and so do
+    the runs of a ``runs.csv`` without any ``plan.json``: such a directory
+    is refused."""
     from . import RESULTS_VERSION  # the package attribute, read at call time
 
     current = {name: getattr(plan, name) for name in _PLAN_FIELDS}
@@ -443,7 +449,7 @@ def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) 
     if changed:
         raise ValueError(f"{out_dir} holds runs of a different plan ({'; '.join(changed)}); "
                          "resume with the same plan or use a new output directory")
-    _atomic_write(path, json.dumps(current, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(current, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
@@ -525,11 +531,6 @@ def aggregate(results) -> tuple[AggregateStats, ...]:
     return tuple(stats)
 
 
-def _atomic_write(path: Path, text: str):
-    with atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
-
-
 def emit_report(results, stats, out_dir) -> None:
     """Write runs.csv and stats.csv atomically, overwriting previous
     reports."""
@@ -548,7 +549,7 @@ def emit_report(results, stats, out_dir) -> None:
             s.config, repr(s.fraction), str(s.n), repr(s.mean), repr(s.std),
             repr(s.q25), repr(s.q75),
         ]))
-    _atomic_write(out_dir / "stats.csv", "\n".join(lines) + "\n")
+    atomic_write(out_dir / "stats.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -929,16 +928,16 @@ def config_digest(config: ModelConfig) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
-@contextmanager
-def atomic_write(path):
-    """Yield a binary handle on a temporary file beside ``path`` and move
-    it over ``path`` when the block completes. If the block raises, the
-    previous file is left as it was and the temporary file is removed."""
+def atomic_write(path, data: bytes) -> None:
+    """Replace ``path`` with ``data``: write ``<name>.tmp`` beside it, then
+    move that over ``path``. If anything fails, the previous file is left
+    as it was and the temporary file is removed. The one way the package
+    replaces a whole file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            yield fh
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -946,12 +945,11 @@ def atomic_write(path):
 
 
 def save_model(path, model: Model) -> None:
-    """Write the model container to ``path`` atomically: magic, version,
-    config digest, then ``theta`` (every parameter array in declaration
-    order) as one little-endian float32 blob."""
-    with atomic_write(path) as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, config_digest(model.config)))
-        fh.write(np.asarray(model.theta, dtype="<f4").tobytes())
+    """Write the model container to ``path`` through ``atomic_write``:
+    magic, version, config digest, then ``theta`` (every parameter array
+    in declaration order) as one little-endian float32 blob."""
+    atomic_write(path, _HEADER.pack(_MAGIC, _VERSION, config_digest(model.config))
+                 + np.asarray(model.theta, dtype="<f4").tobytes())
 
 
 def load_model(path, config: ModelConfig) -> Model:

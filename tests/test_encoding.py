@@ -136,6 +136,14 @@ class TestHsvQuaternionEncoding:
         with pytest.raises(ValueError, match="finite"):
             encode_hsv_quaternion(img)
 
+    @pytest.mark.parametrize("channel", [1, 2], ids=["saturation", "value"])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_saturation_or_value_range_error(self, channel, bad):
+        img = np.full((2, 2, 3), 0.5)
+        img[0, 1, channel] = bad
+        with pytest.raises(ValueError, match=r"^saturation and value must lie in \[0, 1\]$"):
+            encode_hsv_quaternion(img)
+
 
 class TestConcatChannels:
     def test_rgb_pixel(self):
@@ -197,6 +205,11 @@ class TestResize:
     def test_degenerate_source(self):
         with pytest.raises(ValueError, match="too small"):
             resize(np.zeros((1, 5, 3)), (10, 10))
+
+    @pytest.mark.parametrize("target", [(0, 10), (10, 0), (-1, -1)])
+    def test_target_below_one(self, target):
+        with pytest.raises(ValueError, match=re.escape(f"bad target size {target}")):
+            resize(np.zeros((4, 5, 3)), target)
 
 
 class TestFlips:
@@ -320,6 +333,7 @@ class TestPpmIO:
 
     @pytest.mark.parametrize("raw,match", [
         (b"P5\n2 2\n255\n" + bytes(4), "not a P3/P6 portable pixmap"),
+        (b"P6 ", "not a P3/P6 portable pixmap"),
         (b"P6\n2 2\n65535\n" + bytes(24), "only maxval 255 is supported, got 65535"),
         (b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
         (b"P3\n2 1\n255\n255 0 0  0 0\n", "expected 6 ascii samples, got 5"),
@@ -332,10 +346,10 @@ class TestPpmIO:
         (b"P3\n1 -1\n255\n0 0 0\n", "width and height must be >= 1"),
         (b"P6\n0 0\n255\n", "width and height must be >= 1"),
         (b"P3\n0 2\n255\n", "width and height must be >= 1"),
-    ], ids=["p5", "maxval", "truncated-p6", "p3-sample-count", "p3-sample-above-255",
-            "p3-negative-sample", "p3-non-numeric-sample", "non-numeric-width",
-            "non-numeric-maxval", "negative-width", "negative-height", "zero-size",
-            "zero-width"])
+    ], ids=["p5", "header-ends-after-magic", "maxval", "truncated-p6", "p3-sample-count",
+            "p3-sample-above-255", "p3-negative-sample", "p3-non-numeric-sample",
+            "non-numeric-width", "non-numeric-maxval", "negative-width", "negative-height",
+            "zero-size", "zero-width"])
     def test_rejects_bad_pixmaps(self, tmp_path, raw, match):
         path = tmp_path / "img.ppm"
         path.write_bytes(raw)

@@ -52,6 +52,18 @@ class TestLoadManifest:
         assert {e.label for e in man.entries} == {0, 1}
         assert {e.id for e in man.entries} == {"Im001_1", "Im002_0"}
 
+    def test_other_files_and_directories_are_skipped(self, tmp_path):
+        img = np.zeros((4, 4, 3), dtype=np.uint8)
+        for root in (tmp_path / "plain", tmp_path / "mixed"):
+            root.mkdir()
+            write_ppm(root / "Im001_1.ppm", img)
+            write_ppm(root / "Im002_0.ppm", img)
+        (tmp_path / "mixed" / "notes_1.txt").write_text("not an image")
+        (tmp_path / "mixed" / "x_1.ppm").mkdir()
+        mixed = load_manifest(tmp_path / "mixed")
+        assert [e.id for e in mixed.entries] == ["Im001_1", "Im002_0"]
+        assert mixed.checksum == load_manifest(tmp_path / "plain").checksum
+
     def test_empty_dir(self, tmp_path):
         with pytest.raises(ValueError, match="no labeled images"):
             load_manifest(tmp_path)
@@ -185,6 +197,11 @@ class TestPlanValidation:
     def test_bad_runs(self):
         with pytest.raises(ValueError, match="runs"):
             ExperimentPlan(runs=0)
+
+    def test_bad_epochs(self):
+        with pytest.raises(ValueError, match="^epochs must be >= 0$"):
+            ExperimentPlan(epochs=-1)
+        assert ExperimentPlan(epochs=0).epochs == 0
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_bad_batch_size(self, batch_size):
@@ -570,6 +587,14 @@ class TestRunExperiment:
                            tmp_path / "out", log=ran.append)
         assert ran == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["configs", "fractions"])
+    def test_an_empty_plan_writes_nothing(self, tmp_path, field):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        with pytest.raises(ValueError, match=f"^{field} must not be empty$"):
+            run_experiment(smoke_plan(**{field: ()}), man, tmp_path / "out",
+                           log=lambda *_: None)
+        assert not (tmp_path / "out").exists()
+
     def test_resume_skips_everything(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         out = tmp_path / "out"
@@ -614,6 +639,22 @@ class TestRunExperiment:
             run_experiment(smoke_plan(runs=2, **change), man, out, log=lambda *_: None)
         for field in change:
             assert field in str(err.value)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_runs_csv_with_a_foreign_header_is_refused(self, tmp_path, monkeypatch):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        rows = (out / "runs.csv").read_text().split("\n", 1)[1]
+        (out / "runs.csv").write_text("config,fraction,run,seed,accuracy\n" + rows)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError,
+                           match="unexpected header 'config,fraction,run,seed,accuracy'"):
+            run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_with_another_dataset_is_refused(self, tmp_path):
@@ -1042,24 +1083,58 @@ qvcnn-rgb (input 24x24):
         path = tmp_path / "run" / "result.json"
         before = path.read_bytes()
 
-        real_open = builtins.open
-
-        def open_closed(file, mode="r", *args, **kwargs):
-            # result.json, or a temporary file beside it, opened for writing
-            # comes back closed: the file is there, but writing it fails
-            fh = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and Path(file).name.startswith("result.json"):
-                fh.close()
-            return fh
-
-        monkeypatch.setattr(builtins, "open", open_closed)
-        monkeypatch.setattr(io, "open", open_closed)
+        self._fail_writes_of(monkeypatch, "result.json")
         with pytest.raises(SystemExit, match="^error: I/O operation on closed file"):
             cli.main(argv)
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == \
             ["metrics.csv", "model.bin", "result.json"]
+
+    @staticmethod
+    def _fail_writes_of(monkeypatch, name):
+        real_open = builtins.open
+
+        def open_closed(file, mode="r", *args, **kwargs):
+            # the file, or a temporary file beside it, opened for writing
+            # comes back closed: the file is there, but writing it fails
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).name.startswith(name):
+                fh.close()
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_closed)
+        monkeypatch.setattr(io, "open", open_closed)
+
+    @pytest.mark.parametrize("name", ["model.bin", "plan.json", "runs.csv", "stats.csv"])
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        # every file the program replaces: its bytes stay, and no .tmp is left
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        command = (["train", "--config", "rvcnn-rgb", "--test-fraction", "0.25"]
+                   if name == "model.bin" else
+                   ["sweep", "--configs", "rvcnn-rgb", "--fractions", "0.25", "--runs", "1"])
+        out = tmp_path / "out"
+        argv = [*command, "--data", str(data), "--epochs", "1", "--input-size", "24",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert name in before
+
+        self._fail_writes_of(monkeypatch, name)
+        with pytest.raises(SystemExit, match="^error: I/O operation on closed file"):
+            cli.main(argv)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_refused_train_makes_no_output_directory(self, tmp_path):
+        # 0.01 of 4 images per class rounds to no test image
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        with pytest.raises(SystemExit,
+                           match=r"^error: test fraction 0\.01 leaves an empty side"):
+            cli.main(["train", "--config", "rvcnn-rgb", "--data", str(data),
+                      "--test-fraction", "0.01", "--input-size", "24",
+                      "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_sweep(self, tmp_path, capsys):
         data = tmp_path / "data"

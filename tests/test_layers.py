@@ -1171,11 +1171,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("corrupt,match", [
         (lambda data: data[:len(data) // 2], "truncated"),
+        (lambda data: data[:39], "^file truncated$"),
         (lambda data: b"QVCX" + data[4:], "bad magic"),
         (lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
          "unsupported container version 2"),
         (lambda data: data + b"\0", "trailing bytes"),
-    ], ids=["truncated", "bad-magic", "version", "trailing-bytes"])
+    ], ids=["truncated", "shorter-than-header", "bad-magic", "version", "trailing-bytes"])
     def test_corrupt_file(self, tmp_path, corrupt, match):
         rng = np.random.default_rng(34)
         model = Model(config_from_name("qvcnn-rgb", 24), rng=rng)
