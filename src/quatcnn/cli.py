@@ -192,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the ValueError of any bad input exits as
-    ``error: <message>``."""
+    """Run one command; the ValueError of any bad input, and the OSError
+    of any failed file operation, exits as ``error: <message>``."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

@@ -7,7 +7,7 @@ side of its split in one call and flips the encoded training array x4.
 A sweep cell is one (config, test fraction); each of its runs derives a
 seed from a stable hash of (base seed, config, fraction, run), so
 adding configurations or fractions never perturbs existing runs.
-Results stream to ``runs.csv`` as they finish, and an interrupted sweep
+``runs.csv`` is rewritten whole after each run, and an interrupted sweep
 resumes by skipping the (config, fraction, run) keys already present.
 Wall-clock time is tracked per run but kept out of runs.csv so repeated
 sweeps reproduce the file byte for byte. A resume under another plan or
@@ -268,10 +268,16 @@ Decoded = dict[str, tuple[np.ndarray, int]]
 
 def load_decoded_images(manifest: DatasetManifest, input_size: int) -> Decoded:
     """Decode and resize every manifest entry once: sample id -> (float64
-    (H, W, 3) image, label)."""
-    return {entry.id: (resize(encoding.load_image(entry.path), (input_size, input_size)),
-                       entry.label)
-            for entry in manifest.entries}
+    (H, W, 3) image, label); a ValueError names the image's path."""
+    decoded = {}
+    for entry in manifest.entries:
+        image = encoding.load_image(entry.path)  # its errors name the path
+        try:
+            image = resize(image, (input_size, input_size))  # drops the source now
+        except ValueError as exc:
+            raise ValueError(f"{entry.path}: {exc}") from None
+        decoded[entry.id] = (image, entry.label)
+    return decoded
 
 
 def build_run_inputs(config: ModelConfig, decoded: Decoded,
@@ -387,8 +393,8 @@ def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan, decoded: Decod
 
 
 def read_runs_csv(path) -> list[RunResult]:
-    """Parse runs.csv (LF or CRLF lines). A final line without its newline
-    was torn by an interrupted sweep; it is dropped so its run is redone."""
+    """Parse runs.csv (LF or CRLF lines). A final line without its newline,
+    torn by an interrupted older version's appends, is dropped; its run is redone."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     lines.pop()  # "" after the final newline, else the torn row
@@ -408,13 +414,11 @@ def read_runs_csv(path) -> list[RunResult]:
     return results
 
 
-def _runs_line(r: RunResult) -> str:
-    return ",".join([r.config, repr(r.fraction), str(r.run), str(r.seed),
-                     repr(r.test_accuracy), repr(r.train_accuracy)]) + "\n"
-
-
 def _write_runs_csv(path: Path, results) -> None:
-    text = _RUNS_HEADER + "".join(_runs_line(r) for r in results)
+    text = _RUNS_HEADER + "".join(
+        ",".join([r.config, repr(r.fraction), str(r.run), str(r.seed),
+                  repr(r.test_accuracy), repr(r.train_accuracy)]) + "\n"
+        for r in results)
     atomic_write(path, text.encode("utf-8"))
 
 
@@ -423,13 +427,13 @@ def _write_runs_csv(path: Path, results) -> None:
 _PLAN_FIELDS = ("epochs", "base_seed", "batch_size", "input_size", "augment", "stratify")
 
 
-def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) -> None:
+def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) -> bytes:
     """Raise if the runs in ``out_dir`` were computed under another plan or
-    another ``RESULTS_VERSION``; else write the plan to
-    ``<out_dir>/plan.json`` through ``atomic_write``. A ``plan.json``
-    without the version predates it, so it reads as version 1, and so do
-    the runs of a ``runs.csv`` without any ``plan.json``: such a directory
-    is refused."""
+    another ``RESULTS_VERSION``, or if its ``plan.json`` is no JSON object;
+    else return the ``plan.json`` bytes of ``plan``, writing nothing. A
+    ``plan.json`` without the version predates it, so it reads as version
+    1, and so do the runs of a ``runs.csv`` without any ``plan.json``: such
+    a directory is refused."""
     from . import RESULTS_VERSION  # the package attribute, read at call time
 
     current = {name: getattr(plan, name) for name in _PLAN_FIELDS}
@@ -437,7 +441,10 @@ def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) 
     current["results_version"] = RESULTS_VERSION
     path = out_dir / "plan.json"
     if path.exists():
-        stored = {"results_version": 1} | json.loads(path.read_text(encoding="utf-8"))
+        try:
+            stored = {"results_version": 1, **json.loads(path.read_text(encoding="utf-8"))}
+        except (TypeError, ValueError) as exc:  # not JSON, or JSON but no object
+            raise ValueError(f"{path}: not a JSON object: {exc}") from None
     elif (out_dir / "runs.csv").exists():
         raise ValueError(f"{out_dir} holds runs.csv but no plan.json, so its runs predate "
                          f"plan.json (results_version 1 -> {RESULTS_VERSION}); "
@@ -449,62 +456,58 @@ def _check_plan(plan: ExperimentPlan, manifest: DatasetManifest, out_dir: Path) 
     if changed:
         raise ValueError(f"{out_dir} holds runs of a different plan ({'; '.join(changed)}); "
                          "resume with the same plan or use a new output directory")
-    atomic_write(path, (json.dumps(current, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    return (json.dumps(current, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
                    out_dir, log=print) -> ExperimentReport:
     """Run every (config, fraction, run) cell of the plan.
 
-    Completed runs are appended to ``<out_dir>/runs.csv`` immediately,
-    so an interrupted sweep resumes where it stopped; keys already in
-    the file are skipped. The images are decoded once, here; when
-    ``plan.jobs`` > 1 runs execute in spawned worker processes, which
-    receive them, with one BLAS thread each; all writes stay in this
-    process. Spawned workers import the calling script's main module, so
-    a script that calls this with ``jobs`` > 1 keeps its top-level code
-    under ``if __name__ == "__main__":``. A directory written under other ``_PLAN_FIELDS``, another
-    manifest or another ``RESULTS_VERSION`` raises ``ValueError`` before
-    anything runs; more runs, configs or fractions, or other ``jobs``,
-    resume. A fraction that leaves either side of the manifest's split
-    empty raises ``ValueError`` before anything is written. Finishes by
+    ``<out_dir>/runs.csv`` is rewritten whole through ``atomic_write``
+    after each run, so an interrupted sweep resumes where it stopped;
+    keys already in the file are skipped. The images are decoded once,
+    here; when ``plan.jobs`` > 1 runs execute in spawned worker
+    processes, which receive them, with one BLAS thread each; all writes
+    stay in this process. Spawned workers import the calling script's
+    main module, so a script that calls this with ``jobs`` > 1 keeps its
+    top-level code under ``if __name__ == "__main__":``. A directory
+    written under other ``_PLAN_FIELDS``, another manifest or another
+    ``RESULTS_VERSION``, a fraction that leaves either side of the
+    manifest's split empty, and an image that does not decode raise
+    ``ValueError`` before ``out_dir`` is made or written; more runs,
+    configs or fractions, or other ``jobs``, resume. Finishes by
     re-emitting the canonical, sorted report.
     """
     for fraction in plan.fractions:  # split's counts do not depend on the seed
         split(manifest, fraction, plan.base_seed, plan.stratify)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _check_plan(plan, manifest, out_dir)
+    plan_json = _check_plan(plan, manifest, out_dir)
     runs_path = out_dir / "runs.csv"
-
     done = {r.key: r for r in read_runs_csv(runs_path)} if runs_path.exists() else {}
     tasks = [(c, f, run) for c in plan.configs for f in plan.fractions
              for run in range(plan.runs) if (c, repr(f), run) not in done]
     n_skipped = len(done)
+    decoded = load_decoded_images(manifest, plan.input_size) if tasks else {}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write(out_dir / "plan.json", plan_json)
 
-    # drops a torn final row and CRLF endings, so appends start on a clean line
-    _write_runs_csv(runs_path, done.values())
+    # the done rows in file order, then the new ones as they finish
     results: dict[tuple, RunResult] = dict(done)
-    with open(runs_path, "a", newline="", encoding="utf-8") as fh:
-        def record(result: RunResult):
-            results[result.key] = result
-            fh.write(_runs_line(result))
-            fh.flush()
-            log(
-                f"[{result.config} f={result.fraction} run={result.run}] "
-                f"test_acc={result.test_accuracy:.4f} "
-                f"({result.wall_time:.1f}s)"
-            )
 
-        decoded = load_decoded_images(manifest, plan.input_size) if tasks else {}
-        if tasks and plan.jobs > 1:
-            with _worker_pool(manifest, plan, decoded) as pool:
-                futures = [pool.submit(_pool_run, t) for t in tasks]
-                for fut in as_completed(futures):
-                    record(fut.result())
-        else:
-            for config_name, fraction, run in tasks:
-                record(run_single(config_name, manifest, fraction, run, plan, decoded))
+    def record(result: RunResult):
+        results[result.key] = result
+        _write_runs_csv(runs_path, results.values())
+        log(f"[{result.config} f={result.fraction} run={result.run}] "
+            f"test_acc={result.test_accuracy:.4f} ({result.wall_time:.1f}s)")
+
+    if tasks and plan.jobs > 1:
+        with _worker_pool(manifest, plan, decoded) as pool:
+            futures = [pool.submit(_pool_run, t) for t in tasks]
+            for fut in as_completed(futures):
+                record(fut.result())
+    else:
+        for config_name, fraction, run in tasks:
+            record(run_single(config_name, manifest, fraction, run, plan, decoded))
 
     ordered = tuple(sorted(results.values(), key=lambda r: (r.config, r.fraction, r.run)))
     stats = aggregate(ordered)

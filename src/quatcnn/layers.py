@@ -932,7 +932,7 @@ def atomic_write(path, data: bytes) -> None:
     """Replace ``path`` with ``data``: write ``<name>.tmp`` beside it, then
     move that over ``path``. If anything fails, the previous file is left
     as it was and the temporary file is removed. The one way the package
-    replaces a whole file."""
+    writes an output file, ``write_ppm``'s fixture images aside."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, ModelConfig, _build_config, chunk_size
+from .layers import Model, ModelConfig, _build_config, atomic_write, chunk_size
 
 __all__ = [
     "Samples",
@@ -205,8 +205,9 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
     per-sample binary cross-entropy over the epoch, summed left to right
     in the order the samples were trained; train accuracy is
     running accuracy, i.e. measured from the forward passes used for
-    training with the parameters current at each batch. Metrics stream
-    to ``metrics_path`` as CSV (epoch, loss, train_acc) when given.
+    training with the parameters current at each batch. ``metrics_path``,
+    when given, gets the CSV header (epoch, loss, train_acc) at once and
+    is rewritten whole through ``atomic_write`` after each epoch.
     A non-finite loss raises ValueError naming the epoch and batch.
     """
     if batch_size < 1:
@@ -222,39 +223,34 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
     adam = Adam(model.theta)
     chunk = chunk_size(config, batch_size)
 
-    fh = None
+    text = "epoch,loss,train_acc\n"
     if metrics_path is not None:
-        fh = open(metrics_path, "w", newline="", encoding="utf-8")
-        fh.write("epoch,loss,train_acc\n")
+        atomic_write(metrics_path, text.encode("utf-8"))
 
     metrics: list[EpochMetrics] = []
-    try:
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            losses = np.empty(n)
-            correct = 0
-            for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                loss, logits = _minibatch(model, dataset, batch, chunk)
-                bad = loss[~np.isfinite(loss)]
-                if bad.size:
-                    raise ValueError(
-                        f"non-finite loss {bad[0]} at epoch {epoch}, "
-                        f"batch {start // batch_size}"
-                    )
-                losses[start:start + len(batch)] = loss
-                correct += int(np.count_nonzero((logits > 0) == (dataset.y[batch] == 1)))
-                adam.step(model.grad)
-            # np.sum would add pairwise; cumsum adds one sample after another,
-            # so the epoch loss keeps the value a per-sample loop gives
-            row = EpochMetrics(epoch, float(np.cumsum(losses)[-1]) / n, correct / n)
-            metrics.append(row)
-            if fh is not None:
-                fh.write(f"{row.epoch},{row.loss!r},{row.train_acc!r}\n")
-                fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        losses = np.empty(n)
+        correct = 0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            loss, logits = _minibatch(model, dataset, batch, chunk)
+            bad = loss[~np.isfinite(loss)]
+            if bad.size:
+                raise ValueError(
+                    f"non-finite loss {bad[0]} at epoch {epoch}, "
+                    f"batch {start // batch_size}"
+                )
+            losses[start:start + len(batch)] = loss
+            correct += int(np.count_nonzero((logits > 0) == (dataset.y[batch] == 1)))
+            adam.step(model.grad)
+        # np.sum would add pairwise; cumsum adds one sample after another,
+        # so the epoch loss keeps the value a per-sample loop gives
+        row = EpochMetrics(epoch, float(np.cumsum(losses)[-1]) / n, correct / n)
+        metrics.append(row)
+        if metrics_path is not None:
+            text += f"{row.epoch},{row.loss!r},{row.train_acc!r}\n"
+            atomic_write(metrics_path, text.encode("utf-8"))
     return model, metrics
 
 

@@ -595,6 +595,41 @@ class TestRunExperiment:
                            log=lambda *_: None)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out_state", ["new", "existing"])
+    def test_an_undecodable_image_writes_nothing(self, tmp_path, out_state):
+        # the images are decoded before plan.json or runs.csv is written; the
+        # existing directory's CRLF rows would be rewritten by any write
+        data = make_fixture_dir(tmp_path, n=8)
+        out = tmp_path / "out"
+        if out_state == "existing":
+            run_experiment(smoke_plan(runs=1), load_manifest(data), out, log=lambda *_: None)
+            runs = (out / "runs.csv").read_bytes().replace(b"\n", b"\r\n")
+            (out / "runs.csv").write_bytes(runs)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad = data / "Im001_0.ppm"
+        bad.write_text("P3\n1 1\n255\n300 0 0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: ascii samples"):
+            run_experiment(smoke_plan(runs=2), load_manifest(data), out, log=lambda *_: None)
+        if out_state == "new":
+            assert not out.exists()
+        else:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "{bad"])
+    def test_a_plan_json_that_is_not_an_object_is_refused(self, tmp_path, monkeypatch, text):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        out = tmp_path / "out"
+        run_experiment(smoke_plan(runs=1), man, out, log=lambda *_: None)
+        (out / "plan.json").write_text(text)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(out / 'plan.json'))}: "):
+            run_experiment(smoke_plan(runs=2), man, out, log=lambda *_: None)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_skips_everything(self, tmp_path):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         out = tmp_path / "out"
@@ -1106,12 +1141,13 @@ qvcnn-rgb (input 24x24):
         monkeypatch.setattr(builtins, "open", open_closed)
         monkeypatch.setattr(io, "open", open_closed)
 
-    @pytest.mark.parametrize("name", ["model.bin", "plan.json", "runs.csv", "stats.csv"])
+    @pytest.mark.parametrize("name", ["model.bin", "metrics.csv", "plan.json", "runs.csv",
+                                      "stats.csv"])
     def test_a_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
         # every file the program replaces: its bytes stay, and no .tmp is left
         data = make_fixture_dir(tmp_path, n=8, size=24)
         command = (["train", "--config", "rvcnn-rgb", "--test-fraction", "0.25"]
-                   if name == "model.bin" else
+                   if name in ("model.bin", "metrics.csv") else
                    ["sweep", "--configs", "rvcnn-rgb", "--fractions", "0.25", "--runs", "1"])
         out = tmp_path / "out"
         argv = [*command, "--data", str(data), "--epochs", "1", "--input-size", "24",
@@ -1133,6 +1169,33 @@ qvcnn-rgb (input 24x24):
                            match=r"^error: test fraction 0\.01 leaves an empty side"):
             cli.main(["train", "--config", "rvcnn-rgb", "--data", str(data),
                       "--test-fraction", "0.01", "--input-size", "24",
+                      "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "synth-data"])
+    def test_an_out_that_is_a_file_exits_with_an_error(self, tmp_path, command):
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory\n")
+        flags = {
+            "train": ["--config", "rvcnn-rgb", "--test-fraction", "0.25", "--epochs", "1",
+                      "--input-size", "24", "--data", str(data)],
+            "sweep": ["--configs", "rvcnn-rgb", "--fractions", "0.25", "--runs", "1",
+                      "--epochs", "1", "--input-size", "24", "--data", str(data)],
+            "synth-data": ["--n", "2", "--size", "8"],
+        }[command]
+        with pytest.raises(SystemExit, match=rf"^error: .*File exists: '{re.escape(str(out))}'"):
+            cli.main([command, *flags, "--out", str(out)])
+        assert out.read_bytes() == b"not a directory\n"
+
+    def test_an_image_too_small_to_resize_is_named(self, tmp_path):
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        small = data / "Im001_0.ppm"
+        write_ppm(small, np.zeros((1, 1, 3), dtype=np.uint8))
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(small))}: "
+                                             r"source too small to resize: 1x1$"):
+            cli.main(["sweep", "--data", str(data), "--configs", "rvcnn-rgb",
+                      "--fractions", "0.25", "--runs", "1", "--input-size", "24",
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 

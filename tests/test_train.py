@@ -271,6 +271,16 @@ class TestGradCheck:
         x = rng.uniform(-1, 1, (3, 1, 12, 12))
         assert grad_check(model, Samples(x, [1]), num_samples=400, rng=rng) < 1e-4
 
+    def test_gradients_below_the_roundoff_floor_are_not_scored(self):
+        # dense weights of 1e-9 leave every conv gradient below 1e-6, where
+        # the difference quotient's ~1e-10 roundoff is as large as the
+        # gradient itself; scored, those pairs would give errors near 0.5
+        rng = np.random.default_rng(44)
+        model = Model(_tiny_config("real"), rng=rng, dtype=np.float64)
+        model.layers[-1].w[...] *= 1e-9
+        x = rng.uniform(-1, 1, (3, 1, 12, 12))
+        assert grad_check(model, Samples(x, [1]), rng=rng) < 1e-4
+
     @pytest.mark.parametrize("arithmetic", ["real", "quaternion"])
     def test_conv_outputs_cropped_for_their_pools(self, arithmetic):
         # at 13x13 the convolutions' 11x11 and 3x3 outputs are no multiple
