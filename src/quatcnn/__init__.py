@@ -28,4 +28,9 @@ __version__ = "0.1.0"
 # 6 adds each convolution's bias to the pooled maxima and takes its bias
 # gradient from the weight-gradient GEMM over a row of ones, in blocks of
 # 512, so gradients move by float rounding; logits keep their bits.
-RESULTS_VERSION = 6
+# 7 runs a quaternion convolution on a batch whose real plane is all
+# zero (the rgb encoding's first layer) without that plane, so its GEMMs
+# have a quarter fewer inner or output rows; under SkylakeX and
+# Sandybridge sgemm the bits are version 6's, under Haswell qvcnn-rgb's
+# move by float rounding.
+RESULTS_VERSION = 7

@@ -63,21 +63,31 @@ def cmd_train(args) -> int:
     )
     out = Path(args.out)  # made once the request is known to be good
     out.mkdir(parents=True, exist_ok=True)
-    model, metrics = training.train_model(
-        config, train_inputs, epochs=plan.epochs, batch_size=plan.batch_size,
-        seed=seed, metrics_path=out / "metrics.csv",
-    )
-    layers.save_model(out / "model.bin", model)
-    test_acc = harness.evaluate(model, test_inputs)
-    result = {
-        "config": config_name, "test_fraction": fraction,
-        "seed": seed, "epochs": plan.epochs,
-        "train_accuracy": metrics[-1].train_acc if metrics else None,
-        "test_accuracy": test_acc,
-        "n_train": len(train_inputs), "n_test": len(test_inputs),
-    }
-    layers.atomic_write(out / "result.json",
-                        (json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    # Each file is written as <name>.part and renamed only once all three
+    # are, so a failed or interrupted run leaves an earlier run's files in
+    # --out as they were, never mixed with its own.
+    staged = {name: out / f"{name}.part" for name in ("metrics.csv", "model.bin", "result.json")}
+    try:
+        model, metrics = training.train_model(
+            config, train_inputs, epochs=plan.epochs, batch_size=plan.batch_size,
+            seed=seed, metrics_path=staged["metrics.csv"],
+        )
+        layers.save_model(staged["model.bin"], model)
+        test_acc = harness.evaluate(model, test_inputs)
+        result = {
+            "config": config_name, "test_fraction": fraction,
+            "seed": seed, "epochs": plan.epochs,
+            "train_accuracy": metrics[-1].train_acc if metrics else None,
+            "test_accuracy": test_acc,
+            "n_train": len(train_inputs), "n_test": len(test_inputs),
+        }
+        layers.atomic_write(staged["result.json"],
+                            (json.dumps(result, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
     print(f"test accuracy {test_acc:.4f} "
           f"(train {result['train_accuracy']}, model -> {out / 'model.bin'})")
     return 0

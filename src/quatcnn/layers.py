@@ -60,7 +60,17 @@ with the (4F, 4C, k, k) block kernel gathered from the banks through
 4x4 bank and sign tables built from ``quat.hamilton`` on the four unit
 quaternions, once per batch; its weight gradient folds back into the
 banks through the inverse tables, once per batch. ``as_block_conv``
-returns that block kernel as the equivalent ``Conv2d``.
+returns that block kernel as the equivalent ``Conv2d``. A batch whose
+real plane is all zero, a pure quaternion as the rgb encoding makes,
+runs on its 3C imaginary planes alone: one ``any`` over the real plane
+decides it per batch, and the GEMM leaves out the block kernel's first
+C columns (input component 0), which would meet exact zeros. So the
+first layer of qvcnn-rgb runs its forward GEMM at K = 27, not 36, and
+its weight-gradient GEMM on 28 rows, not 37; the fold puts exact zeros
+where the real plane's blocks were, and an input gradient still takes
+its taps from the whole block kernel, so it keeps its four planes. The
+bits are the full path's under SkylakeX and Sandybridge sgemm; Haswell
+sgemm rounds the two inner sizes otherwise.
 
 A max pool reads its window and bias from its block's convolution, built
 with that window, and takes only the convolution's pool-major output. It
@@ -383,8 +393,9 @@ class _WeightedLayer(Layer):
 class _Correlation(_WeightedLayer):
     """Shared forward and backward of Conv2d and QConv2d: one im2col and
     one GEMM over the batch's stacked planes with the kernel from
-    ``_kernel``; ``_fold`` adds that kernel's gradient into ``grad_w``
-    and ``grad_bias``. ``lead`` is the shape of the axes before
+    ``_kernel``, or over the planes and kernel columns that ``_operands``
+    keeps of them; ``_fold`` adds the gradient of those columns into
+    ``grad_w`` and ``grad_bias``. ``lead`` is the shape of the axes before
     (C, H, W, N), and of the weight and bias axes before (F, C, k, k) and
     (F,): none for a real layer, the four quaternion components for a
     quaternion one; ``kind`` is its ``LayerSpec`` kind, and
@@ -418,24 +429,29 @@ class _Correlation(_WeightedLayer):
         if h < k or wd < k:
             raise ValueError(f"spatial size {h}x{wd} smaller than kernel {k}x{k}")
         w, bias = self._kernel()
+        planes, kernel = self._operands(x, w)
         p = self.pool or 1
         oh, ow = h - k + 1, wd - k + 1
         ph, pw = oh // p, ow // p
         # The patches and their row of ones, P*k*k + 1 rows of p*p*PH*PW*N,
-        # and the taps that backward writes over them, P*k*k rows of at
-        # most OH*W*N. The buffer is kept from batch to batch, so the
-        # largest arrays of a training step are not allocated per chunk.
-        size = max(w[0].size * oh * wd, (w[0].size + 1) * p * p * ph * pw) * n
+        # and the taps that backward writes over them, with the full
+        # kernel's P*k*k rows of at most OH*W*N. The buffer is kept from
+        # batch to batch, so the largest arrays of a training step are not
+        # allocated per chunk.
+        size = max(w[0].size * oh * wd, (kernel[0].size + 1) * p * p * ph * pw) * n
         dtype = np.result_type(x, w)
         if self._buf is None or self._buf.size < size or self._buf.dtype != dtype:
             self._buf = np.empty(size, dtype)
-        out, cols = _correlate(x, w, p, self._buf)
+        out, cols = _correlate(planes, kernel, p, self._buf)
         self._cache = (w, cols, x.shape)
         if self.pool is None:
             out += bias[:, None]
             return out.reshape(*self.lead, -1, oh, ow, n)
         # the pool adds the bias to its maxima
         return out.reshape(*self.lead, -1, p, p, ph, pw, n)
+
+    def _operands(self, x: np.ndarray, w: np.ndarray):
+        return x, w
 
     def backward(self, g: np.ndarray, input_grad: bool = True):
         """``input_grad=False`` skips the input gradient and returns None,
@@ -448,7 +464,7 @@ class _Correlation(_WeightedLayer):
         self._cache = None
         f, k = w.shape[0], w.shape[-1]
         grads = _weight_grad(cols, g.reshape(f, -1))
-        self._fold(grads[:-1].T.reshape(w.shape), grads[-1])
+        self._fold(grads[:-1].T.reshape(f, -1, k, k), grads[-1])
         if not input_grad:
             return None
         # The taps GEMM runs on g put back in raster order, with each of
@@ -520,14 +536,29 @@ class QConv2d(_Correlation):
     planes. ``w`` holds the four real kernel banks, one per quaternion
     component of the filter, as one (4, F, C, k, k) view, and ``bias``
     the F quaternion biases as (4, F). Glorot is component-wise, with
-    fans counted in quaternion channels."""
+    fans counted in quaternion channels. A batch whose real plane is all
+    zero runs on its 3C imaginary planes and the block kernel's last 3C
+    columns: its output and weight gradient are those of the 4C planes
+    where BLAS rounds the shorter GEMMs alike, and its input gradient
+    keeps its four planes."""
 
     kind, lead, image_channels = "qconv", (4,), 1
 
     def _kernel(self):
         return _block_kernel(self.w), self.bias.reshape(-1)
 
+    def _operands(self, x: np.ndarray, w: np.ndarray):
+        # A batch whose real plane is all zero, a pure quaternion, meets
+        # the block kernel's first C columns (input component b = 0) with
+        # exact zeros only: the GEMM runs without both.
+        if x[0].any():
+            return x, w
+        return x[1:], w[:, self.in_channels:]
+
     def _fold(self, gblock: np.ndarray, gbias: np.ndarray):
+        c = self.in_channels
+        if gblock.shape[1] < 4 * c:  # a pure forward's: its b = 0 blocks are exact zeros
+            gblock = np.concatenate([np.zeros_like(gblock[:, :c]), gblock], axis=1)
         _fold_block(self.grad_w, gblock)
         self.grad_bias += gbias.reshape(4, -1)
 

@@ -82,6 +82,44 @@ DIGESTS = {
         "train-rvcnn-rgb-24/result.json":
             "29d4ce38149ba7ed4a34d461439a94b4fc12c09ab03521686afce9706dcdad35",
     },
+    (7, "2.4"): {
+        "sweep-24/plan.json":
+            "cff3dcf3690f8b9b9af64418b54e36830b6e7ac7cbb2478555e3c9e243b2a5b7",
+        "sweep-24/runs.csv":
+            "7a1dfc13e88e328ff0141be01c3afa5283b07ce66227b77b707a33abdaa9281e",
+        "sweep-24/stats.csv":
+            "b658729cfd94e5b6c063cb415bfaa267da5bd9aaf9b15161b7214eea74f2ff27",
+        "train-qvcnn-hsv-100/metrics.csv":
+            "fda67740f30ed9367eadad8679dbad623c571e72822a89cbe98660083f282b4f",
+        "train-qvcnn-hsv-100/model.bin":
+            "d008f3ecd6265576708dd2176f46585cc2148458ec0ee0c342d350f14801e400",
+        "train-qvcnn-hsv-100/result.json":
+            "372f54fcfcbe3b67c81f7c1b0d8a2762f6448b13d1307929bbb425059845eafc",
+        "train-qvcnn-hsv-24/metrics.csv":
+            "7e249fab40d88c53eb0593c0f32d16ebd0a5e51c513e9c949326671095b73ec9",
+        "train-qvcnn-hsv-24/model.bin":
+            "904c4233de19fafc96ec662d9ad57c1efddd7a8827ae430300993370cd15bfb8",
+        "train-qvcnn-hsv-24/result.json":
+            "f22817591aa18f3a3a80e6b7d08a65ee648036e9a954d720c89b19c17418cf9f",
+        "train-qvcnn-rgb-24/metrics.csv":
+            "8246f1f3ba41db4355c050c7e7f3f31121024a5ee99d9e64a78d6d21773847d8",
+        "train-qvcnn-rgb-24/model.bin":
+            "b95e15aa2fe2edc0e36ad1255d42f42d2144b41f1ed4d3cbf4ac37fcc3936cfe",
+        "train-qvcnn-rgb-24/result.json":
+            "5f08915b387addba474f7c9b36c63e0ee6601b09bdf61337794e7aa90989631b",
+        "train-rvcnn-hsv-24/metrics.csv":
+            "3ae8902dc63b1008b8d930fc7af8f6a8a0f0daa608cb378a07d0d7ad13905e97",
+        "train-rvcnn-hsv-24/model.bin":
+            "ee7ad95e1a5c8e8b98971218f62018b5c6462c208c36a70340a334df2b0a4db1",
+        "train-rvcnn-hsv-24/result.json":
+            "754cdb77b27adb93e024426b61e7c157e994e3b6a0a471792d842cd24ded3352",
+        "train-rvcnn-rgb-24/metrics.csv":
+            "41487646ae37e44166d59a894db2d1cc5f202311ce06ed09d4b3a2c3968a9537",
+        "train-rvcnn-rgb-24/model.bin":
+            "c672b857fa11d15f7edf0f602ef2a66812ddd726cc8c45a1a7af3694ef0a2b73",
+        "train-rvcnn-rgb-24/result.json":
+            "29d4ce38149ba7ed4a34d461439a94b4fc12c09ab03521686afce9706dcdad35",
+    },
 }
 
 

@@ -1162,6 +1162,34 @@ qvcnn-rgb (input 24x24):
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("failure", ["model.bin write", "interrupt"])
+    def test_a_failed_train_keeps_the_earlier_run_whole(self, tmp_path, monkeypatch, failure):
+        # a train into an --out that holds a shorter run, failing after all
+        # its epochs: the earlier run's three files keep their bytes, so
+        # metrics.csv still has its one epoch, as result.json says
+        data = make_fixture_dir(tmp_path, n=8, size=24)
+        out = tmp_path / "out"
+        argv = ["train", "--config", "rvcnn-rgb", "--test-fraction", "0.25", "--data", str(data),
+                "--input-size", "24", "--out", str(out), "--epochs"]
+        assert cli.main([*argv, "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert json.loads(before["result.json"])["epochs"] == 1
+        assert before["metrics.csv"].count(b"\n") == 2
+
+        if failure == "model.bin write":
+            self._fail_writes_of(monkeypatch, "model.bin")
+            expect = pytest.raises(SystemExit, match="^error: I/O operation on closed file")
+        else:
+            def interrupted(model, samples):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(harness, "evaluate", interrupted)
+            expect = pytest.raises(KeyboardInterrupt)
+        with expect:
+            cli.main([*argv, "3"])
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_a_refused_train_makes_no_output_directory(self, tmp_path):
         # 0.01 of 4 images per class rounds to no test image
         data = make_fixture_dir(tmp_path, n=8, size=24)

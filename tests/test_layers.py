@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quatcnn import layers
+from quatcnn.encoding import encode_rgb_quaternion
 from quatcnn.quat import Quaternion, hamilton, add
 from quatcnn.layers import (
     as_block_conv, Conv2d, QConv2d, MaxPool2d, ReLU, Flatten, Dense, LayerSpec, ModelConfig,
@@ -944,6 +945,130 @@ class TestPoolBias:
         # the bias gradient is the output gradient summed over the live windows
         assert np.array_equal(conv.grad_bias, (g * live).sum(axis=(1, 2)))
         assert np.array_equal(conv.grad_w[..., 0, 0], np.einsum("chw,dhw->cd", expect_gx, x))
+
+
+def _fold_oracle(gblock: np.ndarray, bank_shape) -> np.ndarray:
+    """The (4, F, C, k, k) bank gradient of a (4F, 4C, k, k) block-kernel
+    gradient, from the unit products of ``hamilton``: block (comp, b) is
+    sign * bank a where e_a e_b = sign * e_comp, so bank a adds sign times
+    that block's gradient, over the output components in order."""
+    _, f, c, k, _ = bank_shape
+    blocks = gblock.reshape(4, f, 4, c, k, k)
+    units = np.eye(4)
+    grad = np.zeros(bank_shape, dtype=gblock.dtype)
+    for comp in range(4):
+        for a in range(4):
+            for b in range(4):
+                product = hamilton(Quaternion(*units[a]), Quaternion(*units[b])).components()
+                if product[comp]:
+                    grad[a] += product[comp] * blocks[comp, :, b]
+    return grad
+
+
+def _zero_rows_round_alike(f, rows, skip, m, dtype) -> bool:
+    """Whether this BLAS gives a convolution's two GEMMs the same bits
+    without the ``skip`` leading patch rows of a zero real plane as with
+    them, on random data of their shapes: the (F, rows) x (rows, M)
+    forward, and ``_weight_grad`` of the rows plus the row of ones."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(-1, 1, (f, rows)).astype(dtype)
+    cols = rng.uniform(0, 1, (rows + 1, m)).astype(dtype)
+    cols[:skip], cols[-1] = 0, 1
+    g = rng.uniform(-1, 1, (f, m)).astype(dtype)
+    forward = np.array_equal(w @ cols[:-1], np.ascontiguousarray(w[:, skip:]) @ cols[skip:-1])
+    weight_grad = np.array_equal(layers._weight_grad(cols, g)[skip:],
+                                 layers._weight_grad(cols[skip:], g))
+    return forward and weight_grad
+
+
+class TestPureQuaternionBatch:
+    """A batch whose real plane is all zero, as ``encode_rgb_quaternion``
+    makes, meets the block kernel's first C columns with exact zeros, so
+    a quaternion convolution runs on its three imaginary planes only. The
+    oracle is the full path: the real convolution that ``as_block_conv``
+    returns, run on the 4C stacked planes, zeros included. The two agree
+    bit for bit where BLAS rounds a GEMM with and without those zero rows
+    alike (SkylakeX and Sandybridge sgemm, not Haswell), and to rounding
+    elsewhere."""
+
+    @pytest.mark.parametrize("size, n", [(24, 16), (24, 3), (100, 1)])
+    def test_model_matches_the_full_path(self, size, n):
+        rng = np.random.default_rng(86)
+        model = Model(config_from_name("qvcnn-rgb", size), rng=rng)
+        for layer in model.layers:
+            if layer.param_count:
+                layer.bias[...] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        x = encode_rgb_quaternion(rng.uniform(0, 1, (n, size, size, 3)), np.float32)
+        dlogits = rng.uniform(-1, 1, n).astype(np.float32)
+        model.zero_grads()
+        logits = model.forward(x)
+        first = model.layers[0]
+        c, f, k = first.in_channels, first.out_channels, first.kernel_size
+        _, cols, _ = first._cache
+        assert cols.shape[0] == 3 * c * k * k + 1  # the real plane's rows are left out
+        model.backward(dlogits)
+        grad = model.grad.copy()
+
+        # the full path: the block convolution on the 4C planes, pool-major,
+        # into the model's own first pool and the layers after it
+        conv = Conv2d(4 * c, 4 * f, k, pool=first.pool)
+        conv.theta[...] = as_block_conv(first).theta
+        out = conv.forward(np.ascontiguousarray(np.moveaxis(x, -3, -1)).reshape(4 * c, size,
+                                                                               size, n))
+        assert conv._cache[1].shape[0] == 4 * c * k * k + 1
+        model.zero_grads()
+        h = out.reshape(4, f, *out.shape[1:])
+        for layer in model.run_order[1:]:
+            h = layer.forward(h)
+        g = dlogits
+        for layer in model.run_order[:0:-1]:
+            g = layer.backward(g)
+        conv.backward(g.reshape(out.shape), input_grad=False)
+        first.grad_w[...] = _fold_oracle(conv.grad_w, first.w.shape)
+        first.grad_bias[...] = conv.grad_bias.reshape(4, f)
+
+        assert logits.dtype == h.dtype == grad.dtype == np.float32
+        if _zero_rows_round_alike(4 * f, 4 * c * k * k, c * k * k, out[0].size, np.float32):
+            assert logits.tobytes() == h.tobytes()
+            assert grad.tobytes() == model.grad.tobytes()
+        else:
+            assert norm_rel_err(logits, h) < 1e-4
+            assert norm_rel_err(grad, model.grad) < 1e-4
+            assert norm_rel_err(first.grad, grad[:first.param_count]) < 1e-4
+
+    @pytest.mark.parametrize("pool", [None, 2])
+    def test_input_gradient_keeps_its_four_planes(self, pool):
+        # the input gradient does not depend on the input, so after a pure
+        # forward it must be the full path's, bit for bit: the taps come
+        # from the whole block kernel
+        rng = np.random.default_rng(87)
+        layer = QConv2d(2, 3, 3, pool=pool)
+        layer.theta[...] = rng.uniform(-1, 1, layer.theta.size)
+        x = rng.uniform(0, 1, (4, 2, 9, 9, 3)).astype(np.float32)
+        full_out = layer.forward(x)
+        g = rng.uniform(-1, 1, full_out.shape).astype(np.float32)
+        full = layer.backward(g)
+        x[0] = 0
+        layer.forward(x)
+        assert layer._cache[1].shape[0] == 3 * 2 * 9 + 1
+        gx = layer.backward(g)
+        assert gx.shape == x.shape and gx[0].any()
+        assert gx.tobytes() == full.tobytes()
+
+    def test_a_nonzero_real_value_is_not_dropped(self):
+        rng = np.random.default_rng(88)
+        layer = QConv2d(1, 2, 3)
+        layer.theta[...] = rng.uniform(-1, 1, layer.theta.size)
+        x = np.ascontiguousarray(np.moveaxis(
+            encode_rgb_quaternion(rng.uniform(0, 1, (2, 8, 8, 3)), np.float32), -3, -1))
+        pure = layer.forward(x).copy()
+        x[0, 0, 4, 5, 1] = 0.5
+        out = layer.forward(x)
+        assert layer._cache[1].shape[0] == 4 * 9 + 1
+        # every output whose window holds it moves, in every plane
+        assert (out != pure)[..., 2:5, 3:6, 1].all()
+        block = as_block_conv(layer).forward(x.reshape(4, 8, 8, 2))
+        assert norm_rel_err(out.reshape(block.shape), block) < 1e-6
 
 
 class TestFlatten:
