@@ -7,12 +7,13 @@ side of its split in one call and flips the encoded training array x4.
 A sweep cell is one (config, test fraction); each of its runs derives a
 seed from a stable hash of (base seed, config, fraction, run), so
 adding configurations or fractions never perturbs existing runs.
-``runs.csv`` is rewritten whole after each run, and an interrupted sweep
-resumes by skipping the (config, fraction, run) keys already present.
-Wall-clock time is tracked per run but kept out of runs.csv so repeated
-sweeps reproduce the file byte for byte. A resume under another plan or
-``RESULTS_VERSION`` than the directory's ``plan.json`` records is
-refused.
+``runs.csv`` is rewritten whole through ``layers.write_csv`` after each
+run, in its final (config, fraction, run) order, and an interrupted
+sweep resumes by skipping the keys already present; ``stats.csv``, the
+other table, is written at the end. Wall-clock time is tracked per run
+but kept out of runs.csv so repeated sweeps reproduce the file byte for
+byte. A resume under another plan or ``RESULTS_VERSION`` than the
+directory's ``plan.json`` records is refused.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from . import encoding
 from .encoding import resize  # also by name: perfbench's tests read harness.resize
 from .layers import (
     CONFIG_NAMES, ModelConfig, atomic_write, chunk_size, config_from_name, trace_shapes,
+    write_csv,
 )
 from .train import Samples, train_model
 
@@ -79,6 +82,14 @@ class DatasetManifest:
     checksum: str
 
 
+def _image_files(root: Path):
+    """(path, label) of each image file in ``root``, by name; the label is
+    None where the name has no trailing ``_0``/``_1``."""
+    for path in sorted(root.iterdir()):
+        if path.suffix.lower() in IMAGE_EXTENSIONS and path.is_file():
+            yield path, int(path.stem[-1]) if path.stem[-2:] in ("_0", "_1") else None
+
+
 def load_manifest(root) -> DatasetManifest:
     """Build a manifest from a dataset directory, labelling each image by
     a trailing ``_0``/``_1`` before the file extension (the ALL-IDB2
@@ -88,16 +99,13 @@ def load_manifest(root) -> DatasetManifest:
         reason = "is not a directory" if root.exists() else "does not exist"
         raise ValueError(f"dataset root {root} {reason}")
     entries: list[ManifestEntry] = []
-    for path in sorted(root.iterdir()):
-        if path.suffix.lower() not in IMAGE_EXTENSIONS or not path.is_file():
-            continue
-        stem = path.stem
-        if len(stem) < 2 or stem[-2] != "_" or stem[-1] not in "01":
+    for path, label in _image_files(root):
+        if label is None:
             raise ValueError(
                 f"{path.name}: cannot parse label; expected a trailing _0 or _1 "
                 "before the extension"
             )
-        entries.append(ManifestEntry(path=path, label=int(stem[-1]), id=stem))
+        entries.append(ManifestEntry(path=path, label=label, id=path.stem))
     if not entries:
         raise ValueError(f"{root}: no labeled images found")
     labels = {e.label for e in entries}
@@ -124,7 +132,10 @@ def split(manifest: DatasetManifest, test_fraction: float, seed: int,
     Returns (train ids, test ids); disjoint, union covers the dataset,
     deterministic per seed. Each class (without ``stratify``, the whole
     set) is permuted and cut at round(fraction * size), so per-class test
-    counts differ from the exact fraction by at most one.
+    counts differ from the exact fraction by at most one. A side left
+    empty, or a training side without both classes, which no model could
+    be trained on, raises ValueError naming the fraction and the counts;
+    stratified, those counts do not depend on the seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
@@ -142,6 +153,15 @@ def split(manifest: DatasetManifest, test_fraction: float, seed: int,
         raise ValueError(
             f"test fraction {test_fraction} leaves an empty side "
             f"({len(train)} train / {len(test)} test)"
+        )
+    label = {e.id: e.label for e in manifest.entries}
+    train_1 = sum(label[i] for i in train)
+    if train_1 in (0, len(train)):
+        test_1 = sum(label[i] for i in test)
+        raise ValueError(
+            f"test fraction {test_fraction} leaves one class on the training side "
+            f"(class 0: {len(train) - train_1} train / {len(test) - test_1} test; "
+            f"class 1: {train_1} train / {test_1} test)"
         )
     return train, test
 
@@ -167,6 +187,17 @@ class ExperimentPlan:
         for field in ("configs", "fractions"):
             if not getattr(self, field):
                 raise ValueError(f"{field} must not be empty")
+        # stored as Python numbers: a numpy scalar's repr would enter the
+        # derived seeds and the run keys, and json cannot write one
+        for f in self.fractions:
+            if not isinstance(f, numbers.Real) or isinstance(f, bool):
+                raise ValueError(f"test fractions must be real numbers, got {f!r}")
+        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
+        for field in ("runs", "epochs", "base_seed", "batch_size", "input_size", "jobs"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         for name in self.configs:
             trace_shapes(config_from_name(name, self.input_size))
         for f in self.fractions:
@@ -189,7 +220,8 @@ class ExperimentPlan:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
-@dataclass(frozen=True)
+# ordered as runs.csv is: by (config, fraction, run), which no two runs share
+@dataclass(frozen=True, order=True)
 class RunResult:
     config: str
     fraction: float
@@ -344,7 +376,7 @@ class ExperimentReport:
     n_skipped: int
 
 
-_RUNS_HEADER = "config,fraction,run,seed,test_accuracy,train_accuracy\n"
+_RUNS_COLUMNS = ("config", "fraction", "run", "seed", "test_accuracy", "train_accuracy")
 
 # a worker's manifest, plan and decoded images, set once by _pool_init
 _POOL_STATE: dict = {}
@@ -393,12 +425,13 @@ def _worker_pool(manifest: DatasetManifest, plan: ExperimentPlan, decoded: Decod
 
 
 def read_runs_csv(path) -> list[RunResult]:
-    """Parse runs.csv (LF or CRLF lines). A final line without its newline,
-    torn by an interrupted older version's appends, is dropped; its run is redone."""
+    """Parse runs.csv, whose header must be ``_RUNS_COLUMNS``. CRLF lines, as
+    an editor may save them, also read; a final line without its newline, as
+    a copy cut short may end, is dropped, so that a resume redoes its run."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     lines.pop()  # "" after the final newline, else the torn row
-    if not lines or lines[0] + "\n" != _RUNS_HEADER:
+    if not lines or lines[0] != ",".join(_RUNS_COLUMNS):
         raise ValueError(f"{path}: unexpected header {lines[0] if lines else None!r}")
     results = []
     for i, line in enumerate(lines[1:], start=2):
@@ -412,14 +445,6 @@ def read_runs_csv(path) -> list[RunResult]:
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: malformed row {line!r}") from exc
     return results
-
-
-def _write_runs_csv(path: Path, results) -> None:
-    text = _RUNS_HEADER + "".join(
-        ",".join([r.config, repr(r.fraction), str(r.run), str(r.seed),
-                  repr(r.test_accuracy), repr(r.train_accuracy)]) + "\n"
-        for r in results)
-    atomic_write(path, text.encode("utf-8"))
 
 
 # the plan fields that change what a run computes; runs, configs,
@@ -463,7 +488,7 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
                    out_dir, log=print) -> ExperimentReport:
     """Run every (config, fraction, run) cell of the plan.
 
-    ``<out_dir>/runs.csv`` is rewritten whole through ``atomic_write``
+    ``<out_dir>/runs.csv`` is rewritten whole through ``write_csv``, sorted,
     after each run, so an interrupted sweep resumes where it stopped;
     keys already in the file are skipped. The images are decoded once,
     here; when ``plan.jobs`` > 1 runs execute in spawned worker
@@ -473,7 +498,8 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     top-level code under ``if __name__ == "__main__":``. A directory
     written under other ``_PLAN_FIELDS``, another manifest or another
     ``RESULTS_VERSION``, a fraction that leaves either side of the
-    manifest's split empty, and an image that does not decode raise
+    manifest's split empty or its training side without both classes,
+    and an image that does not decode raise
     ``ValueError`` before ``out_dir`` is made or written; more runs,
     configs or fractions, or other ``jobs``, resume. Finishes by
     re-emitting the canonical, sorted report.
@@ -491,12 +517,11 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "plan.json", plan_json)
 
-    # the done rows in file order, then the new ones as they finish
     results: dict[tuple, RunResult] = dict(done)
 
     def record(result: RunResult):
         results[result.key] = result
-        _write_runs_csv(runs_path, results.values())
+        write_csv(runs_path, sorted(results.values()), _RUNS_COLUMNS)
         log(f"[{result.config} f={result.fraction} run={result.run}] "
             f"test_acc={result.test_accuracy:.4f} ({result.wall_time:.1f}s)")
 
@@ -509,7 +534,7 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
         for config_name, fraction, run in tasks:
             record(run_single(config_name, manifest, fraction, run, plan, decoded))
 
-    ordered = tuple(sorted(results.values(), key=lambda r: (r.config, r.fraction, r.run)))
+    ordered = tuple(sorted(results.values()))
     stats = aggregate(ordered)
     emit_report(ordered, stats, out_dir)
     return ExperimentReport(
@@ -535,24 +560,16 @@ def aggregate(results) -> tuple[AggregateStats, ...]:
 
 
 def emit_report(results, stats, out_dir) -> None:
-    """Write runs.csv and stats.csv atomically, overwriting previous
-    reports."""
+    """Write runs.csv (rows in the order given) and stats.csv through
+    ``write_csv``, replacing previous reports."""
     results = list(results)
     if not results:
         raise ValueError("no results to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_runs_csv(out_dir / "runs.csv", results)
-
-    header = ["config", "fraction", "n", "mean", "std", "q25", "q75"]
-    lines = [",".join(header)]
-    for s in stats:
-        lines.append(",".join([
-            s.config, repr(s.fraction), str(s.n), repr(s.mean), repr(s.std),
-            repr(s.q25), repr(s.q75),
-        ]))
-    atomic_write(out_dir / "stats.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(out_dir / "runs.csv", results, _RUNS_COLUMNS)
+    write_csv(out_dir / "stats.csv", stats, [f.name for f in fields(AggregateStats)])
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +602,10 @@ def generate_synthetic_dataset(
     ``size`` below 1, a negative ``n``, a negative or non-finite
     ``noise`` or ``hue_jitter``, a non-finite hue, or a ``saturation`` or
     ``value`` range other than 0 <= lo <= hi <= 1 raises ValueError
-    before the directory is made; ``n = 0`` writes nothing.
+    before the directory is made; ``n = 0`` writes nothing. An
+    ``out_dir`` that already holds a labelled image, which
+    ``load_manifest`` would read into the new set, is refused the same
+    way, naming the file.
 
     Each call allocates its work arrays (image, noise, ellipse
     coordinates, mask) once and refills them per image. The bytes of
@@ -606,6 +626,11 @@ def generate_synthetic_dataset(
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError(f"{name} must be a range 0 <= lo <= hi <= 1, got ({lo}, {hi})")
     out_dir = Path(out_dir)
+    if out_dir.is_dir():
+        for path, label in _image_files(out_dir):
+            if label is not None:
+                raise ValueError(f"{out_dir} already holds the labelled image {path.name}; "
+                                 "write the fixtures into an empty or new directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     axis = np.arange(size, dtype=np.float64)

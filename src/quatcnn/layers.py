@@ -158,6 +158,7 @@ __all__ = [
     "Model",
     "config_digest",
     "atomic_write",
+    "write_csv",
     "save_model",
     "load_model",
 ]
@@ -973,6 +974,15 @@ def atomic_write(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, rows, columns) -> None:
+    """The one CSV writer: replace ``path`` through ``atomic_write`` with a
+    header of ``columns``, then one LF line per row of its attributes of
+    those names in ``str`` (a float's shortest round-trip text)."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(getattr(row, name)) for name in columns) for row in rows]
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def save_model(path, model: Model) -> None:

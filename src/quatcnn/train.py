@@ -16,11 +16,11 @@ differences at h=1e-6 are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .layers import Model, ModelConfig, _build_config, atomic_write, chunk_size
+from .layers import Model, ModelConfig, _build_config, chunk_size, write_csv
 
 __all__ = [
     "Samples",
@@ -206,8 +206,8 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
     in the order the samples were trained; train accuracy is
     running accuracy, i.e. measured from the forward passes used for
     training with the parameters current at each batch. ``metrics_path``,
-    when given, gets the CSV header (epoch, loss, train_acc) at once and
-    is rewritten whole through ``atomic_write`` after each epoch.
+    when given, gets the ``metrics`` so far, columns (epoch, loss,
+    train_acc), through ``layers.write_csv``: at once and after each epoch.
     A non-finite loss raises ValueError naming the epoch and batch.
     """
     if batch_size < 1:
@@ -223,11 +223,11 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
     adam = Adam(model.theta)
     chunk = chunk_size(config, batch_size)
 
-    text = "epoch,loss,train_acc\n"
-    if metrics_path is not None:
-        atomic_write(metrics_path, text.encode("utf-8"))
-
     metrics: list[EpochMetrics] = []
+    columns = [f.name for f in fields(EpochMetrics)]
+    if metrics_path is not None:
+        write_csv(metrics_path, metrics, columns)
+
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = np.empty(n)
@@ -249,8 +249,7 @@ def train_model(config: ModelConfig, dataset: Samples, epochs: int = 100,
         row = EpochMetrics(epoch, float(np.cumsum(losses)[-1]) / n, correct / n)
         metrics.append(row)
         if metrics_path is not None:
-            text += f"{row.epoch},{row.loss!r},{row.train_acc!r}\n"
-            atomic_write(metrics_path, text.encode("utf-8"))
+            write_csv(metrics_path, metrics, columns)
     return model, metrics
 
 

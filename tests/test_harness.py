@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -21,7 +22,7 @@ from quatcnn.harness import (
     build_run_inputs, run_single, run_experiment, aggregate, emit_report,
     read_runs_csv, generate_synthetic_dataset, load_decoded_images,
 )
-from quatcnn.layers import CONFIG_NAMES, Model, config_from_name, load_model
+from quatcnn.layers import CONFIG_NAMES, Model, config_from_name, load_model, write_csv
 from quatcnn.train import Samples, run_gradient_verification, train_model
 import quatcnn
 from quatcnn import cli, harness
@@ -33,13 +34,26 @@ def make_fixture_dir(tmp_path, n=8, size=24, seed=0):
     return data
 
 
-def fake_manifest(n_per_class: int) -> DatasetManifest:
+def fake_manifest(n_per_class: int, n_class_1: int | None = None) -> DatasetManifest:
     entries = []
-    for label in (0, 1):
-        for i in range(n_per_class):
+    for label, n in ((0, n_per_class), (1, n_per_class if n_class_1 is None else n_class_1)):
+        for i in range(n):
             sid = f"Im{label}{i:03d}_{label}"
             entries.append(ManifestEntry(Path(f"/nowhere/{sid}.ppm"), label, sid))
     return DatasetManifest(Path("/nowhere"), tuple(entries), "0" * 64)
+
+
+def make_unbalanced_dir(tmp_path):
+    """9 fixture images, 2 of class 0 and 7 of class 1: a stratified test
+    fraction of 0.75 puts both class 0 images on the test side."""
+    data = make_fixture_dir(tmp_path, n=14, size=24)
+    for name in ("Im005_0", "Im007_0", "Im009_0", "Im011_0", "Im013_0"):
+        (data / f"{name}.ppm").unlink()
+    return data
+
+
+ONE_CLASS_TRAIN = (r"test fraction 0\.75 leaves one class on the training side "
+                   r"\(class 0: 0 train / 2 test; class 1: 2 train / 5 test\)$")
 
 
 class TestLoadManifest:
@@ -165,6 +179,18 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty side"):
             split(man, 0.01, seed=0)
 
+    @pytest.mark.parametrize("stratify", [True, False])
+    def test_a_training_side_with_one_class_is_refused(self, stratify):
+        # no model trains on it; the error names the fraction and the counts
+        if stratify:
+            with pytest.raises(ValueError, match=ONE_CLASS_TRAIN):
+                split(fake_manifest(2, 7), 0.75, seed=0)
+        else:
+            with pytest.raises(ValueError, match=r"^test fraction 0\.5 leaves one class on the "
+                                                 r"training side \(class 0: 0 train / 2 test; "
+                                                 r"class 1: 2 train / 0 test\)$"):
+                split(fake_manifest(2), 0.5, seed=1, stratify=False)
+
     def test_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             split(fake_manifest(4), 1.0, seed=0)
@@ -236,6 +262,25 @@ class TestPlanValidation:
 
     def test_fractions_that_differ_in_repr_are_distinct(self):
         assert ExperimentPlan(fractions=(0.3, 0.1 + 0.2)).fractions == (0.3, 0.30000000000000004)
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        plan = ExperimentPlan(fractions=tuple(np.linspace(0.25, 0.5, 2)), runs=np.int64(2),
+                              epochs=np.int32(1), input_size=np.int64(24), jobs=np.uint8(1))
+        assert [type(f) for f in plan.fractions] == [float, float]
+        assert repr(plan.fractions) == "(0.25, 0.5)"
+        for field in ("runs", "epochs", "base_seed", "batch_size", "input_size", "jobs"):
+            assert type(getattr(plan, field)) is int
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(fractions=("0.25",)), r"test fractions must be real numbers, got '0\.25'$"),
+        (dict(fractions=(True,)), "test fractions must be real numbers, got True$"),
+        (dict(epochs=1.0), r"epochs must be an integer, got 1\.0$"),
+        (dict(runs=np.float64(2)), r"runs must be an integer, got np.float64\(2\.0\)$"),
+        (dict(base_seed="7"), "base_seed must be an integer, got '7'$"),
+    ], ids=["str-fraction", "bool-fraction", "float-epochs", "numpy-float-runs", "str-seed"])
+    def test_numbers_of_the_wrong_kind_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(**fields)
 
 
 class _StubModel:
@@ -527,6 +572,32 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="no results"):
             emit_report([], (), tmp_path)
 
+    def test_runs_csv_reads_back_equal(self, tmp_path):
+        results = [RunResult("qvcnn-rgb", 0.1 + 0.2, 0, 2**63 - 1, 1 / 3, 1e-05),
+                   RunResult("rvcnn-hsv", 0.5, 12, 0, 0.0, 1.0)]
+        emit_report(results, aggregate(results), tmp_path)
+        assert read_runs_csv(tmp_path / "runs.csv") == results
+
+
+class TestWriteCsv:
+    Row = collections.namedtuple("Row", "name x n")
+
+    def test_each_value_is_written_with_str(self, tmp_path):
+        rows = [self.Row("a", 0.1, 1), self.Row("b", 1 / 3, -2), self.Row("c", 1e-05, 0),
+                self.Row("d", float("nan"), 10**20), self.Row("e", np.float64(0.25), np.int64(7))]
+        write_csv(tmp_path / "t.csv", rows, ("name", "x", "n"))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"name,x,n\na,0.1,1\nb,0.3333333333333333,-2\nc,1e-05,0\n"
+            b"d,nan,100000000000000000000\ne,0.25,7\n")
+
+    def test_the_columns_choose_and_order_the_attributes(self, tmp_path):
+        write_csv(tmp_path / "t.csv", [self.Row("a", 0.5, 3)], ["n", "name"])
+        assert (tmp_path / "t.csv").read_bytes() == b"n,name\n3,a\n"
+
+    def test_no_rows_write_the_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", [], ("name", "x"))
+        assert (tmp_path / "t.csv").read_bytes() == b"name,x\n"
+
 
 def smoke_plan(**overrides):
     defaults = dict(configs=("qvcnn-rgb",), fractions=(0.25,), runs=2, epochs=2,
@@ -586,6 +657,27 @@ class TestRunExperiment:
             run_experiment(smoke_plan(fractions=(0.5, 0.01), runs=1, jobs=jobs), man,
                            tmp_path / "out", log=ran.append)
         assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_a_fraction_with_one_class_to_train_on_runs_nothing(self, tmp_path):
+        man = load_manifest(make_unbalanced_dir(tmp_path))
+        ran = []
+        with pytest.raises(ValueError, match=ONE_CLASS_TRAIN):
+            run_experiment(smoke_plan(fractions=(0.25, 0.75), runs=1), man, tmp_path / "out",
+                           log=ran.append)
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_a_plan_of_numpy_numbers_writes_the_python_plan_bytes(self, tmp_path):
+        # its seeds, run keys and rows are those of the plan of Python numbers,
+        # and it resumes from its own runs.csv
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        numpy_plan = smoke_plan(fractions=tuple(np.linspace(0.25, 0.5, 2)),
+                                runs=np.int64(1), epochs=np.int64(1))
+        run_experiment(smoke_plan(fractions=(0.25, 0.5), runs=1, epochs=1), man,
+                       tmp_path / "py", log=lambda *_: None)
+        run_experiment(numpy_plan, man, tmp_path / "np", log=lambda *_: None)
+        for name in ("plan.json", "runs.csv", "stats.csv"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+        assert run_experiment(numpy_plan, man, tmp_path / "np", log=lambda *_: None).n_skipped == 2
 
     @pytest.mark.parametrize("field", ["configs", "fractions"])
     def test_an_empty_plan_writes_nothing(self, tmp_path, field):
@@ -815,6 +907,19 @@ class TestRunExperiment:
                 == (tmp_path / "fresh" / "runs.csv").read_bytes())
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_interrupted_runs_csv_is_in_its_final_order(self, tmp_path, jobs):
+        # rvcnn-rgb runs first but sorts after qvcnn-rgb
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        plan = smoke_plan(configs=("rvcnn-rgb", "qvcnn-rgb"), runs=1, epochs=1, jobs=jobs)
+        with pytest.raises(_Interrupt):
+            run_experiment(plan, man, tmp_path / "out", log=_interrupt_after(2))
+        run_experiment(plan, man, tmp_path / "fresh", log=lambda *_: None)
+        runs = (tmp_path / "out" / "runs.csv").read_bytes()
+        assert runs.startswith(b"config,fraction,run,seed,test_accuracy,train_accuracy\n"
+                               b"qvcnn-rgb,0.25,0,")
+        assert runs == (tmp_path / "fresh" / "runs.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupted_runs_csv_has_only_lf_lines(self, tmp_path, jobs):
         man = load_manifest(make_fixture_dir(tmp_path, n=8))
         out = tmp_path / "out"
@@ -993,6 +1098,25 @@ class TestSyntheticData:
         paths = generate_synthetic_dataset(tmp_path / "d", n=2, size=8, hue_jitter=0.0,
                                            saturation=(0.0, 1.0), value=(1.0, 1.0))
         assert len(paths) == 2
+
+    def test_a_directory_holding_labelled_images_is_refused(self, tmp_path):
+        # the images left from the first call would join the second's dataset
+        out = tmp_path / "d"
+        generate_synthetic_dataset(out, n=4, size=8)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(out))} already holds the "
+                                             r"labelled image Im001_0\.ppm"):
+            generate_synthetic_dataset(out, n=2, size=8)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_directory_without_labelled_images_is_used(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        for name in ("notes.txt", "Im001_2.ppm.bak", "cover.ppm"):
+            (out / name).write_text("x")
+        (out / "Im009_1.png").mkdir()
+        paths = generate_synthetic_dataset(out, n=2, size=8)
+        assert [p.name for p in paths] == ["Im001_0.ppm", "Im002_1.ppm"]
 
     def test_no_images_is_valid(self, tmp_path):
         assert generate_synthetic_dataset(tmp_path / "d", n=0, size=8) == []
@@ -1190,13 +1314,18 @@ qvcnn-rgb (input 24x24):
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_a_refused_train_makes_no_output_directory(self, tmp_path):
-        # 0.01 of 4 images per class rounds to no test image
-        data = make_fixture_dir(tmp_path, n=8, size=24)
-        with pytest.raises(SystemExit,
-                           match=r"^error: test fraction 0\.01 leaves an empty side"):
+    @pytest.mark.parametrize("case", ["empty side", "one class"])
+    def test_a_refused_train_makes_no_output_directory(self, tmp_path, case):
+        # 0.01 of 4 images per class rounds to no test image; 0.75 of 2
+        # class 0 images leaves none of them to train on
+        if case == "empty side":
+            data, fraction = make_fixture_dir(tmp_path, n=8, size=24), "0.01"
+            message = r"test fraction 0\.01 leaves an empty side"
+        else:
+            data, fraction, message = make_unbalanced_dir(tmp_path), "0.75", ONE_CLASS_TRAIN
+        with pytest.raises(SystemExit, match="^error: " + message):
             cli.main(["train", "--config", "rvcnn-rgb", "--data", str(data),
-                      "--test-fraction", "0.01", "--input-size", "24",
+                      "--test-fraction", fraction, "--input-size", "24",
                       "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
