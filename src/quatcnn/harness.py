@@ -333,12 +333,19 @@ def build_run_inputs(config: ModelConfig, decoded: Decoded,
     return sources, Samples(train_x, train_y), Samples(*encoded(test_ids))
 
 
+def _run_split(config_name: str, manifest: DatasetManifest, fraction: float,
+               run: int, plan: ExperimentPlan) -> tuple[int, list[str], list[str]]:
+    """Seed and (train ids, test ids) of one plan cell; ``split`` raises
+    for a fraction that leaves that cell nothing to train or test on."""
+    seed = derive_seed(plan.base_seed, config_name, fraction, run)
+    return seed, *split(manifest, fraction, seed, stratify=plan.stratify)
+
+
 def _prepare_run(config_name: str, manifest: DatasetManifest, fraction: float,
                  run: int, plan: ExperimentPlan, decoded: Decoded):
     """Seed, config and encoded (train, test) inputs of one plan cell."""
-    seed = derive_seed(plan.base_seed, config_name, fraction, run)
+    seed, train_ids, test_ids = _run_split(config_name, manifest, fraction, run, plan)
     config = config_from_name(config_name, plan.input_size)
-    train_ids, test_ids = split(manifest, fraction, seed, stratify=plan.stratify)
     _, train_inputs, test_inputs = build_run_inputs(config, decoded, train_ids, test_ids,
                                                     augment=plan.augment)
     return seed, config, train_inputs, test_inputs
@@ -497,21 +504,23 @@ def run_experiment(plan: ExperimentPlan, manifest: DatasetManifest,
     main module, so a script that calls this with ``jobs`` > 1 keeps its
     top-level code under ``if __name__ == "__main__":``. A directory
     written under other ``_PLAN_FIELDS``, another manifest or another
-    ``RESULTS_VERSION``, a fraction that leaves either side of the
-    manifest's split empty or its training side without both classes,
-    and an image that does not decode raise
-    ``ValueError`` before ``out_dir`` is made or written; more runs,
-    configs or fractions, or other ``jobs``, resume. Finishes by
-    re-emitting the canonical, sorted report.
+    ``RESULTS_VERSION``, a cell whose split leaves either side empty or
+    its training side without both classes, and an image that does not
+    decode raise ``ValueError`` before ``out_dir`` is made or written;
+    more runs, configs or fractions, or other ``jobs``, resume. Finishes
+    by re-emitting the canonical, sorted report.
     """
-    for fraction in plan.fractions:  # split's counts do not depend on the seed
-        split(manifest, fraction, plan.base_seed, plan.stratify)
+    cells = [(c, f, run) for c in plan.configs for f in plan.fractions
+             for run in range(plan.runs)]
+    # every cell's split, as its run makes it: unstratified, the counts
+    # depend on the seed, so one cell can fail where the others pass
+    for config_name, fraction, run in cells:
+        _run_split(config_name, manifest, fraction, run, plan)
     out_dir = Path(out_dir)
     plan_json = _check_plan(plan, manifest, out_dir)
     runs_path = out_dir / "runs.csv"
     done = {r.key: r for r in read_runs_csv(runs_path)} if runs_path.exists() else {}
-    tasks = [(c, f, run) for c in plan.configs for f in plan.fractions
-             for run in range(plan.runs) if (c, repr(f), run) not in done]
+    tasks = [(c, f, run) for c, f, run in cells if (c, repr(f), run) not in done]
     n_skipped = len(done)
     decoded = load_decoded_images(manifest, plan.input_size) if tasks else {}
     out_dir.mkdir(parents=True, exist_ok=True)

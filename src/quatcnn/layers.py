@@ -56,11 +56,15 @@ its last row. That GEMM sums its long inner dimension (OH*OW*N) in
 fixed blocks of 512, added in order, so a trained model has the same
 bits at one and two BLAS threads. The quaternion convolution runs on
 the same core as one real GEMM over the 4C stacked component planes,
-with the (4F, 4C, k, k) block kernel gathered from the banks through
-4x4 bank and sign tables built from ``quat.hamilton`` on the four unit
-quaternions, once per batch; its weight gradient folds back into the
-banks through the inverse tables, once per batch. ``as_block_conv``
-returns that block kernel as the equivalent ``Conv2d``. A batch whose
+with the (4F, 4C, k, k) block kernel gathered from the banks and their
+negatives through 4x4 bank and sign tables built from ``quat.hamilton``
+on the four unit quaternions, once per parameter state: a layer keeps
+the kernel with the bits of the banks it was gathered from, and gathers
+again only when the banks' bits differ, so every write to ``theta`` is
+seen and the chunks between two optimizer steps share one kernel. Its
+weight gradient folds back into the banks through the inverse tables,
+once per batch. ``as_block_conv`` returns that block kernel as the
+equivalent ``Conv2d``. A batch whose
 real plane is all zero, a pure quaternion as the rgb encoding makes,
 runs on its 3C imaginary planes alone: one ``any`` over the real plane
 decides it per batch, and the GEMM leaves out the block kernel's first
@@ -293,14 +297,17 @@ def _hamilton_tables():
 
 _BANK, _SIGN, _PLANE, _FOLD_SIGN = _hamilton_tables()
 _COMPONENTS = np.arange(4)[:, None]
+# block (comp, b) of the block kernel in the banks stacked on their
+# negatives: bank _BANK, or 4 + _BANK where the sign is -1
+_SIGNED_BANK = _BANK + 4 * (_SIGN < 0)
 
 
 def _block_kernel(w: np.ndarray) -> np.ndarray:
     """The (4F, 4C, k, k) block kernel of (4, F, C, k, k) banks: one
-    gather into (comp, F, b, C, k, k) order, times the sign table."""
+    gather into (comp, F, b, C, k, k) order from the banks and their
+    negatives, which ``np.negative`` makes exactly."""
     _, f, c, k, _ = w.shape
-    block = w[_BANK[:, None, :], np.arange(f)[:, None]]
-    block *= _SIGN[:, None, :, None, None, None]
+    block = np.concatenate((w, np.negative(w)))[_SIGNED_BANK[:, None, :], np.arange(f)[:, None]]
     return block.reshape(4 * f, 4 * c, k, k)
 
 
@@ -537,16 +544,27 @@ class QConv2d(_Correlation):
     planes. ``w`` holds the four real kernel banks, one per quaternion
     component of the filter, as one (4, F, C, k, k) view, and ``bias``
     the F quaternion biases as (4, F). Glorot is component-wise, with
-    fans counted in quaternion channels. A batch whose real plane is all
-    zero runs on its 3C imaginary planes and the block kernel's last 3C
-    columns: its output and weight gradient are those of the 4C planes
-    where BLAS rounds the shorter GEMMs alike, and its input gradient
-    keeps its four planes."""
+    fans counted in quaternion channels. The block kernel is built once
+    per parameter state: it is kept with the bits of the banks it came
+    from and gathered again when they differ. A batch whose real plane
+    is all zero runs on its 3C imaginary planes and the block kernel's
+    last 3C columns: its output and weight gradient are those of the 4C
+    planes where BLAS rounds the shorter GEMMs alike, and its input
+    gradient keeps its four planes."""
 
     kind, lead, image_channels = "qconv", (4,), 1
+    _block = _block_bits = None
 
     def _kernel(self):
-        return _block_kernel(self.w), self.bias.reshape(-1)
+        # The block kernel depends on the banks alone, so it is gathered
+        # again only when their bits differ from those it was built from:
+        # any write to theta shows, a bank turned from +0 to -0 included.
+        # Each rebuild makes a new array, and nothing writes into one, so
+        # a cache or a caller that holds the previous kernel keeps it.
+        bits = self.w.tobytes()
+        if bits != self._block_bits:
+            self._block, self._block_bits = _block_kernel(self.w), bits
+        return self._block, self.bias.reshape(-1)
 
     def _operands(self, x: np.ndarray, w: np.ndarray):
         # A batch whose real plane is all zero, a pure quaternion, meets
@@ -681,7 +699,11 @@ class Dense(_WeightedLayer):
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         v = self._forward_cache()
-        self.grad_w += v @ g
+        # One sample's v @ g is one product per weight, which BLAS runs as
+        # D dot products of length 1 at ten times the cost. The bits are
+        # the same, but for a zero's sign, and adding to grad_w, which is
+        # never -0, drops that.
+        self.grad_w += v[:, 0] * g[0] if g.size == 1 else v @ g
         self.grad_bias += g.sum()
         return np.outer(self.w, g)
 

@@ -666,6 +666,20 @@ class TestRunExperiment:
                            log=ran.append)
         assert ran == [] and not (tmp_path / "out").exists()
 
+    def test_a_later_run_with_one_class_to_train_on_runs_nothing(self, tmp_path):
+        # Unstratified, the counts depend on each run's derived seed: run 0
+        # of this plan trains on both classes, and a later run does not. The
+        # plan is refused before any run, as a resume of it would fail there.
+        man = load_manifest(make_fixture_dir(tmp_path, n=4))
+        plan = ExperimentPlan(configs=("rvcnn-rgb",), fractions=(0.5,), runs=12, epochs=0,
+                              input_size=24, stratify=False, augment=False, base_seed=1)
+        split(man, 0.5, derive_seed(1, "rvcnn-rgb", 0.5, 0), stratify=False)
+        ran = []
+        with pytest.raises(ValueError, match=r"^test fraction 0\.5 leaves one class on the "
+                                             r"training side"):
+            run_experiment(plan, man, tmp_path / "out", log=ran.append)
+        assert ran == [] and not (tmp_path / "out").exists()
+
     def test_a_plan_of_numpy_numbers_writes_the_python_plan_bytes(self, tmp_path):
         # its seeds, run keys and rows are those of the plan of Python numbers,
         # and it resumes from its own runs.csv

@@ -14,7 +14,7 @@ from quatcnn.layers import (
     chunk_size, count_parameters, trace_shapes, Model, config_digest, save_model,
     load_model,
 )
-from quatcnn.train import _tiny_config
+from quatcnn.train import Samples, _tiny_config, grad_check, train_model
 from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
@@ -529,6 +529,122 @@ class TestQConv2d:
         layer = rand_qconv(np.random.default_rng(26), 1, 2, 3)
         with pytest.raises(ValueError, match="input has 1 channels, kernel expects 2"):
             layer.forward(np.zeros((4, 1, 5, 5, 1)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_current(layer):
+    """``layer`` runs the block kernel of its banks as they are now."""
+    assert _same_bits(layer._kernel()[0], layers._block_kernel(layer.w))
+
+
+def _qconvs(model):
+    return [layer for layer in model.layers if isinstance(layer, QConv2d)]
+
+
+@pytest.fixture
+def kernel_log(monkeypatch):
+    """Every (block kernel, whether it is its banks' block kernel bit for
+    bit) that a QConv2d runs with while the test runs."""
+    log = []
+    kernel = QConv2d._kernel
+
+    def logged(layer):
+        block, bias = kernel(layer)
+        log.append((block, _same_bits(block, layers._block_kernel(layer.w))))
+        return block, bias
+    monkeypatch.setattr(QConv2d, "_kernel", logged)
+    return log
+
+
+class TestBlockKernelCache:
+    """A QConv2d keeps its block kernel while its banks keep their bits,
+    and runs a new one after any write to them."""
+
+    def test_unchanged_banks_reuse_their_kernel(self):
+        layer = rand_qconv(np.random.default_rng(71), 2, 3, 3, np.float32)
+        x = np.random.default_rng(72).uniform(-1, 1, (4, 3, 6, 6, 2)).astype(np.float32)
+        block = layer._kernel()[0]
+        first = layer.forward(x)
+        layer.backward(np.ones_like(first))
+        assert layer._kernel()[0] is block
+        assert np.array_equal(layer.forward(x), first)
+        _assert_current(layer)
+
+    def test_a_write_to_w_runs_a_new_kernel(self):
+        layer = rand_qconv(np.random.default_rng(73), 2, 3, 3, np.float32)
+        block = layer._kernel()[0]
+        kept = block.copy()
+        layer.w[3, 1, 2, 0, 2] += 0.5
+        assert layer._kernel()[0] is not block
+        _assert_current(layer)
+        assert _same_bits(block, kept)  # never written in place
+
+    def test_a_bank_turned_to_minus_zero_runs_a_new_kernel(self):
+        layer = QConv2d(2, 3, 3, dtype=np.float32)
+        block = layer._kernel()[0]
+        layer.w[1, 2, 0, 1, 1] = -0.0
+        assert np.array_equal(layer.w, np.zeros_like(layer.w))  # equal in value
+        assert not _same_bits(layer._kernel()[0], block)
+        _assert_current(layer)
+
+    def test_every_training_forward_runs_the_current_kernel(self, kernel_log):
+        # each minibatch is one chunk, so every forward but the first
+        # follows an Adam step
+        rng = np.random.default_rng(74)
+        x = rng.uniform(-1, 1, (4, 1, 6, 12, 12)).astype(np.float32)
+        train_model(_tiny_config("quaternion"), Samples(x, [0, 1] * 3), epochs=2,
+                    batch_size=2, seed=5)
+        assert len(kernel_log) == 2 * 2 * 3
+        assert all(current for _, current in kernel_log)
+
+    def test_grad_check_runs_each_perturbation_on_its_kernel(self, kernel_log):
+        rng = np.random.default_rng(75)
+        model = Model(_tiny_config("quaternion"), rng=rng, dtype=np.float64)
+        x = rng.uniform(-1, 1, (4, 1, 1, 12, 12))
+        assert grad_check(model, Samples(x, [1]), num_samples=40, rng=rng) < 1e-4
+        assert len(kernel_log) == 2 * (1 + 2 * 40)
+        assert all(current for _, current in kernel_log)
+
+    def test_initialize_and_a_loaded_theta_run_their_kernels(self, tmp_path):
+        config = _tiny_config("quaternion")
+        rng = np.random.default_rng(76)
+        model = Model(config, rng=rng)
+        x = rng.uniform(-1, 1, (4, 1, 2, 12, 12)).astype(np.float32)
+        model.forward(x)
+        model.initialize(rng)
+        for layer in _qconvs(model):
+            _assert_current(layer)
+        logits = model.forward(x)
+        save_model(tmp_path / "model.bin", model)
+        loaded = load_model(tmp_path / "model.bin", config)
+        assert np.array_equal(loaded.forward(x), logits)
+        # load_model's write, into a model that has already run
+        other = Model(config, rng=np.random.default_rng(77))
+        other.forward(x)
+        other.theta[...] = loaded.theta
+        assert np.array_equal(other.forward(x), logits)
+        for layer in _qconvs(loaded) + _qconvs(other):
+            _assert_current(layer)
+
+    def test_layers_and_models_keep_their_own_kernels(self):
+        a = rand_qconv(np.random.default_rng(78), 2, 3, 3, np.float32)
+        b = QConv2d(3, 2, 3, dtype=np.float32)
+        b.theta[...] = a.theta
+        block = a._kernel()[0]
+        assert not np.shares_memory(block, b._kernel()[0])
+        b.w[0, 0, 0, 0, 0] += 1
+        _assert_current(b)
+        assert a._kernel()[0] is block
+        _assert_current(a)
+        config = _tiny_config("quaternion")
+        x = np.random.default_rng(79).uniform(-1, 1, (4, 1, 1, 12, 12)).astype(np.float32)
+        first, second = (Model(config, rng=np.random.default_rng(80)) for _ in range(2))
+        assert np.array_equal(first.forward(x), second.forward(x))
+        for one, two in zip(_qconvs(first), _qconvs(second)):
+            assert not np.shares_memory(one._kernel()[0], two._kernel()[0])
 
 
 def pool_one(pool, x):
