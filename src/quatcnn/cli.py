@@ -63,9 +63,9 @@ def cmd_train(args) -> int:
     )
     out = Path(args.out)  # made once the request is known to be good
     out.mkdir(parents=True, exist_ok=True)
-    # Each file is written as <name>.part and renamed only once all three
-    # are, so a failed or interrupted run leaves an earlier run's files in
-    # --out as they were, never mixed with its own.
+    # Each file is written as <name>.part and renamed once all three are. A
+    # failure or interruption before the renames leaves --out's earlier files
+    # as they were; one between the three renames can leave two runs' files.
     staged = {name: out / f"{name}.part" for name in ("metrics.csv", "model.bin", "result.json")}
     try:
         model, metrics = training.train_model(

@@ -191,9 +191,11 @@ def read_ppm(path) -> np.ndarray:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     n = width * height * 3
     if tokens[0] == b"P6":
-        data = raw[pos + 1:pos + 1 + n]  # single whitespace byte after maxval
-        if len(data) != n:
+        data = raw[pos + 1:]  # every byte after the one whitespace that ends maxval
+        if len(data) < n:
             raise ValueError(f"{path}: truncated pixel data")
+        if len(data) > n:
+            raise ValueError(f"{path}: {len(data) - n} byte(s) follow the pixel data")
         flat = np.frombuffer(data, dtype=np.uint8)
     else:
         values = raw[pos:].split()

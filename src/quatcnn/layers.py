@@ -56,25 +56,25 @@ its last row. That GEMM sums its long inner dimension (OH*OW*N) in
 fixed blocks of 512, added in order, so a trained model has the same
 bits at one and two BLAS threads. The quaternion convolution runs on
 the same core as one real GEMM over the 4C stacked component planes,
-with the (4F, 4C, k, k) block kernel gathered from the banks and their
-negatives through 4x4 bank and sign tables built from ``quat.hamilton``
-on the four unit quaternions, once per parameter state: a layer keeps
-the kernel with the bits of the banks it was gathered from, and gathers
-again only when the banks' bits differ, so every write to ``theta`` is
-seen and the chunks between two optimizer steps share one kernel. Its
-weight gradient folds back into the banks through the inverse tables,
-once per batch. ``as_block_conv`` returns that block kernel as the
-equivalent ``Conv2d``. A batch whose
-real plane is all zero, a pure quaternion as the rgb encoding makes,
-runs on its 3C imaginary planes alone: one ``any`` over the real plane
-decides it per batch, and the GEMM leaves out the block kernel's first
-C columns (input component 0), which would meet exact zeros. So the
-first layer of qvcnn-rgb runs its forward GEMM at K = 27, not 36, and
-its weight-gradient GEMM on 28 rows, not 37; the fold puts exact zeros
-where the real plane's blocks were, and an input gradient still takes
-its taps from the whole block kernel, so it keeps its four planes. The
-bits are the full path's under SkylakeX and Sandybridge sgemm; Haswell
-sgemm rounds the two inner sizes otherwise.
+with the (4F, 4C, k, k) block kernel gathered from the banks stacked on
+their negatives through one 4x4 signed-bank table built from
+``quat.hamilton`` on the four unit quaternions, once per parameter
+state: a layer keeps the kernel with the bits of the banks it was
+gathered from, and gathers again only when the banks' bits differ, so
+every write to ``theta`` is seen and the chunks between two optimizer
+steps share one kernel. Its weight gradient folds back into the banks
+through the inverse plane and sign tables, once per batch.
+``as_block_conv`` returns that block kernel as the equivalent
+``Conv2d``. A batch whose real plane is all zero, a pure quaternion as
+the rgb encoding makes, runs on its 3C imaginary planes alone: one
+``any`` over the real plane decides it per batch, and the GEMM leaves
+out the block kernel's first C columns (input component 0), which would
+meet exact zeros. So the first layer of qvcnn-rgb runs its forward GEMM
+at K = 27, not 36, and its weight-gradient GEMM on 28 rows, not 37; the
+fold puts exact zeros where the real plane's blocks were, and an input
+gradient still takes its taps from the whole block kernel, so it keeps
+its four planes. The bits are the full path's under SkylakeX and
+Sandybridge sgemm; Haswell sgemm rounds the two inner sizes otherwise.
 
 A max pool reads its window and bias from its block's convolution, built
 with that window, and takes only the convolution's pool-major output. It
@@ -280,26 +280,24 @@ def _hamilton_tables():
     """The sign pattern of ``quat.hamilton`` as 4x4 tables. The product of
     filter unit e_a and input unit e_b is sign * e_comp, so output plane
     comp gets sign * correlate(x[b], W[a]). Indexed [output component,
-    input component b]: the bank a and sign of block (comp, b) of the
-    block kernel. Indexed [output component, bank a]: the input component
+    input component b]: block (comp, b) of the block kernel as an index
+    into the banks stacked on their negatives, bank a or, where the sign
+    is -1, 4 + a. Indexed [output component, bank a]: the input component
     b whose block gradient folds into bank a, and its sign."""
-    bank, plane = np.zeros((2, 4, 4), dtype=np.intp)
-    sign, fold_sign = np.zeros((2, 4, 4), dtype=np.float32)
+    signed_bank, plane = np.zeros((2, 4, 4), dtype=np.intp)
+    fold_sign = np.zeros((4, 4), dtype=np.float32)
     units = (quat.ONE, quat.I, quat.J, quat.K)
     for a, filter_unit in enumerate(units):
         for b, input_unit in enumerate(units):
             product = quat.hamilton(filter_unit, input_unit).components()
             comp = next(i for i, value in enumerate(product) if value)
-            bank[comp, b], sign[comp, b] = a, product[comp]
+            signed_bank[comp, b] = a if product[comp] > 0 else 4 + a
             plane[comp, a], fold_sign[comp, a] = b, product[comp]
-    return bank, sign, plane, fold_sign
+    return signed_bank, plane, fold_sign
 
 
-_BANK, _SIGN, _PLANE, _FOLD_SIGN = _hamilton_tables()
+_SIGNED_BANK, _PLANE, _FOLD_SIGN = _hamilton_tables()
 _COMPONENTS = np.arange(4)[:, None]
-# block (comp, b) of the block kernel in the banks stacked on their
-# negatives: bank _BANK, or 4 + _BANK where the sign is -1
-_SIGNED_BANK = _BANK + 4 * (_SIGN < 0)
 
 
 def _block_kernel(w: np.ndarray) -> np.ndarray:

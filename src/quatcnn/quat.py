@@ -8,7 +8,7 @@ as a (4, C, N, H, W) array, and the layers run on batches with the
 sample axis last, (4, C, H, W, N). All layer arithmetic downstream
 reduces to real operations over these planes; the scalar ``Quaternion``
 and ``hamilton`` here are the reference they mirror, and the layers'
-sign tables are built from ``hamilton`` on the four units.
+signed-bank and fold tables come from ``hamilton`` on the four units.
 
 ``Quaternion`` is a plain value with no operators: each operation is
 one free function (``add``, ``hamilton``, ``conjugate``, ``norm``).
@@ -57,7 +57,7 @@ def hamilton(p: Quaternion, q: Quaternion) -> Quaternion:
 
     Non-commutative: i*j = k but j*i = -k. The sign pattern here is
     the single source of truth: the convolution layers build their
-    bank and sign tables from it.
+    signed-bank and fold tables from it.
     """
     return Quaternion(
         p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,

@@ -336,6 +336,10 @@ class TestPpmIO:
         (b"P6 ", "not a P3/P6 portable pixmap"),
         (b"P6\n2 2\n65535\n" + bytes(24), "only maxval 255 is supported, got 65535"),
         (b"P6\n2 2\n255\n" + bytes(11), "truncated pixel data"),
+        # the LF of a CRLF header is the first sample, so one byte is left over
+        (b"P6\r\n2 2\r\n255\r\n" + bytes(range(12)), r"1 byte\(s\) follow the pixel data"),
+        # a comment after maxval is not header: its bytes are pixel data
+        (b"P6\n2 2\n255 # c\n" + bytes(range(12)), r"4 byte\(s\) follow the pixel data"),
         (b"P3\n2 1\n255\n255 0 0  0 0\n", "expected 6 ascii samples, got 5"),
         (b"P3\n2 1\n255\n255 0 0  0 0 300\n", r"ascii samples must lie in \[0, 255\]"),
         (b"P3\n2 1\n255\n255 0 0  0 -1 0\n", r"ascii samples must lie in \[0, 255\]"),
@@ -346,7 +350,8 @@ class TestPpmIO:
         (b"P3\n1 -1\n255\n0 0 0\n", "width and height must be >= 1"),
         (b"P6\n0 0\n255\n", "width and height must be >= 1"),
         (b"P3\n0 2\n255\n", "width and height must be >= 1"),
-    ], ids=["p5", "header-ends-after-magic", "maxval", "truncated-p6", "p3-sample-count",
+    ], ids=["p5", "header-ends-after-magic", "maxval", "truncated-p6", "p6-crlf-header",
+            "p6-comment-after-maxval", "p3-sample-count",
             "p3-sample-above-255", "p3-negative-sample", "p3-non-numeric-sample",
             "non-numeric-width", "non-numeric-maxval", "negative-width", "negative-height",
             "zero-size", "zero-width"])

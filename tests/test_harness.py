@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from quatcnn.harness import (
 from quatcnn.layers import CONFIG_NAMES, Model, config_from_name, load_model, write_csv
 from quatcnn.train import Samples, run_gradient_verification, train_model
 import quatcnn
-from quatcnn import cli, harness
+from quatcnn import cli, encoding, harness
 
 
 def make_fixture_dir(tmp_path, n=8, size=24, seed=0):
@@ -1516,3 +1517,65 @@ qvcnn-rgb (input 24x24):
         assert cli.main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
+
+
+class TestPillowAdapter:
+    """The decode path of every non-PPM raster, such as ALL-IDB2's .tif
+    files, run without Pillow installed."""
+
+    _SWEEP = ["sweep", "--fractions", "0.25", "--runs", "1", "--epochs", "1",
+              "--input-size", "24", "--jobs", "1"]
+
+    @staticmethod
+    def _tif_copies(tmp_path):
+        """A synth-data set and its .tif copies: the same bytes under the
+        ALL-IDB2 file extension."""
+        ppm, tif = tmp_path / "ppm", tmp_path / "tif"
+        cli.main(["synth-data", "--n", "8", "--size", "24", "--out", str(ppm)])
+        tif.mkdir()
+        for path in sorted(ppm.glob("*.ppm")):
+            (tif / f"{path.stem}.tif").write_bytes(path.read_bytes())
+        return ppm, tif
+
+    def test_without_pillow_a_tif_is_refused_naming_the_extra(self, tmp_path, monkeypatch):
+        _, tif = self._tif_copies(tmp_path)
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+        path = tif / "Im001_0.tif"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*quatcnn\[images\]"):
+            encoding.load_image(path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"^error: .*\.tif: .*quatcnn\[images\]"):
+            cli.main([*self._SWEEP, "--data", str(tif), "--out", str(out)])
+        assert not out.exists()
+
+    def test_a_tif_sweep_equals_the_ppm_sweep(self, tmp_path, monkeypatch):
+        ppm, tif = self._tif_copies(tmp_path)
+        modes = []
+
+        class _Image:
+            def __init__(self, path):
+                self.path = path
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def convert(self, mode):
+                modes.append(mode)
+                return encoding.read_ppm(self.path)
+
+        image = types.ModuleType("PIL.Image")
+        image.open = _Image
+        pil = types.ModuleType("PIL")
+        pil.Image = image
+        monkeypatch.setitem(sys.modules, "PIL", pil)  # from PIL import Image reads pil.Image
+        reports = {}
+        for data in (ppm, tif):
+            out = tmp_path / f"out-{data.name}"
+            assert cli.main([*self._SWEEP, "--data", str(data), "--out", str(out)]) == 0
+            reports[data.name] = [(out / name).read_bytes() for name in ("runs.csv", "stats.csv")]
+        assert reports["tif"] == reports["ppm"]
+        assert reports["ppm"][0].count(b"\n") == 5  # header and one run per config
+        assert len(modes) == 8 and set(modes) == {"RGB"}

@@ -219,9 +219,10 @@ class TestSampleLastBatches:
 class TestHamiltonTables:
     def test_tables_follow_the_unit_table(self):
         # filter unit e_a times input unit e_b is sign * e_comp, by the test
-        # helpers' own table
+        # helpers' own table; the block kernel reads bank a, or its negative
+        # at 4 + a
         for (a, b), (sign, comp) in _UNIT_TABLE.items():
-            assert layers._BANK[comp, b] == a and layers._SIGN[comp, b] == sign
+            assert layers._SIGNED_BANK[comp, b] == (a if sign == 1 else 4 + a)
             assert layers._PLANE[comp, a] == b and layers._FOLD_SIGN[comp, a] == sign
 
 
