@@ -78,8 +78,8 @@ Sandybridge sgemm; Haswell sgemm rounds the two inner sizes otherwise.
 
 A max pool reads its window and bias from its block's convolution, built
 with that window, and takes only the convolution's pool-major output. It
-takes the maximum over the window**2 contiguous blocks of that output,
-one per window offset, into one array in offset order, with the stride
+views that output's two window-offset axes as one axis of window**2
+offsets and takes the maxima in one reduction over it, with the stride
 equal to the window, so windows never overlap. The reference configs
 use a 2x2 window and drop trailing odd rows/columns, which is what
 makes a 100x100 input flow 100 -> 98 -> 49 -> 47 -> 23 -> 21 -> 10 and
@@ -87,8 +87,8 @@ feed the dense layer exactly 12,800 values in both architectures; a
 pool-major convolution does not compute the dropped rows and columns
 at all, and its input gradient takes nothing from them. The pool's
 backward routes each window's gradient to the window's first maximum
-in row-major order, one pass over the window offsets, each writing
-straight into its block of the input gradient.
+in row-major order, one pass along the same offset axis, each offset
+writing straight into its block of the input gradient.
 
 A pool-major convolution adds no bias: the pool of its block adds the
 bias to the maxima, a quarter of the elements, and then applies the
@@ -100,11 +100,12 @@ starts with the windows whose maximum exceeds minus the bias, which is
 exactly fl(max + bias) > 0, and routes each one's gradient to its first
 maximum before the bias; a window whose elements the bias rounds to
 one value sends it to its maximum, not to its first element. The pool
-caches its input and the maxima before the bias. A pass in declaration
-order through raster convolutions with their bias, a ReLU and a raster
-max pool gives the same logits, bit for bit where BLAS rounds a GEMM
-alike at both shapes (not Haswell sgemm); the tests build that
-reference from standalone convolutions and their own pooling oracle.
+caches its input's offset view and the maxima before the bias. A pass
+in declaration order through raster convolutions with their bias, a
+ReLU and a raster max pool gives the same logits, bit for bit where
+BLAS rounds a GEMM alike at both shapes (not Haswell sgemm); the tests
+build that reference from standalone convolutions and their own
+pooling oracle.
 
 How many samples go through at once is ``chunk_size``: the most, up to
 the batch size, whose largest per-layer float32 im2col matrix, counted
@@ -318,13 +319,6 @@ def _fold_block(gw: np.ndarray, gblock: np.ndarray):
     terms *= _FOLD_SIGN[..., None, None, None, None]
     for term in terms:
         gw += term
-
-
-def _pool_views(x: np.ndarray, window: int) -> list[np.ndarray]:
-    """The window**2 contiguous (..., PH, PW, N) blocks of a pool-major
-    (..., window, window, PH, PW, N) batch, one per window offset in
-    row-major order; block d holds element d of every pooling window."""
-    return [x[..., a, b, :, :, :] for a in range(window) for b in range(window)]
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +596,10 @@ class MaxPool2d(Layer):
     a real (F, window, window, PH, PW, N) or quaternion
     (4, F, window, window, PH, PW, N) batch without the bias, which the
     pool adds to its maxima before it applies the block's ReLU to them in
-    place. The output is the (..., PH, PW, N) raster of the rectified
-    maxima. A ``conv`` built without a window raises ValueError."""
+    place. The maxima are one ``np.maximum.reduce`` over the offset axis of
+    the input viewed as (..., window**2, PH, PW, N). The output is the
+    (..., PH, PW, N) raster of the rectified maxima. A ``conv`` built
+    without a window raises ValueError."""
 
     def __init__(self, conv: _Correlation):
         if conv.pool is None:
@@ -617,12 +613,10 @@ class MaxPool2d(Layer):
         # the previous batch's input and maxima go before this batch's
         # are allocated, into the memory they free
         self._cache = None
-        views = _pool_views(x, self.window)
-        # in offset order, into one array: max(-0, +0) depends on the order
-        peak = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
-        for view in views[2:]:
-            np.maximum(peak, view, out=peak)
-        self._cache = (x, peak)
+        # offset d = a*window + b holds element (a, b) of every window
+        offsets = x.reshape(*x.shape[:-5], self.window ** 2, *x.shape[-3:])
+        peak = np.maximum.reduce(offsets, axis=-4)
+        self._cache = (offsets, peak)
         out = np.add(peak, self.conv.bias[..., None, None, None])
         return np.maximum(out, 0, out=out)
 
@@ -637,20 +631,18 @@ class MaxPool2d(Layer):
         ``gx``. A window starts free only if its rectified output is
         positive: max + bias > 0 in exact arithmetic, which rounding
         keeps, so the test is max > -bias."""
-        x, peak = self._forward_cache()
-        gx = np.empty(x.shape, dtype=g.dtype)
+        offsets, peak = self._forward_cache()
+        gx = np.empty(offsets.shape, dtype=g.dtype)
         free = np.greater(peak, np.negative(self.conv.bias[..., None, None, None]))
-        views, gviews = _pool_views(x, self.window), _pool_views(gx, self.window)
         hit = np.empty(peak.shape, dtype=bool)
-        for d, (view, gview) in enumerate(zip(views, gviews)):
-            if d == len(views) - 1:
-                hit = free
-            else:
-                np.equal(view, peak, out=hit)
-                hit &= free
-                free ^= hit
-            np.multiply(g, hit, out=gview)
-        return gx
+        last = offsets.shape[-4] - 1
+        for d in range(last):
+            np.equal(offsets[..., d, :, :, :], peak, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gx[..., d, :, :, :])
+        np.multiply(g, free, out=gx[..., last, :, :, :])
+        return gx.reshape(*gx.shape[:-4], self.window, self.window, *gx.shape[-3:])
 
 
 class ReLU(Layer):

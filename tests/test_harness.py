@@ -215,6 +215,12 @@ class TestDeriveSeed:
     def test_base_seed_matters(self):
         assert derive_seed(0, "qvcnn-rgb", 0.1, 0) != derive_seed(1, "qvcnn-rgb", 0.1, 0)
 
+    @pytest.mark.parametrize("a, b", [(0.2, 0.25), (0.3, 0.33)])
+    def test_fractions_that_agree_to_one_decimal_are_distinct(self, a, b):
+        for config in CONFIG_NAMES:
+            for run in range(3):
+                assert derive_seed(0, config, a, run) != derive_seed(0, config, b, run)
+
 
 class TestPlanValidation:
     def test_bad_fraction(self):
@@ -605,6 +611,40 @@ def smoke_plan(**overrides):
                     base_seed=3, input_size=24, augment=False)
     defaults.update(overrides)
     return ExperimentPlan(**defaults)
+
+
+class TestRunSingle:
+    """``run_single``'s accuracies against the run rebuilt from its parts:
+    the split at the run's derived seed, a model trained at that seed, and
+    the signs of its logits on the test images, counted here."""
+
+    @pytest.mark.parametrize("name", ["rvcnn-rgb", "qvcnn-rgb"])
+    def test_test_accuracy_is_counted_on_the_test_side(self, tmp_path, name):
+        man = load_manifest(make_fixture_dir(tmp_path, n=8))
+        decoded = load_decoded_images(man, 24)
+        plan = smoke_plan(configs=(name,), fractions=(0.5,), runs=1, epochs=1, base_seed=2,
+                          stratify=False)
+        result = run_single(name, man, 0.5, 0, plan, decoded)
+
+        seed = derive_seed(2, name, 0.5, 0)
+        train_ids, test_ids = split(man, 0.5, seed, stratify=False)
+        config = config_from_name(name, 24)
+
+        def encoded(ids):
+            images, labels = zip(*(decoded[sid] for sid in ids))
+            return encode_input(config, np.stack(images)), np.array(labels)
+
+        (train_x, train_y), (test_x, test_y) = encoded(train_ids), encoded(test_ids)
+        model, metrics = train_model(config, Samples(train_x, train_y), epochs=1,
+                                     batch_size=plan.batch_size, seed=seed)
+        test_acc = np.count_nonzero((model.forward(test_x) > 0) == (test_y == 1)) / len(test_ids)
+        train_input_acc = np.mean((model.forward(train_x) > 0) == (train_y == 1))
+        # the fixture tells the three apart: one epoch on an unstratified
+        # half of 8 images
+        assert len({test_acc, train_input_acc, metrics[-1].train_acc}) == 3
+        assert result.seed == seed
+        assert result.test_accuracy == test_acc
+        assert result.train_accuracy == metrics[-1].train_acc
 
 
 class _Interrupt(Exception):

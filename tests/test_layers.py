@@ -19,7 +19,7 @@ from testutil import (
     assert_close, norm_rel_err, conv2d_oracle, qconv2d_oracle,
     qconv2d_hamilton_sum_oracle, maxpool_oracle, per_array, col2im_oracle,
     conv_input_grad_oracle, qconv_input_grad_oracle, quat_at, _UNIT_TABLE, pool_major,
-    from_pool_major, DeclarationOrderPass, _sample_last_pool,
+    from_pool_major, pool_offsets, DeclarationOrderPass, _sample_last_pool,
 )
 
 
@@ -735,6 +735,42 @@ class TestMaxPool:
             d = 0 if values == "all-tie" else window - 1
             assert np.array_equal(gx[..., d:d + window * oh:window, d:d + window * ow:window], g)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_signed_zeros_and_nan_in_every_window_pattern(self, window, dtype, n):
+        # every window over {+0, -0, NaN, 0.5}, laid out as (PH, 1, N)
+        # windows (wrapping round to fill the last row of n), in three
+        # channels with biases +0, -0 and 0.5. The reference takes each
+        # window's maximum left to right (a NaN wins, a tie keeps the
+        # earlier element), adds the bias and rectifies (a zero gives +0),
+        # then routes each positive output's gradient to the window's
+        # first maximum and gives every other element g * 0
+        k = window * window
+        rows = -(-4 ** k // n)
+        codes = np.arange(rows * n) % 4 ** k
+        digits = codes // 4 ** np.arange(k - 1, -1, -1)[:, None] % 4
+        elements = np.array([0.0, -0.0, np.nan, 0.5], dtype)[digits].reshape(k, rows, 1, n)
+        bias = np.array([0.0, -0.0, 0.5], dtype)[:, None, None, None]
+        peak = elements[0]
+        for element in elements[1:]:
+            later = (element > peak) | (np.isnan(element) & ~np.isnan(peak))
+            peak = np.where(later, element, peak)
+        total = peak + bias
+        expect_out = np.where((total > 0) | np.isnan(total), total, dtype(0))
+        first = np.argmax(elements == peak, axis=0)
+        g = np.random.default_rng(37).uniform(-1, 1, expect_out.shape).astype(dtype)
+        routed = (expect_out > 0) & (first == np.arange(k)[:, None, None, None, None])
+        expect_gx = np.where(routed, g, np.copysign(dtype(0), g)).swapaxes(0, 1)
+
+        pool = pool_on((3,), window, bias=bias[:, 0, 0, 0], dtype=dtype)
+        x = np.repeat(elements[None], 3, axis=0).reshape(3, window, window, rows, 1, n)
+        out = pool.forward(x)
+        gx = pool.backward(g)
+        assert out.dtype == gx.dtype == dtype
+        assert out.tobytes() == expect_out.tobytes()
+        assert gx.shape == x.shape and gx.tobytes() == expect_gx.tobytes()
+
 
 class TestReLU:
     def test_split_application(self):
@@ -807,7 +843,7 @@ class TestRunOrder:
         pool = model.layers[2]
         pooled_in = first.forward(batch).copy()
         assert pool.conv is first and pooled_in.shape == (*lead[:-1], 2, 2, 2, 5, 5, n)
-        offsets = np.stack(layers._pool_views(pooled_in, 2))
+        offsets = pool_offsets(pooled_in)
         peaks = offsets.max(axis=0)
         ties = (offsets == peaks).sum(axis=0) > 1
         assert (peaks < 0).any() and (peaks == 0).any() and (ties & (peaks > 0)).any()
@@ -918,8 +954,7 @@ class TestPoolMajor:
             # left out
             raster = _without_bias(conv).forward(conv_in)
             assert pooled.shape[-5:-3] == (window, window) and raster.ndim == pooled.ndim - 2
-            for view, offset in zip(layers._pool_views(pool_major(raster, window), window),
-                                    layers._pool_views(pooled, window)):
+            for view, offset in zip(pool_offsets(pool_major(raster, window)), pool_offsets(pooled)):
                 assert norm_rel_err(view, offset) <= tol
         assert logits.dtype == h.dtype
         if tol:
@@ -957,7 +992,7 @@ class TestPoolMajor:
         gx = pool.backward(g)
         assert gx.shape == pooled_in.shape
         bias = conv.bias[..., None, None, None]
-        offsets = np.stack(layers._pool_views(pooled_in, pool.window))
+        offsets = pool_offsets(pooled_in)
         peaks = offsets.max(axis=0)
         live = peaks + bias > 0
         assert (live & ((offsets == peaks).sum(axis=0) > 1)).any()  # ties that pass a gradient

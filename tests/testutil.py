@@ -293,6 +293,14 @@ def pool_major(x: np.ndarray, window: int) -> np.ndarray:
                      for a in range(window)], axis=-5)
 
 
+def pool_offsets(x: np.ndarray) -> np.ndarray:
+    """The p*p (..., PH, PW, N) blocks of a pool-major (..., p, p, PH, PW, N)
+    batch stacked on a new first axis in row-major offset order: block
+    d = a*p + b holds element (a, b) of every window."""
+    p = x.shape[-5]
+    return np.stack([x[..., a, b, :, :, :] for a in range(p) for b in range(p)])
+
+
 def from_pool_major(x: np.ndarray, hw=None) -> np.ndarray:
     """The raster (..., H, W, N) batch of a pool-major (..., p, p, PH, PW, N)
     one: block (a, b) goes back on rows a, a + p, ... and columns b, b + p,
